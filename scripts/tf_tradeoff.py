@@ -17,22 +17,6 @@ from tfcomm import ofdm as om
 from tfcomm import wh_frames as wh
 
 
-def rank_tolerant_pair(window, grid):
-    """Tight pair via the pseudo-inverse root of the adjoint-lattice frame operator.
-
-    Unlike tight_window this tolerates a singular frame operator, which is
-    what the critically dense case a*b = N produces; the projection onto the
-    frame range costs a small biorthogonality defect there.
-    """
-    s = wh.frame_operator(window, grid.adjoint()).matrix
-    evals, evecs = np.linalg.eigh(s)
-    keep = evals > 1e-10 * evals.max()
-    coef = evecs.conj().T @ wh.as_samples(window)
-    samples = evecs[:, keep] @ (coef[keep] / np.sqrt(evals[keep]))
-    pulse = wh.Pulse(np.sqrt(grid.time_step * grid.freq_step / grid.n_dim) * samples)
-    return pulse, pulse
-
-
 def density_sweep(n_dim: int = 48, time_step: int = 8,
                   freq_steps: tuple[int, ...] = (6, 8, 12)) -> None:
     profile = cm.flat_rect_profile(n_dim, 1, 1)
@@ -43,8 +27,11 @@ def density_sweep(n_dim: int = 48, time_step: int = 8,
         if grid.time_step * grid.freq_step > n_dim:
             tx, rx = om.design_pulses(profile, grid)
         else:
+            # a*b = N: the adjoint frame operator is singular, so take the
+            # pseudo-root on its range at the cost of a small biorthogonality defect.
             window = wh.gaussian_pulse(n_dim, sigma=om.matched_sigma(profile, grid))
-            tx, rx = rank_tolerant_pair(window, grid)
+            root = wh.frame_power(window, grid.adjoint(), -0.5, rank_rtol=1e-10)
+            tx = rx = wh.Pulse(np.sqrt(grid.tf_product) * root.samples)
         cfg = om.OFDMConfig(grid, tx, rx)
         power = om.interference_power(profile, cfg)
         print(f"{grid.tf_product:8.3f} {power:12.6f} {cfg.biorthogonality_defect:15.2e}")

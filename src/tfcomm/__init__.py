@@ -37,6 +37,7 @@ from .wh_frames import (
     rect_pulse,
     lattice_matrix,
     frame_operator,
+    frame_power,
     frame_bounds,
     dual_window,
     tight_window,
@@ -99,7 +100,7 @@ __all__ = [
     "box_spread", "spread_metrics",
     # wh_frames
     "NotAFrameError", "WHGrid", "Pulse", "FrameReport", "gaussian_pulse",
-    "rect_pulse", "lattice_matrix", "frame_operator", "frame_bounds",
+    "rect_pulse", "lattice_matrix", "frame_operator", "frame_power", "frame_bounds",
     "dual_window", "tight_window", "check_wexler_raz", "localization_metrics",
     # channel_models
     "ScatteringProfile", "TFCorrelation", "SpecularPath", "from_specular",

@@ -119,6 +119,10 @@ def _complex_list(values, where: str, length: int | None = None) -> np.ndarray:
     return np.array(out)
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"non-finite number {name} is not allowed")
+
+
 def _positive_int(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ConfigError(f"{where}: expected a positive integer, got {value!r}")
@@ -452,6 +456,9 @@ def _run_identify(cfg: dict, out: Path, base_dir: Path) -> list[str]:
                            _Key("noise_psd", (float,), 0.0), _Key("seed", (int,), 0)],
                      "config")
     n = _positive_int(spec["n_dim"], "config.n_dim")
+    if not spec["noise_psd"] >= 0.0:
+        raise ConfigError(f"config.noise_psd: expected a nonnegative number, "
+                          f"got {spec['noise_psd']!r}")
     if isinstance(spec["support"], dict):
         sup = _validate(spec["support"], [_Key("n_delay", (int,)), _Key("n_doppler", (int,))],
                         "config.support")
@@ -577,7 +584,7 @@ def _apply_override(cfg: dict, assignment: str) -> None:
     if not all(keys):
         raise ConfigError(f"--set: bad key path {dotted!r}")
     try:
-        value = json.loads(raw)
+        value = json.loads(raw, parse_constant=_reject_constant)
     except json.JSONDecodeError:
         value = raw
     node = cfg
@@ -653,7 +660,8 @@ def run(argv=None) -> int:
     try:
         config_path = Path(args.config)
         try:
-            cfg = json.loads(config_path.read_text(encoding="utf-8"))
+            cfg = json.loads(config_path.read_text(encoding="utf-8"),
+                             parse_constant=_reject_constant)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:

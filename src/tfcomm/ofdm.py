@@ -239,17 +239,23 @@ def cross_ambiguity(tx_pulse, rx_pulse) -> np.ndarray:
     if g.size != gam.size:
         raise ValueError("pulse lengths differ")
     n = g.size
-    rolled = np.stack([np.roll(gam, m) for m in range(n)])
-    return np.fft.fft(g[None, :] * rolled.conj(), axis=1)
+    # i - m lies in (-N, N); negative indices wrap, giving gamma[(i - m) mod N]
+    delayed = np.arange(n)[None, :] - np.arange(n)[:, None]
+    return np.fft.fft(g[None, :] * gam.conj()[delayed], axis=1)
 
 
-def _folded_offlattice_energy(cfg: OFDMConfig) -> np.ndarray:
-    """Sum of |A|^2 over all nonzero lattice translates, on the full grid."""
-    a, b = cfg.grid.time_step, cfg.grid.freq_step
-    n = cfg.n_dim
-    energy = np.abs(cross_ambiguity(cfg.tx_pulse, cfg.rx_pulse)) ** 2
+def _predicted_interference(profile: ScatteringProfile, grid: WHGrid, tx, rx) -> float:
+    """Interference power of the pair (tx, rx) on ``grid``; see interference_power."""
+    if profile.n_dim != grid.n_dim:
+        raise ValueError("profile and grid dimensions differ")
+    a, b = grid.time_step, grid.freq_step
+    n = grid.n_dim
+    energy = np.abs(cross_ambiguity(tx, rx)) ** 2
+    # sum of |A|^2 over all nonzero lattice translates, on the full grid
     block = energy.reshape(n // a, a, n // b, b).sum(axis=(0, 2))
-    return np.tile(block, (n // a, n // b)) - energy
+    folded = np.tile(block, (n // a, n // b)) - energy
+    reflected = np.roll(folded[::-1], 1, axis=0)
+    return float(np.sum(profile.intensities * reflected))
 
 
 def interference_power(profile: ScatteringProfile, cfg: OFDMConfig) -> float:
@@ -259,11 +265,7 @@ def interference_power(profile: ScatteringProfile, cfg: OFDMConfig) -> float:
     the delay axis enters reflected because a scatterer at delay m couples
     symbol pairs separated by -m along the ambiguity delay axis.
     """
-    if profile.n_dim != cfg.n_dim:
-        raise ValueError("profile and config dimensions differ")
-    folded = _folded_offlattice_energy(cfg)
-    reflected = np.roll(folded[::-1], 1, axis=0)
-    return float(np.sum(profile.intensities * reflected))
+    return _predicted_interference(profile, cfg.grid, cfg.tx_pulse, cfg.rx_pulse)
 
 
 def gain_transfer_agreement(channel, cfg: OFDMConfig) -> float:
@@ -342,15 +344,16 @@ def interference_descent(profile: ScatteringProfile, grid: WHGrid,
 
     Starts from the matched Gaussian pair and perturbs one seed-window
     coordinate at a time (both quadratures, both signs), re-tightening on
-    the adjoint lattice after every trial so biorthogonality stays exact.
-    Only strict improvements are kept, so the recorded power sequence is
-    nonincreasing.  Returns (tx, rx, powers).
+    the adjoint lattice after every trial so biorthogonality stays exact
+    and trials are scored without forming the lattice Gram.  Only strict
+    improvements are kept, so the recorded power sequence is nonincreasing.
+    Returns (tx, rx, powers).
     """
     if n_sweeps < 0 or step <= 0:
         raise ValueError("need n_sweeps >= 0 and step > 0")
     window = gaussian_pulse(grid.n_dim, sigma=matched_sigma(profile, grid)).samples.copy()
     tx, rx = _tight_pair(window, grid)
-    best = interference_power(profile, OFDMConfig(grid, tx, rx))
+    best = _predicted_interference(profile, grid, tx, rx)
     powers = [best]
     for _ in range(n_sweeps):
         improved = False
@@ -362,7 +365,7 @@ def interference_descent(profile: ScatteringProfile, grid: WHGrid,
                     cand_tx, cand_rx = _tight_pair(trial, grid)
                 except NotAFrameError:
                     continue
-                power = interference_power(profile, OFDMConfig(grid, cand_tx, cand_rx))
+                power = _predicted_interference(profile, grid, cand_tx, cand_rx)
                 if power < best:
                     window, best = trial, power
                     tx, rx = cand_tx, cand_rx

@@ -2,10 +2,14 @@
 
 A system is generated by translating a window along a separable lattice:
 g_{n,k}[i] = g[(i - n*a) mod N] * exp(2j*pi*k*b*i/N) with a | N and b | N.
-The frame operator, its extreme eigenvalues, canonical dual and tight
-windows, and the Wexler-Raz duality test against the adjoint lattice
-(time step N/b, frequency step N/a) are all computed densely; exactness is
-preferred over speed at the dimensions this package targets (N <= 512).
+Summing over the modulations leaves the frame operator nonzero only where
+i = j mod N/b (Walnut's representation), so it splits into N/b Hermitian
+b x b blocks, one per residue class of samples.  Frame bounds, canonical
+dual and tight windows, and the rank-tolerant pseudo-root all come from
+one batched eigensolve of those blocks (``frame_power``).  The dense
+``frame_operator`` is kept as a reference.  The Wexler-Raz duality test
+compares reconstruction on the lattice with biorthogonality on the
+adjoint lattice (time step N/b, frequency step N/a).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = [
     "tf_shift_samples",
     "lattice_matrix",
     "frame_operator",
+    "frame_power",
     "frame_bounds",
     "dual_window",
     "tight_window",
@@ -161,19 +166,54 @@ def frame_operator(pulse, grid: WHGrid) -> DiscreteChannel:
     return DiscreteChannel(mat @ mat.conj().T)
 
 
-def _frame_eigensystem(pulse, grid: WHGrid):
-    evals, evecs = np.linalg.eigh(frame_operator(pulse, grid).matrix)
-    return np.maximum(evals, 0.0), evecs
+def _walnut_blocks(pulse, grid: WHGrid):
+    """Eigensystem of the N/b Walnut blocks of the frame operator.
+
+    With M = N/b, S[i, j] = (N/b) sum_n g[i - n*a] conj(g[j - n*a]) when
+    i = j mod M and zero otherwise.  Block r holds samples r + p*M for
+    p = 0..b-1.  Returns (evals, evecs, g_blocks) of shapes (M, b),
+    (M, b, b) and (M, b); eigenvalues are clipped at zero.
+    """
+    g = as_samples(pulse)
+    if g.size != grid.n_dim:
+        raise ValueError(f"pulse length {g.size} does not match grid N = {grid.n_dim}")
+    n, a, b = grid.n_dim, grid.time_step, grid.freq_step
+    m = grid.n_freq
+    idx = (np.arange(m)[:, None, None] + m * np.arange(b)[None, :, None]
+           - a * np.arange(grid.n_time)[None, None, :]) % n
+    stack = g[idx]
+    evals, evecs = np.linalg.eigh(m * (stack @ stack.conj().transpose(0, 2, 1)))
+    return np.maximum(evals, 0.0), evecs, g.reshape(b, m).T
 
 
 FRAME_RANK_RTOL = 1e-10
 
 
+def frame_power(pulse, grid: WHGrid, power: float, rank_rtol: float | None = None) -> Pulse:
+    """S^power g, with S the frame operator of g on the lattice.
+
+    With ``rank_rtol`` None the window must generate a frame, else
+    NotAFrameError.  With ``rank_rtol`` set, eigenvalues at or below
+    rank_rtol times the largest eigenvalue of S are dropped, which gives the
+    pseudo-power on the range of S (the critically dense case a*b = N).
+    """
+    evals, evecs, g_blocks = _walnut_blocks(pulse, grid)
+    top = evals.max()
+    keep = evals > (FRAME_RANK_RTOL if rank_rtol is None else rank_rtol) * top
+    if rank_rtol is None and not keep.all():
+        raise NotAFrameError(
+            f"window does not generate a frame on {grid}: "
+            f"extreme eigenvalues ({evals.min():.3e}, {top:.3e})")
+    scale = np.power(evals, power, out=np.zeros_like(evals), where=keep)
+    coef = np.einsum("rpq,rp->rq", evecs.conj(), g_blocks) * scale
+    return Pulse(np.einsum("rpq,rq->rp", evecs, coef).T.ravel())
+
+
 def frame_bounds(pulse, grid: WHGrid, tight_rtol: float = 1e-9) -> FrameReport:
-    """Extreme eigenvalues of the frame operator via dense Hermitian solve."""
-    evals, _ = _frame_eigensystem(pulse, grid)
-    lower = float(evals[0])
-    upper = float(evals[-1])
+    """Extreme eigenvalues of the frame operator over all Walnut blocks."""
+    evals, _, _ = _walnut_blocks(pulse, grid)
+    lower = float(evals.min())
+    upper = float(evals.max())
     is_frame = upper > 0.0 and lower > FRAME_RANK_RTOL * upper
     is_tight = is_frame and (upper / lower - 1.0) <= tight_rtol
     condition = upper / lower if is_frame else float("inf")
@@ -182,24 +222,12 @@ def frame_bounds(pulse, grid: WHGrid, tight_rtol: float = 1e-9) -> FrameReport:
 
 def dual_window(pulse, grid: WHGrid) -> Pulse:
     """Canonical dual window, the frame operator inverse applied to g."""
-    evals, evecs = _frame_eigensystem(pulse, grid)
-    if evals[-1] <= 0.0 or evals[0] <= FRAME_RANK_RTOL * evals[-1]:
-        raise NotAFrameError(
-            f"window does not generate a frame on {grid}: "
-            f"extreme eigenvalues ({evals[0]:.3e}, {evals[-1]:.3e})")
-    g = as_samples(pulse)
-    return Pulse(evecs @ ((evecs.conj().T @ g) / evals))
+    return frame_power(pulse, grid, -1.0)
 
 
 def tight_window(pulse, grid: WHGrid) -> Pulse:
     """Canonical tight window S^(-1/2) g, whose frame bounds are both 1."""
-    evals, evecs = _frame_eigensystem(pulse, grid)
-    if evals[-1] <= 0.0 or evals[0] <= FRAME_RANK_RTOL * evals[-1]:
-        raise NotAFrameError(
-            f"window does not generate a frame on {grid}: "
-            f"extreme eigenvalues ({evals[0]:.3e}, {evals[-1]:.3e})")
-    g = as_samples(pulse)
-    return Pulse(evecs @ ((evecs.conj().T @ g) / np.sqrt(evals)))
+    return frame_power(pulse, grid, -0.5)
 
 
 def check_wexler_raz(pulse, dual, grid: WHGrid, tol: float = 1e-10) -> tuple[bool, float]:

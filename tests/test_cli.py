@@ -289,6 +289,30 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_identify_negative_noise_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, "neg_noise.json", {
+        "kind": "identify", "n_dim": 32, "period": 4,
+        "support": {"n_delay": 4, "n_doppler": 4}, "noise_psd": -1.0})
+    assert cli.run(["identify", "--config", str(path),
+                    "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
+    assert "noise_psd" in capsys.readouterr().err
+
+
+def test_non_finite_json_literals_exit_2(tmp_path, capsys):
+    cfg = {"kind": "capacity", "n_dim": 64,
+           "profile": {"kind": "flat_rect", "max_delay": 1, "max_doppler": 1}, "snr": 0.5}
+    infinite = write_config(tmp_path, "inf.json", dict(cfg, snr=float("inf")))
+    assert "Infinity" in infinite.read_text()
+    assert cli.run(["capacity", "--config", str(infinite),
+                    "--out", str(tmp_path / "a")]) == cli.EXIT_CONFIG
+    finite = write_config(tmp_path, "ok.json", cfg)
+    assert cli.run(["capacity", "--config", str(finite), "--set", "snr=NaN",
+                    "--out", str(tmp_path / "b")]) == cli.EXIT_CONFIG
+    assert "non-finite number" in capsys.readouterr().err
+    assert cli.run(["capacity", "--config", str(finite),
+                    "--out", str(tmp_path / "c")]) == cli.EXIT_OK
+
+
 def test_cli_numerical_failures_exit_3(tmp_path, capsys):
     sparse = write_config(tmp_path, "sparse.json", {
         "kind": "frame-analyze", "n_dim": 24, "time_step": 6, "freq_step": 6,

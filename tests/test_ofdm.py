@@ -44,6 +44,29 @@ def pinv_tight_pair(window, grid):
     return p, p
 
 
+def descent_oracle(profile, grid, n_sweeps, step):
+    """The descent loop with dense tightening and every trial scored through a
+    full OFDMConfig; returns the kept pair and, per step, its interference power."""
+    window = wh.gaussian_pulse(grid.n_dim, sigma=ofdm.matched_sigma(profile, grid)).samples
+    pair = pinv_tight_pair(window, grid)
+    best = ofdm.interference_power(profile, ofdm.OFDMConfig(grid, *pair))
+    powers = [best]
+    for _ in range(n_sweeps):
+        improved = False
+        for idx in range(grid.n_dim):
+            for delta in (step, -step, 1j * step, -1j * step):
+                trial = window.copy()
+                trial[idx] += delta
+                cand = pinv_tight_pair(trial, grid)
+                power = ofdm.interference_power(profile, ofdm.OFDMConfig(grid, *cand))
+                if power < best:
+                    window, best, pair, improved = trial, power, cand, True
+            powers.append(ofdm.interference_power(profile, ofdm.OFDMConfig(grid, *pair)))
+        if not improved:
+            break
+    return pair, powers
+
+
 # ---------------------------------------------------------------------------
 # configs
 
@@ -208,16 +231,16 @@ def test_transmit_validates():
 
 
 def test_ambiguity_against_oracle_and_moyal():
-    n = 16
     rng = np.random.default_rng(8)
-    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    gam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    amb = ofdm.cross_ambiguity(g, gam)
-    assert np.abs(amb - ambiguity_oracle(g, gam)).max() <= 1e-11
-    assert amb[0, 0] == pytest.approx(np.vdot(gam, g), abs=1e-12)
-    energy = np.sum(np.abs(amb) ** 2)
-    assert energy == pytest.approx(n * np.sum(np.abs(g) ** 2) * np.sum(np.abs(gam) ** 2),
-                                   rel=1e-12)
+    for n in (16, 15, 12):
+        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        gam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        amb = ofdm.cross_ambiguity(g, gam)
+        assert np.abs(amb - ambiguity_oracle(g, gam)).max() <= 1e-11
+        assert amb[0, 0] == pytest.approx(np.vdot(gam, g), abs=1e-12)
+        energy = np.sum(np.abs(amb) ** 2)
+        assert energy == pytest.approx(n * np.sum(np.abs(g) ** 2) * np.sum(np.abs(gam) ** 2),
+                                       rel=1e-12)
 
 
 def test_auto_ambiguity_peak():
@@ -405,6 +428,20 @@ def test_local_search_monotone_and_no_worse():
     assert powers[-1] <= base + 1e-15
     cfg = ofdm.OFDMConfig(grid, tx, rx)
     assert cfg.biorthogonality_defect <= 1e-10
+
+
+def test_descent_powers_match_config_oracle():
+    """Each recorded power is the full-config interference power of the pair
+    kept at that step, with the trajectory of a dense-tightening oracle."""
+    n = 32
+    prof = cm.flat_rect_profile(n, 1, 1)
+    grid = wh.WHGrid(n, 8, 8)
+    tx, rx, powers = ofdm.interference_descent(prof, grid, n_sweeps=2, step=0.05)
+    (ref_tx, _), ref_powers = descent_oracle(prof, grid, n_sweeps=2, step=0.05)
+    assert len(powers) == len(ref_powers) > 1
+    assert powers == pytest.approx(ref_powers, rel=1e-11)
+    assert powers[-1] == ofdm.interference_power(prof, ofdm.OFDMConfig(grid, tx, rx))
+    assert np.abs(tx.samples - ref_tx.samples).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

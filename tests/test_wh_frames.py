@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tfcomm.wh_frames as wh
 
@@ -15,6 +15,20 @@ def lattice_oracle(g, n, a, b):
             shifted = np.roll(g, t * a)
             cols.append(shifted * np.exp(2j * np.pi * f * b * np.arange(n) / n))
     return np.column_stack(cols)
+
+
+def dense_frame_power(g, grid, power, rank_rtol=None):
+    """(eigenvalues, S^power g) from a dense eigensolve of the frame operator."""
+    evals, evecs = np.linalg.eigh(wh.frame_operator(g, grid).matrix)
+    evals = np.maximum(evals, 0.0)
+    if rank_rtol is None:
+        if evals[-1] <= 0.0 or evals[0] <= wh.FRAME_RANK_RTOL * evals[-1]:
+            raise wh.NotAFrameError("dense oracle: not a frame")
+        keep = np.ones(evals.size, dtype=bool)
+    else:
+        keep = evals > rank_rtol * evals[-1]
+    coef = evecs.conj().T @ g
+    return evals, evecs[:, keep] @ (coef[keep] * evals[keep] ** power)
 
 
 def random_window(n, seed):
@@ -268,3 +282,56 @@ def test_dual_dichotomy_property(seed, steps):
     mat_g = wh.lattice_matrix(g, grid)
     mat_d = wh.lattice_matrix(dual, grid)
     assert np.abs(mat_g @ mat_d.conj().T - np.eye(n)).max() <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# property: the Walnut-blocked engine against the dense eigensolve
+
+
+@st.composite
+def lattices(draw):
+    n = draw(st.integers(min_value=1, max_value=64))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    return n, draw(st.sampled_from(divisors)), draw(st.sampled_from(divisors))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices(), st.integers(min_value=0, max_value=2 ** 31), st.booleans())
+@example((24, 4, 6), 0, False)  # a*b = N
+@example((16, 8, 4), 1, False)  # a*b > N: rank deficient
+@example((24, 2, 3), 2, True)
+def test_blocked_engine_matches_dense_property(lattice, seed, sparse):
+    n, a, b = lattice
+    grid = wh.WHGrid(n, a, b)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if sparse:
+        g[rng.random(n) < 0.3] = 0.0
+    evals, root = dense_frame_power(g, grid, -0.5, rank_rtol=1e-10)
+    top = evals[-1]
+    blocked = np.sort(wh._walnut_blocks(g, grid)[0].ravel())
+    assert np.abs(blocked - evals).max() <= 1e-12 * top
+    report = wh.frame_bounds(g, grid)
+    assert abs(report.lower_bound - evals[0]) <= 1e-12 * top
+    assert abs(report.upper_bound - top) <= 1e-12 * top
+
+    def assert_close(fast, dense, smallest, power):
+        # rounding of S (relative 1e-16 of its top eigenvalue) moves S^p g by at
+        # most |p| * smallest^(p - 1) times that, times |g|
+        scale = top * smallest ** (power - 1.0) * np.linalg.norm(g)
+        assert np.abs(fast.samples - dense).max() <= 1e-12 * scale
+
+    kept = evals[evals > 1e-10 * top]
+    if kept.size:
+        assert_close(wh.frame_power(g, grid, -0.5, rank_rtol=1e-10), root, kept.min(), -0.5)
+    try:
+        _, dual = dense_frame_power(g, grid, -1.0)
+    except wh.NotAFrameError:
+        assert not report.is_frame
+        for window in (wh.dual_window, wh.tight_window):
+            with pytest.raises(wh.NotAFrameError):
+                window(g, grid)
+        return
+    assert report.is_frame
+    assert_close(wh.dual_window(g, grid), dual, evals[0], -1.0)
+    assert_close(wh.tight_window(g, grid), dense_frame_power(g, grid, -0.5)[1], evals[0], -0.5)
