@@ -65,6 +65,7 @@ from .ofdm import (
     modulate,
     demodulate,
     transmit_through,
+    simulate_frames,
     cross_ambiguity,
     interference_power,
     gain_transfer_agreement,
@@ -109,7 +110,7 @@ __all__ = [
     # ofdm
     "OFDMConfig", "SymbolFrame", "DemodResult", "cp_ofdm_config",
     "random_symbols", "modulate", "demodulate", "transmit_through",
-    "cross_ambiguity", "interference_power", "gain_transfer_agreement",
+    "simulate_frames", "cross_ambiguity", "interference_power", "gain_transfer_agreement",
     "design_pulses",
     # identification
     "IdentifiabilityError", "SoundingProblem", "IdentificationResult",

@@ -4,17 +4,20 @@ Deterministic builders place spreading mass directly on the delay-Doppler
 grid: specular multipath sums, time-invariant tap channels (circulant),
 purely frequency-dispersive multipliers (diagonal), and oscillator
 impairment models.  The random model is the discrete WSSUS channel: every
-grid cell gets an independent zero-mean complex Gaussian coefficient whose
-variance is read off a scattering profile, which makes the wide-sense
-stationarity of the induced time-frequency transfer exact rather than
-asymptotic.  Second-order statistics live in the scattering profile and its
-2-D Fourier dual, the time-frequency correlation grid.
+cell of the scattering-profile support gets an independent zero-mean complex
+Gaussian coefficient whose variance is read off the profile, which makes the
+wide-sense stationarity of the induced time-frequency transfer exact rather
+than asymptotic.  Cells outside the support carry no mass and draw nothing,
+so a draw costs O(K) normals for K support cells, not O(N^2).  Second-order
+statistics live in the scattering profile and its 2-D Fourier dual, the
+time-frequency correlation grid.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -58,13 +61,16 @@ def _check_on_grid(value, name: str, n_dim: int) -> int:
 
 @dataclass(frozen=True)
 class ScatteringProfile:
-    """Nonnegative second-moment grid C[m, l] of a WSSUS channel."""
+    """Nonnegative second-moment grid C[m, l] of a WSSUS channel.
+
+    The grid is a read-only copy, so the cached support cannot go stale.
+    """
 
     n_dim: int
     intensities: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.intensities, dtype=float)
+        c = np.array(self.intensities, dtype=float)
         n = int(self.n_dim)
         if n < 1:
             raise ValueError("dimension must be positive")
@@ -74,8 +80,15 @@ class ScatteringProfile:
             raise ValueError("intensity grid contains non-finite entries")
         if c.min(initial=0.0) < 0:
             raise ValueError("intensities must be nonnegative")
+        c.flags.writeable = False
         object.__setattr__(self, "n_dim", n)
         object.__setattr__(self, "intensities", c)
+
+    @cached_property
+    def support_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(delays, Dopplers, sqrt(C)) of the K cells carrying mass, row-major."""
+        rows, cols = np.nonzero(self.intensities)
+        return rows, cols, np.sqrt(self.intensities[rows, cols])
 
     @property
     def total_gain(self) -> float:
@@ -83,7 +96,7 @@ class ScatteringProfile:
 
     @property
     def support_count(self) -> int:
-        return int(np.count_nonzero(self.intensities))
+        return int(self.support_cells[0].size)
 
     @property
     def normalized_spread(self) -> float:
@@ -92,7 +105,7 @@ class ScatteringProfile:
 
     def support_extents(self) -> tuple[int, int]:
         """Largest |centered delay| and |centered Doppler| carrying mass."""
-        rows, cols = np.nonzero(self.intensities)
+        rows, cols, _ = self.support_cells
         if rows.size == 0:
             return 0, 0
         return (int(np.abs(centered_index(rows, self.n_dim)).max()),
@@ -206,18 +219,30 @@ def oscillator_impairment(freq_offset: int, timing_offset: int,
     return SpreadingFunction(coeffs)
 
 
+def _support_draw(profile: ScatteringProfile, rng: np.random.Generator) -> np.ndarray:
+    """CN(0, C) coefficients on the K support cells, in ``support_cells`` order.
+
+    Consumes exactly 2K standard normals: K real parts, then K imaginary parts.
+    """
+    amplitudes = profile.support_cells[2]
+    k = amplitudes.size
+    return amplitudes * (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
+
+
 def wssus_sample(profile: ScatteringProfile, seed) -> SpreadingFunction:
     """One channel draw: independent CN(0, C[m, l]) spreading coefficients.
 
-    ``seed`` feeds numpy's default_rng, so ints, SeedSequence-style lists,
-    and Generator instances all work.  Monte Carlo substreams: pass
-    [base_seed, draw_index] per draw; every draw is then reproducible in
-    isolation and draws never share a stream.
+    Only the K cells of the profile support are drawn (2K normals from the
+    stream); every other cell is exactly zero.  ``seed`` feeds numpy's
+    default_rng, so ints, SeedSequence-style lists, and Generator instances
+    all work.  Monte Carlo substreams: pass [base_seed, draw_index] per draw;
+    every draw is then reproducible in isolation and draws never share a
+    stream.
     """
-    rng = np.random.default_rng(seed)
-    n = profile.n_dim
-    w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return SpreadingFunction(np.sqrt(profile.intensities) * w / np.sqrt(2.0))
+    rows, cols, _ = profile.support_cells
+    coeffs = np.zeros((profile.n_dim, profile.n_dim), dtype=complex)
+    coeffs[rows, cols] = _support_draw(profile, np.random.default_rng(seed))
+    return SpreadingFunction(coeffs)
 
 
 def tf_correlation(profile: ScatteringProfile) -> TFCorrelation:

@@ -7,7 +7,7 @@ digests into the output directory.  Identical config and seed give
 byte-identical artifacts; the manifest's wall-time field is the one value
 outside that guarantee.  Exit codes: 0 success, 2 config/validation
 problems, 3 numerical failures surfaced from the library (not a frame, not
-identifiable).
+identifiable, a failed demodulator split, a non-finite result).
 
 All randomness is derived from the single run seed through fixed substream
 labels, so per-frame draws are reproducible in isolation.
@@ -32,9 +32,10 @@ from .channel_models import ScatteringProfile, from_specular, preset_profile, \
     time_invariant, wssus_sample
 from .identification import IdentifiabilityError, build_sounding_matrix, \
     centered_rect_support, dirac_train, identify, sounding_quality
-from .ofdm import OFDMConfig, cp_ofdm_config, cross_ambiguity, design_pulses, \
-    interference_power, random_symbols, transmit_through
-from .tf_core import centered_index, spread_metrics, synthesize_channel, tf_transfer
+from .ofdm import OFDMConfig, cp_ofdm_config, design_pulses, interference_power, \
+    simulate_frames
+from .tf_core import SpreadingFunction, centered_index, spread_metrics, \
+    synthesize_channel, tf_transfer
 from .wh_frames import NotAFrameError, Pulse, WHGrid, check_wexler_raz, dual_window, \
     frame_bounds, gaussian_pulse, localization_metrics, read_pulse_csv, rect_pulse, \
     tight_window, write_pulse_csv
@@ -175,8 +176,8 @@ def _build_pulse(desc, n_dim: int, where: str, base_dir: Path,
     raise ConfigError(f"{where}.kind: unknown pulse kind {kind!r}")
 
 
-def _build_channel(desc, n_dim: int, where: str, draw_seed):
-    """Returns (SpreadingFunction, profile-or-None)."""
+def _build_channel(desc, n_dim: int, where: str) -> SpreadingFunction | ScatteringProfile:
+    """A deterministic channel's SpreadingFunction, or a WSSUS channel's profile."""
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigError(f"{where}: expected an object with a 'kind' key")
     kind = desc["kind"]
@@ -187,14 +188,13 @@ def _build_channel(desc, n_dim: int, where: str, draw_seed):
             if not (isinstance(item, list) and len(item) == 4):
                 raise ConfigError(f"{where}.paths[{j}]: expected [delay, doppler, re, im]")
             paths.append((item[0], item[1], complex(item[2], item[3])))
-        return from_specular(paths, n_dim), None
+        return from_specular(paths, n_dim)
     if kind == "time_invariant":
         spec = _validate(desc, [_Key("kind", (str,)), _Key("gains", (list,))], where)
-        return time_invariant(_complex_list(spec["gains"], f"{where}.gains"), n_dim), None
+        return time_invariant(_complex_list(spec["gains"], f"{where}.gains"), n_dim)
     if kind == "wssus":
         spec = _validate(desc, [_Key("kind", (str,)), _Key("profile", (dict,))], where)
-        profile = _build_profile(spec["profile"], n_dim, f"{where}.profile")
-        return wssus_sample(profile, draw_seed), profile
+        return _build_profile(spec["profile"], n_dim, f"{where}.profile")
     raise ConfigError(f"{where}.kind: unknown channel kind {kind!r}")
 
 
@@ -245,9 +245,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ArithmeticError(f"{path.name}: non-finite value in the report") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _grid_db(values: np.ndarray, floor_db: float) -> np.ndarray:
@@ -312,7 +315,9 @@ def _run_spread_analyze(cfg: dict, out: Path, base_dir: Path) -> list[str]:
                            _Key("channel", (dict,)), _Key("sample_rate", (float,), None),
                            _Key("seed", (int,), 0)], "config")
     n = _positive_int(spec["n_dim"], "config.n_dim")
-    spreading, _ = _build_channel(spec["channel"], n, "config.channel", [spec["seed"], 0])
+    spreading = _build_channel(spec["channel"], n, "config.channel")
+    if isinstance(spreading, ScatteringProfile):
+        spreading = wssus_sample(spreading, [spec["seed"], 0])
     metrics = spread_metrics(spreading, spec["sample_rate"])
     transfer = tf_transfer(spreading)
     _write_spreading_csv(out / "spreading.csv", spreading)
@@ -401,7 +406,7 @@ def _run_pulse_design(cfg: dict, out: Path, base_dir: Path) -> list[str]:
         }
     write_pulse_csv(out / "tx_pulse.csv", tx)
     write_pulse_csv(out / "rx_pulse.csv", rx)
-    emit_plotdata("ambiguity-heatmap", cross_ambiguity(tx, rx), out / "ambiguity_db.csv")
+    emit_plotdata("ambiguity-heatmap", system.ambiguity, out / "ambiguity_db.csv")
     _write_json(out / "design_report.json", report)
     return ["tx_pulse.csv", "rx_pulse.csv", "ambiguity_db.csv", "design_report.json"]
 
@@ -415,37 +420,24 @@ def _run_ofdm_sim(cfg: dict, out: Path, base_dir: Path) -> list[str]:
     n = _positive_int(spec["n_dim"], "config.n_dim")
     n_frames = _positive_int(spec["n_frames"], "config.n_frames")
     system = _build_system(spec["system"], n, "config.system", base_dir)
-    seed = spec["seed"]
-
-    rows = []
-    interference_energies = []
-    profile = None
-    for idx in range(n_frames):
-        spreading, profile = _build_channel(spec["channel"], n, "config.channel",
-                                            [seed, idx, 0])
-        frame = random_symbols(system, [seed, idx, 1], spec["constellation"])
-        result = transmit_through(frame, system, synthesize_channel(spreading),
-                                  spec["noise_psd"], [seed, idx, 2])
-        gain_energy = float(np.mean(np.abs(result.gains * frame.data) ** 2))
-        noise_energy = float(np.mean(np.abs(result.noise) ** 2))
-        error_energy = float(np.mean(np.abs(result.estimates - frame.data) ** 2))
-        interference_energies.append(result.interference_energy())
-        rows.append([idx, _fmt(gain_energy), _fmt(interference_energies[-1]),
-                     _fmt(noise_energy), _fmt(error_energy)])
+    channel = _build_channel(spec["channel"], n, "config.channel")
+    energies = simulate_frames(system, channel, n_frames, spec["seed"], spec["noise_psd"],
+                               spec["constellation"])
     _write_csv(out / "frames.csv",
                ["frame", "gain_energy", "interference_energy", "noise_energy",
-                "error_vector_energy"], rows)
+                "error_vector_energy"],
+               [[idx, *map(_fmt, row)] for idx, row in enumerate(energies)])
     report = {
         "n_dim": n,
         "n_frames": n_frames,
         "noise_psd": spec["noise_psd"],
         "spectral_efficiency": system.spectral_efficiency,
         "biorthogonality_defect": system.biorthogonality_defect,
-        "mean_interference_energy": float(np.mean(interference_energies)),
-        "max_interference_energy": float(np.max(interference_energies)),
+        "mean_interference_energy": float(np.mean(energies[:, 1])),
+        "max_interference_energy": float(np.max(energies[:, 1])),
     }
-    if profile is not None:
-        report["predicted_interference_power"] = interference_power(profile, system)
+    if isinstance(channel, ScatteringProfile):
+        report["predicted_interference_power"] = interference_power(channel, system)
     _write_json(out / "sim_report.json", report)
     return ["frames.csv", "sim_report.json"]
 
@@ -675,7 +667,7 @@ def run(argv=None) -> int:
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"tfcomm: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NotAFrameError, IdentifiabilityError) as exc:
+    except (NotAFrameError, IdentifiabilityError, ArithmeticError) as exc:
         print(f"tfcomm: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -10,16 +10,26 @@ pair.  Pulse construction runs through the adjoint lattice (N/b, N/a):
 dual or tight frames there are biorthogonal or orthogonal transmission
 sets here, which is what makes a Gaussian-shaped orthogonal pair with
 a prescribed time/frequency aspect cheap to compute.
+
+Monte Carlo runs (``simulate_frames``) stay in the spreading domain: a
+channel is its K support cells S[m, l], never an N x N matrix.  The gain of
+symbol (n, k) is linear in S with weights that are phase-rotated samples of
+the cross-ambiguity, so one K x size table per run turns every frame's
+gains into a vector-matrix product, and the filtered signal is the sum over
+delays m of a Doppler-weighted diagonal times the m-delayed transmit
+signal.  Per frame this costs O(K*size + U*N + N*size) for U distinct
+delays.  The dense ``transmit_through`` is the reference it agrees with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .channel_models import ScatteringProfile
-from .tf_core import as_matrix, tf_transfer, spreading_function
+from .channel_models import ScatteringProfile, _support_draw
+from .tf_core import SpreadingFunction, as_matrix, tf_transfer, spreading_function
 from .wh_frames import NotAFrameError, Pulse, WHGrid, as_samples, gaussian_pulse, \
     lattice_matrix, rect_pulse, tight_window
 
@@ -32,6 +42,7 @@ __all__ = [
     "modulate",
     "demodulate",
     "transmit_through",
+    "simulate_frames",
     "cross_ambiguity",
     "interference_power",
     "gain_transfer_agreement",
@@ -41,6 +52,11 @@ __all__ = [
 ]
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class OFDMConfig:
     """Transmission lattice plus transmit/receive window pair.
@@ -48,7 +64,8 @@ class OFDMConfig:
     The lattice must satisfy a*b >= N (at most one symbol per signal-space
     dimension).  ``biorthogonality_defect`` is the largest deviation of the
     lattice cross Gram from the identity; zero means perfect symbol
-    recovery through an identity channel.
+    recovery through an identity channel.  The lattice matrices and the
+    cross-ambiguity of the pair are computed once per config and read-only.
     """
 
     grid: WHGrid
@@ -69,9 +86,24 @@ class OFDMConfig:
             raise ValueError("pulse lengths must match the grid dimension")
         object.__setattr__(self, "tx_pulse", tx)
         object.__setattr__(self, "rx_pulse", rx)
-        gram = lattice_matrix(rx, self.grid).conj().T @ lattice_matrix(tx, self.grid)
+        gram = self.rx_matrix.conj().T @ self.tx_matrix
         defect = np.abs(gram - np.eye(self.grid.size)).max()
         object.__setattr__(self, "biorthogonality_defect", float(defect))
+
+    @cached_property
+    def tx_matrix(self) -> np.ndarray:
+        """Transmit translates g_{n,k} as columns, in ``lattice_matrix`` order."""
+        return _read_only(lattice_matrix(self.tx_pulse, self.grid))
+
+    @cached_property
+    def rx_matrix(self) -> np.ndarray:
+        """Receive translates gamma_{n,k} as columns, in ``lattice_matrix`` order."""
+        return _read_only(lattice_matrix(self.rx_pulse, self.grid))
+
+    @cached_property
+    def ambiguity(self) -> np.ndarray:
+        """Cross-ambiguity grid of the pair, ``cross_ambiguity(tx, rx)``."""
+        return _read_only(cross_ambiguity(self.tx_pulse, self.rx_pulse))
 
     @property
     def n_dim(self) -> int:
@@ -174,7 +206,7 @@ def modulate(frame: SymbolFrame, cfg: OFDMConfig) -> np.ndarray:
     expected = (cfg.n_slots, cfg.n_subcarriers)
     if frame.data.shape != expected:
         raise ValueError(f"symbol grid shape {frame.data.shape} does not match layout {expected}")
-    return lattice_matrix(cfg.tx_pulse, cfg.grid) @ frame.data.ravel()
+    return cfg.tx_matrix @ frame.data.ravel()
 
 
 def demodulate(signal, cfg: OFDMConfig) -> SymbolFrame:
@@ -182,8 +214,39 @@ def demodulate(signal, cfg: OFDMConfig) -> SymbolFrame:
     y = np.asarray(signal, dtype=complex).ravel()
     if y.size != cfg.n_dim:
         raise ValueError(f"signal length {y.size} does not match N = {cfg.n_dim}")
-    proj = lattice_matrix(cfg.rx_pulse, cfg.grid).conj().T @ y
-    return SymbolFrame(proj.reshape(cfg.n_slots, cfg.n_subcarriers))
+    return SymbolFrame(_project(cfg, y))
+
+
+def _project(cfg: OFDMConfig, signal: np.ndarray) -> np.ndarray:
+    """Receive projections rx^H signal on the (slot, subcarrier) layout."""
+    proj = (cfg.rx_matrix.T @ signal.conj()).conj()
+    return proj.reshape(cfg.n_slots, cfg.n_subcarriers)
+
+
+def _dense_gains(h: np.ndarray, cfg: OFDMConfig) -> np.ndarray:
+    """Exact symbol gains <H g_{n,k}, gamma_{n,k}> of a dense channel matrix."""
+    gains = np.einsum("ij,ij->j", cfg.rx_matrix.conj(), h @ cfg.tx_matrix)
+    return gains.reshape(cfg.n_slots, cfg.n_subcarriers)
+
+
+def _projected_noise(cfg: OFDMConfig, noise_psd: float, seed) -> np.ndarray:
+    """Receive projections of one white CN(0, noise_psd) vector drawn from ``seed``."""
+    if not noise_psd > 0.0:
+        return np.zeros((cfg.n_slots, cfg.n_subcarriers), dtype=complex)
+    rng = np.random.default_rng(seed)
+    w = np.sqrt(noise_psd / 2.0) * (rng.standard_normal(cfg.n_dim)
+                                    + 1j * rng.standard_normal(cfg.n_dim))
+    return _project(cfg, w)
+
+
+def _checked(result: DemodResult) -> DemodResult:
+    """Raise ArithmeticError unless the split reproduces finite estimates to rounding."""
+    if not np.all(np.isfinite(result.estimates)):
+        raise ArithmeticError("demodulator decomposition failed: non-finite output")
+    scale = max(1.0, float(np.abs(result.estimates).max()))
+    if not result.decomposition_residual() <= 1e-12 * scale:
+        raise ArithmeticError("demodulator decomposition failed to reproduce the output")
+    return result
 
 
 def transmit_through(frame: SymbolFrame, cfg: OFDMConfig, channel,
@@ -201,29 +264,88 @@ def transmit_through(frame: SymbolFrame, cfg: OFDMConfig, channel,
     h = as_matrix(channel)
     if h.shape[0] != cfg.n_dim:
         raise ValueError(f"channel dimension {h.shape[0]} does not match N = {cfg.n_dim}")
-    tx_mat = lattice_matrix(cfg.tx_pulse, cfg.grid)
-    rx_mat = lattice_matrix(cfg.rx_pulse, cfg.grid)
-    shape = (cfg.n_slots, cfg.n_subcarriers)
+    gains = _dense_gains(h, cfg)
+    clean = _project(cfg, h @ (cfg.tx_matrix @ frame.data.ravel()))
+    noise = _projected_noise(cfg, noise_psd, seed)
+    return _checked(DemodResult(frame, clean + noise, gains, clean - gains * frame.data, noise))
 
-    x = tx_mat @ frame.data.ravel()
-    filtered = h @ x
-    gains = np.einsum("ij,ij->j", rx_mat.conj(), h @ tx_mat).reshape(shape)
-    clean = (rx_mat.conj().T @ filtered).reshape(shape)
-    interference = clean - gains * frame.data
 
-    if noise_psd > 0.0:
-        rng = np.random.default_rng(seed)
-        w = np.sqrt(noise_psd / 2.0) * (rng.standard_normal(cfg.n_dim)
-                                        + 1j * rng.standard_normal(cfg.n_dim))
-        noise = (rx_mat.conj().T @ w).reshape(shape)
+def _gain_table(cfg: OFDMConfig, delays: np.ndarray, dopplers: np.ndarray) -> np.ndarray:
+    """Gains of the unit cells M^l D^m, one row per cell, columns in lattice order.
+
+    <M^l D^m g_{n,k}, gamma_{n,k}> = exp(-2j*pi*(k*b*m + l*n*a + l*m)/N) * A[-m, l]
+    with A the cross-ambiguity of the pair; the phase is reduced mod N in
+    integers before the exponential.
+    """
+    grid = cfg.grid
+    n = grid.n_dim
+    m = delays[:, None, None]
+    l = dopplers[:, None, None]
+    slots = np.arange(grid.n_time)[None, :, None] * grid.time_step
+    bins = np.arange(grid.n_freq)[None, None, :] * grid.freq_step
+    phase = (bins * m + l * slots + l * m) % n
+    amb = cfg.ambiguity[(-delays) % n, dopplers]
+    table = np.exp(-2j * np.pi * phase / n) * amb[:, None, None]
+    return table.reshape(delays.size, grid.size)
+
+
+def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: float = 0.0,
+                    constellation: str = "qpsk") -> np.ndarray:
+    """Per-frame energies of a Monte Carlo run, computed on the channel support.
+
+    ``channel`` is a ScatteringProfile, drawn afresh for frame idx from
+    substream [seed, idx, 0] exactly as ``wssus_sample`` draws it, or a
+    SpreadingFunction used for every frame on its nonzero cells.  Symbols
+    come from ``random_symbols(cfg, [seed, idx, 1], constellation)`` and
+    noise from substream [seed, idx, 2], so frame idx reproduces the dense
+    ``transmit_through`` of the same draws to rounding and passes the same
+    decomposition check; non-finite outputs or energies raise
+    ArithmeticError.  Returns an (n_frames, 4) array of mean energies per
+    symbol: gain (|gain * symbol|^2), interference, noise and error vector
+    (|estimate - symbol|^2).
+    """
+    n = cfg.n_dim
+    if isinstance(channel, ScatteringProfile):
+        delays, dopplers, _ = channel.support_cells
+        fixed = None
+    elif isinstance(channel, SpreadingFunction):
+        delays, dopplers = np.nonzero(channel.coeffs)
+        fixed = channel.coeffs[delays, dopplers]
     else:
-        noise = np.zeros(shape, dtype=complex)
+        raise TypeError("channel must be a ScatteringProfile or a SpreadingFunction")
+    if channel.n_dim != n:
+        raise ValueError(f"channel dimension {channel.n_dim} does not match N = {n}")
+    if noise_psd < 0:
+        raise ValueError("noise_psd must be nonnegative")
+    table = _gain_table(cfg, delays, dopplers)
+    # H x = sum over distinct delays m of d_m * x[(i - m) mod N], where
+    # d_m[i] = sum_l S[m, l] exp(-2j*pi*l*i/N) collects that delay's cells
+    taps, tap_of_cell = np.unique(delays, return_inverse=True)
+    members = tap_of_cell[None, :] == np.arange(taps.size)[:, None]
+    tones = np.exp(-2j * np.pi * (np.outer(dopplers, np.arange(n)) % n) / n)
+    delayed = (np.arange(n)[None, :] - taps[:, None]) % n
 
-    result = DemodResult(frame, clean + noise, gains, interference, noise)
-    scale = max(1.0, float(np.abs(result.estimates).max()))
-    if result.decomposition_residual() > 1e-12 * scale:
-        raise ArithmeticError("demodulator decomposition failed to reproduce the output")
-    return result
+    energies = np.empty((n_frames, 4))
+    # overflow is reported by the ArithmeticErrors below, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx in range(n_frames):
+            s = fixed if fixed is not None else \
+                _support_draw(channel, np.random.default_rng([seed, idx, 0]))
+            frame = random_symbols(cfg, [seed, idx, 1], constellation)
+            x = cfg.tx_matrix @ frame.data.ravel()
+            filtered = np.einsum("ui,ui->i", (members * s) @ tones, x[delayed])
+            gains = (s @ table).reshape(frame.data.shape)
+            clean = _project(cfg, filtered)
+            noise = _projected_noise(cfg, noise_psd, [seed, idx, 2])
+            result = _checked(DemodResult(frame, clean + noise, gains,
+                                          clean - gains * frame.data, noise))
+            energies[idx] = (np.mean(np.abs(gains * frame.data) ** 2),
+                             result.interference_energy(),
+                             np.mean(np.abs(noise) ** 2),
+                             np.mean(np.abs(result.estimates - frame.data) ** 2))
+    if not np.all(np.isfinite(energies)):
+        raise ArithmeticError("frame energies overflowed to non-finite values")
+    return energies
 
 
 def cross_ambiguity(tx_pulse, rx_pulse) -> np.ndarray:
@@ -244,13 +366,14 @@ def cross_ambiguity(tx_pulse, rx_pulse) -> np.ndarray:
     return np.fft.fft(g[None, :] * gam.conj()[delayed], axis=1)
 
 
-def _predicted_interference(profile: ScatteringProfile, grid: WHGrid, tx, rx) -> float:
-    """Interference power of the pair (tx, rx) on ``grid``; see interference_power."""
+def _predicted_interference(profile: ScatteringProfile, grid: WHGrid,
+                            ambiguity: np.ndarray) -> float:
+    """Interference power of a pair with cross-ambiguity ``ambiguity`` on ``grid``."""
     if profile.n_dim != grid.n_dim:
         raise ValueError("profile and grid dimensions differ")
     a, b = grid.time_step, grid.freq_step
     n = grid.n_dim
-    energy = np.abs(cross_ambiguity(tx, rx)) ** 2
+    energy = np.abs(ambiguity) ** 2
     # sum of |A|^2 over all nonzero lattice translates, on the full grid
     block = energy.reshape(n // a, a, n // b, b).sum(axis=(0, 2))
     folded = np.tile(block, (n // a, n // b)) - energy
@@ -265,7 +388,7 @@ def interference_power(profile: ScatteringProfile, cfg: OFDMConfig) -> float:
     the delay axis enters reflected because a scatterer at delay m couples
     symbol pairs separated by -m along the ambiguity delay axis.
     """
-    return _predicted_interference(profile, cfg.grid, cfg.tx_pulse, cfg.rx_pulse)
+    return _predicted_interference(profile, cfg.grid, cfg.ambiguity)
 
 
 def gain_transfer_agreement(channel, cfg: OFDMConfig) -> float:
@@ -276,10 +399,7 @@ def gain_transfer_agreement(channel, cfg: OFDMConfig) -> float:
     pointwise-multiplication picture degrades.
     """
     h = as_matrix(channel)
-    tx_mat = lattice_matrix(cfg.tx_pulse, cfg.grid)
-    rx_mat = lattice_matrix(cfg.rx_pulse, cfg.grid)
-    gains = np.einsum("ij,ij->j", rx_mat.conj(), h @ tx_mat)
-    gains = gains.reshape(cfg.n_slots, cfg.n_subcarriers)
+    gains = _dense_gains(h, cfg)
 
     n = cfg.n_dim
     transfer = tf_transfer(spreading_function(channel)).values
@@ -353,7 +473,7 @@ def interference_descent(profile: ScatteringProfile, grid: WHGrid,
         raise ValueError("need n_sweeps >= 0 and step > 0")
     window = gaussian_pulse(grid.n_dim, sigma=matched_sigma(profile, grid)).samples.copy()
     tx, rx = _tight_pair(window, grid)
-    best = _predicted_interference(profile, grid, tx, rx)
+    best = _predicted_interference(profile, grid, cross_ambiguity(tx, rx))
     powers = [best]
     for _ in range(n_sweeps):
         improved = False
@@ -365,7 +485,8 @@ def interference_descent(profile: ScatteringProfile, grid: WHGrid,
                     cand_tx, cand_rx = _tight_pair(trial, grid)
                 except NotAFrameError:
                     continue
-                power = _predicted_interference(profile, grid, cand_tx, cand_rx)
+                power = _predicted_interference(profile, grid,
+                                                cross_ambiguity(cand_tx, cand_rx))
                 if power < best:
                     window, best = trial, power
                     tx, rx = cand_tx, cand_rx

@@ -36,6 +36,18 @@ def test_profile_validation():
         cm.ScatteringProfile(4, np.zeros((4, 4))).scaled(1.0)
 
 
+def test_profile_grid_is_a_read_only_copy():
+    """The cached support cells cannot go stale under the profile."""
+    grid = np.zeros((8, 8))
+    grid[0, 0] = 1.0
+    p = cm.ScatteringProfile(8, grid)
+    assert p.support_count == 1
+    grid[1, 1] = 1.0
+    assert p.support_count == 1 and p.intensities[1, 1] == 0.0
+    with pytest.raises(ValueError):
+        p.intensities[2, 2] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # deterministic builders
 

@@ -327,6 +327,29 @@ def test_cli_numerical_failures_exit_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("kind, cfg, report", [
+    # the demodulator output overflows: the decomposition check fails
+    ("ofdm-sim", dict(SIM_CFG, channel={"kind": "time_invariant", "gains": [1e308, 1e308]}),
+     "sim_report.json"),
+    # finite estimates whose energies overflow
+    ("ofdm-sim", dict(SIM_CFG, channel={"kind": "time_invariant", "gains": [1e160]}),
+     "sim_report.json"),
+    # a finite run whose report holds an overflowed norm
+    ("spread-analyze", dict(SPREAD_CFG, channel={
+        "kind": "specular", "paths": [[0, 0, 1e308, 0.0], [1, 0, 1e308, 0.0]]}),
+     "spread_report.json"),
+])
+def test_non_finite_results_exit_3(tmp_path, capsys, kind, cfg, report):
+    path = write_config(tmp_path, "huge.json", cfg)
+    out = tmp_path / "out"
+    assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+    assert not (out / report).exists() and not (out / "manifest.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # plot data
 

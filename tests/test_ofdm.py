@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import tfcomm.channel_models as cm
 import tfcomm.ofdm as ofdm
 import tfcomm.wh_frames as wh
-from tfcomm.tf_core import synthesize_channel
+from tfcomm.tf_core import SpreadingFunction, synthesize_channel
 
 
 def modulate_oracle(data, cfg):
@@ -224,6 +224,128 @@ def test_transmit_validates():
         ofdm.transmit_through(frame, cfg, np.eye(32, dtype=complex))
     with pytest.raises(ValueError):
         ofdm.transmit_through(frame, cfg, np.eye(48, dtype=complex), noise_psd=-1.0)
+
+
+def test_config_caches_lattice_matrices_and_ambiguity():
+    cfg = ofdm.cp_ofdm_config(48, 12, 4)
+    assert cfg.tx_matrix is cfg.tx_matrix
+    assert np.array_equal(cfg.tx_matrix, wh.lattice_matrix(cfg.tx_pulse, cfg.grid))
+    assert np.array_equal(cfg.rx_matrix, wh.lattice_matrix(cfg.rx_pulse, cfg.grid))
+    assert np.array_equal(cfg.ambiguity, ofdm.cross_ambiguity(cfg.tx_pulse, cfg.rx_pulse))
+    with pytest.raises(ValueError):
+        cfg.tx_matrix[0, 0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# spreading-domain Monte Carlo
+
+
+def dense_frames(cfg, channel, n_frames, seed, noise_psd, constellation):
+    """simulate_frames oracle: dense channel matrix and transmit_through per frame."""
+    out = np.empty((n_frames, 4))
+    for idx in range(n_frames):
+        spreading = channel
+        if isinstance(channel, cm.ScatteringProfile):
+            spreading = cm.wssus_sample(channel, [seed, idx, 0])
+        frame = ofdm.random_symbols(cfg, [seed, idx, 1], constellation)
+        res = ofdm.transmit_through(frame, cfg, synthesize_channel(spreading),
+                                    noise_psd, [seed, idx, 2])
+        out[idx] = (np.mean(np.abs(res.gains * frame.data) ** 2), res.interference_energy(),
+                    np.mean(np.abs(res.noise) ** 2),
+                    np.mean(np.abs(res.estimates - frame.data) ** 2))
+    return out
+
+
+@st.composite
+def monte_carlo_systems(draw):
+    n = draw(st.sampled_from([8, 12, 16, 18, 24, 32, 36, 48, 64]))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    kind = draw(st.sampled_from(["cp_ofdm", "gaussian", "designed"]))
+    if kind == "cp_ofdm":
+        n_sub = draw(st.sampled_from(divisors))
+        cp = draw(st.sampled_from([c for c in range(n - n_sub + 1) if n % (n_sub + c) == 0]))
+        return ofdm.cp_ofdm_config(n, n_sub, cp)
+    strict = kind == "designed"
+    a, b = draw(st.sampled_from([(a, b) for a in divisors for b in divisors
+                                 if a * b > n or (a * b == n and not strict)]))
+    grid = wh.WHGrid(n, a, b)
+    if kind == "gaussian":
+        widths = st.floats(min_value=0.5, max_value=n / 2.0)
+        return ofdm.OFDMConfig(grid, wh.gaussian_pulse(n, sigma=draw(widths)),
+                               wh.gaussian_pulse(n, sigma=draw(widths)))
+    try:
+        tx, rx = ofdm.design_pulses(cm.flat_rect_profile(n, 1, 1), grid)
+    except wh.NotAFrameError:
+        assume(False)
+    return ofdm.OFDMConfig(grid, tx, rx)
+
+
+@st.composite
+def support_channels(draw, n):
+    """A ScatteringProfile or SpreadingFunction on a drawn support, centered cells."""
+    lo, hi = -((n - 1) // 2), n // 2
+    axis = st.integers(min_value=lo, max_value=hi)
+    shape = draw(st.sampled_from(["empty", "delay_only", "doppler_only", "any"]))
+    if shape == "empty":
+        cells = []
+    else:
+        cell = st.tuples(axis if shape != "doppler_only" else st.just(0),
+                         axis if shape != "delay_only" else st.just(0))
+        cells = draw(st.lists(cell, min_size=1, max_size=8, unique=True))
+    values = st.floats(min_value=0.05, max_value=2.0)
+    if draw(st.booleans()):
+        grid = np.zeros((n, n))
+        for m, l in cells:
+            grid[m % n, l % n] = draw(values)
+        return cm.ScatteringProfile(n, grid)
+    coeffs = np.zeros((n, n), dtype=complex)
+    for m, l in cells:
+        coeffs[m % n, l % n] = complex(draw(values), draw(st.floats(-2.0, 2.0)))
+    return SpreadingFunction(coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), monte_carlo_systems(), st.integers(min_value=0, max_value=2**31),
+       st.sampled_from([0.0, 0.05]), st.sampled_from(["qpsk", "gaussian"]))
+def test_simulate_frames_matches_dense_loop_property(data, cfg, seed, noise_psd,
+                                                     constellation):
+    """Support-only frames equal the dense per-frame loop on the same substreams."""
+    channel = data.draw(support_channels(cfg.n_dim))
+    fast = ofdm.simulate_frames(cfg, channel, 3, seed, noise_psd, constellation)
+    ref = dense_frames(cfg, channel, 3, seed, noise_psd, constellation)
+    assert fast.shape == (3, 4)
+    # relative to the frame's largest energy: interference may cancel to rounding
+    assert np.all(np.abs(fast - ref) <= 1e-12 * ref.max(axis=1, keepdims=True))
+
+
+def test_wssus_sample_draws_two_normals_per_support_cell():
+    prof = cm.exponential_jakes_profile(32, 1.0, 2)
+    rows, cols = np.nonzero(prof.intensities)
+    k = rows.size
+    assert k == 35
+    rng = np.random.default_rng(123)
+    spreading = cm.wssus_sample(prof, rng)
+    ref = np.random.default_rng(123)
+    re, im = ref.standard_normal(k), ref.standard_normal(k)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    amplitudes = np.sqrt(prof.intensities[rows, cols])
+    assert np.array_equal(spreading.coeffs[rows, cols], amplitudes * (re + 1j * im) / np.sqrt(2.0))
+    assert np.count_nonzero(spreading.coeffs) == k
+    cells = prof.support_cells
+    assert cells is prof.support_cells
+    assert all(np.array_equal(x, y) for x, y in zip(cells, (rows, cols, amplitudes)))
+
+
+def test_simulate_frames_validates():
+    cfg = ofdm.cp_ofdm_config(48, 12, 4)
+    with pytest.raises(TypeError):
+        ofdm.simulate_frames(cfg, np.eye(48, dtype=complex), 1, 0)
+    with pytest.raises(ValueError):
+        ofdm.simulate_frames(cfg, cm.flat_rect_profile(32, 1, 1), 1, 0)
+    with pytest.raises(ValueError):
+        ofdm.simulate_frames(cfg, cm.flat_rect_profile(48, 1, 1), 1, 0, noise_psd=-1.0)
+    with pytest.raises(ArithmeticError):
+        ofdm.simulate_frames(cfg, cm.time_invariant([1e308, 1e308], 48), 1, 0)
 
 
 # ---------------------------------------------------------------------------
