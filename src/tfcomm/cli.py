@@ -18,8 +18,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -233,7 +236,10 @@ def _build_system(desc, n_dim: int, where: str, base_dir: Path) -> OFDMConfig:
 
 
 def _fmt(value) -> str:
-    return repr(float(value))
+    x = float(value)
+    if not math.isfinite(x):
+        raise ArithmeticError(f"non-finite value {x!r} in a CSV artifact")
+    return repr(x)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -602,7 +608,9 @@ def run_experiment(kind: str, config: dict, out_dir, seed=None,
     """Validate, execute, and write artifacts plus manifest; returns the manifest.
 
     ``seed`` overrides the config seed; ``base_dir`` anchors relative paths
-    referenced by the config (defaults to the working directory).
+    referenced by the config (defaults to the working directory).  Files are
+    staged and moved into ``out_dir`` only when the whole run succeeds; numpy
+    warnings are silenced, as non-finite results raise ArithmeticError.
     """
     if kind not in _RUNNERS:
         raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {list(KINDS)}")
@@ -615,17 +623,24 @@ def run_experiment(kind: str, config: dict, out_dir, seed=None,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     base = Path(base_dir) if base_dir is not None else Path.cwd()
-    started = time.monotonic()
-    filenames = _RUNNERS[kind](cfg, out, base)
-    manifest = {
-        "kind": kind,
-        "tool_version": __version__,
-        "seed": cfg.get("seed", 0),
-        "config": cfg,
-        "wall_time_seconds": time.monotonic() - started,
-        "outputs": {name: _sha256(out / name) for name in filenames},
-    }
-    _write_json(out / "manifest.json", manifest)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    try:
+        started = time.monotonic()
+        with np.errstate(all="ignore"):
+            filenames = _RUNNERS[kind](cfg, staging, base)
+        manifest = {
+            "kind": kind,
+            "tool_version": __version__,
+            "seed": cfg.get("seed", 0),
+            "config": cfg,
+            "wall_time_seconds": time.monotonic() - started,
+            "outputs": {name: _sha256(staging / name) for name in filenames},
+        }
+        _write_json(staging / "manifest.json", manifest)
+        for name in [*filenames, "manifest.json"]:
+            os.replace(staging / name, out / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return manifest
 
 

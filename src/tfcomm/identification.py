@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ofdm import cross_ambiguity
+from .tf_core import cross_ambiguity, tf_shift
 
 __all__ = [
     "IdentifiabilityError",
@@ -144,10 +144,8 @@ def build_sounding_matrix(sounding, support, n_dim: int) -> np.ndarray:
     x = np.asarray(sounding, dtype=complex).ravel()
     if x.size != n_dim:
         raise ValueError(f"sounding length {x.size} does not match N = {n_dim}")
-    cells = _canonical_support(support, n_dim)
-    i = np.arange(n_dim)
-    cols = [np.exp(-2j * np.pi * l * i / n_dim) * np.roll(x, m) for m, l in cells]
-    return np.column_stack(cols)
+    delays, dopplers = np.array(_canonical_support(support, n_dim)).T
+    return tf_shift(x, delays, dopplers).T
 
 
 def identify(observation, sounding, support) -> IdentificationResult:
@@ -190,10 +188,7 @@ def sounding_quality(sounding, support) -> tuple[float, float]:
     sigma = np.linalg.svd(build_sounding_matrix(x, cells, n), compute_uv=False)
     condition = float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else float("inf")
     amb = np.abs(cross_ambiguity(x, x))
-    worst = 0.0
-    for ma, la in cells:
-        for mb, lb in cells:
-            if (ma, la) == (mb, lb):
-                continue
-            worst = max(worst, float(amb[(ma - mb) % n, (la - lb) % n]))
-    return condition, worst
+    delays, dopplers = np.array(cells).T
+    diffs = amb[(delays[:, None] - delays) % n, (dopplers[:, None] - dopplers) % n]
+    off_diagonal = ~np.eye(len(cells), dtype=bool)
+    return condition, float(diffs[off_diagonal].max(initial=0.0))

@@ -29,8 +29,9 @@ from functools import cached_property
 import numpy as np
 
 from .channel_models import ScatteringProfile, _support_draw
-from .tf_core import SpreadingFunction, as_matrix, tf_transfer, spreading_function
-from .wh_frames import NotAFrameError, Pulse, WHGrid, as_samples, gaussian_pulse, \
+from .tf_core import SpreadingFunction, as_matrix, cross_ambiguity, spreading_function, \
+    tf_shift, tf_transfer
+from .wh_frames import NotAFrameError, Pulse, WHGrid, gaussian_pulse, \
     lattice_matrix, rect_pulse, tight_window
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "demodulate",
     "transmit_through",
     "simulate_frames",
-    "cross_ambiguity",
     "interference_power",
     "gain_transfer_agreement",
     "design_pulses",
@@ -322,7 +322,9 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
     # d_m[i] = sum_l S[m, l] exp(-2j*pi*l*i/N) collects that delay's cells
     taps, tap_of_cell = np.unique(delays, return_inverse=True)
     members = tap_of_cell[None, :] == np.arange(taps.size)[:, None]
-    tones = np.exp(-2j * np.pi * (np.outer(dopplers, np.arange(n)) % n) / n)
+    tones = tf_shift(np.ones(n), 0, dopplers)
+    # per-frame delays gather x through a precomputed index: a tf_shift call
+    # per frame costs several times the gather itself
     delayed = (np.arange(n)[None, :] - taps[:, None]) % n
 
     energies = np.empty((n_frames, 4))
@@ -346,24 +348,6 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
     if not np.all(np.isfinite(energies)):
         raise ArithmeticError("frame energies overflowed to non-finite values")
     return energies
-
-
-def cross_ambiguity(tx_pulse, rx_pulse) -> np.ndarray:
-    """A[m, l] = sum_i g[i] conj(gamma[(i - m) mod N]) exp(-2j*pi*l*i/N).
-
-    Row m is the DFT of g times the conjugated, m-delayed gamma.  For unit
-    vectors the total energy is N (so each of the N^2 cells averages 1/N),
-    and biorthogonality of a transmission pair reads off as delta-delta
-    samples on the lattice.
-    """
-    g = as_samples(tx_pulse)
-    gam = as_samples(rx_pulse)
-    if g.size != gam.size:
-        raise ValueError("pulse lengths differ")
-    n = g.size
-    # i - m lies in (-N, N); negative indices wrap, giving gamma[(i - m) mod N]
-    delayed = np.arange(n)[None, :] - np.arange(n)[:, None]
-    return np.fft.fft(g[None, :] * gam.conj()[delayed], axis=1)
 
 
 def _predicted_interference(profile: ScatteringProfile, grid: WHGrid,

@@ -7,7 +7,9 @@ the modulation M (diagonal with entries exp(-2j*pi*i/N)).  The N^2 products
 M^l D^m, scaled by 1/sqrt(N), are an orthonormal basis of the matrix space
 under <A, B> = trace(B^H A); the basis coefficients of a channel are its
 delay-Doppler spreading function, and their 2-D Fourier transform is the
-time-frequency transfer function.
+time-frequency transfer function.  ``tf_shift`` builds every shifted copy
+M^l D^m x in the package: operator matrices, lattice translates, sounding
+columns and the rows of the cross-ambiguity function.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ __all__ = [
     "SpreadMetrics",
     "as_matrix",
     "centered_index",
+    "tf_shift",
     "time_shift_op",
     "modulation_op",
     "tf_shift_op",
+    "cross_ambiguity",
     "spreading_function",
     "synthesize_channel",
     "tf_transfer",
@@ -59,6 +63,18 @@ def _check_dim(n_dim: int) -> int:
     if n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n_dim}")
     return n
+
+
+def _signal(pulse) -> np.ndarray:
+    """Samples of a pulse, validated when it was built, or a nonempty finite vector."""
+    if hasattr(pulse, "samples"):
+        return pulse.samples
+    x = np.asarray(pulse, dtype=complex)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"signal must be a nonempty vector, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("signal contains non-finite entries")
+    return x
 
 
 @dataclass(frozen=True)
@@ -187,25 +203,60 @@ class SpreadMetrics:
     underspread_box: bool
 
 
+def tf_shift(x, delay, doppler) -> np.ndarray:
+    """Time-frequency shifted copies M^doppler D^delay x along the last axis.
+
+    out[..., i] = exp(-2j*pi*((doppler*i) mod N)/N) * x[..., (i - delay) mod N].
+    Integer ``delay`` and ``doppler`` broadcast against each other into new
+    axes after the leading axes of ``x``, so the result has shape
+    x.shape[:-1] + broadcast shape + (N,).  The phase is reduced mod N in
+    integers before the exponential.
+    """
+    x = np.asarray(x, dtype=complex)
+    n = x.shape[-1]
+    m = np.asarray(delay) % n
+    l = np.asarray(doppler) % n
+    ndim = max(m.ndim, l.ndim)
+    m = m.reshape((1,) * (ndim - m.ndim) + m.shape)
+    l = l.reshape((1,) * (ndim - l.ndim) + l.shape)
+    i = np.arange(n)
+    # i - m lies in (-N, N); negative indices wrap to (i - m) mod N
+    delayed = np.take(x, i - m[..., None], axis=-1)
+    if l.size == 1 and not l.any():
+        return delayed  # a pure delay, already of the broadcast shape
+    tones = np.exp(-2j * np.pi * i / n)
+    return delayed * tones[(l[..., None] * i) % n]
+
+
 def time_shift_op(n_dim: int, shift: int) -> DiscreteChannel:
     """Cyclic delay by ``shift`` samples, the matrix power D^shift."""
-    n = _check_dim(n_dim)
-    return DiscreteChannel(np.roll(np.eye(n), int(shift) % n, axis=0))
+    return tf_shift_op(n_dim, shift, 0)
 
 
 def modulation_op(n_dim: int, shift: int) -> DiscreteChannel:
     """Modulation M^shift, diagonal with entries exp(-2j*pi*i*shift/N)."""
-    n = _check_dim(n_dim)
-    return DiscreteChannel(np.diag(np.exp(-2j * np.pi * int(shift) * np.arange(n) / n)))
+    return tf_shift_op(n_dim, 0, shift)
 
 
 def tf_shift_op(n_dim: int, delay: int, doppler: int) -> DiscreteChannel:
     """The combined shift M^doppler D^delay without forming the product."""
     n = _check_dim(n_dim)
-    rows = np.arange(n)
-    mat = np.zeros((n, n), dtype=complex)
-    mat[rows, (rows - int(delay)) % n] = np.exp(-2j * np.pi * int(doppler) * rows / n)
-    return DiscreteChannel(mat)
+    return DiscreteChannel(tf_shift(np.eye(n), int(delay), int(doppler)).T)
+
+
+def cross_ambiguity(tx_pulse, rx_pulse) -> np.ndarray:
+    """A[m, l] = sum_i g[i] conj(gamma[(i - m) mod N]) exp(-2j*pi*l*i/N).
+
+    Row m is the DFT of g times the conjugated, m-delayed gamma.  For unit
+    vectors the total energy is N (so each of the N^2 cells averages 1/N),
+    and biorthogonality of a transmission pair reads off as delta-delta
+    samples on the lattice.
+    """
+    g = _signal(tx_pulse)
+    gam = _signal(rx_pulse)
+    if g.size != gam.size:
+        raise ValueError("pulse lengths differ")
+    return np.fft.fft(g * tf_shift(gam.conj(), np.arange(g.size), 0), axis=1)
 
 
 def _delay_diagonals(mat: np.ndarray) -> np.ndarray:
@@ -347,8 +398,7 @@ def approx_eigen_defect(channel, pulse, time_slot: int, freq_bin: int) -> float:
     nrm = np.linalg.norm(g)
     if not np.isfinite(nrm) or nrm == 0.0:
         raise ValueError("pulse must have nonzero finite norm")
-    g = g / nrm
-    u = np.exp(-2j * np.pi * int(freq_bin) * np.arange(n) / n) * np.roll(g, int(time_slot))
+    u = tf_shift(g / nrm, int(time_slot), int(freq_bin))
     transfer = tf_transfer(spreading_function(mat))
     lam = transfer.values[(-int(time_slot)) % n, (-int(freq_bin)) % n]
     scale = float(np.linalg.norm(mat)) / np.sqrt(n)

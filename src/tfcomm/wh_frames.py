@@ -1,7 +1,8 @@
 """Weyl-Heisenberg (Gabor) systems on the cyclic group of order N.
 
 A system is generated by translating a window along a separable lattice:
-g_{n,k}[i] = g[(i - n*a) mod N] * exp(2j*pi*k*b*i/N) with a | N and b | N.
+g_{n,k} = M^(-k*b) D^(n*a) g, i.e. g_{n,k}[i] = g[(i - n*a) mod N] *
+exp(2j*pi*k*b*i/N) with a | N and b | N, built by ``tf_core.tf_shift``.
 Summing over the modulations leaves the frame operator nonzero only where
 i = j mod N/b (Walnut's representation), so it splits into N/b Hermitian
 b x b blocks, one per residue class of samples.  Frame bounds, canonical
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tf_core import DiscreteChannel, centered_index
+from .tf_core import DiscreteChannel, centered_index, tf_shift
 
 __all__ = [
     "NotAFrameError",
@@ -28,7 +29,6 @@ __all__ = [
     "Pulse",
     "FrameReport",
     "as_samples",
-    "tf_shift_samples",
     "lattice_matrix",
     "frame_operator",
     "frame_power",
@@ -139,25 +139,14 @@ def as_samples(pulse) -> np.ndarray:
     return Pulse(np.asarray(pulse)).samples
 
 
-def tf_shift_samples(samples, time_shift: int, freq_shift: int) -> np.ndarray:
-    """Lattice-style shift: delay then modulate with positive-frequency phase."""
-    x = np.asarray(samples, dtype=complex)
-    n = x.size
-    phase = np.exp(2j * np.pi * int(freq_shift) * np.arange(n) / n)
-    return phase * np.roll(x, int(time_shift))
-
-
 def lattice_matrix(pulse, grid: WHGrid) -> np.ndarray:
-    """All lattice translates as columns, column index n * (N/b) + k."""
+    """All lattice translates M^(-k*b) D^(n*a) g as columns, column index n * (N/b) + k."""
     g = as_samples(pulse)
     if g.size != grid.n_dim:
         raise ValueError(f"pulse length {g.size} does not match grid N = {grid.n_dim}")
-    n = grid.n_dim
-    rolls = np.stack([np.roll(g, t * grid.time_step) for t in range(grid.n_time)])
-    phases = np.exp(2j * np.pi * np.outer(np.arange(grid.n_freq) * grid.freq_step,
-                                          np.arange(n)) / n)
-    cols = rolls[:, None, :] * phases[None, :, :]
-    return np.ascontiguousarray(cols.reshape(grid.size, n).T)
+    slots = np.arange(grid.n_time)[:, None] * grid.time_step
+    bins = np.arange(grid.n_freq)[None, :] * grid.freq_step
+    return np.ascontiguousarray(tf_shift(g, slots, -bins).reshape(grid.size, grid.n_dim).T)
 
 
 def frame_operator(pulse, grid: WHGrid) -> DiscreteChannel:

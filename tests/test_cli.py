@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -327,8 +328,6 @@ def test_cli_numerical_failures_exit_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("kind, cfg, report", [
     # the demodulator output overflows: the decomposition check fails
     ("ofdm-sim", dict(SIM_CFG, channel={"kind": "time_invariant", "gains": [1e308, 1e308]}),
@@ -344,10 +343,14 @@ def test_cli_numerical_failures_exit_3(tmp_path, capsys):
 def test_non_finite_results_exit_3(tmp_path, capsys, kind, cfg, report):
     path = write_config(tmp_path, "huge.json", cfg)
     out = tmp_path / "out"
-    assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_NUMERICAL
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_NUMERICAL
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert "numerical failure" in err and "Traceback" not in err
     assert not (out / report).exists() and not (out / "manifest.json").exists()
+    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tfcomm.identification as ident
+from tfcomm.tf_core import cross_ambiguity
 
 
 def plant(n, support, seed):
@@ -188,6 +189,34 @@ def test_quality_predicts_conditioning():
     cond_noise, amb_noise = ident.sounding_quality(noiselike, support)
     assert amb_train < amb_noise
     assert cond_train < cond_noise
+
+
+def worst_offgrid_loop(x, support):
+    """The pairwise scan written out: max |A_xx| over support differences, origin excluded."""
+    n = x.size
+    amb = np.abs(cross_ambiguity(x, x))
+    worst = 0.0
+    for ma, la in support:
+        for mb, lb in support:
+            if (ma, la) != (mb, lb):
+                worst = max(worst, float(amb[(ma - mb) % n, (la - lb) % n]))
+    return worst
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sounding_quality_matches_pairwise_loop(data):
+    n = data.draw(st.integers(2, 24), label="n")
+    lo = -((n - 1) // 2)
+    cell = st.tuples(st.integers(lo, lo + n - 1), st.integers(lo, lo + n - 1))
+    support = list(data.draw(st.sets(cell, min_size=1, max_size=min(n, 12)), label="support"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31), label="seed"))
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if data.draw(st.booleans(), label="train"):
+        x = ident.dirac_train(n, data.draw(st.sampled_from(
+            [p for p in range(1, n + 1) if n % p == 0]), label="period"))
+    _, worst = ident.sounding_quality(x, support)
+    assert worst == worst_offgrid_loop(x, support)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,43 @@ def test_tf_shift_composition():
         assert np.allclose(direct, shift_matrix_oracle(n, delay, doppler), atol=1e-14)
 
 
+def tf_shift_oracle(x, m, l):
+    """Entrywise exp(-2j*pi*l*i/N) * x[(i - m) mod N] of one vector (no library calls)."""
+    n = x.size
+    return np.array([np.exp(-2j * np.pi * l * i / n) * x[(i - m) % n] for i in range(n)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_tf_shift_matches_entrywise_oracle(data):
+    """Random N, shifts in [-3N, 3N], leading axes and broadcast shift arrays."""
+    n = data.draw(st.integers(1, 24), label="n")
+    dims = st.integers(1, 3)
+    lead = tuple(data.draw(st.lists(dims, max_size=2), label="lead"))
+    shape = tuple(data.draw(st.lists(dims, max_size=2), label="shape"))
+
+    def shifts(label):
+        # a trailing part of ``shape`` with some axes collapsed to 1
+        keep = data.draw(st.integers(0, len(shape)))
+        sub = tuple(d if data.draw(st.booleans()) else 1 for d in shape[len(shape) - keep:])
+        size = int(np.prod(sub))
+        values = data.draw(st.lists(st.integers(-3 * n, 3 * n), min_size=size, max_size=size),
+                           label=label)
+        return np.array(values).reshape(sub)
+
+    delay, doppler = shifts("delay"), shifts("doppler")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31), label="seed"))
+    x = rng.standard_normal(lead + (n,)) + 1j * rng.standard_normal(lead + (n,))
+    out = core.tf_shift(x, delay, doppler)
+    cells = np.broadcast_shapes(delay.shape, doppler.shape)
+    assert out.shape == lead + cells + (n,)
+    delays, dopplers = np.broadcast_to(delay, cells), np.broadcast_to(doppler, cells)
+    for li in np.ndindex(*lead):
+        for ci in np.ndindex(*cells):
+            ref = tf_shift_oracle(x[li], int(delays[ci]), int(dopplers[ci]))
+            assert np.abs(out[li + ci] - ref).max() <= 1e-12
+
+
 def test_shift_action_on_signal():
     n = 16
     rng = np.random.default_rng(0)

@@ -82,14 +82,6 @@ def test_lattice_matrix_matches_loop_oracle():
     assert np.abs(mat - lattice_oracle(g, n, a, b)).max() <= 1e-14
 
 
-def test_shift_samples_convention():
-    n = 8
-    g = random_window(n, 1)
-    out = wh.tf_shift_samples(g, 2, 3)
-    ref = np.exp(2j * np.pi * 3 * np.arange(n) / n) * np.roll(g, 2)
-    assert np.abs(out - ref).max() <= 1e-15
-
-
 def test_orthonormal_rectangular_system():
     """Disjoint rectangles at critical density: a tight orthonormal basis."""
     n, a = 16, 4
