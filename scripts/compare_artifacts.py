@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Compare the artifacts of two tfcomm checkouts on every shipped config.
+
+    python3 scripts/compare_artifacts.py OTHER_CHECKOUT OUT_OTHER OUT_THIS
+
+Runs ``scripts/run_all.py`` of OTHER_CHECKOUT (against its own ``src/``)
+into OUT_OTHER and this checkout's into OUT_THIS, so every config in
+``scripts/configs/`` goes through ``run_experiment`` once per side.  It then
+diffs the sha256 digests in each kind's manifest ``outputs``.  For a CSV or
+JSON artifact whose digest differs it also prints how many of its values
+differ and the largest relative and absolute difference between them.
+Exits 0 when every digest matches, 1 otherwise.
+Uses the standard library only.
+"""
+
+import argparse
+import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+
+
+def run_all(checkout: Path, out: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    subprocess.run([sys.executable, str(checkout / "scripts" / "run_all.py"), "--out", str(out)],
+                   env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def outputs(root: Path) -> dict[tuple[str, str], str]:
+    digests = {}
+    for manifest in sorted(root.glob("*/manifest.json")):
+        kind = manifest.parent.name
+        for name, digest in json.loads(manifest.read_text(encoding="utf-8"))["outputs"].items():
+            digests[(kind, name)] = digest
+    return digests
+
+
+def leaves(value, key=""):
+    """(key, value) of every scalar in a parsed JSON document."""
+    if isinstance(value, dict):
+        for name in sorted(value):
+            yield from leaves(value[name], f"{key}.{name}")
+    elif isinstance(value, list):
+        for j, item in enumerate(value):
+            yield from leaves(item, f"{key}[{j}]")
+    else:
+        yield key, value
+
+
+def cells(path: Path) -> list[tuple[str, object]]:
+    """(position, value) of every field of a CSV (numbers parsed) or JSON artifact."""
+    if path.suffix == ".json":
+        return list(leaves(json.loads(path.read_text(encoding="utf-8"))))
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    return [(f"{i}:{j}", text if i == 0 else float(text))
+            for i, row in enumerate(rows) for j, text in enumerate(row)]
+
+
+def value_difference(path_a: Path, path_b: Path) -> str:
+    cells_a, cells_b = cells(path_a), cells(path_b)
+    if [k for k, _ in cells_a] != [k for k, _ in cells_b]:
+        return "layout differs"
+    changed, rel, absolute = 0, 0.0, 0.0
+    for (_, a), (_, b) in zip(cells_a, cells_b):
+        if a == b:
+            continue
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+            return f"non-numeric value differs: {a!r} vs {b!r}"
+        changed += 1
+        absolute = max(absolute, abs(a - b))
+        rel = max(rel, abs(a - b) / max(abs(a), abs(b)))
+    return (f"{changed} of {len(cells_a)} values differ, max relative difference {rel:.3g}, "
+            f"max absolute difference {absolute:.3g}")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other", type=Path, help="root of the checkout to compare against")
+    parser.add_argument("out_other", type=Path, help="artifact root for the other checkout")
+    parser.add_argument("out_this", type=Path, help="artifact root for this checkout")
+    args = parser.parse_args()
+
+    run_all(args.other.resolve(), args.out_other)
+    run_all(HERE.parent, args.out_this)
+    other, this = outputs(args.out_other), outputs(args.out_this)
+    differing = 0
+    for key in sorted(set(other) | set(this)):
+        kind, name = key
+        if other.get(key) == this.get(key):
+            print(f"same     {kind}/{name}")
+            continue
+        differing += 1
+        detail = "missing on one side"
+        if key in other and key in this:
+            detail = value_difference(args.out_other / kind / name,
+                                      args.out_this / kind / name)
+        print(f"DIFFERS  {kind}/{name}: {detail}")
+    print(f"{len(set(other) | set(this)) - differing} same, {differing} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

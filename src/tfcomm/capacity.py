@@ -26,6 +26,8 @@ __all__ = [
     "bandwidth_sweep",
 ]
 
+_SWEEP_BLOCK_CELLS = 1 << 20  # bounds the (bandwidths x support cells) temporaries
+
 
 @dataclass(frozen=True)
 class CapacityQuery:
@@ -101,12 +103,6 @@ class BandwidthSweepResult:
     def has_interior_maximum(self) -> bool:
         return 0 < self.best_index < self.bandwidths.size - 1
 
-    def rows(self):
-        """(bandwidth, snr, capacity, penalty, rate) tuples for CSV export."""
-        return list(zip(self.bandwidths.tolist(), self.snrs.tolist(),
-                        self.capacities.tolist(), self.penalties.tolist(),
-                        self.rates.tolist()))
-
 
 def bandwidth_sweep(profile: ScatteringProfile, power_budget: float, bandwidths,
                     delay_cell: float = 1.0,
@@ -125,9 +121,12 @@ def bandwidth_sweep(profile: ScatteringProfile, power_budget: float, bandwidths,
         raise ValueError("bandwidth grid must be nonempty and positive")
     if np.any(np.diff(w) <= 0):
         raise ValueError("bandwidth grid must be strictly increasing")
-    caps = np.empty(w.size)
-    pens = np.empty(w.size)
-    for j, bw in enumerate(w):
-        caps[j], pens[j] = capacity_low_snr(
-            CapacityQuery(profile, power_budget / bw, delay_cell, doppler_cell))
-    return BandwidthSweepResult(w, power_budget / w, caps, pens, w * caps)
+    snrs = power_budget / w
+    # the smallest SNR is the one the query validation can reject
+    area = CapacityQuery(profile, snrs[-1], delay_cell, doppler_cell).cell_area
+    masses = profile.intensities[profile.intensities != 0]
+    step = max(1, _SWEEP_BLOCK_CELLS // max(masses.size, 1))
+    pens = np.concatenate([np.log1p(snrs[j:j + step, None] * masses / area).sum(axis=1)
+                           for j in range(0, w.size, step)]) * area
+    caps = np.log1p(snrs) - pens
+    return BandwidthSweepResult(w, snrs, caps, pens, w * caps)

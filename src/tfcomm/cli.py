@@ -5,9 +5,10 @@ identify, capacity) each read a strict JSON config, run a thin composition
 of library calls, and write CSV/JSON artifacts plus a manifest with sha256
 digests into the output directory.  Identical config and seed give
 byte-identical artifacts; the manifest's wall-time field is the one value
-outside that guarantee.  Exit codes: 0 success, 2 config/validation
+outside that guarantee.  CSVs are written column-wise, numbers as their
+``repr`` and rows ending in \\r\\n.  Exit codes: 0 success, 2 config/validation
 problems, 3 numerical failures surfaced from the library (not a frame, not
-identifiable, a failed demodulator split, a non-finite result).
+identifiable, a failed eigensolver or demodulator split, a non-finite result).
 
 All randomness is derived from the single run seed through fixed substream
 labels, so per-frame draws are reproducible in isolation.
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import shutil
 import sys
@@ -34,7 +34,7 @@ from .capacity import CapacityQuery, bandwidth_sweep, capacity_low_snr
 from .channel_models import ScatteringProfile, from_specular, preset_profile, \
     time_invariant, wssus_sample
 from .identification import IdentifiabilityError, build_sounding_matrix, \
-    centered_rect_support, dirac_train, identify, sounding_quality
+    centered_rect_support, dirac_train, identify, offgrid_ambiguity
 from .ofdm import OFDMConfig, cp_ofdm_config, design_pulses, interference_power, \
     simulate_frames
 from .tf_core import SpreadingFunction, centered_index, spread_metrics, \
@@ -143,9 +143,7 @@ def _build_profile(desc, n_dim: int, where: str) -> ScatteringProfile:
     params = {k: v for k, v in desc.items() if k != "kind"}
     try:
         return preset_profile(desc["kind"], n_dim, **params)
-    except TypeError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -235,19 +233,24 @@ def _build_system(desc, n_dim: int, where: str, base_dir: Path) -> OFDMConfig:
 # artifact writers
 
 
-def _fmt(value) -> str:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ArithmeticError(f"non-finite value {x!r} in a CSV artifact")
-    return repr(x)
+_CSV_BLOCK_ROWS = 8192
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    import csv
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write equal-length columns (1-D numpy arrays or lists of ready strings) as rows.
+
+    Numbers are written as their ``repr``, rows end in \\r\\n and go out in
+    blocks of ``_CSV_BLOCK_ROWS``.  A non-finite value raises ArithmeticError
+    before the file is opened.
+    """
+    if any(not isinstance(col, list) and not np.isfinite(col).all() for col in columns):
+        raise ArithmeticError(f"non-finite value in the CSV artifact {path.name}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = [col[start:start + _CSV_BLOCK_ROWS] for col in columns]
+            block = [c if isinstance(c, list) else map(repr, c.tolist()) for c in block]
+            fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -276,40 +279,30 @@ def emit_plotdata(kind: str, source, path, floor_db: float = DB_FLOOR) -> None:
     below it (default 40 dB of dynamic range).  Spreading and ambiguity
     grids use centered axes; transfer grids use raw (n, k).  For
     capacity-curve the columns are (bandwidth, rate, rate relative to the
-    peak in dB).
+    peak in dB).  The file is written column-wise: floats as their ``repr``,
+    rows ending in \\r\\n; a non-finite value raises ArithmeticError and
+    writes nothing.
     """
     path = Path(path)
     if kind in ("spreading-heatmap", "ambiguity-heatmap", "transfer-heatmap"):
         grid = np.asarray(source)
         n = grid.shape[0]
         db = _grid_db(grid, floor_db)
-        centered = kind != "transfer-heatmap"
-        axis = centered_index(np.arange(n), n) if centered else np.arange(n)
-        rows = [[int(axis[i]), int(axis[j]), _fmt(db[i, j])]
-                for i in range(n) for j in range(n)]
-        _write_csv(path, ["x", "y", "value_db"], rows)
+        axis = np.arange(n) if kind == "transfer-heatmap" else centered_index(np.arange(n), n)
+        labels = list(map(str, axis.tolist()))
+        _write_csv(path, ["x", "y", "value_db"],
+                   [[x for x in labels for _ in range(n)], labels * n, db.ravel()])
         return
     if kind == "capacity-curve":
         rates = np.asarray(source.rates, dtype=float)
         peak = rates.max()
-        rows = []
-        for bw, rate in zip(source.bandwidths, rates):
-            rel = floor_db if peak <= 0 or rate <= 0 else \
-                max(floor_db, 20.0 * np.log10(rate / peak))
-            rows.append([_fmt(bw), _fmt(rate), _fmt(rel)])
-        _write_csv(path, ["x", "y", "value_db"], rows)
+        with np.errstate(divide="ignore", invalid="ignore"):  # rates <= 0 sit on the floor
+            rel = np.fmax(20.0 * np.log10(rates / peak), floor_db) if peak > 0 \
+                else np.full(rates.shape, float(floor_db))
+        _write_csv(path, ["x", "y", "value_db"],
+                   [np.asarray(source.bandwidths, dtype=float), rates, rel])
         return
     raise ConfigError(f"unknown plotdata kind {kind!r}")
-
-
-def _write_spreading_csv(path: Path, spreading) -> None:
-    rows = []
-    for m_raw, l_raw in spreading.support_indices():
-        val = spreading.coeffs[m_raw, l_raw]
-        rows.append([int(centered_index(m_raw, spreading.n_dim)),
-                     int(centered_index(l_raw, spreading.n_dim)),
-                     _fmt(val.real), _fmt(val.imag)])
-    _write_csv(path, ["m", "l", "re", "im"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +319,10 @@ def _run_spread_analyze(cfg: dict, out: Path, base_dir: Path) -> list[str]:
         spreading = wssus_sample(spreading, [spec["seed"], 0])
     metrics = spread_metrics(spreading, spec["sample_rate"])
     transfer = tf_transfer(spreading)
-    _write_spreading_csv(out / "spreading.csv", spreading)
+    m_raw, l_raw = spreading.support_indices().T
+    vals = spreading.coeffs[m_raw, l_raw]
+    _write_csv(out / "spreading.csv", ["m", "l", "re", "im"],
+               [centered_index(m_raw, n), centered_index(l_raw, n), vals.real, vals.imag])
     emit_plotdata("spreading-heatmap", spreading.coeffs, out / "spreading_db.csv")
     emit_plotdata("transfer-heatmap", transfer.values, out / "transfer_db.csv")
     _write_json(out / "spread_report.json", {
@@ -429,10 +425,9 @@ def _run_ofdm_sim(cfg: dict, out: Path, base_dir: Path) -> list[str]:
     channel = _build_channel(spec["channel"], n, "config.channel")
     energies = simulate_frames(system, channel, n_frames, spec["seed"], spec["noise_psd"],
                                spec["constellation"])
-    _write_csv(out / "frames.csv",
-               ["frame", "gain_energy", "interference_energy", "noise_energy",
-                "error_vector_energy"],
-               [[idx, *map(_fmt, row)] for idx, row in enumerate(energies)])
+    _write_csv(out / "frames.csv", ["frame", "gain_energy", "interference_energy",
+                                    "noise_energy", "error_vector_energy"],
+               [np.arange(n_frames), *energies.T])
     report = {
         "n_dim": n,
         "n_frames": n_frames,
@@ -479,10 +474,9 @@ def _run_identify(cfg: dict, out: Path, base_dir: Path) -> list[str]:
         observation = observation + np.sqrt(spec["noise_psd"] / 2.0) * (
             noise_rng.standard_normal(n) + 1j * noise_rng.standard_normal(n))
     result = identify(observation, probe, support)
-    condition, worst_amb = sounding_quality(probe, support)
-    rows = [[m, l, _fmt(est.real), _fmt(est.imag), _fmt(true.real), _fmt(true.imag)]
-            for (m, l), est, true in zip(support, result.estimate, truth)]
-    _write_csv(out / "estimate.csv", ["m", "l", "re", "im", "true_re", "true_im"], rows)
+    _write_csv(out / "estimate.csv", ["m", "l", "re", "im", "true_re", "true_im"],
+               [*np.array(result.support).T, result.estimate.real, result.estimate.imag,
+                truth.real, truth.imag])
     _write_json(out / "identify_report.json", {
         "n_dim": n,
         "period": spec["period"],
@@ -490,7 +484,7 @@ def _run_identify(cfg: dict, out: Path, base_dir: Path) -> list[str]:
         "noise_psd": spec["noise_psd"],
         "residual": result.residual,
         "condition_number": result.condition_number,
-        "max_offgrid_ambiguity": worst_amb,
+        "max_offgrid_ambiguity": offgrid_ambiguity(probe, support),
         "relative_error": float(np.linalg.norm(result.estimate - truth)
                                 / np.linalg.norm(truth)),
     })
@@ -545,7 +539,8 @@ def _run_capacity(cfg: dict, out: Path, base_dir: Path) -> list[str]:
         sweep = bandwidth_sweep(profile, spec["power_budget"], grid,
                                 spec["delay_cell"], spec["doppler_cell"])
         _write_csv(out / "sweep.csv", ["bandwidth", "snr", "capacity", "penalty", "rate"],
-                   [[_fmt(v) for v in row] for row in sweep.rows()])
+                   [sweep.bandwidths, sweep.snrs, sweep.capacities, sweep.penalties,
+                    sweep.rates])
         emit_plotdata("capacity-curve", sweep, out / "capacity_curve_db.csv")
         report["sweep"] = {
             "power_budget": spec["power_budget"],
@@ -679,12 +674,13 @@ def run(argv=None) -> int:
             _apply_override(cfg, assignment)
         run_experiment(args.kind, cfg, out_dir, seed=args.seed,
                        base_dir=config_path.resolve().parent)
+    except (NotAFrameError, IdentifiabilityError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, so this clause precedes the config one
+        print(f"tfcomm: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"tfcomm: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NotAFrameError, IdentifiabilityError, ArithmeticError) as exc:
-        print(f"tfcomm: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "build_sounding_matrix",
     "identify",
     "sounding_quality",
+    "offgrid_ambiguity",
 ]
 
 RANK_RTOL = 1e-10
@@ -176,19 +177,23 @@ def identify(observation, sounding, support) -> IdentificationResult:
 
 
 def sounding_quality(sounding, support) -> tuple[float, float]:
-    """(condition number of X, max |auto-ambiguity| on the support difference set).
+    """(condition number of X, :func:`offgrid_ambiguity`); the two move together."""
+    x = np.asarray(sounding, dtype=complex).ravel()
+    sigma = np.linalg.svd(build_sounding_matrix(x, support, x.size), compute_uv=False)
+    condition = float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else float("inf")
+    return condition, offgrid_ambiguity(x, support)
 
-    The second entry scans A_{x,x} over all pairwise support differences
-    except the origin; small values mean nearly orthogonal columns, and the
-    two numbers move together.
+
+def offgrid_ambiguity(sounding, support) -> float:
+    """Max |A_{x,x}| over the support's pairwise differences but the origin.
+
+    Small values mean nearly orthogonal sounding columns.
     """
     x = np.asarray(sounding, dtype=complex).ravel()
     n = x.size
     cells = _canonical_support(support, n)
-    sigma = np.linalg.svd(build_sounding_matrix(x, cells, n), compute_uv=False)
-    condition = float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else float("inf")
     amb = np.abs(cross_ambiguity(x, x))
     delays, dopplers = np.array(cells).T
     diffs = amb[(delays[:, None] - delays) % n, (dopplers[:, None] - dopplers) % n]
     off_diagonal = ~np.eye(len(cells), dtype=bool)
-    return condition, float(diffs[off_diagonal].max(initial=0.0))
+    return float(diffs[off_diagonal].max(initial=0.0))

@@ -1,5 +1,7 @@
 """Noncoherent low-SNR rate estimates and the bandwidth sweep."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,8 +124,6 @@ def test_sweep_rates_and_interior_maximum():
     assert res.capacities[j] == pytest.approx(c, rel=1e-12)
     assert res.penalties[j] == pytest.approx(pen, rel=1e-12)
     assert res.rates[j] == pytest.approx(w[j] * c, rel=1e-12)
-    assert len(res.rows()) == w.size
-    assert res.rows()[j][0] == pytest.approx(w[j])
 
 
 def test_sweep_rate_vanishes_at_extremes():
@@ -170,3 +170,31 @@ def test_penalty_bounds_property(seed, rho):
     # more power never shrinks the penalty
     _, penalty_hi = cap.capacity_low_snr(cap.CapacityQuery(p, rho * 2))
     assert penalty_hi > penalty
+
+
+# ---------------------------------------------------------------------------
+# property: the broadcast sweep equals one capacity_low_snr query per bandwidth
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sweep_matches_pointwise_queries_property(data):
+    n = data.draw(st.integers(1, 24), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31), label="seed"))
+    density = data.draw(st.sampled_from([0.05, 0.3, 1.0]), label="density")
+    grid = rng.random((n, n)) * 10.0 ** rng.uniform(-3, 3) * (rng.random((n, n)) < density)
+    grid.flat[rng.integers(n * n)] = rng.uniform(0.1, 2.0)  # at least one cell with mass
+    p = cm.ScatteringProfile(n, grid)
+    power = 10.0 ** data.draw(st.floats(-3, 3), label="log10 power")
+    w = np.unique(10.0 ** rng.uniform(-4, 4, data.draw(st.integers(1, 30), label="count")))
+    delay_cell = data.draw(st.sampled_from([1.0, 0.25, 3.0]), label="delay cell")
+    doppler_cell = data.draw(st.sampled_from([None, 0.5, 2.0]), label="doppler cell")
+    block = data.draw(st.sampled_from([1, 5, 1 << 20]), label="block cells")
+    with mock.patch.object(cap, "_SWEEP_BLOCK_CELLS", block):
+        res = cap.bandwidth_sweep(p, power, w, delay_cell, doppler_cell)
+    for j, bw in enumerate(w):
+        c, pen = cap.capacity_low_snr(cap.CapacityQuery(p, power / bw, delay_cell, doppler_cell))
+        assert res.snrs[j] == power / bw
+        assert res.penalties[j] == pytest.approx(pen, rel=1e-14, abs=0.0)
+        assert abs(res.capacities[j] - c) <= 1e-14 * (np.log1p(power / bw) + pen)
+        assert res.rates[j] == bw * res.capacities[j]

@@ -5,12 +5,15 @@ import hashlib
 import json
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tfcomm.cli as cli
 from tfcomm import __version__
+from tfcomm.tf_core import centered_index
 from tfcomm.wh_frames import gaussian_pulse, write_pulse_csv
 
 
@@ -328,6 +331,21 @@ def test_cli_numerical_failures_exit_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_eigensolver_failure_exits_3(tmp_path, capsys):
+    # LinAlgError subclasses ValueError; it must not be reported as a config error
+    pulse = tmp_path / "huge.csv"
+    pulse.write_text("index,re,im\n" + "".join(f"{i},1e308,0.0\n" for i in range(16)))
+    path = write_config(tmp_path, "frame.json", {
+        "kind": "frame-analyze", "n_dim": 16, "time_step": 2, "freq_step": 4,
+        "pulse": {"kind": "csv", "path": "huge.csv"}})
+    out = tmp_path / "out"
+    assert cli.run(["frame-analyze", "--config", str(path),
+                    "--out", str(out)]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("kind, cfg, report", [
     # the demodulator output overflows: the decomposition check fails
     ("ofdm-sim", dict(SIM_CFG, channel={"kind": "time_invariant", "gains": [1e308, 1e308]}),
@@ -385,3 +403,74 @@ def test_plotdata_transfer_axes_uncentered(tmp_path):
 def test_plotdata_unknown_kind(tmp_path):
     with pytest.raises(cli.ConfigError):
         cli.emit_plotdata("pie-chart", np.ones((2, 2)), tmp_path / "x.csv")
+
+
+# ---------------------------------------------------------------------------
+# the column-wise CSV writer against the row writer it replaced
+
+
+def write_rows_oracle(path, header, rows):
+    """csv.writer over cells that are ready strings, ints, or floats as repr(float(x))."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([cell if isinstance(cell, (str, int)) else repr(float(cell))
+                          for cell in row] for row in rows)
+
+
+def heatmap_oracle(kind, grid, path):
+    n = grid.shape[0]
+    db = cli._grid_db(grid, cli.DB_FLOOR)
+    axis = np.arange(n) if kind == "transfer-heatmap" else centered_index(np.arange(n), n)
+    write_rows_oracle(path, ["x", "y", "value_db"],
+                      [[int(axis[i]), int(axis[j]), db[i, j]] for i in range(n) for j in range(n)])
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e16, -1e16, 1e-05, 1e22,
+               0.1, 1.0 / 3.0, 1.7976931348623157e308]
+FLOAT_CELLS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_column_writer_matches_row_oracle(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("csv")
+    block = data.draw(st.sampled_from([1, 2, 3, 8192]), label="block rows")
+    n_rows = data.draw(st.integers(0, 20), label="rows")
+    columns, rows_by_col = [], []
+    for kind in data.draw(st.lists(st.sampled_from(["int", "float", "str"]), min_size=1,
+                                   max_size=5), label="column kinds"):
+        if kind == "float":
+            cells = data.draw(st.lists(FLOAT_CELLS, min_size=n_rows, max_size=n_rows))
+            columns.append(np.array(cells, dtype=float))
+        else:
+            cells = data.draw(st.lists(st.integers(-2**40, 2**40), min_size=n_rows,
+                                       max_size=n_rows))
+            columns.append(np.array(cells, dtype=np.int64) if kind == "int"
+                           else [str(c) for c in cells])
+        rows_by_col.append(cells)
+    header = [f"c{j}" for j in range(len(columns))]
+    with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block):
+        cli._write_csv(tmp / "new.csv", header, columns)
+    write_rows_oracle(tmp / "old.csv", header, list(zip(*rows_by_col)))
+    assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+    n = data.draw(st.integers(1, 9), label="grid size")
+    kind = data.draw(st.sampled_from(["spreading-heatmap", "ambiguity-heatmap",
+                                      "transfer-heatmap"]), label="heatmap")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31), label="seed"))
+    grid = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) \
+        * (rng.random((n, n)) < 0.6) * 10.0 ** rng.uniform(-300, 300)
+    with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block):
+        cli.emit_plotdata(kind, grid, tmp / "new_heat.csv")
+    heatmap_oracle(kind, grid, tmp / "old_heat.csv")
+    assert (tmp / "new_heat.csv").read_bytes() == (tmp / "old_heat.csv").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_column_writer_rejects_non_finite_floats(tmp_path, bad):
+    path = tmp_path / "x.csv"
+    with pytest.raises(ArithmeticError):
+        cli._write_csv(path, ["i", "a", "b"],
+                       [np.arange(3), np.array([1.0, 2.0, 3.0]), np.array([0.5, bad, 0.5])])
+    assert not path.exists()
