@@ -7,8 +7,9 @@ Runs ``scripts/run_all.py`` of OTHER_CHECKOUT (against its own ``src/``)
 into OUT_OTHER and this checkout's into OUT_THIS, so every config in
 ``scripts/configs/`` goes through ``run_experiment`` once per side.  It then
 diffs the sha256 digests in each kind's manifest ``outputs``.  For a CSV or
-JSON artifact whose digest differs it also prints how many of its values
-differ and the largest relative and absolute difference between them.
+JSON artifact whose digest differs it also names the fields present on only
+one side (JSON keys, CSV row:column positions) and prints how many of the
+common values differ and the largest relative and absolute difference.
 Exits 0 when every digest matches, 1 otherwise.
 Uses the standard library only.
 """
@@ -61,21 +62,30 @@ def cells(path: Path) -> list[tuple[str, object]]:
             for i, row in enumerate(rows) for j, text in enumerate(row)]
 
 
+def _positions(label: str, keys: list[str]) -> str:
+    shown = ", ".join(keys[:5]) + (", ..." if len(keys) > 5 else "")
+    return f"{label} {len(keys)} ({shown}); "
+
+
 def value_difference(path_a: Path, path_b: Path) -> str:
-    cells_a, cells_b = cells(path_a), cells(path_b)
-    if [k for k, _ in cells_a] != [k for k, _ in cells_b]:
-        return "layout differs"
+    cells_a, cells_b = dict(cells(path_a)), dict(cells(path_b))
+    removed = [k for k in cells_a if k not in cells_b]
+    added = [k for k in cells_b if k not in cells_a]
+    common = [k for k in cells_a if k in cells_b]
     changed, rel, absolute = 0, 0.0, 0.0
-    for (_, a), (_, b) in zip(cells_a, cells_b):
+    for key in common:
+        a, b = cells_a[key], cells_b[key]
         if a == b:
             continue
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
-            return f"non-numeric value differs: {a!r} vs {b!r}"
+            return f"non-numeric value at {key} differs: {a!r} vs {b!r}"
         changed += 1
         absolute = max(absolute, abs(a - b))
         rel = max(rel, abs(a - b) / max(abs(a), abs(b)))
-    return (f"{changed} of {len(cells_a)} values differ, max relative difference {rel:.3g}, "
-            f"max absolute difference {absolute:.3g}")
+    return ((_positions("removed", removed) if removed else "")
+            + (_positions("added", added) if added else "")
+            + f"{changed} of {len(common)} common values differ, "
+              f"max relative difference {rel:.3g}, max absolute difference {absolute:.3g}")
 
 
 def main() -> int:

@@ -484,6 +484,8 @@ def _run_identify(cfg: dict, out: Path, base_dir: Path) -> list[str]:
         "noise_psd": spec["noise_psd"],
         "residual": result.residual,
         "condition_number": result.condition_number,
+        "numerical_rank": result.numerical_rank,
+        "smallest_singular_value": result.smallest_singular_value,
         "max_offgrid_ambiguity": offgrid_ambiguity(probe, support),
         "relative_error": float(np.linalg.norm(result.estimate - truth)
                                 / np.linalg.norm(truth)),
@@ -686,3 +688,7 @@ def run(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    entry()

@@ -8,6 +8,17 @@ which needs |S| <= N and a probe whose auto-ambiguity stays small on the
 difference set of S.  Dirac trains are the standard probe: their
 auto-ambiguity lives on a coarse lattice, so supports that dodge that
 lattice give perfectly conditioned, mutually orthogonal columns.
+
+The solve uses the probe's comb structure.  A probe whose nonzero samples
+sit on i0 + P Z_N (P the gcd of N and their index differences) gives
+column (m, l) nonzero only on the rows i = i0 + m (mod P).  Sorting rows
+by (i - i0) mod P and cells by m mod P makes X block diagonal: P residue
+classes, each an (N/P) x (cells in the class) block.  The blocks are
+gathered straight from the probe, never through X, and solved with one
+batched SVD per distinct block width; a generic probe (P = 1) is a single
+block.  Rank, condition number and the smallest singular value are read
+from the union of the block spectra, with the rank threshold relative to
+its global maximum, so they match a dense SVD of X.
 """
 
 from __future__ import annotations
@@ -20,7 +31,6 @@ from .tf_core import cross_ambiguity, tf_shift
 
 __all__ = [
     "IdentifiabilityError",
-    "SoundingProblem",
     "IdentificationResult",
     "RANK_RTOL",
     "dirac_train",
@@ -66,34 +76,6 @@ def _canonical_support(support, n_dim: int) -> tuple[tuple[int, int], ...]:
 
 
 @dataclass(frozen=True)
-class SoundingProblem:
-    """Probe signal, declared support, and (optionally) an observation."""
-
-    n_dim: int
-    sounding: np.ndarray
-    support: tuple
-    observation: np.ndarray | None = None
-
-    def __post_init__(self):
-        n = int(self.n_dim)
-        x = np.asarray(self.sounding, dtype=complex).ravel()
-        if x.size != n:
-            raise ValueError(f"sounding length {x.size} does not match N = {n}")
-        object.__setattr__(self, "n_dim", n)
-        object.__setattr__(self, "sounding", x)
-        object.__setattr__(self, "support", _canonical_support(self.support, n))
-        if self.observation is not None:
-            y = np.asarray(self.observation, dtype=complex).ravel()
-            if y.size != n:
-                raise ValueError(f"observation length {y.size} does not match N = {n}")
-            object.__setattr__(self, "observation", y)
-
-    @property
-    def n_unknowns(self) -> int:
-        return len(self.support)
-
-
-@dataclass(frozen=True)
 class IdentificationResult:
     """Least-squares estimate on the declared support."""
 
@@ -101,6 +83,8 @@ class IdentificationResult:
     estimate: np.ndarray
     residual: float
     condition_number: float
+    numerical_rank: int
+    smallest_singular_value: float
 
 
 def dirac_train(n_dim: int, period: int, weights=None) -> np.ndarray:
@@ -149,12 +133,52 @@ def build_sounding_matrix(sounding, support, n_dim: int) -> np.ndarray:
     return tf_shift(x, delays, dopplers).T
 
 
+def _comb(x: np.ndarray) -> tuple[int, int]:
+    """(P, i0): the nonzero samples of ``x`` lie on i0 + P Z_N, P as large as possible."""
+    nonzero = np.flatnonzero(x)
+    i0 = int(nonzero[0]) if nonzero.size else 0
+    return int(np.gcd.reduce(np.append(nonzero - i0, x.size))), i0
+
+
+def _block_svd(x: np.ndarray, cells) -> tuple[list, np.ndarray]:
+    """SVD of the sounding matrix by probe residue classes, without forming it.
+
+    Returns (groups, sigma).  Each group holds the classes of one block
+    width c as a tuple (rows, cols, blocks, u, s, vh): rows (g, N/P) are
+    their observation indices, cols (g, c) their support positions in
+    support order, blocks (g, N/P, c) the entries X[rows, cols] and u, s,
+    vh the batched thin SVD of the blocks.  ``sigma`` is the union of all
+    block spectra; singular values of X missing from it are exact zeros.
+    """
+    n = x.size
+    p, i0 = _comb(x)
+    delays, dopplers = np.array(cells).T
+    classes = delays % p
+    counts = np.bincount(classes, minlength=p)
+    starts = np.cumsum(counts) - counts
+    by_class = np.argsort(classes, kind="stable")
+    class_rows = (i0 + np.arange(p)[:, None] + p * np.arange(n // p)) % n
+    tones = np.exp(-2j * np.pi * np.arange(n) / n)
+    groups = []
+    for width in np.unique(counts[counts > 0]):
+        members = np.flatnonzero(counts == width)
+        rows = class_rows[members]
+        cols = by_class[starts[members][:, None] + np.arange(width)]
+        i = rows[:, :, None]
+        m = delays[cols][:, None, :]
+        l = dopplers[cols][:, None, :]
+        blocks = tones[(l * i) % n] * x[(i - m) % n]
+        groups.append((rows, cols, blocks, *np.linalg.svd(blocks, full_matrices=False)))
+    return groups, np.concatenate([group[4].ravel() for group in groups])
+
+
 def identify(observation, sounding, support) -> IdentificationResult:
     """Solve y = X s for the spreading coefficients on the declared support.
 
     Raises IdentifiabilityError when X is numerically rank deficient
     (singular values below RANK_RTOL times the largest), which covers both
-    |S| > N and ill-chosen probes.
+    |S| > N and ill-chosen probes.  X is never formed: each residue class
+    of the probe comb is solved on its own block (see the module notes).
     """
     y = np.asarray(observation, dtype=complex).ravel()
     n = y.size
@@ -162,26 +186,35 @@ def identify(observation, sounding, support) -> IdentificationResult:
     if x.size != n:
         raise ValueError(f"sounding length {x.size} does not match observation length {n}")
     cells = _canonical_support(support, n)
-    mat = build_sounding_matrix(x, cells, n)
-    u, sigma, vh = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.count_nonzero(sigma > RANK_RTOL * sigma[0])) if sigma[0] > 0 else 0
+    groups, sigma = _block_svd(x, cells)
+    rank = int(np.count_nonzero(sigma > RANK_RTOL * sigma.max()))
     if rank < len(cells):
         raise IdentifiabilityError(
             f"sounding matrix rank {rank} < {len(cells)} unknowns "
             f"(N = {n}; overspread supports with |S| > N are never identifiable)",
             n_unknowns=len(cells), numerical_rank=rank)
-    estimate = vh.conj().T @ ((u.conj().T @ y) / sigma)
-    residual = float(np.linalg.norm(y - mat @ estimate))
-    condition = float(sigma[0] / sigma[-1])
-    return IdentificationResult(cells, estimate, residual, condition)
+    estimate = np.empty(len(cells), dtype=complex)
+    misfit = y.copy()
+    for rows, cols, blocks, u, s, vh in groups:
+        coeffs = u.conj().transpose(0, 2, 1) @ y[rows][:, :, None] / s[:, :, None]
+        coeffs = vh.conj().transpose(0, 2, 1) @ coeffs
+        estimate[cols] = coeffs[:, :, 0]
+        misfit[rows] -= (blocks @ coeffs)[:, :, 0]
+    return IdentificationResult(cells, estimate, float(np.linalg.norm(misfit)),
+                                float(sigma.max() / sigma.min()), rank, float(sigma.min()))
 
 
 def sounding_quality(sounding, support) -> tuple[float, float]:
-    """(condition number of X, :func:`offgrid_ambiguity`); the two move together."""
+    """(condition number of X, :func:`offgrid_ambiguity`); the two move together.
+
+    The condition number is infinite when X has a zero singular value.
+    """
     x = np.asarray(sounding, dtype=complex).ravel()
-    sigma = np.linalg.svd(build_sounding_matrix(x, support, x.size), compute_uv=False)
-    condition = float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else float("inf")
-    return condition, offgrid_ambiguity(x, support)
+    cells = _canonical_support(support, x.size)
+    _, sigma = _block_svd(x, cells)
+    full = sigma.size == min(x.size, len(cells)) and sigma.min() > 0
+    condition = float(sigma.max() / sigma.min()) if full else float("inf")
+    return condition, offgrid_ambiguity(x, cells)
 
 
 def offgrid_ambiguity(sounding, support) -> float:

@@ -353,7 +353,8 @@ def commutation_defect(n_dim: int, delay: int, doppler: int,
     mc = centered_index(delay, n)
     lc = centered_index(doppler, n)
     bound = 2.0 * np.pi * abs(mc * lc) / n * _matrix_norm(dm, norm)
-    assert defect <= bound + 1e-12
+    if not defect <= bound + 1e-12:
+        raise ArithmeticError(f"commutation defect {defect!r} exceeds its bound {bound!r}")
     return defect, bound
 
 

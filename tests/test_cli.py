@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -170,6 +173,8 @@ def test_identify_artifacts(tmp_path):
     assert report["n_unknowns"] == 16
     assert report["relative_error"] <= 1e-10
     assert report["condition_number"] == pytest.approx(1.0, abs=1e-9)
+    assert report["numerical_rank"] == 16
+    assert report["smallest_singular_value"] == pytest.approx(1.0, abs=1e-12)
     with open(tmp_path / "estimate.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 16
@@ -276,6 +281,24 @@ def test_cli_out_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUT_DIR_ENV, str(target))
     assert cli.run(["spread-analyze", "--config", str(config_path)]) == cli.EXIT_OK
     assert (target / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("module", ["tfcomm", "tfcomm.cli"])
+def test_module_entry_points_run(tmp_path, module):
+    config_path = write_config(tmp_path, "identify.json", {
+        "kind": "identify", "n_dim": 16, "period": 4,
+        "support": {"n_delay": 2, "n_doppler": 2}})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", module, "identify", "--config",
+                           str(config_path), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stderr == ""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == ["estimate.csv", "identify_report.json"]
 
 
 def test_cli_config_errors_exit_2(tmp_path, capsys):

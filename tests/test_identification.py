@@ -60,16 +60,6 @@ def test_support_validation():
         ident.build_sounding_matrix(np.ones(8), [], 8)
 
 
-def test_sounding_problem_container():
-    prob = ident.SoundingProblem(8, np.ones(8), [(0, 0), (1, -1)])
-    assert prob.n_unknowns == 2
-    assert prob.support == ((0, 0), (1, -1))
-    with pytest.raises(ValueError):
-        ident.SoundingProblem(8, np.ones(4), [(0, 0)])
-    with pytest.raises(ValueError):
-        ident.SoundingProblem(8, np.ones(8), [(0, 0)], observation=np.ones(5))
-
-
 def test_sounding_matrix_against_loop():
     n = 10
     rng = np.random.default_rng(2)
@@ -245,3 +235,111 @@ def test_identify_dichotomy_property(seed, n_cells):
     # forward error grows with conditioning; the rank gate caps it at ~1e10
     tol = result.condition_number * 1e-12 * max(1.0, np.abs(coeffs).max())
     assert np.abs(result.estimate - coeffs).max() <= max(tol, 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# property: the residue-class block solve against a dense SVD of X
+
+
+def dense_identify(y, x, support):
+    """The dense solve written out: SVD of the full N x |S| sounding matrix.
+
+    Returns (sigma, rank, estimate, residual); estimate and residual are
+    None when the rank falls short of |S|.
+    """
+    n = x.size
+    i = np.arange(n)
+    mat = np.stack([np.exp(-2j * np.pi * l * i / n) * np.roll(x, m) for m, l in support],
+                   axis=1)
+    u, sigma, vh = np.linalg.svd(mat, full_matrices=False)
+    rank = int(np.count_nonzero(sigma > ident.RANK_RTOL * sigma[0])) if sigma[0] > 0 else 0
+    if rank < len(support):
+        return sigma, rank, None, None
+    estimate = vh.conj().T @ ((u.conj().T @ y) / sigma)
+    return sigma, rank, estimate, float(np.linalg.norm(y - mat @ estimate))
+
+
+def assert_blocked_matches_dense(y, x, support):
+    sigma, rank, estimate, residual = dense_identify(y, x, support)
+    top = sigma[0]
+    _, blocked = ident._block_svd(x, ident._canonical_support(support, x.size))
+    # the block spectra miss exactly the structural zeros of X
+    assert blocked.size <= sigma.size
+    padded = np.sort(np.concatenate([blocked, np.zeros(sigma.size - blocked.size)]))[::-1]
+    assert np.abs(padded - sigma).max() <= 1e-12 * top
+    condition, _ = ident.sounding_quality(x, support)
+    if sigma[-1] > ident.RANK_RTOL * top:
+        dense_condition = sigma[0] / sigma[-1]
+        tol = max(1e-10, dense_condition * 1e-12)
+        assert condition == pytest.approx(dense_condition, rel=tol)
+    else:
+        assert condition >= 0.1 / ident.RANK_RTOL
+    if estimate is None:
+        with pytest.raises(ident.IdentifiabilityError) as exc:
+            ident.identify(y, x, support)
+        assert exc.value.numerical_rank == rank
+        assert exc.value.n_unknowns == len(support)
+        return
+    result = ident.identify(y, x, support)
+    assert result.support == tuple(support)
+    assert result.numerical_rank == rank == len(support)
+    assert result.smallest_singular_value == pytest.approx(sigma[-1], abs=1e-12 * top)
+    assert result.condition_number == pytest.approx(dense_condition, rel=tol)
+    assert np.linalg.norm(result.estimate - estimate) <= tol * np.linalg.norm(estimate)
+    assert abs(result.residual - residual) <= 1e-12 * np.linalg.norm(y)
+
+
+def divisors(n):
+    return [p for p in range(1, n + 1) if n % p == 0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_blocked_identify_matches_dense_oracle_property(data):
+    n = data.draw(st.integers(1, 64), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31), label="seed"))
+    probe = data.draw(st.sampled_from(["comb", "sparse comb", "generic"]), label="probe")
+    if probe == "generic":
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    else:
+        period = data.draw(st.sampled_from(divisors(n)), label="period")
+        weights = np.exp(2j * np.pi * rng.random(n // period))
+        x = np.roll(ident.dirac_train(n, period, weights), data.draw(
+            st.integers(0, period - 1), label="offset"))
+        if probe == "sparse comb":  # drop teeth: the comb period can only grow
+            teeth = np.flatnonzero(x)
+            keep = data.draw(st.sets(st.sampled_from(list(teeth)), min_size=1), label="keep")
+            x[np.setdiff1d(teeth, list(keep))] = 0.0
+    lo = -((n - 1) // 2)
+    if data.draw(st.booleans(), label="rectangle"):
+        side = st.integers(1, n - 1 + n % 2)  # even sides reach one cell past lo
+        support = ident.centered_rect_support(data.draw(side, label="n_delay"),
+                                              data.draw(side, label="n_doppler"))
+        support = support[:n + 8]
+    else:
+        cell = st.tuples(st.integers(lo, lo + n - 1), st.integers(lo, lo + n - 1))
+        support = list(data.draw(st.sets(cell, min_size=1, max_size=min(n * n, n + 8)),
+                                 label="support"))
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert_blocked_matches_dense(y, x, support)
+
+
+def test_rank_threshold_is_global_across_blocks():
+    """A singular value between RANK_RTOL times its block's top and the global top.
+
+    A period-4 comb at N=16 with one tooth phase-shifted by delta: in class 0,
+    the cells (0, 0) and (4, 0) are the weights and their one-tooth shift, with
+    singular values ~sqrt(2) and sin(delta/2).  Class 1 holds four exactly
+    parallel columns (Dopplers 4 apart), so the global top is 2.  Counted
+    against its own block, the small value would pass the rank threshold.
+    """
+    delta = 3.4e-10
+    x = ident.dirac_train(16, 4, weights=[np.exp(1j * delta), 1.0, 1.0, 1.0])
+    support = [(0, 0), (4, 0)] + [(1, l) for l in (-4, 0, 4, 8)]
+    sigma, rank, _, _ = dense_identify(np.ones(16), x, support)
+    small = np.sin(delta / 2)
+    assert ident.RANK_RTOL * np.sqrt(2) < small < ident.RANK_RTOL * sigma[0]
+    assert np.abs(sigma - small).min() <= 1e-6 * small
+    assert rank == 2
+    assert_blocked_matches_dense(np.ones(16), x, support)
+

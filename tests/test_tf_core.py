@@ -247,6 +247,14 @@ def test_commutation_bound_property(n, data):
         assert defect <= bound + 1e-12
 
 
+def test_commutation_defect_raises_when_bound_fails(monkeypatch):
+    """The bound check is an explicit raise, so ``python -O`` keeps it."""
+    norms = iter([1.0, 0.0])  # the commutator's norm, then ||D^m M^l||
+    monkeypatch.setattr(core, "_matrix_norm", lambda mat, norm: next(norms))
+    with pytest.raises(ArithmeticError, match="defect 1.0 exceeds its bound 0.0"):
+        core.commutation_defect(8, 1, 1)
+
+
 def test_product_spreading_exact_identity():
     """Spreading of a product against brute-force composition, N = 10."""
     n = 10
