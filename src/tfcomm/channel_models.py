@@ -15,10 +15,8 @@ time-frequency correlation grid.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -40,8 +38,6 @@ __all__ = [
     "exponential_jakes_profile",
     "drm_like_profile",
     "jakes_doppler_masses",
-    "write_profile_csv",
-    "read_profile_csv",
 ]
 
 
@@ -365,28 +361,3 @@ def preset_profile(kind: str, n_dim: int, **params) -> ScatteringProfile:
     except KeyError:
         raise ValueError(f"unknown profile kind {kind!r}; expected one of {sorted(_PRESETS)}") from None
     return builder(n_dim, **params)
-
-
-def write_profile_csv(path, profile: ScatteringProfile) -> None:
-    """Export nonzero cells as rows (m, l, intensity) with centered indices."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "l", "intensity"])
-        for row, col in np.argwhere(profile.intensities):
-            writer.writerow([int(centered_index(row, profile.n_dim)),
-                             int(centered_index(col, profile.n_dim)),
-                             repr(float(profile.intensities[row, col]))])
-
-
-def read_profile_csv(path, n_dim: int) -> ScatteringProfile:
-    """Read a profile exported by :func:`write_profile_csv`."""
-    grid = np.zeros((n_dim, n_dim))
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["m", "l", "intensity"]:
-            raise ValueError(f"{Path(path).name}: expected header m,l,intensity")
-        for row in reader:
-            m = _check_on_grid(int(row["m"]), "delay", n_dim)
-            l = _check_on_grid(int(row["l"]), "doppler", n_dim)
-            grid[m % n_dim, l % n_dim] = float(row["intensity"])
-    return ScatteringProfile(n_dim, grid)

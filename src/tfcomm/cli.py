@@ -10,6 +10,13 @@ outside that guarantee.  CSVs are written column-wise, numbers as their
 problems, 3 numerical failures surfaced from the library (not a frame, not
 identifiable, a failed eigensolver or demodulator split, a non-finite result).
 
+One table, ``_RUNNERS``, maps each kind to its runner, its report file and
+its own config keys.  ``run_experiment`` does the shared work once: it
+rejects non-finite numbers anywhere in the config, validates
+``[kind, n_dim, <kind keys>, seed]``, calls the runner (which writes its
+CSVs and returns its report), writes the report with ``n_dim`` added, and
+lists every staged file in the manifest.
+
 All randomness is derived from the single run seed through fixed substream
 labels, so per-frame draws are reproducible in isolation.
 """
@@ -19,12 +26,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +113,7 @@ def _validate(obj, keys: list[_Key], where: str) -> dict:
     return out
 
 
-def _complex_list(values, where: str, length: int | None = None) -> np.ndarray:
+def _complex_list(values, where: str) -> np.ndarray:
     """Parse [x, ...] or [[re, im], ...] into a complex vector."""
     if not isinstance(values, list) or not values:
         raise ConfigError(f"{where}: expected a nonempty list")
@@ -118,13 +126,20 @@ def _complex_list(values, where: str, length: int | None = None) -> np.ndarray:
             out.append(complex(item[0], item[1]))
         else:
             raise ConfigError(f"{where}[{j}]: expected a number or [re, im] pair")
-    if length is not None and len(out) != length:
-        raise ConfigError(f"{where}: expected {length} entries, got {len(out)}")
     return np.array(out)
 
 
-def _reject_constant(name: str):
-    raise ConfigError(f"non-finite number {name} is not allowed")
+def _check_finite(cfg: dict) -> None:
+    """Reject inf and nan anywhere in the config (JSON reads 1e400 as inf)."""
+    stack = [("config", cfg)]
+    while stack:
+        where, value = stack.pop()
+        if isinstance(value, dict):
+            stack += [(f"{where}.{key}", item) for key, item in value.items()]
+        elif isinstance(value, list):
+            stack += [(f"{where}[{j}]", item) for j, item in enumerate(value)]
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where}: non-finite number {value!r} is not allowed")
 
 
 def _positive_int(value, where: str) -> int:
@@ -137,8 +152,35 @@ def _positive_int(value, where: str) -> int:
 # descriptor builders (profiles, pulses, channels, systems)
 
 
-def _build_profile(desc, n_dim: int, where: str) -> ScatteringProfile:
-    if not isinstance(desc, dict) or "kind" not in desc:
+# each variant's keys besides "kind"; pulse-design configs and "designed"
+# systems share _DESIGN_KEYS
+_DESIGN_KEYS = [_Key("time_step", (int,)), _Key("freq_step", (int,)), _Key("profile", (dict,)),
+                _Key("method", (str,), "matched_gaussian_tight"),
+                _Key("n_sweeps", (int,), 1), _Key("step", (float,), 0.02)]
+_PULSES = {"gaussian": [_Key("sigma", (float,), None)],
+           "rect": [_Key("length", (int,)), _Key("offset", (int,), 0)],
+           "csv": [_Key("path", (str,))]}
+_CHANNELS = {"specular": [_Key("paths", (list,))], "time_invariant": [_Key("gains", (list,))],
+             "wssus": [_Key("profile", (dict,))]}
+_SYSTEMS = {"cp_ofdm": [_Key("n_subcarriers", (int,)), _Key("cp_len", (int,))],
+            "designed": _DESIGN_KEYS,
+            "pulse_pair": [_Key("time_step", (int,)), _Key("freq_step", (int,)),
+                           _Key("tx", (dict,)), _Key("rx", (dict,))]}
+
+
+def _tagged(desc: dict, where: str, noun: str, variants: dict) -> tuple[str, dict]:
+    """The kind of a {"kind": ...} descriptor and its keys, checked against ``variants``."""
+    if "kind" not in desc:
+        raise ConfigError(f"{where}: expected an object with a 'kind' key")
+    kind = desc["kind"]
+    if not (isinstance(kind, str) and kind in variants):
+        raise ConfigError(f"{where}.kind: unknown {noun} kind {kind!r}")
+    return kind, _validate(desc, [_Key("kind", (str,)), *variants[kind]], where)
+
+
+def _build_profile(desc: dict, n_dim: int, where: str) -> ScatteringProfile:
+    """A preset profile; ``preset_profile`` checks the kind and its parameters."""
+    if "kind" not in desc:
         raise ConfigError(f"{where}: expected an object with a 'kind' key")
     params = {k: v for k, v in desc.items() if k != "kind"}
     try:
@@ -147,86 +189,50 @@ def _build_profile(desc, n_dim: int, where: str) -> ScatteringProfile:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _build_pulse(desc, n_dim: int, where: str, base_dir: Path,
-                 grid: WHGrid | None = None) -> Pulse:
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError(f"{where}: expected an object with a 'kind' key")
-    kind = desc["kind"]
+def _build_pulse(desc: dict, n_dim: int, where: str, base_dir: Path, grid: WHGrid) -> Pulse:
+    kind, spec = _tagged(desc, where, "pulse", _PULSES)
     if kind == "gaussian":
-        spec = _validate(desc, [_Key("kind", (str,)), _Key("sigma", (float,), None)], where)
-        if spec["sigma"] is not None:
-            pulse = gaussian_pulse(n_dim, sigma=spec["sigma"])
-        elif grid is not None:
-            pulse = gaussian_pulse(n_dim, grid.time_step, grid.freq_step)
-        else:
-            pulse = gaussian_pulse(n_dim)
-        return pulse
+        return gaussian_pulse(n_dim, grid.time_step, grid.freq_step, spec["sigma"])
     if kind == "rect":
-        spec = _validate(desc, [_Key("kind", (str,)), _Key("length", (int,)),
-                                _Key("offset", (int,), 0)], where)
         return rect_pulse(n_dim, spec["length"], spec["offset"])
-    if kind == "csv":
-        spec = _validate(desc, [_Key("kind", (str,)), _Key("path", (str,))], where)
-        path = Path(spec["path"])
-        if not path.is_absolute():
-            path = base_dir / path
-        pulse = read_pulse_csv(path)
-        if pulse.n_dim != n_dim:
-            raise ConfigError(f"{where}: pulse file has length {pulse.n_dim}, expected {n_dim}")
-        return pulse
-    raise ConfigError(f"{where}.kind: unknown pulse kind {kind!r}")
+    pulse = read_pulse_csv(base_dir / spec["path"])
+    if pulse.n_dim != n_dim:
+        raise ConfigError(f"{where}: pulse file has length {pulse.n_dim}, expected {n_dim}")
+    return pulse
 
 
-def _build_channel(desc, n_dim: int, where: str) -> SpreadingFunction | ScatteringProfile:
+def _build_channel(desc: dict, n_dim: int, where: str) -> SpreadingFunction | ScatteringProfile:
     """A deterministic channel's SpreadingFunction, or a WSSUS channel's profile."""
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError(f"{where}: expected an object with a 'kind' key")
-    kind = desc["kind"]
+    kind, spec = _tagged(desc, where, "channel", _CHANNELS)
     if kind == "specular":
-        spec = _validate(desc, [_Key("kind", (str,)), _Key("paths", (list,))], where)
-        paths = []
         for j, item in enumerate(spec["paths"]):
             if not (isinstance(item, list) and len(item) == 4):
                 raise ConfigError(f"{where}.paths[{j}]: expected [delay, doppler, re, im]")
-            paths.append((item[0], item[1], complex(item[2], item[3])))
-        return from_specular(paths, n_dim)
+        return from_specular([(m, l, complex(re, im)) for m, l, re, im in spec["paths"]], n_dim)
     if kind == "time_invariant":
-        spec = _validate(desc, [_Key("kind", (str,)), _Key("gains", (list,))], where)
         return time_invariant(_complex_list(spec["gains"], f"{where}.gains"), n_dim)
-    if kind == "wssus":
-        spec = _validate(desc, [_Key("kind", (str,)), _Key("profile", (dict,))], where)
-        return _build_profile(spec["profile"], n_dim, f"{where}.profile")
-    raise ConfigError(f"{where}.kind: unknown channel kind {kind!r}")
+    return _build_profile(spec["profile"], n_dim, f"{where}.profile")
 
 
-def _build_system(desc, n_dim: int, where: str, base_dir: Path) -> OFDMConfig:
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError(f"{where}: expected an object with a 'kind' key")
-    kind = desc["kind"]
+def _design(spec: dict, n_dim: int, where: str) -> tuple[ScatteringProfile, OFDMConfig]:
+    """The profile and the designed system of validated ``_DESIGN_KEYS``."""
+    grid = WHGrid(n_dim, spec["time_step"], spec["freq_step"])
+    profile = _build_profile(spec["profile"], n_dim, f"{where}.profile")
+    tx, rx = design_pulses(profile, grid, spec["method"],
+                           n_sweeps=spec["n_sweeps"], step=spec["step"])
+    return profile, OFDMConfig(grid, tx, rx)
+
+
+def _build_system(desc: dict, n_dim: int, where: str, base_dir: Path) -> OFDMConfig:
+    kind, spec = _tagged(desc, where, "system", _SYSTEMS)
     if kind == "cp_ofdm":
-        spec = _validate(desc, [_Key("kind", (str,)), _Key("n_subcarriers", (int,)),
-                                _Key("cp_len", (int,))], where)
         return cp_ofdm_config(n_dim, spec["n_subcarriers"], spec["cp_len"])
     if kind == "designed":
-        spec = _validate(desc, [_Key("kind", (str,)), _Key("time_step", (int,)),
-                                _Key("freq_step", (int,)), _Key("profile", (dict,)),
-                                _Key("method", (str,), "matched_gaussian_tight"),
-                                _Key("n_sweeps", (int,), 1), _Key("step", (float,), 0.02)],
-                         where)
-        grid = WHGrid(n_dim, spec["time_step"], spec["freq_step"])
-        profile = _build_profile(spec["profile"], n_dim, f"{where}.profile")
-        tx, rx = design_pulses(profile, grid, spec["method"],
-                               n_sweeps=spec["n_sweeps"], step=spec["step"])
-        return OFDMConfig(grid, tx, rx)
-    if kind == "pulse_pair":
-        spec = _validate(desc, [_Key("kind", (str,)), _Key("time_step", (int,)),
-                                _Key("freq_step", (int,)), _Key("tx", (dict,)),
-                                _Key("rx", (dict,))], where)
-        grid = WHGrid(n_dim, spec["time_step"], spec["freq_step"])
-        tx = _build_pulse(spec["tx"], n_dim, f"{where}.tx", base_dir, grid)
-        rx = _build_pulse(spec["rx"], n_dim, f"{where}.rx", base_dir, grid)
-        return OFDMConfig(grid, tx, rx)
-    raise ConfigError(f"{where}.kind: unknown system kind {kind!r}")
+        return _design(spec, n_dim, where)[1]
+    grid = WHGrid(n_dim, spec["time_step"], spec["freq_step"])
+    tx = _build_pulse(spec["tx"], n_dim, f"{where}.tx", base_dir, grid)
+    rx = _build_pulse(spec["rx"], n_dim, f"{where}.rx", base_dir, grid)
+    return OFDMConfig(grid, tx, rx)
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +312,11 @@ def emit_plotdata(kind: str, source, path, floor_db: float = DB_FLOOR) -> None:
 
 
 # ---------------------------------------------------------------------------
-# experiment implementations: each returns {filename: payload-written} map
+# experiments: each runner gets the validated config, N, the staging
+# directory and the base directory; it writes its CSVs and returns its report
 
 
-def _run_spread_analyze(cfg: dict, out: Path, base_dir: Path) -> list[str]:
-    spec = _validate(cfg, [_Key("kind", (str,), "spread-analyze"), _Key("n_dim", (int,)),
-                           _Key("channel", (dict,)), _Key("sample_rate", (float,), None),
-                           _Key("seed", (int,), 0)], "config")
-    n = _positive_int(spec["n_dim"], "config.n_dim")
+def _run_spread_analyze(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
     spreading = _build_channel(spec["channel"], n, "config.channel")
     if isinstance(spreading, ScatteringProfile):
         spreading = wssus_sample(spreading, [spec["seed"], 0])
@@ -325,73 +328,40 @@ def _run_spread_analyze(cfg: dict, out: Path, base_dir: Path) -> list[str]:
                [centered_index(m_raw, n), centered_index(l_raw, n), vals.real, vals.imag])
     emit_plotdata("spreading-heatmap", spreading.coeffs, out / "spreading_db.csv")
     emit_plotdata("transfer-heatmap", transfer.values, out / "transfer_db.csv")
-    _write_json(out / "spread_report.json", {
-        "n_dim": n,
-        "support_count": metrics.support_count,
-        "normalized_spread": metrics.normalized_spread,
-        "box_spread": metrics.box_spread,
-        "tau_max": metrics.tau_max,
-        "nu_max": metrics.nu_max,
-        "underspread": metrics.underspread,
-        "underspread_box": metrics.underspread_box,
+    return {
+        **asdict(metrics),
         "channel_frobenius_norm": synthesize_channel(spreading).frobenius_norm(),
-    })
-    return ["spreading.csv", "spreading_db.csv", "transfer_db.csv", "spread_report.json"]
+    }
 
 
-def _run_frame_analyze(cfg: dict, out: Path, base_dir: Path) -> list[str]:
-    spec = _validate(cfg, [_Key("kind", (str,), "frame-analyze"), _Key("n_dim", (int,)),
-                           _Key("time_step", (int,)), _Key("freq_step", (int,)),
-                           _Key("pulse", (dict,)), _Key("seed", (int,), 0)], "config")
-    n = _positive_int(spec["n_dim"], "config.n_dim")
+def _run_frame_analyze(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
     grid = WHGrid(n, spec["time_step"], spec["freq_step"])
     pulse = _build_pulse(spec["pulse"], n, "config.pulse", base_dir, grid)
-    report = frame_bounds(pulse, grid)
+    bounds = frame_bounds(pulse, grid)
     dual = dual_window(pulse, grid)
     tight = tight_window(pulse, grid)
     is_dual, biorth_defect = check_wexler_raz(pulse, dual, grid)
     t_spread, f_spread = localization_metrics(pulse)
     write_pulse_csv(out / "dual_window.csv", dual)
     write_pulse_csv(out / "tight_window.csv", tight)
-    _write_json(out / "frame_report.json", {
-        "n_dim": n,
-        "time_step": grid.time_step,
-        "freq_step": grid.freq_step,
+    return {
+        **asdict(grid),
         "redundancy": grid.redundancy,
         "tf_product": grid.tf_product,
-        "lower_bound": report.lower_bound,
-        "upper_bound": report.upper_bound,
-        "is_frame": report.is_frame,
-        "is_tight": report.is_tight,
-        "condition": report.condition,
+        **asdict(bounds),
         "wexler_raz_dual": is_dual,
         "biorthogonality_defect": biorth_defect,
         "time_spread": t_spread,
         "freq_spread": f_spread,
-    })
-    return ["dual_window.csv", "tight_window.csv", "frame_report.json"]
+    }
 
 
-def _run_pulse_design(cfg: dict, out: Path, base_dir: Path) -> list[str]:
-    spec = _validate(cfg, [_Key("kind", (str,), "pulse-design"), _Key("n_dim", (int,)),
-                           _Key("time_step", (int,)), _Key("freq_step", (int,)),
-                           _Key("profile", (dict,)),
-                           _Key("method", (str,), "matched_gaussian_tight"),
-                           _Key("n_sweeps", (int,), 1), _Key("step", (float,), 0.02),
-                           _Key("baseline", (dict,), None), _Key("seed", (int,), 0)],
-                     "config")
-    n = _positive_int(spec["n_dim"], "config.n_dim")
-    grid = WHGrid(n, spec["time_step"], spec["freq_step"])
-    profile = _build_profile(spec["profile"], n, "config.profile")
-    tx, rx = design_pulses(profile, grid, spec["method"],
-                           n_sweeps=spec["n_sweeps"], step=spec["step"])
-    system = OFDMConfig(grid, tx, rx)
+def _run_pulse_design(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
+    profile, system = _design(spec, n, "config")
     report = {
-        "n_dim": n,
         "method": spec["method"],
-        "time_step": grid.time_step,
-        "freq_step": grid.freq_step,
-        "tf_product": grid.tf_product,
+        **asdict(system.grid),
+        "tf_product": system.grid.tf_product,
         "spectral_efficiency": system.spectral_efficiency,
         "biorthogonality_defect": system.biorthogonality_defect,
         "interference_power": interference_power(profile, system),
@@ -401,25 +371,17 @@ def _run_pulse_design(cfg: dict, out: Path, base_dir: Path) -> list[str]:
                                             _Key("cp_len", (int,))], "config.baseline")
         baseline = cp_ofdm_config(n, base["n_subcarriers"], base["cp_len"])
         report["baseline"] = {
-            "n_subcarriers": base["n_subcarriers"],
-            "cp_len": base["cp_len"],
+            **base,
             "tf_product": baseline.grid.tf_product,
             "interference_power": interference_power(profile, baseline),
         }
-    write_pulse_csv(out / "tx_pulse.csv", tx)
-    write_pulse_csv(out / "rx_pulse.csv", rx)
+    write_pulse_csv(out / "tx_pulse.csv", system.tx_pulse)
+    write_pulse_csv(out / "rx_pulse.csv", system.rx_pulse)
     emit_plotdata("ambiguity-heatmap", system.ambiguity, out / "ambiguity_db.csv")
-    _write_json(out / "design_report.json", report)
-    return ["tx_pulse.csv", "rx_pulse.csv", "ambiguity_db.csv", "design_report.json"]
+    return report
 
 
-def _run_ofdm_sim(cfg: dict, out: Path, base_dir: Path) -> list[str]:
-    spec = _validate(cfg, [_Key("kind", (str,), "ofdm-sim"), _Key("n_dim", (int,)),
-                           _Key("system", (dict,)), _Key("channel", (dict,)),
-                           _Key("n_frames", (int,), 1), _Key("noise_psd", (float,), 0.0),
-                           _Key("constellation", (str,), "qpsk"),
-                           _Key("seed", (int,), 0)], "config")
-    n = _positive_int(spec["n_dim"], "config.n_dim")
+def _run_ofdm_sim(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
     n_frames = _positive_int(spec["n_frames"], "config.n_frames")
     system = _build_system(spec["system"], n, "config.system", base_dir)
     channel = _build_channel(spec["channel"], n, "config.channel")
@@ -429,7 +391,6 @@ def _run_ofdm_sim(cfg: dict, out: Path, base_dir: Path) -> list[str]:
                                     "noise_energy", "error_vector_energy"],
                [np.arange(n_frames), *energies.T])
     report = {
-        "n_dim": n,
         "n_frames": n_frames,
         "noise_psd": spec["noise_psd"],
         "spectral_efficiency": system.spectral_efficiency,
@@ -439,16 +400,10 @@ def _run_ofdm_sim(cfg: dict, out: Path, base_dir: Path) -> list[str]:
     }
     if isinstance(channel, ScatteringProfile):
         report["predicted_interference_power"] = interference_power(channel, system)
-    _write_json(out / "sim_report.json", report)
-    return ["frames.csv", "sim_report.json"]
+    return report
 
 
-def _run_identify(cfg: dict, out: Path, base_dir: Path) -> list[str]:
-    spec = _validate(cfg, [_Key("kind", (str,), "identify"), _Key("n_dim", (int,)),
-                           _Key("period", (int,)), _Key("support", (dict, list)),
-                           _Key("noise_psd", (float,), 0.0), _Key("seed", (int,), 0)],
-                     "config")
-    n = _positive_int(spec["n_dim"], "config.n_dim")
+def _run_identify(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
     if not spec["noise_psd"] >= 0.0:
         raise ConfigError(f"config.noise_psd: expected a nonnegative number, "
                           f"got {spec['noise_psd']!r}")
@@ -457,12 +412,10 @@ def _run_identify(cfg: dict, out: Path, base_dir: Path) -> list[str]:
                         "config.support")
         support = centered_rect_support(sup["n_delay"], sup["n_doppler"])
     else:
-        cells = []
         for j, cell in enumerate(spec["support"]):
             if not (isinstance(cell, list) and len(cell) == 2):
                 raise ConfigError(f"config.support[{j}]: expected [delay, doppler]")
-            cells.append((cell[0], cell[1]))
-        support = tuple(cells)
+        support = tuple(map(tuple, spec["support"]))
     probe = dirac_train(n, spec["period"])
     mat = build_sounding_matrix(probe, support, n)
     rng = np.random.default_rng([spec["seed"], 0])
@@ -477,8 +430,7 @@ def _run_identify(cfg: dict, out: Path, base_dir: Path) -> list[str]:
     _write_csv(out / "estimate.csv", ["m", "l", "re", "im", "true_re", "true_im"],
                [*np.array(result.support).T, result.estimate.real, result.estimate.imag,
                 truth.real, truth.imag])
-    _write_json(out / "identify_report.json", {
-        "n_dim": n,
+    return {
         "period": spec["period"],
         "n_unknowns": len(support),
         "noise_psd": spec["noise_psd"],
@@ -489,25 +441,15 @@ def _run_identify(cfg: dict, out: Path, base_dir: Path) -> list[str]:
         "max_offgrid_ambiguity": offgrid_ambiguity(probe, support),
         "relative_error": float(np.linalg.norm(result.estimate - truth)
                                 / np.linalg.norm(truth)),
-    })
-    return ["estimate.csv", "identify_report.json"]
+    }
 
 
-def _run_capacity(cfg: dict, out: Path, base_dir: Path) -> list[str]:
-    spec = _validate(cfg, [_Key("kind", (str,), "capacity"), _Key("n_dim", (int,)),
-                           _Key("profile", (dict,)), _Key("snr", (float,), None),
-                           _Key("power_budget", (float,), None),
-                           _Key("bandwidths", (list, dict), None),
-                           _Key("delay_cell", (float,), 1.0),
-                           _Key("doppler_cell", (float,), None),
-                           _Key("seed", (int,), 0)], "config")
-    n = _positive_int(spec["n_dim"], "config.n_dim")
+def _run_capacity(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
     profile = _build_profile(spec["profile"], n, "config.profile")
     sweep_requested = spec["power_budget"] is not None or spec["bandwidths"] is not None
     if spec["snr"] is None and not sweep_requested:
         raise ConfigError("config: need 'snr' and/or 'power_budget' with 'bandwidths'")
-    report: dict = {"n_dim": n, "delay_cell": spec["delay_cell"]}
-    outputs = []
+    report: dict = {"delay_cell": spec["delay_cell"]}
     if spec["snr"] is not None:
         query = CapacityQuery(profile, spec["snr"], spec["delay_cell"], spec["doppler_cell"])
         cap, penalty = capacity_low_snr(query)
@@ -522,22 +464,19 @@ def _run_capacity(cfg: dict, out: Path, base_dir: Path) -> list[str]:
         if spec["power_budget"] is None or spec["bandwidths"] is None:
             raise ConfigError("config: bandwidth sweeps need both 'power_budget' and "
                               "'bandwidths'")
-        grid_desc = spec["bandwidths"]
-        if isinstance(grid_desc, dict):
-            gspec = _validate(grid_desc, [_Key("min", (float,)), _Key("max", (float,)),
+        if isinstance(spec["bandwidths"], dict):
+            gspec = _validate(spec["bandwidths"], [_Key("min", (float,)), _Key("max", (float,)),
                                           _Key("count", (int,)),
                                           _Key("spacing", (str,), "log")],
                               "config.bandwidths")
             if gspec["min"] <= 0 or gspec["max"] <= gspec["min"] or gspec["count"] < 2:
                 raise ConfigError("config.bandwidths: need 0 < min < max and count >= 2")
-            if gspec["spacing"] == "log":
-                grid = np.geomspace(gspec["min"], gspec["max"], gspec["count"])
-            elif gspec["spacing"] == "linear":
-                grid = np.linspace(gspec["min"], gspec["max"], gspec["count"])
-            else:
+            spacing = {"log": np.geomspace, "linear": np.linspace}.get(gspec["spacing"])
+            if spacing is None:
                 raise ConfigError("config.bandwidths.spacing: expected 'log' or 'linear'")
+            grid = spacing(gspec["min"], gspec["max"], gspec["count"])
         else:
-            grid = np.array([float(v) for v in grid_desc])
+            grid = np.array([float(v) for v in spec["bandwidths"]])
         sweep = bandwidth_sweep(profile, spec["power_budget"], grid,
                                 spec["delay_cell"], spec["doppler_cell"])
         _write_csv(out / "sweep.csv", ["bandwidth", "snr", "capacity", "penalty", "rate"],
@@ -550,18 +489,27 @@ def _run_capacity(cfg: dict, out: Path, base_dir: Path) -> list[str]:
             "best_rate": float(sweep.rates[sweep.best_index]),
             "interior_maximum": sweep.has_interior_maximum,
         }
-        outputs += ["sweep.csv", "capacity_curve_db.csv"]
-    _write_json(out / "capacity_report.json", report)
-    return outputs + ["capacity_report.json"]
+    return report
 
 
+# kind -> (runner, report file, config keys between "n_dim" and "seed")
 _RUNNERS = {
-    "spread-analyze": _run_spread_analyze,
-    "frame-analyze": _run_frame_analyze,
-    "pulse-design": _run_pulse_design,
-    "ofdm-sim": _run_ofdm_sim,
-    "identify": _run_identify,
-    "capacity": _run_capacity,
+    "spread-analyze": (_run_spread_analyze, "spread_report.json", [
+        _Key("channel", (dict,)), _Key("sample_rate", (float,), None)]),
+    "frame-analyze": (_run_frame_analyze, "frame_report.json", [
+        _Key("time_step", (int,)), _Key("freq_step", (int,)), _Key("pulse", (dict,))]),
+    "pulse-design": (_run_pulse_design, "design_report.json", [
+        *_DESIGN_KEYS, _Key("baseline", (dict,), None)]),
+    "ofdm-sim": (_run_ofdm_sim, "sim_report.json", [
+        _Key("system", (dict,)), _Key("channel", (dict,)), _Key("n_frames", (int,), 1),
+        _Key("noise_psd", (float,), 0.0), _Key("constellation", (str,), "qpsk")]),
+    "identify": (_run_identify, "identify_report.json", [
+        _Key("period", (int,)), _Key("support", (dict, list)),
+        _Key("noise_psd", (float,), 0.0)]),
+    "capacity": (_run_capacity, "capacity_report.json", [
+        _Key("profile", (dict,)), _Key("snr", (float,), None),
+        _Key("power_budget", (float,), None), _Key("bandwidths", (list, dict), None),
+        _Key("delay_cell", (float,), 1.0), _Key("doppler_cell", (float,), None)]),
 }
 
 KINDS = tuple(sorted(_RUNNERS))
@@ -579,16 +527,14 @@ def _apply_override(cfg: dict, assignment: str) -> None:
     if not all(keys):
         raise ConfigError(f"--set: bad key path {dotted!r}")
     try:
-        value = json.loads(raw, parse_constant=_reject_constant)
+        value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
     node = cfg
     for key in keys[:-1]:
-        nxt = node.get(key)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[key] = nxt
-        node = nxt
+        if not isinstance(node.get(key), dict):
+            node[key] = {}
+        node = node[key]
     node[keys[-1]] = value
 
 
@@ -617,6 +563,8 @@ def run_experiment(kind: str, config: dict, out_dir, seed=None,
         raise ConfigError(f"config declares kind {declared!r} but {kind!r} was requested")
     if seed is not None:
         cfg["seed"] = int(seed)
+    _check_finite(cfg)
+    runner, report_name, keys = _RUNNERS[kind]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     base = Path(base_dir) if base_dir is not None else Path.cwd()
@@ -624,17 +572,22 @@ def run_experiment(kind: str, config: dict, out_dir, seed=None,
     try:
         started = time.monotonic()
         with np.errstate(all="ignore"):
-            filenames = _RUNNERS[kind](cfg, staging, base)
+            spec = _validate(cfg, [_Key("kind", (str,), kind), _Key("n_dim", (int,)), *keys,
+                                   _Key("seed", (int,), 0)], "config")
+            n = _positive_int(spec["n_dim"], "config.n_dim")
+            report = runner(spec, n, staging, base)
+            _write_json(staging / report_name, {"n_dim": n, **report})
+        outputs = {path.name: _sha256(path) for path in sorted(staging.iterdir())}
         manifest = {
             "kind": kind,
             "tool_version": __version__,
             "seed": cfg.get("seed", 0),
             "config": cfg,
             "wall_time_seconds": time.monotonic() - started,
-            "outputs": {name: _sha256(staging / name) for name in filenames},
+            "outputs": outputs,
         }
         _write_json(staging / "manifest.json", manifest)
-        for name in [*filenames, "manifest.json"]:
+        for name in [*outputs, "manifest.json"]:
             os.replace(staging / name, out / name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
@@ -664,8 +617,7 @@ def run(argv=None) -> int:
     try:
         config_path = Path(args.config)
         try:
-            cfg = json.loads(config_path.read_text(encoding="utf-8"),
-                             parse_constant=_reject_constant)
+            cfg = json.loads(config_path.read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:

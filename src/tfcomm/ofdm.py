@@ -128,7 +128,6 @@ class SymbolFrame:
     """Data symbols c[n, k] on the (slot, subcarrier) layout."""
 
     data: np.ndarray
-    symbol_energy: float = 1.0
 
     def __post_init__(self):
         d = np.asarray(self.data, dtype=complex)
@@ -136,13 +135,7 @@ class SymbolFrame:
             raise ValueError(f"symbol grid must be 2-D and nonempty, got shape {d.shape}")
         if not np.all(np.isfinite(d)):
             raise ValueError("symbol grid contains non-finite entries")
-        if self.symbol_energy <= 0:
-            raise ValueError("declared symbol energy must be positive")
         object.__setattr__(self, "data", d)
-
-    @property
-    def average_energy(self) -> float:
-        return float(np.mean(np.abs(self.data) ** 2))
 
 
 @dataclass(frozen=True)

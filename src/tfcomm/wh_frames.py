@@ -113,9 +113,6 @@ class Pulse:
     def n_dim(self) -> int:
         return self.samples.size
 
-    def __len__(self) -> int:
-        return self.samples.size
-
     def normalized(self) -> "Pulse":
         if self.norm == 0.0:
             raise ValueError("cannot normalize a zero pulse")
@@ -280,9 +277,13 @@ def gaussian_pulse(n_dim: int, time_step: int | None = None,
     i = centered_index(np.arange(n), n).astype(float)
     wraps = max(1, int(np.ceil(6.0 * sigma / n)))
     g = np.zeros(n)
-    for r in range(-wraps, wraps + 1):
-        g += np.exp(-np.pi * (i + r * n) ** 2 / sigma**2)
-    return Pulse(g / np.linalg.norm(g))
+    with np.errstate(all="ignore"):  # sigma**2 may underflow to 0
+        for r in range(-wraps, wraps + 1):
+            g += np.exp(-np.pi * (i + r * n) ** 2 / sigma**2)
+        g /= np.linalg.norm(g)
+    if not np.isfinite(g).all():
+        raise ValueError(f"sigma = {sigma!r} gives a non-finite sampled window")
+    return Pulse(g)
 
 
 def rect_pulse(n_dim: int, length: int, offset: int = 0) -> Pulse:

@@ -273,17 +273,6 @@ def test_preset_dispatch():
         cm.preset_profile("flat_rect", 16, max_delay=1, max_doppler=1, bogus=2)
 
 
-def test_profile_csv_round_trip(tmp_path):
-    p = cm.drm_like_profile(16, total_gain=2.5)
-    path = tmp_path / "profile.csv"
-    cm.write_profile_csv(path, p)
-    back = cm.read_profile_csv(path, 16)
-    assert np.array_equal(back.intensities, p.intensities)
-    path.write_text("x,y\r\n0,0\r\n")
-    with pytest.raises(ValueError):
-        cm.read_profile_csv(path, 16)
-
-
 # ---------------------------------------------------------------------------
 # property: dual pair of transforms is lossless for any profile
 

@@ -53,19 +53,45 @@ SIM_CFG = {
     "seed": 7,
 }
 
+FRAME_CFG = {"kind": "frame-analyze", "n_dim": 24, "time_step": 4, "freq_step": 4,
+             "pulse": {"kind": "gaussian"}}
+
+IDENTIFY_CFG = {"kind": "identify", "n_dim": 32, "period": 4,
+                "support": {"n_delay": 4, "n_doppler": 4}}
+
+CAPACITY_CFG = {"kind": "capacity", "n_dim": 64,
+                "profile": {"kind": "flat_rect", "max_delay": 1, "max_doppler": 1},
+                "snr": 0.5}
+
 
 # ---------------------------------------------------------------------------
 # run_experiment and the manifest
 
 
-def test_manifest_contents(tmp_path):
+@pytest.mark.parametrize("kind, cfg, outputs", [
+    ("spread-analyze", SPREAD_CFG,
+     {"spreading.csv", "spreading_db.csv", "transfer_db.csv", "spread_report.json"}),
+    ("frame-analyze", FRAME_CFG, {"dual_window.csv", "tight_window.csv", "frame_report.json"}),
+    ("pulse-design", {"kind": "pulse-design", "n_dim": 24, "time_step": 4, "freq_step": 8,
+                      "profile": {"kind": "flat_rect", "max_delay": 1, "max_doppler": 1}},
+     {"tx_pulse.csv", "rx_pulse.csv", "ambiguity_db.csv", "design_report.json"}),
+    ("ofdm-sim", SIM_CFG, {"frames.csv", "sim_report.json"}),
+    ("identify", IDENTIFY_CFG, {"estimate.csv", "identify_report.json"}),
+    ("capacity", CAPACITY_CFG, {"capacity_report.json"}),
+    ("capacity", dict(CAPACITY_CFG, power_budget=1.0, bandwidths=[0.5, 1.0, 2.0]),
+     {"sweep.csv", "capacity_curve_db.csv", "capacity_report.json"}),
+], ids=["spread-analyze", "frame-analyze", "pulse-design", "ofdm-sim", "identify",
+        "capacity-point", "capacity-sweep"])
+def test_manifest_contents(tmp_path, kind, cfg, outputs):
     out = tmp_path / "run"
-    manifest = cli.run_experiment("spread-analyze", SPREAD_CFG, out)
-    assert manifest["kind"] == "spread-analyze"
+    manifest = cli.run_experiment(kind, cfg, out)
+    assert manifest["kind"] == kind
     assert manifest["tool_version"] == __version__
-    assert manifest["seed"] == 0
-    assert set(manifest["outputs"]) == {
-        "spreading.csv", "spreading_db.csv", "transfer_db.csv", "spread_report.json"}
+    assert manifest["seed"] == cfg.get("seed", 0)
+    assert set(manifest["outputs"]) == outputs
+    assert {path.name for path in out.iterdir()} == outputs | {"manifest.json"}
+    report = next(name for name in outputs if name.endswith("_report.json"))
+    assert json.loads((out / report).read_text())["n_dim"] == cfg["n_dim"]
     for name, digest in manifest["outputs"].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
     on_disk = json.loads((out / "manifest.json").read_text())
@@ -121,9 +147,7 @@ def test_spread_analyze_artifacts(tmp_path):
 
 
 def test_frame_analyze_artifacts(tmp_path):
-    cfg = {"kind": "frame-analyze", "n_dim": 24, "time_step": 4, "freq_step": 4,
-           "pulse": {"kind": "gaussian"}}
-    cli.run_experiment("frame-analyze", cfg, tmp_path)
+    cli.run_experiment("frame-analyze", FRAME_CFG, tmp_path)
     report = json.loads((tmp_path / "frame_report.json").read_text())
     assert report["is_frame"] is True
     assert report["wexler_raz_dual"] is True
@@ -166,9 +190,7 @@ def test_ofdm_sim_specular_has_no_prediction(tmp_path):
 
 
 def test_identify_artifacts(tmp_path):
-    cfg = {"kind": "identify", "n_dim": 32, "period": 4,
-           "support": {"n_delay": 4, "n_doppler": 4}}
-    cli.run_experiment("identify", cfg, tmp_path)
+    cli.run_experiment("identify", IDENTIFY_CFG, tmp_path)
     report = json.loads((tmp_path / "identify_report.json").read_text())
     assert report["n_unknowns"] == 16
     assert report["relative_error"] <= 1e-10
@@ -316,10 +338,61 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, cfg, key", [
+    ("frame-analyze", FRAME_CFG, "pulse"),
+    ("spread-analyze", SPREAD_CFG, "channel"),
+    ("ofdm-sim", SIM_CFG, "system"),
+])
+@pytest.mark.parametrize("desc, message", [
+    ([1], "config.{key}: expected dict, got list"),
+    ({}, "config.{key}: expected an object with a 'kind' key"),
+    ({"kind": "nope"}, "config.{key}.kind: unknown {key} kind 'nope'"),
+    ({"kind": 5}, "config.{key}.kind: unknown {key} kind 5"),
+    ({"kind": ["a"]}, "config.{key}.kind: unknown {key} kind ['a']"),
+])
+def test_bad_descriptors_exit_2(tmp_path, capsys, kind, cfg, key, desc, message):
+    path = write_config(tmp_path, "bad.json", dict(cfg, **{key: desc}))
+    out = tmp_path / "out"
+    assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"tfcomm: config error: {message.format(key=key)}\n"
+    assert list(out.iterdir()) == []
+
+
+BIG = "<1e400>"  # stands for the JSON number 1e400, which parses to inf
+
+
+@pytest.mark.parametrize("kind, cfg, where", [
+    ("identify", dict(IDENTIFY_CFG, noise_psd=BIG), "config.noise_psd"),
+    ("spread-analyze", dict(SPREAD_CFG, sample_rate=BIG), "config.sample_rate"),
+    ("ofdm-sim", dict(SIM_CFG, noise_psd=BIG), "config.noise_psd"),
+    ("capacity", dict(CAPACITY_CFG, snr=BIG), "config.snr"),
+    ("capacity", dict(CAPACITY_CFG, power_budget=1.0, bandwidths=[1.0, BIG]),
+     "config.bandwidths[1]"),
+    ("spread-analyze", dict(SPREAD_CFG, channel={"kind": "specular",
+                                                 "paths": [[0, 0, BIG, 0.0]]}),
+     "config.channel.paths[0][2]"),
+])
+def test_overflowing_config_numbers_exit_2(tmp_path, capsys, kind, cfg, where):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg).replace(f'"{BIG}"', "1e400"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"tfcomm: config error: {where}: non-finite number inf is not allowed\n"
+    assert not out.exists()
+
+
+def test_tiny_gaussian_sigma_is_named(tmp_path, capsys):
+    path = write_config(tmp_path, "tiny.json",
+                        dict(FRAME_CFG, pulse={"kind": "gaussian", "sigma": 1e-300}))
+    assert cli.run(["frame-analyze", "--config", str(path),
+                    "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "sigma" in err and "pulse samples" not in err
+
+
 def test_identify_negative_noise_exits_2(tmp_path, capsys):
-    path = write_config(tmp_path, "neg_noise.json", {
-        "kind": "identify", "n_dim": 32, "period": 4,
-        "support": {"n_delay": 4, "n_doppler": 4}, "noise_psd": -1.0})
+    path = write_config(tmp_path, "neg_noise.json", dict(IDENTIFY_CFG, noise_psd=-1.0))
     assert cli.run(["identify", "--config", str(path),
                     "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
     assert "noise_psd" in capsys.readouterr().err

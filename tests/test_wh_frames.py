@@ -213,6 +213,13 @@ def test_gaussian_pulse_basic():
         wh.gaussian_pulse(16, sigma=-1.0)
 
 
+def test_gaussian_pulse_underflowing_sigma_is_named():
+    # sigma**2 underflows to 0, so the sampled window would hold 0/0
+    with pytest.raises(ValueError, match="sigma"):
+        wh.gaussian_pulse(16, sigma=1e-300)
+    assert wh.gaussian_pulse(16, sigma=1e-160).samples[0] == 1.0
+
+
 def test_gaussian_aspect_matches_grid():
     """sigma^2 = a N / b makes time and frequency spreads sit in ratio a : b."""
     n, a, b = 64, 8, 4
