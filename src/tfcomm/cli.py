@@ -45,8 +45,7 @@ from .identification import IdentifiabilityError, build_sounding_matrix, \
     centered_rect_support, dirac_train, identify, offgrid_ambiguity
 from .ofdm import OFDMConfig, cp_ofdm_config, design_pulses, interference_power, \
     simulate_frames
-from .tf_core import SpreadingFunction, centered_index, spread_metrics, \
-    synthesize_channel, tf_transfer
+from .tf_core import SpreadingFunction, centered_index, spread_metrics, tf_transfer
 from .wh_frames import NotAFrameError, Pulse, WHGrid, check_wexler_raz, dual_window, \
     frame_bounds, gaussian_pulse, localization_metrics, read_pulse_csv, rect_pulse, \
     tight_window, write_pulse_csv
@@ -195,7 +194,10 @@ def _build_pulse(desc: dict, n_dim: int, where: str, base_dir: Path, grid: WHGri
         return gaussian_pulse(n_dim, grid.time_step, grid.freq_step, spec["sigma"])
     if kind == "rect":
         return rect_pulse(n_dim, spec["length"], spec["offset"])
-    pulse = read_pulse_csv(base_dir / spec["path"])
+    try:
+        pulse = read_pulse_csv(base_dir / spec["path"])
+    except OSError as exc:
+        raise ConfigError(f"{where}.path: cannot read pulse file: {exc}") from exc
     if pulse.n_dim != n_dim:
         raise ConfigError(f"{where}: pulse file has length {pulse.n_dim}, expected {n_dim}")
     return pulse
@@ -328,10 +330,9 @@ def _run_spread_analyze(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
                [centered_index(m_raw, n), centered_index(l_raw, n), vals.real, vals.imag])
     emit_plotdata("spreading-heatmap", spreading.coeffs, out / "spreading_db.csv")
     emit_plotdata("transfer-heatmap", transfer.values, out / "transfer_db.csv")
-    return {
-        **asdict(metrics),
-        "channel_frobenius_norm": synthesize_channel(spreading).frobenius_norm(),
-    }
+    # ||H||_F = sqrt(N) ||S||_F (Parseval in the orthonormal basis M^l D^m / sqrt(N))
+    return {**asdict(metrics),
+            "channel_frobenius_norm": float(np.sqrt(n) * np.linalg.norm(spreading.coeffs))}
 
 
 def _run_frame_analyze(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
@@ -530,6 +531,8 @@ def _apply_override(cfg: dict, assignment: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except RecursionError as exc:
+        raise ConfigError(f"--set {dotted}: value nests too deeply") from exc
     node = cfg
     for key in keys[:-1]:
         if not isinstance(node.get(key), dict):
@@ -620,7 +623,7 @@ def run(argv=None) -> int:
             cfg = json.loads(config_path.read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deep for the parser
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")

@@ -3,13 +3,14 @@
 A transmit window g and receive window gamma are translated along the
 transmission lattice (a, b) with a*b >= N; data symbols ride on the
 translates.  Demodulation is plain inner products, so the output splits
-exactly into gain * symbol + interference + noise with no approximation.
-The second-order interference predictor contracts the channel scattering
-profile against the lattice-folded cross-ambiguity energy of the pulse
-pair.  Pulse construction runs through the adjoint lattice (N/b, N/a):
-dual or tight frames there are biorthogonal or orthogonal transmission
-sets here, which is what makes a Gaussian-shaped orthogonal pair with
-a prescribed time/frequency aspect cheap to compute.
+exactly into gain * symbol + interference + noise.  The cross-ambiguity A
+of the pair gives its biorthogonality defect (lattice Gram entries are
+samples of A up to unit phases) and its second-order interference power
+(the scattering profile against the lattice-folded |A|^2).  Pulses are
+built on the adjoint lattice (N/b, N/a): dual or tight frames there are
+biorthogonal or orthogonal transmission sets here, which makes a
+Gaussian-shaped orthogonal pair with a prescribed time/frequency aspect
+cheap to compute.
 
 Monte Carlo runs (``simulate_frames``) stay in the spreading domain: a
 channel is its K support cells S[m, l], never an N x N matrix.  The gain of
@@ -31,7 +32,7 @@ import numpy as np
 from .channel_models import ScatteringProfile, _support_draw
 from .tf_core import SpreadingFunction, as_matrix, cross_ambiguity, spreading_function, \
     tf_shift, tf_transfer
-from .wh_frames import NotAFrameError, Pulse, WHGrid, gaussian_pulse, \
+from .wh_frames import NotAFrameError, Pulse, WHGrid, _gram_defect, gaussian_pulse, \
     lattice_matrix, rect_pulse, tight_window
 
 __all__ = [
@@ -62,10 +63,10 @@ class OFDMConfig:
     """Transmission lattice plus transmit/receive window pair.
 
     The lattice must satisfy a*b >= N (at most one symbol per signal-space
-    dimension).  ``biorthogonality_defect`` is the largest deviation of the
-    lattice cross Gram from the identity; zero means perfect symbol
-    recovery through an identity channel.  The lattice matrices and the
-    cross-ambiguity of the pair are computed once per config and read-only.
+    dimension).  ``biorthogonality_defect``, the largest deviation of the
+    lattice cross Gram from the identity (zero: perfect recovery through an
+    identity channel), is read off the cross-ambiguity, which construction
+    caches read-only; the lattice matrices are cached on first use.
     """
 
     grid: WHGrid
@@ -86,9 +87,8 @@ class OFDMConfig:
             raise ValueError("pulse lengths must match the grid dimension")
         object.__setattr__(self, "tx_pulse", tx)
         object.__setattr__(self, "rx_pulse", rx)
-        gram = self.rx_matrix.conj().T @ self.tx_matrix
-        defect = np.abs(gram - np.eye(self.grid.size)).max()
-        object.__setattr__(self, "biorthogonality_defect", float(defect))
+        object.__setattr__(self, "biorthogonality_defect",
+                           _gram_defect(self.ambiguity, self.grid))
 
     @cached_property
     def tx_matrix(self) -> np.ndarray:

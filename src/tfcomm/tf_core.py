@@ -24,6 +24,7 @@ __all__ = [
     "TransferFunction",
     "SpreadMetrics",
     "as_matrix",
+    "as_samples",
     "centered_index",
     "tf_shift",
     "time_shift_op",
@@ -65,15 +66,15 @@ def _check_dim(n_dim: int) -> int:
     return n
 
 
-def _signal(pulse) -> np.ndarray:
+def as_samples(pulse) -> np.ndarray:
     """Samples of a pulse, validated when it was built, or a nonempty finite vector."""
     if hasattr(pulse, "samples"):
         return pulse.samples
     x = np.asarray(pulse, dtype=complex)
     if x.ndim != 1 or x.size == 0:
-        raise ValueError(f"signal must be a nonempty vector, got shape {x.shape}")
+        raise ValueError(f"samples must be a nonempty vector, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
-        raise ValueError("signal contains non-finite entries")
+        raise ValueError("samples contain non-finite entries")
     return x
 
 
@@ -107,9 +108,6 @@ class DiscreteChannel:
     def compose(self, other) -> "DiscreteChannel":
         """Concatenation self after other, i.e. the matrix product."""
         return DiscreteChannel(self.matrix @ as_matrix(other))
-
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
 
 
 def as_matrix(channel) -> np.ndarray:
@@ -252,8 +250,8 @@ def cross_ambiguity(tx_pulse, rx_pulse) -> np.ndarray:
     and biorthogonality of a transmission pair reads off as delta-delta
     samples on the lattice.
     """
-    g = _signal(tx_pulse)
-    gam = _signal(rx_pulse)
+    g = as_samples(tx_pulse)
+    gam = as_samples(rx_pulse)
     if g.size != gam.size:
         raise ValueError("pulse lengths differ")
     return np.fft.fft(g * tf_shift(gam.conj(), np.arange(g.size), 0), axis=1)
@@ -393,7 +391,7 @@ def approx_eigen_defect(channel, pulse, time_slot: int, freq_bin: int) -> float:
     """
     mat = as_matrix(channel)
     n = mat.shape[0]
-    g = np.asarray(getattr(pulse, "samples", pulse), dtype=complex)
+    g = as_samples(pulse)
     if g.shape != (n,):
         raise ValueError(f"pulse must have shape ({n},), got {g.shape}")
     nrm = np.linalg.norm(g)

@@ -144,6 +144,8 @@ def test_spread_analyze_artifacts(tmp_path):
              for r in rows}
     assert cells[(0, 0)] == 1.0
     assert cells[(2, -1)] == 0.5 + 0.25j
+    # ||H||_F = sqrt(N) ||S||_F = sqrt(16 * (1 + 0.5^2 + 0.25^2))
+    assert report["channel_frobenius_norm"] == pytest.approx(np.sqrt(21.0), rel=1e-15)
 
 
 def test_frame_analyze_artifacts(tmp_path):
@@ -389,6 +391,34 @@ def test_tiny_gaussian_sigma_is_named(tmp_path, capsys):
                     "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and "sigma" in err and "pulse samples" not in err
+
+
+def test_missing_pulse_file_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, "csv.json",
+                        dict(FRAME_CFG, pulse={"kind": "csv", "path": "missing.csv"}))
+    out = tmp_path / "out"
+    assert cli.run(["frame-analyze", "--config", str(path), "--out", str(out)]) == \
+        cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("tfcomm: config error: config.pulse.path: cannot read pulse file")
+    assert "missing.csv" in err
+    assert list(out.iterdir()) == []
+
+
+DEEP = "[" * 3000 + "]" * 3000  # deeper than json's recursion limit
+
+
+@pytest.mark.parametrize("where", ["file", "--set"])
+def test_deeply_nested_config_exits_2(tmp_path, capsys, where):
+    path = tmp_path / "deep.json"
+    text = json.dumps(dict(CAPACITY_CFG, snr="<deep>")).replace('"<deep>"', DEEP)
+    path.write_text(text if where == "file" else json.dumps(CAPACITY_CFG), encoding="utf-8")
+    extra = [] if where == "file" else ["--set", f"snr={DEEP}"]
+    out = tmp_path / "out"
+    assert cli.run(["capacity", "--config", str(path), "--out", str(out), *extra]) == \
+        cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("tfcomm: config error: ")
+    assert not out.exists()
 
 
 def test_identify_negative_noise_exits_2(tmp_path, capsys):

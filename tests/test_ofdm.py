@@ -236,6 +236,20 @@ def test_config_caches_lattice_matrices_and_ambiguity():
         cfg.tx_matrix[0, 0] = 0.0
 
 
+def test_config_and_interference_power_build_no_lattice_matrix(monkeypatch):
+    calls = []
+    build = ofdm.lattice_matrix
+    monkeypatch.setattr(ofdm, "lattice_matrix", lambda *args: calls.append(args) or build(*args))
+    profile = cm.flat_rect_profile(48, 2, 1)
+    grid = wh.WHGrid(48, 8, 8)
+    for cfg in (ofdm.cp_ofdm_config(48, 12, 4),
+                ofdm.OFDMConfig(grid, *ofdm.design_pulses(profile, grid))):
+        assert cfg.biorthogonality_defect <= 1e-10
+        ofdm.interference_power(profile, cfg)
+    assert calls == []
+    assert cfg.tx_matrix is cfg.tx_matrix and len(calls) == 1  # built once, on first use
+
+
 # ---------------------------------------------------------------------------
 # spreading-domain Monte Carlo
 

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import tfcomm.ofdm as ofdm
 import tfcomm.wh_frames as wh
 
 
@@ -29,6 +30,16 @@ def dense_frame_power(g, grid, power, rank_rtol=None):
         keep = evals > rank_rtol * evals[-1]
     coef = evecs.conj().T @ g
     return evals, evecs[:, keep] @ (coef[keep] * evals[keep] ** power)
+
+
+def dense_wexler_raz(g, gam, grid, tol=1e-10):
+    """(is_dual, defect) from the N x N reconstruction sum g_{n,k} gamma_{n,k}^H on
+    the lattice and the size x size cross Gram on the adjoint lattice."""
+    recon = wh.lattice_matrix(g, grid) @ wh.lattice_matrix(gam, grid).conj().T
+    adj = grid.adjoint()
+    gram = wh.lattice_matrix(gam, adj).conj().T @ wh.lattice_matrix(g, adj)
+    return (bool(np.abs(recon - np.eye(grid.n_dim)).max() <= tol),
+            float(np.abs(gram - grid.tf_product * np.eye(adj.size)).max()))
 
 
 def random_window(n, seed):
@@ -220,6 +231,15 @@ def test_gaussian_pulse_underflowing_sigma_is_named():
     assert wh.gaussian_pulse(16, sigma=1e-160).samples[0] == 1.0
 
 
+def test_gaussian_pulse_wide_sigma_is_flat():
+    # the periodization loop would sum 2*ceil(6*sigma/N)+1 copies
+    assert np.array_equal(wh.gaussian_pulse(16, sigma=1e10).samples, np.full(16, 0.25))
+    for n in (2, 7, 16, 96, 512):
+        below = wh.gaussian_pulse(n, sigma=np.nextafter(4.0 * n, 0.0)).samples
+        at = wh.gaussian_pulse(n, sigma=4.0 * n).samples
+        assert np.abs(below - at).max() <= 1e-15
+
+
 def test_gaussian_aspect_matches_grid():
     """sigma^2 = a N / b makes time and frequency spreads sit in ratio a : b."""
     n, a, b = 64, 8, 4
@@ -334,3 +354,43 @@ def test_blocked_engine_matches_dense_property(lattice, seed, sparse):
     assert report.is_frame
     assert_close(wh.dual_window(g, grid), dual, evals[0], -1.0)
     assert_close(wh.tight_window(g, grid), dense_frame_power(g, grid, -0.5)[1], evals[0], -0.5)
+
+
+# ---------------------------------------------------------------------------
+# property: Wexler-Raz from Walnut blocks and the cross-ambiguity against the
+# dense lattice matrices
+
+
+@settings(max_examples=80, deadline=None)
+@given(lattices(), st.integers(min_value=0, max_value=2 ** 31),
+       st.sampled_from(["dual", "perturbed", "other"]), st.booleans())
+@example((24, 4, 4), 0, "dual", False)
+@example((24, 4, 6), 1, "dual", False)  # a*b = N: a Riesz basis
+@example((16, 8, 4), 2, "dual", False)  # a*b > N: never a frame
+@example((24, 2, 3), 3, "perturbed", True)
+def test_wexler_raz_matches_dense_property(lattice, seed, partner, sparse):
+    n, a, b = lattice
+    grid = wh.WHGrid(n, a, b)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if sparse:  # often not a frame
+        g[rng.random(n) < 0.3] = 0.0
+    assume(np.linalg.norm(g) > 0.0)
+    g /= np.linalg.norm(g)
+    gam = random_window(n, seed + 1)
+    if partner != "other":
+        try:
+            dual = wh.dual_window(g, grid).samples
+        except wh.NotAFrameError:  # the pseudo-dual on the range of S
+            dual = wh.frame_power(g, grid, -1.0, rank_rtol=1e-10).samples
+        gam = dual + 1e-3 * gam if partner == "perturbed" else dual
+    is_dual, defect = wh.check_wexler_raz(g, gam, grid)
+    dense_dual, dense_defect = dense_wexler_raz(g, gam, grid)
+    assert is_dual == dense_dual
+    assert abs(defect - dense_defect) <= 1e-12 * max(1.0, dense_defect)
+    for lat in (grid, grid.adjoint()):
+        if lat.time_step * lat.freq_step >= n:
+            cfg = ofdm.OFDMConfig(lat, g, gam)
+            gram = cfg.rx_matrix.conj().T @ cfg.tx_matrix
+            dense_cfg = float(np.abs(gram - np.eye(lat.size)).max())
+            assert abs(cfg.biorthogonality_defect - dense_cfg) <= 1e-12 * max(1.0, dense_cfg)
