@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Alternating parent/change tfbench pairs, summarised in one JSON file.
+
+    python3 scripts/bench_pairs.py PARENT_CHECKOUT --workload W [--workload W ...] \\
+        --pairs P --seconds S --out BENCH_<n>.json [--seed FIRST]
+
+Pair j of each workload runs ``tfbench/run.py --workload W --seed FIRST+j
+--seconds S`` once in PARENT_CHECKOUT and once in this checkout, each with its
+own ``src/``.  The parent runs first in even pairs and second in odd ones, so
+neither side always gets the warmer machine.  Every run's end-to-end metrics
+are read from the JSON object on the last line of its standard output.
+
+The output file holds tfbench's environment line (Python, numpy, BLAS and
+CPU count) from the first run and, per workload and metric, both sides'
+values in pair order, their medians and quartiles, and how many pairs the
+change won, judged by the metric's direction in BENCHMARK.json (ties count
+for neither side).  Uses the standard library only.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def tfbench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """End-to-end metrics and environment line of one tfbench run in ``checkout``."""
+    proc = subprocess.run(
+        [sys.executable, "tfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    if not result["correct"]:
+        raise RuntimeError(f"{workload} seed {seed} in {checkout}: checks failed\n{proc.stderr}")
+    environment = next(json.loads(line.partition(" ")[2]) for line in lines
+                       if line.startswith("environment "))
+    return {name: metric["value"] for name, metric in result["metrics"].items()}, environment
+
+
+def summary(parent: list[float], change: list[float], better: str) -> dict:
+    out = {}
+    for side, values in zip(SIDES, (parent, change)):
+        quartiles = statistics.quantiles(values, n=4, method="inclusive") \
+            if len(values) > 1 else values * 3
+        out[side] = {"values": values, "median": statistics.median(values),
+                     "quartiles": [quartiles[0], quartiles[2]]}
+    sign = 1.0 if better == "higher" else -1.0
+    out["better"] = better
+    out["change_wins"] = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    out["parent_wins"] = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="root of the parent checkout")
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    directions = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    checkouts = {"parent": args.parent.resolve(), "change": ROOT}
+    report = {"protocol": {"pairs": args.pairs, "seconds": args.seconds,
+                           "seeds": [args.seed, args.seed + args.pairs - 1],
+                           "order": "parent first in even pairs, change first in odd pairs"},
+              "workloads": {}}
+    for workload in args.workload:
+        runs = {side: [] for side in SIDES}
+        for j in range(args.pairs):
+            seed = args.seed + j
+            for side in SIDES if j % 2 == 0 else SIDES[::-1]:
+                metrics, environment = tfbench(checkouts[side], workload, seed, args.seconds)
+                runs[side].append(metrics)
+                report.setdefault("environment", environment)
+            print(f"{workload} pair {j + 1}/{args.pairs} (seed {seed}): "
+                  + ", ".join(f"{side} wall_s {runs[side][-1]['wall_s']:.4f}"
+                              for side in SIDES), flush=True)
+        report["workloads"][workload] = {
+            name: summary([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
+                          better)
+            for name, better in directions.items()}
+    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

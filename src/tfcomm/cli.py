@@ -68,6 +68,8 @@ EXIT_NUMERICAL = 3
 
 OUT_DIR_ENV = "TFCOMM_OUT_DIR"
 DB_FLOOR = -40.0
+# largest accepted n_dim: several kinds build N x N arrays
+_MAX_N_DIM = 4096
 
 
 class ConfigError(Exception):
@@ -218,6 +220,9 @@ def _build_channel(desc: dict, n_dim: int, where: str) -> SpreadingFunction | Sc
 
 def _design(spec: dict, n_dim: int, where: str) -> tuple[ScatteringProfile, OFDMConfig]:
     """The profile and the designed system of validated ``_DESIGN_KEYS``."""
+    if not 0.0 < spec["step"] <= 1.0:
+        # the descent perturbs a unit-norm seed window; a larger step swamps it
+        raise ConfigError(f"{where}.step: expected 0 < step <= 1, got {spec['step']!r}")
     grid = WHGrid(n_dim, spec["time_step"], spec["freq_step"])
     profile = _build_profile(spec["profile"], n_dim, f"{where}.profile")
     tx, rx = design_pulses(profile, grid, spec["method"],
@@ -578,6 +583,8 @@ def run_experiment(kind: str, config: dict, out_dir, seed=None,
             spec = _validate(cfg, [_Key("kind", (str,), kind), _Key("n_dim", (int,)), *keys,
                                    _Key("seed", (int,), 0)], "config")
             n = _positive_int(spec["n_dim"], "config.n_dim")
+            if n > _MAX_N_DIM:
+                raise ConfigError(f"config.n_dim: {n} exceeds the cap of {_MAX_N_DIM}")
             report = runner(spec, n, staging, base)
             _write_json(staging / report_name, {"n_dim": n, **report})
         outputs = {path.name: _sha256(path) for path in sorted(staging.iterdir())}

@@ -15,11 +15,14 @@ cheap to compute.
 Monte Carlo runs (``simulate_frames``) stay in the spreading domain: a
 channel is its K support cells S[m, l], never an N x N matrix.  The gain of
 symbol (n, k) is linear in S with weights that are phase-rotated samples of
-the cross-ambiguity, so one K x size table per run turns every frame's
-gains into a vector-matrix product, and the filtered signal is the sum over
-delays m of a Doppler-weighted diagonal times the m-delayed transmit
-signal.  Per frame this costs O(K*size + U*N + N*size) for U distinct
-delays.  The dense ``transmit_through`` is the reference it agrees with.
+the cross-ambiguity, so one K x size table per run turns gains into a matrix
+product, and the filtered signal is the sum over delays m of a
+Doppler-weighted diagonal times the m-delayed transmit signal.  Frames go
+through in blocks of ``_FRAME_BLOCK``: each frame still draws from its own
+substreams, and the algebra runs once per block as (block x K), (block x
+size) and (block x N) products, O(K*size + K*N + N*size) per frame for
+K cells.  The decomposition check stays per frame.  The dense
+``transmit_through`` is the reference it agrees with to rounding.
 """
 
 from __future__ import annotations
@@ -51,6 +54,10 @@ __all__ = [
     "interference_descent",
     "matched_sigma",
 ]
+
+
+# frames per block in simulate_frames: bounds its (block, N) work arrays
+_FRAME_BLOCK = 64
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -211,9 +218,12 @@ def demodulate(signal, cfg: OFDMConfig) -> SymbolFrame:
 
 
 def _project(cfg: OFDMConfig, signal: np.ndarray) -> np.ndarray:
-    """Receive projections rx^H signal on the (slot, subcarrier) layout."""
-    proj = (cfg.rx_matrix.T @ signal.conj()).conj()
-    return proj.reshape(cfg.n_slots, cfg.n_subcarriers)
+    """Receive projections rx^H signal on the (slot, subcarrier) layout.
+
+    ``signal`` is (..., N); each leading index is projected on its own.
+    """
+    proj = (signal.conj() @ cfg.rx_matrix).conj()
+    return proj.reshape(*signal.shape[:-1], cfg.n_slots, cfg.n_subcarriers)
 
 
 def _dense_gains(h: np.ndarray, cfg: OFDMConfig) -> np.ndarray:
@@ -222,24 +232,27 @@ def _dense_gains(h: np.ndarray, cfg: OFDMConfig) -> np.ndarray:
     return gains.reshape(cfg.n_slots, cfg.n_subcarriers)
 
 
-def _projected_noise(cfg: OFDMConfig, noise_psd: float, seed) -> np.ndarray:
-    """Receive projections of one white CN(0, noise_psd) vector drawn from ``seed``."""
+def _projected_noise(cfg: OFDMConfig, noise_psd: float, seeds: list) -> np.ndarray:
+    """Receive projections of white CN(0, noise_psd) vectors, one drawn from each seed."""
     if not noise_psd > 0.0:
-        return np.zeros((cfg.n_slots, cfg.n_subcarriers), dtype=complex)
-    rng = np.random.default_rng(seed)
-    w = np.sqrt(noise_psd / 2.0) * (rng.standard_normal(cfg.n_dim)
-                                    + 1j * rng.standard_normal(cfg.n_dim))
-    return _project(cfg, w)
+        return np.zeros((len(seeds), cfg.n_slots, cfg.n_subcarriers), dtype=complex)
+    n = cfg.n_dim
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    w = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n) for rng in rngs])
+    return _project(cfg, np.sqrt(noise_psd / 2.0) * w)
 
 
-def _checked(result: DemodResult) -> DemodResult:
-    """Raise ArithmeticError unless the split reproduces finite estimates to rounding."""
-    if not np.all(np.isfinite(result.estimates)):
+def _checked(estimates: np.ndarray, recon: np.ndarray) -> None:
+    """Raise ArithmeticError unless ``recon`` reproduces finite estimates to rounding.
+
+    Both are (..., slots, subcarriers); each leading index is one frame, held
+    to 1e-12 of its own largest estimate (at least 1).
+    """
+    if not np.all(np.isfinite(estimates)):
         raise ArithmeticError("demodulator decomposition failed: non-finite output")
-    scale = max(1.0, float(np.abs(result.estimates).max()))
-    if not result.decomposition_residual() <= 1e-12 * scale:
+    scale = np.maximum(1.0, np.abs(estimates).max(axis=(-2, -1)))
+    if not np.all(np.abs(estimates - recon).max(axis=(-2, -1)) <= 1e-12 * scale):
         raise ArithmeticError("demodulator decomposition failed to reproduce the output")
-    return result
 
 
 def transmit_through(frame: SymbolFrame, cfg: OFDMConfig, channel,
@@ -259,8 +272,10 @@ def transmit_through(frame: SymbolFrame, cfg: OFDMConfig, channel,
         raise ValueError(f"channel dimension {h.shape[0]} does not match N = {cfg.n_dim}")
     gains = _dense_gains(h, cfg)
     clean = _project(cfg, h @ (cfg.tx_matrix @ frame.data.ravel()))
-    noise = _projected_noise(cfg, noise_psd, seed)
-    return _checked(DemodResult(frame, clean + noise, gains, clean - gains * frame.data, noise))
+    noise = _projected_noise(cfg, noise_psd, [seed])[0]
+    estimates, interference = clean + noise, clean - gains * frame.data
+    _checked(estimates, gains * frame.data + interference + noise)
+    return DemodResult(frame, estimates, gains, interference, noise)
 
 
 def _gain_table(cfg: OFDMConfig, delays: np.ndarray, dopplers: np.ndarray) -> np.ndarray:
@@ -290,9 +305,13 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
     substream [seed, idx, 0] exactly as ``wssus_sample`` draws it, or a
     SpreadingFunction used for every frame on its nonzero cells.  Symbols
     come from ``random_symbols(cfg, [seed, idx, 1], constellation)`` and
-    noise from substream [seed, idx, 2], so frame idx reproduces the dense
-    ``transmit_through`` of the same draws to rounding and passes the same
-    decomposition check; non-finite outputs or energies raise
+    noise from substream [seed, idx, 2].  Frames are computed in blocks of
+    ``_FRAME_BLOCK``, one matrix product per block where a frame-by-frame
+    loop would take one per frame; the substreams are the same, so frame
+    idx reproduces the dense ``transmit_through`` of the same draws to
+    rounding (a block product rounds differently from a per-frame one) and
+    passes the same decomposition check, each frame against its own
+    largest estimate.  Non-finite outputs or energies raise
     ArithmeticError.  Returns an (n_frames, 4) array of mean energies per
     symbol: gain (|gain * symbol|^2), interference, noise and error vector
     (|estimate - symbol|^2).
@@ -314,30 +333,32 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
     # H x = sum over distinct delays m of d_m * x[(i - m) mod N], where
     # d_m[i] = sum_l S[m, l] exp(-2j*pi*l*i/N) collects that delay's cells
     taps, tap_of_cell = np.unique(delays, return_inverse=True)
-    members = tap_of_cell[None, :] == np.arange(taps.size)[:, None]
     tones = tf_shift(np.ones(n), 0, dopplers)
-    # per-frame delays gather x through a precomputed index: a tf_shift call
-    # per frame costs several times the gather itself
+    cells_of_tap = [np.flatnonzero(tap_of_cell == u) for u in range(taps.size)]
     delayed = (np.arange(n)[None, :] - taps[:, None]) % n
 
     energies = np.empty((n_frames, 4))
     # overflow is reported by the ArithmeticErrors below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for idx in range(n_frames):
-            s = fixed if fixed is not None else \
-                _support_draw(channel, np.random.default_rng([seed, idx, 0]))
-            frame = random_symbols(cfg, [seed, idx, 1], constellation)
-            x = cfg.tx_matrix @ frame.data.ravel()
-            filtered = np.einsum("ui,ui->i", (members * s) @ tones, x[delayed])
-            gains = (s @ table).reshape(frame.data.shape)
+        for start in range(0, n_frames, _FRAME_BLOCK):
+            stop = min(start + _FRAME_BLOCK, n_frames)
+            frames = range(start, stop)
+            s = np.broadcast_to(fixed, (len(frames), fixed.size)) if fixed is not None else \
+                np.array([_support_draw(channel, np.random.default_rng([seed, idx, 0]))
+                          for idx in frames])
+            symbols = np.array([random_symbols(cfg, [seed, idx, 1], constellation).data
+                                for idx in frames])
+            x = symbols.reshape(len(frames), -1) @ cfg.tx_matrix.T
+            filtered = np.zeros((len(frames), n), dtype=complex)
+            for cells, shifted in zip(cells_of_tap, delayed):
+                filtered += (s[:, cells] @ tones[cells]) * x[:, shifted]
+            gains = (s @ table).reshape(symbols.shape)
             clean = _project(cfg, filtered)
-            noise = _projected_noise(cfg, noise_psd, [seed, idx, 2])
-            result = _checked(DemodResult(frame, clean + noise, gains,
-                                          clean - gains * frame.data, noise))
-            energies[idx] = (np.mean(np.abs(gains * frame.data) ** 2),
-                             result.interference_energy(),
-                             np.mean(np.abs(noise) ** 2),
-                             np.mean(np.abs(result.estimates - frame.data) ** 2))
+            noise = _projected_noise(cfg, noise_psd, [[seed, idx, 2] for idx in frames])
+            estimates, interference = clean + noise, clean - gains * symbols
+            _checked(estimates, gains * symbols + interference + noise)
+            energies[start:stop] = np.stack([np.mean(np.abs(v) ** 2, axis=(1, 2)) for v in (
+                gains * symbols, interference, noise, estimates - symbols)], axis=1)
     if not np.all(np.isfinite(energies)):
         raise ArithmeticError("frame energies overflowed to non-finite values")
     return energies

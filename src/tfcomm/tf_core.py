@@ -289,13 +289,17 @@ def spreading_function(channel, zero_threshold: float | None = None,
 
 
 def synthesize_channel(spreading: SpreadingFunction) -> DiscreteChannel:
-    """Rebuild the channel matrix H = sum_{m,l} S[m,l] M^l D^m."""
+    """Rebuild the channel matrix H = sum_{m,l} S[m,l] M^l D^m.
+
+    Delay m fills the m-th cyclic subdiagonal with the DFT of row m of S, so
+    only the delays with a nonzero coefficient are transformed and scattered.
+    """
     coeffs = spreading.coeffs
     n = coeffs.shape[0]
-    diagonals = np.fft.fft(coeffs, axis=1)
+    delays = np.flatnonzero(np.any(coeffs, axis=1))
     i = np.arange(n)
-    mat = np.empty((n, n), dtype=complex)
-    mat[i[None, :], (i[None, :] - i[:, None]) % n] = diagonals
+    mat = np.zeros((n, n), dtype=complex)
+    mat[i[None, :], (i[None, :] - delays[:, None]) % n] = np.fft.fft(coeffs[delays], axis=1)
     return DiscreteChannel(mat)
 
 

@@ -384,6 +384,49 @@ def test_overflowing_config_numbers_exit_2(tmp_path, capsys, kind, cfg, where):
     assert not out.exists()
 
 
+DESIGN_CFG = {"kind": "pulse-design", "n_dim": 24, "time_step": 4, "freq_step": 8,
+              "profile": {"kind": "flat_rect", "max_delay": 1, "max_doppler": 1}}
+
+
+@pytest.mark.parametrize("kind, cfg", [
+    ("spread-analyze", SPREAD_CFG), ("frame-analyze", FRAME_CFG),
+    ("pulse-design", DESIGN_CFG), ("ofdm-sim", SIM_CFG),
+    ("identify", IDENTIFY_CFG), ("capacity", CAPACITY_CFG),
+])
+def test_n_dim_above_cap_exits_2(tmp_path, capsys, kind, cfg):
+    # 2**40 is far beyond anything a run could allocate: the cap must stop it
+    # before the first array is built
+    path = write_config(tmp_path, "huge_n.json", dict(cfg, n_dim=2**40))
+    out = tmp_path / "out"
+    assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"tfcomm: config error: config.n_dim: {2**40} exceeds the cap of {cli._MAX_N_DIM}\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("step", [1e308, 1.5, 0.0, -0.02])
+@pytest.mark.parametrize("kind, where", [("pulse-design", "config"),
+                                         ("ofdm-sim", "config.system")])
+def test_design_step_out_of_range_exits_2(tmp_path, capsys, step, kind, where):
+    # step 1e308 used to reach the descent and fail in its eigensolver (exit 3)
+    design = {"time_step": 6, "freq_step": 6, "profile": DESIGN_CFG["profile"],
+              "method": "local_search", "step": step}
+    cfg = dict(design, kind="pulse-design", n_dim=24) if kind == "pulse-design" else \
+        dict(SIM_CFG, n_dim=24, system=dict(design, kind="designed"))
+    path = write_config(tmp_path, "step.json", cfg)
+    out = tmp_path / "out"
+    assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"tfcomm: config error: {where}.step: expected 0 < step <= 1, got {step!r}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_design_step_of_one_is_accepted(tmp_path):
+    cfg = dict(DESIGN_CFG, time_step=6, freq_step=6, method="local_search", step=1.0)
+    cli.run_experiment("pulse-design", cfg, tmp_path / "out")
+    assert (tmp_path / "out" / "design_report.json").exists()
+
+
 def test_tiny_gaussian_sigma_is_named(tmp_path, capsys):
     path = write_config(tmp_path, "tiny.json",
                         dict(FRAME_CFG, pulse={"kind": "gaussian", "sigma": 1e-300}))

@@ -332,6 +332,24 @@ def test_simulate_frames_matches_dense_loop_property(data, cfg, seed, noise_psd,
     assert np.all(np.abs(fast - ref) <= 1e-12 * ref.max(axis=1, keepdims=True))
 
 
+@pytest.mark.parametrize("channel", [
+    cm.exponential_jakes_profile(16, 1.0, 1, max_delay=2),
+    cm.from_specular([(0, 0, 0.9), (-2, 1, 0.3 - 0.2j), (1, -1, 0.1j)], 16),
+], ids=["profile", "fixed"])
+def test_simulate_frames_across_block_boundaries(channel):
+    """Every frame of a multi-block run matches the dense loop, and a frame's
+    position inside a block does not change its result beyond rounding."""
+    cfg = ofdm.OFDMConfig(wh.WHGrid(16, 4, 8), wh.gaussian_pulse(16, sigma=2.0),
+                          wh.gaussian_pulse(16, sigma=3.0))
+    n_frames = 2 * ofdm._FRAME_BLOCK + 3
+    fast = ofdm.simulate_frames(cfg, channel, n_frames, 11, 0.05, "gaussian")
+    ref = dense_frames(cfg, channel, n_frames, 11, 0.05, "gaussian")
+    assert fast.shape == (n_frames, 4)
+    assert np.all(np.abs(fast - ref) <= 1e-12 * ref.max(axis=1, keepdims=True))
+    short = ofdm.simulate_frames(cfg, channel, 3, 11, 0.05, "gaussian")
+    assert np.all(np.abs(fast[:3] - short) <= 1e-12 * short.max(axis=1, keepdims=True))
+
+
 def test_wssus_sample_draws_two_normals_per_support_cell():
     prof = cm.exponential_jakes_profile(32, 1.0, 2)
     rows, cols = np.nonzero(prof.intensities)

@@ -166,6 +166,44 @@ def test_round_trip_and_parseval_property(n, seed):
                                                               rel=1e-10)
 
 
+def dense_synthesis_oracle(coeffs):
+    """Full-grid synthesis: every delay row's DFT scattered onto its cyclic subdiagonal."""
+    n = coeffs.shape[0]
+    diagonals = np.fft.fft(coeffs, axis=1)
+    i = np.arange(n)
+    mat = np.empty((n, n), dtype=complex)
+    mat[i[None, :], (i[None, :] - i[:, None]) % n] = diagonals
+    return mat
+
+
+@st.composite
+def sparse_spreading_grids(draw):
+    """Coefficient grids on centered supports: empty, one axis only, or wrapping around."""
+    n = draw(st.integers(min_value=1, max_value=64))
+    axis = st.integers(min_value=-((n - 1) // 2), max_value=n // 2)
+    shape = draw(st.sampled_from(["empty", "delay_only", "doppler_only", "wrap_around"]))
+    cells = []
+    if shape != "empty":
+        delays = st.just(0) if shape == "doppler_only" else axis
+        dopplers = st.just(0) if shape == "delay_only" else axis
+        cells = draw(st.lists(st.tuples(delays, dopplers), min_size=1, max_size=12))
+    if shape == "wrap_around":
+        cells.append((-1, -1))  # the last delay row and Doppler column
+    values = st.floats(min_value=-2.0, max_value=2.0)
+    coeffs = np.zeros((n, n), dtype=complex)
+    for m, l in cells:
+        coeffs[m % n, l % n] = complex(draw(values), draw(values))
+    return coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_spreading_grids())
+def test_synthesis_matches_full_grid_oracle_property(coeffs):
+    """Transforming only the occupied delay rows gives exactly the full-grid matrix."""
+    fast = core.synthesize_channel(core.SpreadingFunction(coeffs)).matrix
+    assert np.array_equal(fast, dense_synthesis_oracle(coeffs))
+
+
 # ---------------------------------------------------------------------------
 # transfer grids
 
