@@ -20,7 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .tf_core import SpreadingFunction, centered_index, dd_to_tf_grid, tf_to_dd_grid
+from .tf_core import SpreadingFunction, _centered_range, centered_index, dd_to_tf_grid, \
+    tf_to_dd_grid
 
 __all__ = [
     "ScatteringProfile",
@@ -41,15 +42,10 @@ __all__ = [
 ]
 
 
-def _centered_bounds(n_dim: int) -> tuple[int, int]:
-    lo = -((n_dim - 1) // 2)
-    return lo, lo + n_dim - 1
-
-
 def _check_on_grid(value, name: str, n_dim: int) -> int:
     if int(value) != value:
         raise ValueError(f"{name} must be an on-grid integer, got {value!r}")
-    lo, hi = _centered_bounds(n_dim)
+    lo, hi = _centered_range(n_dim)
     if not lo <= int(value) <= hi:
         raise ValueError(f"{name} {value} outside centered range [{lo}, {hi}] for N = {n_dim}")
     return int(value)
@@ -278,8 +274,8 @@ def jakes_doppler_masses(max_doppler: int) -> np.ndarray:
 def _place_centered(n_dim: int, delays, delay_weights, dopplers, doppler_weights,
                     total_gain: float) -> ScatteringProfile:
     grid = np.zeros((n_dim, n_dim))
-    rows = np.array([_check_on_grid(m, "delay", n_dim) % n_dim for m in delays])
-    cols = np.array([_check_on_grid(l, "doppler", n_dim) % n_dim for l in dopplers])
+    rows = np.array([_check_on_grid(m, "delay", n_dim) % n_dim for m in delays], dtype=int)
+    cols = np.array([_check_on_grid(l, "doppler", n_dim) % n_dim for l in dopplers], dtype=int)
     grid[np.ix_(rows, cols)] = np.outer(delay_weights, doppler_weights)
     return ScatteringProfile(n_dim, grid).scaled(total_gain)
 
@@ -288,14 +284,15 @@ def flat_rect_profile(n_dim: int, max_delay: int, max_doppler: int,
                       min_delay: int | None = None, min_doppler: int | None = None,
                       total_gain: float = 1.0) -> ScatteringProfile:
     """Uniform mass on a delay-Doppler rectangle, centered by default."""
-    if min_delay is None:
-        min_delay = -max_delay
-    if min_doppler is None:
-        min_doppler = -max_doppler
+    max_delay = _check_on_grid(max_delay, "max_delay", n_dim)
+    max_doppler = _check_on_grid(max_doppler, "max_doppler", n_dim)
+    min_delay = _check_on_grid(-max_delay if min_delay is None else min_delay, "min_delay", n_dim)
+    min_doppler = _check_on_grid(-max_doppler if min_doppler is None else min_doppler,
+                                 "min_doppler", n_dim)
     if min_delay > max_delay or min_doppler > max_doppler:
         raise ValueError("empty support rectangle")
-    delays = range(int(min_delay), int(max_delay) + 1)
-    dopplers = range(int(min_doppler), int(max_doppler) + 1)
+    delays = range(min_delay, max_delay + 1)
+    dopplers = range(min_doppler, max_doppler + 1)
     return _place_centered(n_dim, delays, np.ones(len(delays)),
                            dopplers, np.ones(len(dopplers)), total_gain)
 
@@ -312,12 +309,14 @@ def exponential_jakes_profile(n_dim: int, delay_decay: float, max_doppler: int,
     if delay_decay <= 0:
         raise ValueError("delay_decay must be positive")
     if max_delay is None:
-        max_delay = min((n_dim - 1) // 2, max(1, int(np.ceil(6.0 * delay_decay))))
-    delays = range(0, int(max_delay) + 1)
+        max_delay = min((n_dim - 1) // 2, max(1.0, np.ceil(6.0 * delay_decay)))
+    max_delay = _check_on_grid(max_delay, "max_delay", n_dim)
+    max_doppler = _check_on_grid(max_doppler, "max_doppler", n_dim)
+    delays = range(0, max_delay + 1)
     delay_weights = np.exp(-np.arange(len(delays)) / delay_decay)
-    dopplers = range(-int(max_doppler), int(max_doppler) + 1)
+    dopplers = range(-max_doppler, max_doppler + 1)
     return _place_centered(n_dim, delays, delay_weights,
-                           dopplers, jakes_doppler_masses(int(max_doppler)), total_gain)
+                           dopplers, jakes_doppler_masses(max_doppler), total_gain)
 
 
 DRM_TAP_GAINS = (1.0, 0.7, 0.5, 0.25)
@@ -331,9 +330,8 @@ def drm_like_profile(n_dim: int, tap_delays=(0, 1, 2, 3), tap_gains=DRM_TAP_GAIN
     Not calibrated to any broadcast standard; intended for demo plots where
     energy should sit in a small corner of the delay-Doppler plane.
     """
-    tap_delays = tuple(tap_delays)
-    tap_gains = tuple(tap_gains)
-    doppler_halfwidths = tuple(doppler_halfwidths)
+    tap_delays, tap_gains, doppler_halfwidths = map(tuple, (tap_delays, tap_gains,
+                                                            doppler_halfwidths))
     if not len(tap_delays) == len(tap_gains) == len(doppler_halfwidths):
         raise ValueError("tap parameter tuples must have equal lengths")
     grid = np.zeros((n_dim, n_dim))
@@ -341,8 +339,9 @@ def drm_like_profile(n_dim: int, tap_delays=(0, 1, 2, 3), tap_gains=DRM_TAP_GAIN
         if gain < 0:
             raise ValueError("tap gains must be nonnegative")
         row = _check_on_grid(delay, "tap delay", n_dim) % n_dim
-        masses = gain * jakes_doppler_masses(int(halfwidth))
-        for offset, mass in zip(range(-int(halfwidth), int(halfwidth) + 1), masses):
+        halfwidth = _check_on_grid(halfwidth, "doppler_halfwidths", n_dim)
+        masses = gain * jakes_doppler_masses(halfwidth)
+        for offset, mass in zip(range(-halfwidth, halfwidth + 1), masses):
             grid[row, _check_on_grid(offset, "doppler", n_dim) % n_dim] += mass
     return ScatteringProfile(n_dim, grid).scaled(total_gain)
 

@@ -70,6 +70,8 @@ OUT_DIR_ENV = "TFCOMM_OUT_DIR"
 DB_FLOOR = -40.0
 # largest accepted n_dim: several kinds build N x N arrays
 _MAX_N_DIM = 4096
+# largest accepted count (frames, bandwidths): no larger than the largest N x N grid
+_MAX_COUNT = _MAX_N_DIM ** 2
 
 
 class ConfigError(Exception):
@@ -87,6 +89,10 @@ class _Key:
     name: str
     types: tuple
     default: object = _MISSING
+    # a given value must satisfy lo <= value (lo < value if open_lo) <= hi; None is no bound
+    lo: float | None = None
+    hi: float | None = None
+    open_lo: bool = False
 
 
 def _validate(obj, keys: list[_Key], where: str) -> dict:
@@ -106,6 +112,11 @@ def _validate(obj, keys: list[_Key], where: str) -> dict:
                 names = "/".join(t.__name__ for t in key.types)
                 raise ConfigError(f"{where}.{key.name}: expected {names}, "
                                   f"got {type(val).__name__}")
+            below = key.lo is not None and (val <= key.lo if key.open_lo else val < key.lo)
+            if below or key.hi is not None and val > key.hi:
+                lo = "" if key.lo is None else f"{key.lo} {'<' if key.open_lo else '<='} "
+                hi = "" if key.hi is None else f" <= {key.hi}"
+                raise ConfigError(f"{where}.{key.name}: expected {lo}{key.name}{hi}, got {val!r}")
             out[key.name] = val
         elif key.default is _MISSING:
             raise ConfigError(f"{where}: missing required key {key.name!r}")
@@ -143,21 +154,16 @@ def _check_finite(cfg: dict) -> None:
             raise ConfigError(f"{where}: non-finite number {value!r} is not allowed")
 
 
-def _positive_int(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{where}: expected a positive integer, got {value!r}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # descriptor builders (profiles, pulses, channels, systems)
 
 
 # each variant's keys besides "kind"; pulse-design configs and "designed"
-# systems share _DESIGN_KEYS
+# systems share _DESIGN_KEYS; the descent perturbs a unit-norm seed window, so a step
+# above 1 would swamp it
 _DESIGN_KEYS = [_Key("time_step", (int,)), _Key("freq_step", (int,)), _Key("profile", (dict,)),
-                _Key("method", (str,), "matched_gaussian_tight"),
-                _Key("n_sweeps", (int,), 1), _Key("step", (float,), 0.02)]
+                _Key("method", (str,), "matched_gaussian_tight"), _Key("n_sweeps", (int,), 1),
+                _Key("step", (float,), 0.02, lo=0, hi=1, open_lo=True)]
 _PULSES = {"gaussian": [_Key("sigma", (float,), None)],
            "rect": [_Key("length", (int,)), _Key("offset", (int,), 0)],
            "csv": [_Key("path", (str,))]}
@@ -220,9 +226,6 @@ def _build_channel(desc: dict, n_dim: int, where: str) -> SpreadingFunction | Sc
 
 def _design(spec: dict, n_dim: int, where: str) -> tuple[ScatteringProfile, OFDMConfig]:
     """The profile and the designed system of validated ``_DESIGN_KEYS``."""
-    if not 0.0 < spec["step"] <= 1.0:
-        # the descent perturbs a unit-norm seed window; a larger step swamps it
-        raise ConfigError(f"{where}.step: expected 0 < step <= 1, got {spec['step']!r}")
     grid = WHGrid(n_dim, spec["time_step"], spec["freq_step"])
     profile = _build_profile(spec["profile"], n_dim, f"{where}.profile")
     tx, rx = design_pulses(profile, grid, spec["method"],
@@ -373,8 +376,7 @@ def _run_pulse_design(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
         "interference_power": interference_power(profile, system),
     }
     if spec["baseline"] is not None:
-        base = _validate(spec["baseline"], [_Key("n_subcarriers", (int,)),
-                                            _Key("cp_len", (int,))], "config.baseline")
+        base = _validate(spec["baseline"], _SYSTEMS["cp_ofdm"], "config.baseline")
         baseline = cp_ofdm_config(n, base["n_subcarriers"], base["cp_len"])
         report["baseline"] = {
             **base,
@@ -388,16 +390,15 @@ def _run_pulse_design(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
 
 
 def _run_ofdm_sim(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
-    n_frames = _positive_int(spec["n_frames"], "config.n_frames")
     system = _build_system(spec["system"], n, "config.system", base_dir)
     channel = _build_channel(spec["channel"], n, "config.channel")
-    energies = simulate_frames(system, channel, n_frames, spec["seed"], spec["noise_psd"],
-                               spec["constellation"])
+    energies = simulate_frames(system, channel, spec["n_frames"], spec["seed"],
+                               spec["noise_psd"], spec["constellation"])
     _write_csv(out / "frames.csv", ["frame", "gain_energy", "interference_energy",
                                     "noise_energy", "error_vector_energy"],
-               [np.arange(n_frames), *energies.T])
+               [np.arange(spec["n_frames"]), *energies.T])
     report = {
-        "n_frames": n_frames,
+        "n_frames": spec["n_frames"],
         "noise_psd": spec["noise_psd"],
         "spectral_efficiency": system.spectral_efficiency,
         "biorthogonality_defect": system.biorthogonality_defect,
@@ -410,11 +411,9 @@ def _run_ofdm_sim(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
 
 
 def _run_identify(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
-    if not spec["noise_psd"] >= 0.0:
-        raise ConfigError(f"config.noise_psd: expected a nonnegative number, "
-                          f"got {spec['noise_psd']!r}")
     if isinstance(spec["support"], dict):
-        sup = _validate(spec["support"], [_Key("n_delay", (int,)), _Key("n_doppler", (int,))],
+        sup = _validate(spec["support"], [_Key("n_delay", (int,), lo=1, hi=n),
+                                          _Key("n_doppler", (int,), lo=1, hi=n)],
                         "config.support")
         support = centered_rect_support(sup["n_delay"], sup["n_doppler"])
     else:
@@ -471,12 +470,12 @@ def _run_capacity(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
             raise ConfigError("config: bandwidth sweeps need both 'power_budget' and "
                               "'bandwidths'")
         if isinstance(spec["bandwidths"], dict):
-            gspec = _validate(spec["bandwidths"], [_Key("min", (float,)), _Key("max", (float,)),
-                                          _Key("count", (int,)),
-                                          _Key("spacing", (str,), "log")],
-                              "config.bandwidths")
-            if gspec["min"] <= 0 or gspec["max"] <= gspec["min"] or gspec["count"] < 2:
-                raise ConfigError("config.bandwidths: need 0 < min < max and count >= 2")
+            gspec = _validate(spec["bandwidths"], [
+                _Key("min", (float,), lo=0, open_lo=True), _Key("max", (float,)),
+                _Key("count", (int,), lo=2, hi=_MAX_COUNT), _Key("spacing", (str,), "log")],
+                "config.bandwidths")
+            if gspec["max"] <= gspec["min"]:
+                raise ConfigError("config.bandwidths: need min < max")
             spacing = {"log": np.geomspace, "linear": np.linspace}.get(gspec["spacing"])
             if spacing is None:
                 raise ConfigError("config.bandwidths.spacing: expected 'log' or 'linear'")
@@ -507,11 +506,12 @@ _RUNNERS = {
     "pulse-design": (_run_pulse_design, "design_report.json", [
         *_DESIGN_KEYS, _Key("baseline", (dict,), None)]),
     "ofdm-sim": (_run_ofdm_sim, "sim_report.json", [
-        _Key("system", (dict,)), _Key("channel", (dict,)), _Key("n_frames", (int,), 1),
-        _Key("noise_psd", (float,), 0.0), _Key("constellation", (str,), "qpsk")]),
+        _Key("system", (dict,)), _Key("channel", (dict,)),
+        _Key("n_frames", (int,), 1, lo=1, hi=_MAX_COUNT), _Key("noise_psd", (float,), 0.0, lo=0),
+        _Key("constellation", (str,), "qpsk")]),
     "identify": (_run_identify, "identify_report.json", [
         _Key("period", (int,)), _Key("support", (dict, list)),
-        _Key("noise_psd", (float,), 0.0)]),
+        _Key("noise_psd", (float,), 0.0, lo=0)]),
     "capacity": (_run_capacity, "capacity_report.json", [
         _Key("profile", (dict,)), _Key("snr", (float,), None),
         _Key("power_budget", (float,), None), _Key("bandwidths", (list, dict), None),
@@ -580,13 +580,11 @@ def run_experiment(kind: str, config: dict, out_dir, seed=None,
     try:
         started = time.monotonic()
         with np.errstate(all="ignore"):
-            spec = _validate(cfg, [_Key("kind", (str,), kind), _Key("n_dim", (int,)), *keys,
+            spec = _validate(cfg, [_Key("kind", (str,), kind),
+                                   _Key("n_dim", (int,), lo=1, hi=_MAX_N_DIM), *keys,
                                    _Key("seed", (int,), 0)], "config")
-            n = _positive_int(spec["n_dim"], "config.n_dim")
-            if n > _MAX_N_DIM:
-                raise ConfigError(f"config.n_dim: {n} exceeds the cap of {_MAX_N_DIM}")
-            report = runner(spec, n, staging, base)
-            _write_json(staging / report_name, {"n_dim": n, **report})
+            report = runner(spec, spec["n_dim"], staging, base)
+            _write_json(staging / report_name, {"n_dim": spec["n_dim"], **report})
         outputs = {path.name: _sha256(path) for path in sorted(staging.iterdir())}
         manifest = {
             "kind": kind,

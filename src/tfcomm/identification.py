@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tf_core import cross_ambiguity, tf_shift
+from .tf_core import _centered_range, cross_ambiguity, tf_shift
 
 __all__ = [
     "IdentifiabilityError",
@@ -58,8 +58,7 @@ class IdentifiabilityError(Exception):
 
 
 def _canonical_support(support, n_dim: int) -> tuple[tuple[int, int], ...]:
-    lo = -((n_dim - 1) // 2)
-    hi = lo + n_dim - 1
+    lo, hi = _centered_range(n_dim)
     seen = []
     for cell in support:
         m, l = cell

@@ -47,13 +47,19 @@ __all__ = [
 SUPPORT_RTOL = 1e-12
 
 
+def _centered_range(n_dim: int) -> tuple[int, int]:
+    """(lo, hi): the centered representatives of Z_N run from lo to hi = lo + N - 1."""
+    lo = -((n_dim - 1) // 2)
+    return lo, lo + n_dim - 1
+
+
 def centered_index(index, n_dim: int):
     """Map indices mod N to centered representatives in (-N/2, N/2]."""
     if n_dim < 1:
         raise ValueError("dimension must be positive")
-    half = (n_dim - 1) // 2
+    lo, _ = _centered_range(n_dim)
     idx = np.asarray(index)
-    out = (idx + half) % n_dim - half
+    out = (idx - lo) % n_dim + lo
     if np.isscalar(index) or idx.ndim == 0:
         return int(out)
     return out
@@ -331,12 +337,9 @@ def transfer_to_spreading(transfer: TransferFunction,
     return SpreadingFunction(tf_to_dd_grid(transfer.values), zero_threshold)
 
 
-def _matrix_norm(mat: np.ndarray, norm: str) -> float:
-    if norm == "frobenius":
-        return float(np.linalg.norm(mat))
-    if norm == "spectral":
-        return float(np.linalg.norm(mat, 2))
-    raise ValueError(f"unknown norm {norm!r}, expected 'frobenius' or 'spectral'")
+def _root_gap(k: int, n: int) -> float:
+    """|1 - omega^k| for omega = exp(-2j*pi/N), with k reduced mod N first."""
+    return float(abs(1.0 - np.exp(-2j * np.pi * (k % n) / n)))
 
 
 def commutation_defect(n_dim: int, delay: int, doppler: int,
@@ -345,16 +348,16 @@ def commutation_defect(n_dim: int, delay: int, doppler: int,
 
     Returns (defect, bound) where defect = ||D^m M^l - M^l D^m|| and
     bound = 2*pi*|m*l|/N * ||D^m M^l|| with m, l reduced to centered
-    representatives in (-N/2, N/2].
+    representatives in (-N/2, N/2].  D^m M^l - M^l D^m = (omega^(-m*l) - 1) M^l D^m is
+    monomial, so both are closed forms in ||D^m M^l||: sqrt(N) (Frobenius) or 1 (spectral).
     """
     n = _check_dim(n_dim)
-    d = time_shift_op(n, delay).matrix
-    m = modulation_op(n, doppler).matrix
-    dm = d @ m
-    defect = _matrix_norm(dm - m @ d, norm)
-    mc = centered_index(delay, n)
-    lc = centered_index(doppler, n)
-    bound = 2.0 * np.pi * abs(mc * lc) / n * _matrix_norm(dm, norm)
+    shift_norms = {"frobenius": float(np.sqrt(n)), "spectral": 1.0}
+    if norm not in shift_norms:
+        raise ValueError(f"unknown norm {norm!r}, expected 'frobenius' or 'spectral'")
+    mc, lc = centered_index(delay, n), centered_index(doppler, n)
+    defect = _root_gap(mc * lc, n) * shift_norms[norm]
+    bound = 2.0 * np.pi * abs(mc * lc) / n * shift_norms[norm]
     if not defect <= bound + 1e-12:
         raise ArithmeticError(f"commutation defect {defect!r} exceeds its bound {bound!r}")
     return defect, bound

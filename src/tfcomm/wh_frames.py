@@ -291,7 +291,7 @@ def rect_pulse(n_dim: int, length: int, offset: int = 0) -> Pulse:
     if not 1 <= length <= n:
         raise ValueError(f"length must be in [1, {n}], got {length}")
     g = np.zeros(n, dtype=complex)
-    g[(int(offset) + np.arange(length)) % n] = 1.0 / np.sqrt(length)
+    g[(int(offset) % n + np.arange(length)) % n] = 1.0 / np.sqrt(length)
     return Pulse(g)
 
 

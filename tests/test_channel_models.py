@@ -264,6 +264,42 @@ def test_drm_like_profile_structure():
     assert np.count_nonzero(p.intensities[3]) > np.count_nonzero(p.intensities[0])
 
 
+@pytest.mark.parametrize("build, name, value", [
+    (lambda: cm.flat_rect_profile(32, 10**12, 1), "max_delay", 10**12),
+    (lambda: cm.flat_rect_profile(32, 1, 10**12), "max_doppler", 10**12),
+    (lambda: cm.flat_rect_profile(32, 1, 1, min_delay=-10**12), "min_delay", -10**12),
+    (lambda: cm.flat_rect_profile(32, 1, 1, min_doppler=-10**12), "min_doppler", -10**12),
+    (lambda: cm.exponential_jakes_profile(32, 1.0, 10**12), "max_doppler", 10**12),
+    (lambda: cm.exponential_jakes_profile(32, 1.0, 1, max_delay=10**12), "max_delay", 10**12),
+    (lambda: cm.drm_like_profile(32, doppler_halfwidths=(0, 1, 1, 10**12)),
+     "doppler_halfwidths", 10**12),
+], ids=["flat-max_delay", "flat-max_doppler", "flat-min_delay", "flat-min_doppler",
+        "jakes-max_doppler", "jakes-max_delay", "drm-doppler_halfwidths"])
+def test_profile_builders_check_extents_before_allocating(build, name, value):
+    # these used to build range and weight arrays of 10**12 entries (MemoryError)
+    with pytest.raises(ValueError,
+                       match=rf"^{name} {value} outside centered range \[-15, 16\] for N = 32$"):
+        build()
+
+
+def test_profile_extents_must_be_on_grid():
+    with pytest.raises(ValueError, match="max_delay must be an on-grid integer, got 1.5"):
+        cm.flat_rect_profile(16, 1.5, 1)
+    assert cm.flat_rect_profile(16, 2.0, 1.0).support_count == 15
+
+
+def test_exponential_jakes_negative_max_delay_is_a_value_error():
+    # no delay taps: the empty index array used to be float and raised IndexError
+    with pytest.raises(ValueError, match="all-zero profile"):
+        cm.exponential_jakes_profile(32, 1.0, 1, max_delay=-1)
+
+
+def test_exponential_jakes_huge_decay_fills_the_centered_half():
+    # 6 * 1e308 overflows to inf; the default max_delay used to raise OverflowError
+    p = cm.exponential_jakes_profile(32, 1e308, 1)
+    assert p.support_extents() == (15, 1)
+
+
 def test_preset_dispatch():
     p = cm.preset_profile("flat_rect", 16, max_delay=1, max_doppler=1)
     assert p.support_count == 9

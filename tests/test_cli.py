@@ -1,7 +1,10 @@
 """Experiment runner: schemas, artifacts, determinism, exit codes."""
 
+import contextlib
+import copy
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -399,9 +402,90 @@ def test_n_dim_above_cap_exits_2(tmp_path, capsys, kind, cfg):
     path = write_config(tmp_path, "huge_n.json", dict(cfg, n_dim=2**40))
     out = tmp_path / "out"
     assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == \
-        f"tfcomm: config error: config.n_dim: {2**40} exceeds the cap of {cli._MAX_N_DIM}\n"
+    assert capsys.readouterr().err == "tfcomm: config error: config.n_dim: " \
+        f"expected 1 <= n_dim <= {cli._MAX_N_DIM}, got {2**40}\n"
     assert list(out.iterdir()) == []
+
+
+HUGE = 10**12
+SWEEP_CFG = dict(CAPACITY_CFG, power_budget=1.0,
+                 bandwidths={"min": 0.05, "max": 50.0, "count": 40})
+
+
+def wssus_sim(profile):
+    return dict(SIM_CFG, channel={"kind": "wssus", "profile": profile})
+
+
+@pytest.mark.parametrize("kind, cfg, message", [
+    # each of these used to allocate without bound (MemoryError, IndexError) or
+    # enumerate HUGE cells before the library saw a value
+    ("ofdm-sim", dict(SIM_CFG, n_frames=HUGE),
+     f"config.n_frames: expected 1 <= n_frames <= {4096**2}, got {HUGE}"),
+    ("capacity", dict(SWEEP_CFG, bandwidths=dict(SWEEP_CFG["bandwidths"], count=2**63)),
+     f"config.bandwidths.count: expected 2 <= count <= {4096**2}, got {2**63}"),
+    ("capacity", dict(SWEEP_CFG, bandwidths=dict(SWEEP_CFG["bandwidths"], count=HUGE)),
+     f"config.bandwidths.count: expected 2 <= count <= {4096**2}, got {HUGE}"),
+    ("identify", dict(IDENTIFY_CFG, support={"n_delay": HUGE, "n_doppler": 4}),
+     f"config.support.n_delay: expected 1 <= n_delay <= 32, got {HUGE}"),
+    ("identify", dict(IDENTIFY_CFG, support={"n_delay": 4, "n_doppler": 33}),
+     "config.support.n_doppler: expected 1 <= n_doppler <= 32, got 33"),
+    ("pulse-design", dict(DESIGN_CFG, profile={"kind": "flat_rect", "max_delay": HUGE,
+                                               "max_doppler": 1}),
+     f"config.profile: max_delay {HUGE} outside centered range [-11, 12] for N = 24"),
+    ("ofdm-sim", wssus_sim({"kind": "flat_rect", "max_delay": 1, "max_doppler": HUGE}),
+     f"config.channel.profile: max_doppler {HUGE} outside centered range [-23, 24] for N = 48"),
+    ("capacity", dict(CAPACITY_CFG, profile={"kind": "flat_rect", "max_delay": HUGE,
+                                             "max_doppler": 1}),
+     f"config.profile: max_delay {HUGE} outside centered range [-31, 32] for N = 64"),
+    ("ofdm-sim", wssus_sim({"kind": "exponential_jakes", "delay_decay": 1.0,
+                            "max_doppler": HUGE}),
+     f"config.channel.profile: max_doppler {HUGE} outside centered range [-23, 24] for N = 48"),
+    ("capacity", dict(CAPACITY_CFG, profile={"kind": "exponential_jakes", "delay_decay": 1.0,
+                                             "max_doppler": 1, "max_delay": HUGE}),
+     f"config.profile: max_delay {HUGE} outside centered range [-31, 32] for N = 64"),
+    ("capacity", dict(CAPACITY_CFG, profile={"kind": "drm_like",
+                                             "doppler_halfwidths": [0, 1, 1, HUGE]}),
+     f"config.profile: doppler_halfwidths {HUGE} outside centered range [-31, 32] for N = 64"),
+], ids=["n_frames", "count-2**63", "count", "n_delay", "n_doppler", "flat_rect-design",
+        "flat_rect-sim", "flat_rect-capacity", "jakes-doppler", "jakes-delay", "drm_like"])
+def test_unbounded_sizes_exit_2(tmp_path, capsys, kind, cfg, message):
+    path = write_config(tmp_path, "huge.json", cfg)
+    out = tmp_path / "out"
+    assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"tfcomm: config error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind, cfg, message", [
+    ("identify", dict(IDENTIFY_CFG, noise_psd=-1.0),
+     "config.noise_psd: expected 0 <= noise_psd, got -1.0"),
+    ("ofdm-sim", dict(SIM_CFG, noise_psd=-1), "config.noise_psd: expected 0 <= noise_psd, got -1.0"),
+    ("ofdm-sim", dict(SIM_CFG, n_frames=0),
+     f"config.n_frames: expected 1 <= n_frames <= {4096**2}, got 0"),
+    ("capacity", dict(SWEEP_CFG, bandwidths=dict(SWEEP_CFG["bandwidths"], min=0.0)),
+     "config.bandwidths.min: expected 0 < min, got 0.0"),
+    ("capacity", dict(SWEEP_CFG, bandwidths=dict(SWEEP_CFG["bandwidths"], count=1)),
+     f"config.bandwidths.count: expected 2 <= count <= {4096**2}, got 1"),
+    ("capacity", dict(SWEEP_CFG, bandwidths=dict(SWEEP_CFG["bandwidths"], max=0.05)),
+     "config.bandwidths: need min < max"),
+    ("spread-analyze", dict(SPREAD_CFG, n_dim=0), "config.n_dim: expected 1 <= n_dim <= 4096, got 0"),
+], ids=["identify-noise_psd", "sim-noise_psd", "n_frames", "bandwidths-min", "bandwidths-count",
+        "bandwidths-max", "n_dim"])
+def test_declared_bounds_name_the_key(tmp_path, capsys, kind, cfg, message):
+    path = write_config(tmp_path, "bounds.json", cfg)
+    out = tmp_path / "out"
+    assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"tfcomm: config error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_bounds_are_inclusive(tmp_path):
+    cli.run_experiment("identify", dict(IDENTIFY_CFG, n_dim=9, period=9,
+                                        support={"n_delay": 9, "n_doppler": 1}), tmp_path / "id")
+    assert json.loads((tmp_path / "id" / "identify_report.json").read_text())["n_unknowns"] == 9
+    cli.run_experiment("capacity", dict(SWEEP_CFG, bandwidths=dict(SWEEP_CFG["bandwidths"],
+                                                                   count=2)), tmp_path / "cap")
+    assert (tmp_path / "cap" / "sweep.csv").read_text().count("\n") == 3
 
 
 @pytest.mark.parametrize("step", [1e308, 1.5, 0.0, -0.02])
@@ -643,3 +727,93 @@ def test_column_writer_rejects_non_finite_floats(tmp_path, bad):
         cli._write_csv(path, ["i", "a", "b"],
                        [np.arange(3), np.array([1.0, 2.0, 3.0]), np.array([0.5, bad, 0.5])])
     assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# config-mutation fuzzing: whatever a config holds, a run exits 0, 2 or 3
+
+
+FUZZ_PROFILE = {"kind": "flat_rect", "max_delay": 1, "max_doppler": 1}
+FUZZ_BASES = [  # N <= 32, every descriptor variant
+    {"kind": "spread-analyze", "n_dim": 16, "sample_rate": 1000.0,
+     "channel": {"kind": "specular", "paths": [[0, 0, 1.0, 0.0], [2, -1, 0.5, 0.25]]}},
+    {"kind": "spread-analyze", "n_dim": 16, "seed": 1,
+     "channel": {"kind": "wssus", "profile": {"kind": "drm_like", "tap_delays": [0, 1],
+                                              "tap_gains": [1.0, 0.5],
+                                              "doppler_halfwidths": [0, 1]}}},
+    {"kind": "frame-analyze", "n_dim": 24, "time_step": 4, "freq_step": 4,
+     "pulse": {"kind": "gaussian", "sigma": 3.0}},
+    {"kind": "frame-analyze", "n_dim": 16, "time_step": 2, "freq_step": 4,
+     "pulse": {"kind": "rect", "length": 4, "offset": 1}},
+    {"kind": "pulse-design", "n_dim": 16, "time_step": 4, "freq_step": 8,
+     "method": "local_search", "n_sweeps": 0, "step": 0.02, "profile": FUZZ_PROFILE,
+     "baseline": {"n_subcarriers": 4, "cp_len": 4}},
+    {"kind": "ofdm-sim", "n_dim": 24, "n_frames": 3, "noise_psd": 0.01, "seed": 7,
+     "constellation": "qpsk", "system": {"kind": "cp_ofdm", "n_subcarriers": 4, "cp_len": 2},
+     "channel": {"kind": "wssus", "profile": {"kind": "exponential_jakes", "delay_decay": 1.0,
+                                              "max_doppler": 1, "max_delay": 2}}},
+    {"kind": "ofdm-sim", "n_dim": 16, "n_frames": 2,
+     "system": {"kind": "designed", "time_step": 4, "freq_step": 8, "profile": FUZZ_PROFILE},
+     "channel": {"kind": "time_invariant", "gains": [1.0, [0.5, 0.5]]}},
+    {"kind": "ofdm-sim", "n_dim": 16,
+     "system": {"kind": "pulse_pair", "time_step": 4, "freq_step": 4,
+                "tx": {"kind": "gaussian"}, "rx": {"kind": "gaussian"}},
+     "channel": {"kind": "specular", "paths": [[0, 0, 1.0, 0.0]]}},
+    {"kind": "identify", "n_dim": 32, "period": 4, "noise_psd": 1e-6, "seed": 3,
+     "support": {"n_delay": 4, "n_doppler": 4}},
+    {"kind": "identify", "n_dim": 32, "period": 4, "support": [[0, 0], [1, 2], [-1, -2]]},
+    {"kind": "capacity", "n_dim": 32, "profile": dict(FUZZ_PROFILE, min_delay=0), "snr": 0.5,
+     "delay_cell": 1.0, "doppler_cell": 0.5, "power_budget": 1.0,
+     "bandwidths": {"min": 0.05, "max": 50.0, "count": 5, "spacing": "linear"}},
+    {"kind": "capacity", "n_dim": 32, "profile": FUZZ_PROFILE, "power_budget": 1.0,
+     "bandwidths": [0.5, 1.0, 2.0]},
+]
+MUTANTS = [-1, 0, 2**40, 2**63, 1e300, -1e300, 1e-300, "nope", None, True, [], {}, [1, 2]]
+
+
+def config_paths(node, prefix=()):
+    """Every key path into a config, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from config_paths(child, prefix + (key,))
+
+
+def test_fuzz_bases_run(tmp_path):
+    for j, cfg in enumerate(FUZZ_BASES):
+        cli.run_experiment(cfg["kind"], cfg, tmp_path / str(j))
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_config_mutations_exit_cleanly(tmp_path_factory, data):
+    base = data.draw(st.sampled_from(FUZZ_BASES), label="base")
+    cfg = copy.deepcopy(base)
+    for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+        path = data.draw(st.sampled_from(list(config_paths(cfg))), label="path")
+        mutant = copy.deepcopy(data.draw(st.sampled_from(["drop", *MUTANTS]), label="mutant"))
+        if not path:
+            cfg = {} if mutant == "drop" else mutant
+            break
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        if mutant == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = mutant
+    tmp = tmp_path_factory.mktemp("fuzz")
+    config_path = write_config(tmp, "cfg.json", cfg)
+    out = tmp / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.run([base["kind"], "--config", str(config_path), "--out", str(out)])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL)
+    message = err.getvalue()
+    assert "Traceback" not in message
+    if code == cli.EXIT_OK:
+        assert message == ""
+    else:
+        assert message.startswith("tfcomm: ") and message.count("\n") == 1, message
+        assert not out.exists() or list(out.iterdir()) == []

@@ -261,6 +261,15 @@ def test_dd_to_tf_grid_matches_phase_sum():
 # commutation and product bounds
 
 
+def commutation_defect_oracle(n, m, l, norm):
+    """Dense (||D^m M^l - M^l D^m||, 2*pi*|m*l|/N * ||D^m M^l||) from explicit matrices."""
+    order = "fro" if norm == "frobenius" else 2
+    d, mod = shift_matrix_oracle(n, m, 0), shift_matrix_oracle(n, 0, l)
+    mc, lc = core.centered_index(m, n), core.centered_index(l, n)
+    return (float(np.linalg.norm(d @ mod - mod @ d, order)),
+            2.0 * np.pi * abs(mc * lc) / n * float(np.linalg.norm(d @ mod, order)))
+
+
 def test_commutation_defect_closed_form():
     """Norm of [M^l, D^m] has the exact value 2 sin(pi m l / N) ||D^m M^l||."""
     n = 8
@@ -272,10 +281,12 @@ def test_commutation_defect_closed_form():
         spec, bound_s = core.commutation_defect(n, m, l, norm="spectral")
         assert spec == pytest.approx(2 * abs(np.sin(np.pi * m * l / n)), abs=1e-12)
         assert spec <= bound_s + 1e-12
+        for norm, pair in [("frobenius", (fro, bound_f)), ("spectral", (spec, bound_s))]:
+            assert pair == pytest.approx(commutation_defect_oracle(n, m, l, norm), abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=2, max_value=40), st.data())
+@given(st.integers(min_value=1, max_value=64), st.data())
 def test_commutation_bound_property(n, data):
     lo = -((n - 1) // 2)
     m = data.draw(st.integers(min_value=lo, max_value=lo + n - 1))
@@ -283,14 +294,21 @@ def test_commutation_bound_property(n, data):
     for norm in ("frobenius", "spectral"):
         defect, bound = core.commutation_defect(n, m, l, norm=norm)
         assert defect <= bound + 1e-12
+        assert (defect, bound) == pytest.approx(commutation_defect_oracle(n, m, l, norm),
+                                                abs=1e-12)
+
+
+def test_commutation_defect_rejects_unknown_norm():
+    with pytest.raises(ValueError, match="unknown norm 'nuclear'"):
+        core.commutation_defect(8, 1, 1, norm="nuclear")
 
 
 def test_commutation_defect_raises_when_bound_fails(monkeypatch):
     """The bound check is an explicit raise, so ``python -O`` keeps it."""
-    norms = iter([1.0, 0.0])  # the commutator's norm, then ||D^m M^l||
-    monkeypatch.setattr(core, "_matrix_norm", lambda mat, norm: next(norms))
-    with pytest.raises(ArithmeticError, match="defect 1.0 exceeds its bound 0.0"):
-        core.commutation_defect(8, 1, 1)
+    # |1 - omega^(ml)| = 1 > 2*pi/8 at N = 8, m = l = 1: the defect then tops its bound
+    monkeypatch.setattr(core, "_root_gap", lambda k, n: 1.0)
+    with pytest.raises(ArithmeticError, match="defect 1.0 exceeds its bound 0.785"):
+        core.commutation_defect(8, 1, 1, norm="spectral")
 
 
 def test_product_spreading_exact_identity():

@@ -254,6 +254,13 @@ def test_rect_localization_closed_form():
     assert t_spread == pytest.approx(np.sqrt((length**2 - 1) / 12), rel=1e-6)
 
 
+def test_rect_offset_wraps_any_integer():
+    # an offset of 2**63 used to overflow numpy's int64 (OverflowError, exit 3 from the CLI)
+    wrapped = wh.rect_pulse(8, 3, 2**63 % 8).samples
+    assert np.array_equal(wh.rect_pulse(8, 3, 2**63).samples, wrapped)
+    assert np.array_equal(wh.rect_pulse(8, 3, -2**63).samples, wh.rect_pulse(8, 3, 0).samples)
+
+
 def test_localization_rejects_zero():
     with pytest.raises(ValueError):
         wh.localization_metrics(np.zeros(8))
