@@ -15,7 +15,10 @@ its own config keys.  ``run_experiment`` does the shared work once: it
 rejects non-finite numbers anywhere in the config, validates
 ``[kind, n_dim, <kind keys>, seed]``, calls the runner (which writes its
 CSVs and returns its report), writes the report with ``n_dim`` added, and
-lists every staged file in the manifest.
+lists every staged file in the manifest.  Every exit-2 message about a
+config value starts with its location: ``_located`` is the one place where a
+library ValueError/TypeError becomes a ConfigError, at the dotted key a
+builder or library call reads, else at ``config`` around the whole runner.
 
 All randomness is derived from the single run seed through fixed substream
 labels, so per-frame draws are reproducible in isolation.
@@ -24,6 +27,7 @@ labels, so per-frame draws are reproducible in isolation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -42,7 +46,7 @@ from .capacity import CapacityQuery, bandwidth_sweep, capacity_low_snr
 from .channel_models import ScatteringProfile, from_specular, preset_profile, \
     time_invariant, wssus_sample
 from .identification import IdentifiabilityError, build_sounding_matrix, \
-    centered_rect_support, dirac_train, identify, offgrid_ambiguity
+    centered_rect_support, dirac_train, identify, offgrid_ambiguity, refuse_overspread
 from .ofdm import OFDMConfig, cp_ofdm_config, design_pulses, interference_power, \
     simulate_frames
 from .tf_core import SpreadingFunction, centered_index, spread_metrics, tf_transfer
@@ -93,6 +97,15 @@ class _Key:
     lo: float | None = None
     hi: float | None = None
     open_lo: bool = False
+    # forms a given list's entries may take: () a number, (name, ...) a list of numbers
+    entries: tuple = ()
+
+
+def _fits(item, form: tuple) -> bool:
+    """Whether a list entry is a number (form ()) or a list of len(form) numbers."""
+    if not form:
+        return isinstance(item, (int, float)) and not isinstance(item, bool)
+    return isinstance(item, list) and len(item) == len(form) and all(_fits(v, ()) for v in item)
 
 
 def _validate(obj, keys: list[_Key], where: str) -> dict:
@@ -117,6 +130,11 @@ def _validate(obj, keys: list[_Key], where: str) -> dict:
                 lo = "" if key.lo is None else f"{key.lo} {'<' if key.open_lo else '<='} "
                 hi = "" if key.hi is None else f" <= {key.hi}"
                 raise ConfigError(f"{where}.{key.name}: expected {lo}{key.name}{hi}, got {val!r}")
+            for j, item in enumerate(val if key.entries and isinstance(val, list) else []):
+                if not any(_fits(item, form) for form in key.entries):
+                    names = " or ".join(f"[{', '.join(f)}]" if f else "a number"
+                                        for f in key.entries)
+                    raise ConfigError(f"{where}.{key.name}[{j}]: expected {names}")
             out[key.name] = val
         elif key.default is _MISSING:
             raise ConfigError(f"{where}: missing required key {key.name!r}")
@@ -125,20 +143,15 @@ def _validate(obj, keys: list[_Key], where: str) -> dict:
     return out
 
 
-def _complex_list(values, where: str) -> np.ndarray:
-    """Parse [x, ...] or [[re, im], ...] into a complex vector."""
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"{where}: expected a nonempty list")
-    out = []
-    for j, item in enumerate(values):
-        if isinstance(item, (int, float)) and not isinstance(item, bool):
-            out.append(complex(item))
-        elif isinstance(item, list) and len(item) == 2 and \
-                all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in item):
-            out.append(complex(item[0], item[1]))
-        else:
-            raise ConfigError(f"{where}[{j}]: expected a number or [re, im] pair")
-    return np.array(out)
+@contextlib.contextmanager
+def _located(where: str):
+    """Re-raise a library ValueError/TypeError, not LinAlgError, as a ConfigError at ``where``."""
+    try:
+        yield
+    except np.linalg.LinAlgError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _check_finite(cfg: dict) -> None:
@@ -162,12 +175,13 @@ def _check_finite(cfg: dict) -> None:
 # systems share _DESIGN_KEYS; the descent perturbs a unit-norm seed window, so a step
 # above 1 would swamp it
 _DESIGN_KEYS = [_Key("time_step", (int,)), _Key("freq_step", (int,)), _Key("profile", (dict,)),
-                _Key("method", (str,), "matched_gaussian_tight"), _Key("n_sweeps", (int,), 1),
+                _Key("method", (str,), "matched_gaussian_tight"), _Key("n_sweeps", (int,), 1, lo=0),
                 _Key("step", (float,), 0.02, lo=0, hi=1, open_lo=True)]
 _PULSES = {"gaussian": [_Key("sigma", (float,), None)],
            "rect": [_Key("length", (int,)), _Key("offset", (int,), 0)],
            "csv": [_Key("path", (str,))]}
-_CHANNELS = {"specular": [_Key("paths", (list,))], "time_invariant": [_Key("gains", (list,))],
+_CHANNELS = {"specular": [_Key("paths", (list,), entries=(("delay", "doppler", "re", "im"),))],
+             "time_invariant": [_Key("gains", (list,), entries=((), ("re", "im")))],
              "wssus": [_Key("profile", (dict,))]}
 _SYSTEMS = {"cp_ofdm": [_Key("n_subcarriers", (int,)), _Key("cp_len", (int,))],
             "designed": _DESIGN_KEYS,
@@ -187,25 +201,22 @@ def _tagged(desc: dict, where: str, noun: str, variants: dict) -> tuple[str, dic
 
 def _build_profile(desc: dict, n_dim: int, where: str) -> ScatteringProfile:
     """A preset profile; ``preset_profile`` checks the kind and its parameters."""
-    if "kind" not in desc:
-        raise ConfigError(f"{where}: expected an object with a 'kind' key")
     params = {k: v for k, v in desc.items() if k != "kind"}
-    try:
-        return preset_profile(desc["kind"], n_dim, **params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    with _located(where):
+        return preset_profile(desc.get("kind"), n_dim, **params)
 
 
 def _build_pulse(desc: dict, n_dim: int, where: str, base_dir: Path, grid: WHGrid) -> Pulse:
     kind, spec = _tagged(desc, where, "pulse", _PULSES)
-    if kind == "gaussian":
-        return gaussian_pulse(n_dim, grid.time_step, grid.freq_step, spec["sigma"])
-    if kind == "rect":
-        return rect_pulse(n_dim, spec["length"], spec["offset"])
-    try:
-        pulse = read_pulse_csv(base_dir / spec["path"])
-    except OSError as exc:
-        raise ConfigError(f"{where}.path: cannot read pulse file: {exc}") from exc
+    with _located(where):
+        if kind == "gaussian":
+            return gaussian_pulse(n_dim, grid.time_step, grid.freq_step, spec["sigma"])
+        if kind == "rect":
+            return rect_pulse(n_dim, spec["length"], spec["offset"])
+        try:
+            pulse = read_pulse_csv(base_dir / spec["path"])
+        except OSError as exc:
+            raise ConfigError(f"{where}.path: cannot read pulse file: {exc}") from exc
     if pulse.n_dim != n_dim:
         raise ConfigError(f"{where}: pulse file has length {pulse.n_dim}, expected {n_dim}")
     return pulse
@@ -214,14 +225,17 @@ def _build_pulse(desc: dict, n_dim: int, where: str, base_dir: Path, grid: WHGri
 def _build_channel(desc: dict, n_dim: int, where: str) -> SpreadingFunction | ScatteringProfile:
     """A deterministic channel's SpreadingFunction, or a WSSUS channel's profile."""
     kind, spec = _tagged(desc, where, "channel", _CHANNELS)
+    if kind == "wssus":
+        return _build_profile(spec["profile"], n_dim, f"{where}.profile")
     if kind == "specular":
-        for j, item in enumerate(spec["paths"]):
-            if not (isinstance(item, list) and len(item) == 4):
-                raise ConfigError(f"{where}.paths[{j}]: expected [delay, doppler, re, im]")
-        return from_specular([(m, l, complex(re, im)) for m, l, re, im in spec["paths"]], n_dim)
-    if kind == "time_invariant":
-        return time_invariant(_complex_list(spec["gains"], f"{where}.gains"), n_dim)
-    return _build_profile(spec["profile"], n_dim, f"{where}.profile")
+        with _located(f"{where}.paths"):
+            return from_specular([(m, l, complex(re, im)) for m, l, re, im in spec["paths"]],
+                                 n_dim)
+    if not spec["gains"]:
+        raise ConfigError(f"{where}.gains: expected a nonempty list")
+    with _located(f"{where}.gains"):
+        return time_invariant([complex(*g) if isinstance(g, list) else complex(g)
+                               for g in spec["gains"]], n_dim)
 
 
 def _design(spec: dict, n_dim: int, where: str) -> tuple[ScatteringProfile, OFDMConfig]:
@@ -235,14 +249,15 @@ def _design(spec: dict, n_dim: int, where: str) -> tuple[ScatteringProfile, OFDM
 
 def _build_system(desc: dict, n_dim: int, where: str, base_dir: Path) -> OFDMConfig:
     kind, spec = _tagged(desc, where, "system", _SYSTEMS)
-    if kind == "cp_ofdm":
-        return cp_ofdm_config(n_dim, spec["n_subcarriers"], spec["cp_len"])
-    if kind == "designed":
-        return _design(spec, n_dim, where)[1]
-    grid = WHGrid(n_dim, spec["time_step"], spec["freq_step"])
-    tx = _build_pulse(spec["tx"], n_dim, f"{where}.tx", base_dir, grid)
-    rx = _build_pulse(spec["rx"], n_dim, f"{where}.rx", base_dir, grid)
-    return OFDMConfig(grid, tx, rx)
+    with _located(where):
+        if kind == "cp_ofdm":
+            return cp_ofdm_config(n_dim, spec["n_subcarriers"], spec["cp_len"])
+        if kind == "designed":
+            return _design(spec, n_dim, where)[1]
+        grid = WHGrid(n_dim, spec["time_step"], spec["freq_step"])
+        tx = _build_pulse(spec["tx"], n_dim, f"{where}.tx", base_dir, grid)
+        rx = _build_pulse(spec["rx"], n_dim, f"{where}.rx", base_dir, grid)
+        return OFDMConfig(grid, tx, rx)
 
 
 # ---------------------------------------------------------------------------
@@ -278,21 +293,21 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def _grid_db(values: np.ndarray, floor_db: float) -> np.ndarray:
+def _grid_db(values: np.ndarray) -> np.ndarray:
     mags = np.abs(values)
     peak = mags.max()
     if peak == 0.0:
-        return np.full(values.shape, floor_db)
+        return np.full(values.shape, DB_FLOOR)
     with np.errstate(divide="ignore"):
         db = 20.0 * np.log10(mags / peak)
-    return np.maximum(db, floor_db)
+    return np.maximum(db, DB_FLOOR)
 
 
-def emit_plotdata(kind: str, source, path, floor_db: float = DB_FLOOR) -> None:
+def emit_plotdata(kind: str, source, path) -> None:
     """Write long-format (x, y, value_db) CSV for heatmaps and curves.
 
-    Magnitudes are normalized to the grid peak and clamped ``floor_db``
-    below it (default 40 dB of dynamic range).  Spreading and ambiguity
+    Magnitudes are normalized to the grid peak and clamped at ``DB_FLOOR``
+    (40 dB of dynamic range).  Spreading and ambiguity
     grids use centered axes; transfer grids use raw (n, k).  For
     capacity-curve the columns are (bandwidth, rate, rate relative to the
     peak in dB).  The file is written column-wise: floats as their ``repr``,
@@ -303,7 +318,7 @@ def emit_plotdata(kind: str, source, path, floor_db: float = DB_FLOOR) -> None:
     if kind in ("spreading-heatmap", "ambiguity-heatmap", "transfer-heatmap"):
         grid = np.asarray(source)
         n = grid.shape[0]
-        db = _grid_db(grid, floor_db)
+        db = _grid_db(grid)
         axis = np.arange(n) if kind == "transfer-heatmap" else centered_index(np.arange(n), n)
         labels = list(map(str, axis.tolist()))
         _write_csv(path, ["x", "y", "value_db"],
@@ -313,8 +328,8 @@ def emit_plotdata(kind: str, source, path, floor_db: float = DB_FLOOR) -> None:
         rates = np.asarray(source.rates, dtype=float)
         peak = rates.max()
         with np.errstate(divide="ignore", invalid="ignore"):  # rates <= 0 sit on the floor
-            rel = np.fmax(20.0 * np.log10(rates / peak), floor_db) if peak > 0 \
-                else np.full(rates.shape, float(floor_db))
+            rel = np.fmax(20.0 * np.log10(rates / peak), DB_FLOOR) if peak > 0 \
+                else np.full(rates.shape, DB_FLOOR)
         _write_csv(path, ["x", "y", "value_db"],
                    [np.asarray(source.bandwidths, dtype=float), rates, rel])
         return
@@ -411,18 +426,18 @@ def _run_ofdm_sim(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
 
 
 def _run_identify(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
-    if isinstance(spec["support"], dict):
-        sup = _validate(spec["support"], [_Key("n_delay", (int,), lo=1, hi=n),
-                                          _Key("n_doppler", (int,), lo=1, hi=n)],
-                        "config.support")
-        support = centered_rect_support(sup["n_delay"], sup["n_doppler"])
-    else:
-        for j, cell in enumerate(spec["support"]):
-            if not (isinstance(cell, list) and len(cell) == 2):
-                raise ConfigError(f"config.support[{j}]: expected [delay, doppler]")
-        support = tuple(map(tuple, spec["support"]))
-    probe = dirac_train(n, spec["period"])
-    mat = build_sounding_matrix(probe, support, n)
+    rect = isinstance(spec["support"], dict) and _validate(
+        spec["support"], [_Key("n_delay", (int,), lo=1, hi=n),
+                          _Key("n_doppler", (int,), lo=1, hi=n)], "config.support")
+    with _located("config.period"):
+        probe = dirac_train(n, spec["period"])
+    # from the counts, before any cell is enumerated or X is built
+    refuse_overspread(rect["n_delay"] * rect["n_doppler"] if rect else
+                      len({tuple(cell) for cell in spec["support"]}), n)
+    with _located("config.support"):
+        support = centered_rect_support(rect["n_delay"], rect["n_doppler"]) if rect else \
+            tuple(map(tuple, spec["support"]))
+        mat = build_sounding_matrix(probe, support, n)
     rng = np.random.default_rng([spec["seed"], 0])
     truth = (rng.standard_normal(len(support))
              + 1j * rng.standard_normal(len(support))) / np.sqrt(2.0)
@@ -474,16 +489,15 @@ def _run_capacity(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
                 _Key("min", (float,), lo=0, open_lo=True), _Key("max", (float,)),
                 _Key("count", (int,), lo=2, hi=_MAX_COUNT), _Key("spacing", (str,), "log")],
                 "config.bandwidths")
-            if gspec["max"] <= gspec["min"]:
-                raise ConfigError("config.bandwidths: need min < max")
             spacing = {"log": np.geomspace, "linear": np.linspace}.get(gspec["spacing"])
             if spacing is None:
                 raise ConfigError("config.bandwidths.spacing: expected 'log' or 'linear'")
             grid = spacing(gspec["min"], gspec["max"], gspec["count"])
         else:
-            grid = np.array([float(v) for v in spec["bandwidths"]])
-        sweep = bandwidth_sweep(profile, spec["power_budget"], grid,
-                                spec["delay_cell"], spec["doppler_cell"])
+            grid = spec["bandwidths"]
+        with _located("config.bandwidths"):  # power_budget and the cells have declared bounds
+            sweep = bandwidth_sweep(profile, spec["power_budget"], grid,
+                                    spec["delay_cell"], spec["doppler_cell"])
         _write_csv(out / "sweep.csv", ["bandwidth", "snr", "capacity", "penalty", "rate"],
                    [sweep.bandwidths, sweep.snrs, sweep.capacities, sweep.penalties,
                     sweep.rates])
@@ -510,12 +524,14 @@ _RUNNERS = {
         _Key("n_frames", (int,), 1, lo=1, hi=_MAX_COUNT), _Key("noise_psd", (float,), 0.0, lo=0),
         _Key("constellation", (str,), "qpsk")]),
     "identify": (_run_identify, "identify_report.json", [
-        _Key("period", (int,)), _Key("support", (dict, list)),
+        _Key("period", (int,)), _Key("support", (dict, list), entries=(("delay", "doppler"),)),
         _Key("noise_psd", (float,), 0.0, lo=0)]),
     "capacity": (_run_capacity, "capacity_report.json", [
         _Key("profile", (dict,)), _Key("snr", (float,), None),
-        _Key("power_budget", (float,), None), _Key("bandwidths", (list, dict), None),
-        _Key("delay_cell", (float,), 1.0), _Key("doppler_cell", (float,), None)]),
+        _Key("power_budget", (float,), None, lo=0, open_lo=True),
+        _Key("bandwidths", (list, dict), None, entries=((),)),
+        _Key("delay_cell", (float,), 1.0, lo=0, open_lo=True),
+        _Key("doppler_cell", (float,), None, lo=0, open_lo=True)]),
 }
 
 KINDS = tuple(sorted(_RUNNERS))
@@ -534,7 +550,7 @@ def _apply_override(cfg: dict, assignment: str) -> None:
         raise ConfigError(f"--set: bad key path {dotted!r}")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer literal past the int-string limit
         value = raw
     except RecursionError as exc:
         raise ConfigError(f"--set {dotted}: value nests too deeply") from exc
@@ -568,7 +584,7 @@ def run_experiment(kind: str, config: dict, out_dir, seed=None,
     cfg = dict(config)
     declared = cfg.get("kind")
     if declared is not None and declared != kind:
-        raise ConfigError(f"config declares kind {declared!r} but {kind!r} was requested")
+        raise ConfigError(f"config.kind: declared {declared!r} but {kind!r} was requested")
     if seed is not None:
         cfg["seed"] = int(seed)
     _check_finite(cfg)
@@ -579,10 +595,10 @@ def run_experiment(kind: str, config: dict, out_dir, seed=None,
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
     try:
         started = time.monotonic()
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), _located("config"):
             spec = _validate(cfg, [_Key("kind", (str,), kind),
                                    _Key("n_dim", (int,), lo=1, hi=_MAX_N_DIM), *keys,
-                                   _Key("seed", (int,), 0)], "config")
+                                   _Key("seed", (int,), 0, lo=0)], "config")
             report = runner(spec, spec["n_dim"], staging, base)
             _write_json(staging / report_name, {"n_dim": spec["n_dim"], **report})
         outputs = {path.name: _sha256(path) for path in sorted(staging.iterdir())}
@@ -628,19 +644,18 @@ def run(argv=None) -> int:
             cfg = json.loads(config_path.read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deep for the parser
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
-            raise ConfigError("config root must be a JSON object")
+            raise ConfigError(f"config: expected an object, got {type(cfg).__name__}")
         for assignment in args.overrides:
             _apply_override(cfg, assignment)
         run_experiment(args.kind, cfg, out_dir, seed=args.seed,
                        base_dir=config_path.resolve().parent)
     except (NotAFrameError, IdentifiabilityError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        # LinAlgError subclasses ValueError, so this clause precedes the config one
         print(f"tfcomm: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, ValueError, TypeError) as exc:
+    except ConfigError as exc:
         print(f"tfcomm: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

@@ -36,22 +36,25 @@ __all__ = [
     "dirac_train",
     "centered_rect_support",
     "build_sounding_matrix",
+    "refuse_overspread",
     "identify",
     "sounding_quality",
     "offgrid_ambiguity",
 ]
 
 RANK_RTOL = 1e-10
+_OVERSPREAD = "overspread supports with |S| > N are never identifiable"
 
 
 class IdentifiabilityError(Exception):
     """The sounding matrix cannot separate the declared unknowns.
 
     Carries ``n_unknowns`` and ``numerical_rank`` so callers can tell an
-    overspread support (|S| > N) from a bad probe.
+    overspread support (|S| > N) from a bad probe; ``numerical_rank`` is
+    None when the count alone refused the support and no rank was computed.
     """
 
-    def __init__(self, message: str, n_unknowns: int, numerical_rank: int):
+    def __init__(self, message: str, n_unknowns: int, numerical_rank: int | None):
         super().__init__(message)
         self.n_unknowns = n_unknowns
         self.numerical_rank = numerical_rank
@@ -123,6 +126,13 @@ def centered_rect_support(n_delay: int, n_doppler: int) -> tuple[tuple[int, int]
     return tuple((m, l) for m in delays for l in dopplers)
 
 
+def refuse_overspread(n_unknowns: int, n_dim: int) -> None:
+    """Refuse |S| > N from the counts alone, before any cell or X is built: rank X <= N."""
+    if n_unknowns > n_dim:
+        raise IdentifiabilityError(f"{n_unknowns} unknowns > N = {n_dim}: {_OVERSPREAD}",
+                                   n_unknowns=n_unknowns, numerical_rank=None)
+
+
 def build_sounding_matrix(sounding, support, n_dim: int) -> np.ndarray:
     """Stack M^l D^m x as columns, one per support cell, in support order."""
     x = np.asarray(sounding, dtype=complex).ravel()
@@ -190,7 +200,7 @@ def identify(observation, sounding, support) -> IdentificationResult:
     if rank < len(cells):
         raise IdentifiabilityError(
             f"sounding matrix rank {rank} < {len(cells)} unknowns "
-            f"(N = {n}; overspread supports with |S| > N are never identifiable)",
+            f"(N = {n}; {_OVERSPREAD})",
             n_unknowns=len(cells), numerical_rank=rank)
     estimate = np.empty(len(cells), dtype=complex)
     misfit = y.copy()

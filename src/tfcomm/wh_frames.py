@@ -188,13 +188,13 @@ def frame_power(pulse, grid: WHGrid, power: float, rank_rtol: float | None = Non
     return Pulse(np.einsum("rpq,rq->rp", evecs, coef).T.ravel())
 
 
-def frame_bounds(pulse, grid: WHGrid, tight_rtol: float = 1e-9) -> FrameReport:
-    """Extreme eigenvalues of the frame operator over all Walnut blocks."""
+def frame_bounds(pulse, grid: WHGrid) -> FrameReport:
+    """Extreme eigenvalues of the frame operator over all Walnut blocks; tight to 1e-9."""
     evals, _, _ = _walnut_blocks(pulse, grid)
     lower = float(evals.min())
     upper = float(evals.max())
     is_frame = upper > 0.0 and lower > FRAME_RANK_RTOL * upper
-    is_tight = is_frame and (upper / lower - 1.0) <= tight_rtol
+    is_tight = is_frame and (upper / lower - 1.0) <= 1e-9
     condition = upper / lower if is_frame else float("inf")
     return FrameReport(lower, upper, is_frame, is_tight, condition)
 
@@ -220,17 +220,17 @@ def _gram_defect(ambiguity: np.ndarray, grid: WHGrid, constant: float = 1.0) -> 
     return float(samples.max())
 
 
-def check_wexler_raz(pulse, dual, grid: WHGrid, tol: float = 1e-10) -> tuple[bool, float]:
+def check_wexler_raz(pulse, dual, grid: WHGrid) -> tuple[bool, float]:
     """Duality on the lattice against biorthogonality on the adjoint lattice.
 
     Returns (dual_frames, biorthogonality_defect).  The first entry tests
-    sum_{n,k} <x, gamma_{n,k}> g_{n,k} == x as "every Walnut block is I_b".
+    sum_{n,k} <x, gamma_{n,k}> g_{n,k} == x as "every Walnut block is I_b" to 1e-10.
     The second is the largest deviation of the adjoint-lattice cross Gram
     from (a*b/N) times the identity; the two criteria agree (Wexler-Raz).
     """
     g, gam = as_samples(pulse), as_samples(dual)
     mixed = _walnut_stack(g, grid) @ _walnut_stack(gam, grid).conj().transpose(0, 2, 1)
-    is_dual = bool(np.abs(grid.n_freq * mixed - np.eye(grid.freq_step)).max() <= tol)
+    is_dual = bool(np.abs(grid.n_freq * mixed - np.eye(grid.freq_step)).max() <= 1e-10)
     return is_dual, _gram_defect(cross_ambiguity(g, gam), grid.adjoint(), grid.tf_product)
 
 

@@ -7,8 +7,10 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -467,10 +469,29 @@ def test_unbounded_sizes_exit_2(tmp_path, capsys, kind, cfg, message):
     ("capacity", dict(SWEEP_CFG, bandwidths=dict(SWEEP_CFG["bandwidths"], count=1)),
      f"config.bandwidths.count: expected 2 <= count <= {4096**2}, got 1"),
     ("capacity", dict(SWEEP_CFG, bandwidths=dict(SWEEP_CFG["bandwidths"], max=0.05)),
-     "config.bandwidths: need min < max"),
+     "config.bandwidths: bandwidth grid must be strictly increasing"),
     ("spread-analyze", dict(SPREAD_CFG, n_dim=0), "config.n_dim: expected 1 <= n_dim <= 4096, got 0"),
+    # seed used to reach numpy, which printed a bare "expected non-negative integer"
+    ("identify", dict(IDENTIFY_CFG, seed=-1), "config.seed: expected 0 <= seed, got -1"),
+    ("ofdm-sim", dict(SIM_CFG, seed=-1), "config.seed: expected 0 <= seed, got -1"),
+    ("spread-analyze", dict(SPREAD_CFG, seed=-1, channel=SIM_CFG["channel"]),
+     "config.seed: expected 0 <= seed, got -1"),
+    # n_sweeps -1 used to pass with the default method and fail late with local_search
+    ("pulse-design", dict(DESIGN_CFG, n_sweeps=-1),
+     "config.n_sweeps: expected 0 <= n_sweeps, got -1"),
+    ("ofdm-sim", dict(SIM_CFG, n_dim=24, system={
+        "kind": "designed", "time_step": 4, "freq_step": 8, "profile": DESIGN_CFG["profile"],
+        "method": "local_search", "n_sweeps": -1}),
+     "config.system.n_sweeps: expected 0 <= n_sweeps, got -1"),
+    ("capacity", dict(SWEEP_CFG, power_budget=0.0),
+     "config.power_budget: expected 0 < power_budget, got 0.0"),
+    ("capacity", dict(SWEEP_CFG, delay_cell=-1.0),
+     "config.delay_cell: expected 0 < delay_cell, got -1.0"),
+    ("capacity", dict(SWEEP_CFG, doppler_cell=0),
+     "config.doppler_cell: expected 0 < doppler_cell, got 0.0"),
 ], ids=["identify-noise_psd", "sim-noise_psd", "n_frames", "bandwidths-min", "bandwidths-count",
-        "bandwidths-max", "n_dim"])
+        "bandwidths-max", "n_dim", "identify-seed", "sim-seed", "wssus-seed", "n_sweeps",
+        "system-n_sweeps", "power_budget", "delay_cell", "doppler_cell"])
 def test_declared_bounds_name_the_key(tmp_path, capsys, kind, cfg, message):
     path = write_config(tmp_path, "bounds.json", cfg)
     out = tmp_path / "out"
@@ -486,6 +507,125 @@ def test_bounds_are_inclusive(tmp_path):
     cli.run_experiment("capacity", dict(SWEEP_CFG, bandwidths=dict(SWEEP_CFG["bandwidths"],
                                                                    count=2)), tmp_path / "cap")
     assert (tmp_path / "cap" / "sweep.csv").read_text().count("\n") == 3
+
+
+def specular(*paths):
+    return dict(SPREAD_CFG, channel={"kind": "specular", "paths": list(paths)})
+
+
+@pytest.mark.parametrize("kind, cfg, message", [
+    # each of these library messages used to reach the user without its config location
+    ("identify", dict(IDENTIFY_CFG, period=-1),
+     "config.period: period must divide N = 32, got -1"),
+    ("spread-analyze", specular([99999, 0, 1.0, 0.0]),
+     "config.channel.paths: path delay 99999 outside centered range [-7, 8] for N = 16"),
+    ("pulse-design", dict(DESIGN_CFG, method="foo"), "config: unknown method 'foo'"),
+    ("frame-analyze", dict(FRAME_CFG, pulse={"kind": "rect", "length": 99}),
+     "config.pulse: length must be in [1, 24], got 99"),
+    ("frame-analyze", dict(FRAME_CFG, time_step=5), "config: time_step 5 does not divide N = 24"),
+    ("ofdm-sim", dict(SIM_CFG, system={"kind": "cp_ofdm", "n_subcarriers": 5, "cp_len": 4}),
+     "config.system: n_subcarriers 5 must divide N = 48"),
+    ("ofdm-sim", dict(SIM_CFG, system={"kind": "pulse_pair", "time_step": 4, "freq_step": 4,
+                                       "tx": {"kind": "rect", "length": 99},
+                                       "rx": {"kind": "gaussian"}}),
+     "config.system.tx: length must be in [1, 48], got 99"),
+    ("ofdm-sim", dict(SIM_CFG, channel={"kind": "time_invariant", "gains": [1.0] * 30}),
+     "config.channel.gains: path delay 25 outside centered range [-23, 24] for N = 48"),
+    ("identify", dict(IDENTIFY_CFG, support=[[0, 0], [0, 0]]),
+     "config.support: support contains duplicate cells"),
+    # N + 1 entries but N distinct cells: a duplicate, not an overspread support
+    ("identify", dict(IDENTIFY_CFG, support=[[m, 0] for m in range(-15, 17)] + [[0, 0]]),
+     "config.support: support contains duplicate cells"),
+    ("identify", dict(IDENTIFY_CFG, support=[[0, 99]]),
+     "config.support: support cell (0, 99) outside centered range [-15, 16]"),
+    ("capacity", dict(SWEEP_CFG, bandwidths=[2.0, 1.0]),
+     "config.bandwidths: bandwidth grid must be strictly increasing"),
+    # booleans and strings inside list-valued keys used to run (exit 0)
+    ("identify", dict(IDENTIFY_CFG, support=[[True, 0]]),
+     "config.support[0]: expected [delay, doppler]"),
+    ("identify", dict(IDENTIFY_CFG, support=[[0, 0], [1]]),
+     "config.support[1]: expected [delay, doppler]"),
+    ("spread-analyze", specular([True, False, True, 0]),
+     "config.channel.paths[0]: expected [delay, doppler, re, im]"),
+    ("spread-analyze", specular([0, 0, 1.0, 0.0], [1, 0, "1", 0.0]),
+     "config.channel.paths[1]: expected [delay, doppler, re, im]"),
+    ("capacity", dict(SWEEP_CFG, bandwidths=[True, 2.0, 3.0]),
+     "config.bandwidths[0]: expected a number"),
+    ("capacity", dict(SWEEP_CFG, bandwidths=["1", "2"]),
+     "config.bandwidths[0]: expected a number"),
+    ("ofdm-sim", dict(SIM_CFG, channel={"kind": "time_invariant", "gains": [1.0, [True, 0]]}),
+     "config.channel.gains[1]: expected a number or [re, im]"),
+    ("ofdm-sim", dict(SIM_CFG, channel={"kind": "time_invariant", "gains": ["1"]}),
+     "config.channel.gains[0]: expected a number or [re, im]"),
+], ids=["period", "paths", "method", "pulse", "time_step", "system", "system-tx", "gains",
+        "support-duplicates", "support-duplicates-over-n", "support-range", "bandwidths", "support-bool", "support-short",
+        "paths-bool", "paths-str", "bandwidths-bool", "bandwidths-str", "gains-bool", "gains-str"])
+def test_config_errors_name_their_location(tmp_path, capsys, kind, cfg, message):
+    path = write_config(tmp_path, "located.json", cfg)
+    out = tmp_path / "out"
+    assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"tfcomm: config error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("n_dim, period, support, n_unknowns", [
+    # the 255 x 255 rectangle used to take seconds and hundreds of MB to reach this verdict
+    (255, 5, {"n_delay": 255, "n_doppler": 255}, 255 * 255),
+    (32, 4, [[m, 0] for m in range(-16, 17)], 33),
+])
+def test_overspread_identify_exits_3_before_building(tmp_path, capsys, monkeypatch, n_dim,
+                                                     period, support, n_unknowns):
+    def refuse(*args):
+        raise AssertionError("an overspread support must be refused before it is built")
+
+    monkeypatch.setattr(cli, "centered_rect_support", refuse)
+    monkeypatch.setattr(cli, "build_sounding_matrix", refuse)
+    path = write_config(tmp_path, "over.json", dict(IDENTIFY_CFG, n_dim=n_dim, period=period,
+                                                    support=support))
+    out = tmp_path / "out"
+    started = time.monotonic()
+    assert cli.run(["identify", "--config", str(path), "--out", str(out)]) == cli.EXIT_NUMERICAL
+    assert time.monotonic() - started < 1.0
+    assert capsys.readouterr().err == (
+        f"tfcomm: numerical failure: {n_unknowns} unknowns > N = {n_dim}: overspread supports "
+        "with |S| > N are never identifiable\n")
+    assert list(out.iterdir()) == []
+
+
+def test_run_level_messages_name_their_location(tmp_path, capsys):
+    root = tmp_path / "root.json"
+    root.write_text("[1, 2]", encoding="utf-8")
+    assert cli.run(["identify", "--config", str(root), "--out", str(tmp_path / "r")]) == \
+        cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "tfcomm: config error: config: expected an object, got list\n"
+    other = write_config(tmp_path, "other.json", SPREAD_CFG)
+    assert cli.run(["capacity", "--config", str(other), "--out", str(tmp_path / "x")]) == \
+        cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "tfcomm: config error: " \
+        "config.kind: declared 'spread-analyze' but 'capacity' was requested\n"
+
+
+def test_unreadable_config_text_exits_2(tmp_path, capsys):
+    # each of these used to end in a traceback: UnicodeDecodeError and the int-string
+    # limit's ValueError are ValueErrors, but neither is a JSONDecodeError
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"kind": "identify", "note": "caf\u00e9"}'.encode("latin-1"))
+    huge = "1" + "0" * 5000
+    digits = tmp_path / "digits.json"
+    digits.write_text(json.dumps(dict(IDENTIFY_CFG, seed=0)).replace('"seed": 0',
+                                                                      f'"seed": {huge}'))
+    plain = write_config(tmp_path, "plain.json", IDENTIFY_CFG)
+    for args, message in [
+            (["--config", str(latin1)], "config is not valid JSON: 'utf-8' codec can't decode"),
+            (["--config", str(digits)], "config is not valid JSON: Exceeds the limit"),
+            (["--config", str(plain), "--set", f"seed={huge}"],
+             "config.seed: expected int, got str")]:
+        out = tmp_path / "out"
+        assert cli.run(["identify", *args, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"tfcomm: config error: {message}") and err.count("\n") == 1
+        assert not out.exists() or list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("step", [1e308, 1.5, 0.0, -0.02])
@@ -673,7 +813,7 @@ def write_rows_oracle(path, header, rows):
 
 def heatmap_oracle(kind, grid, path):
     n = grid.shape[0]
-    db = cli._grid_db(grid, cli.DB_FLOOR)
+    db = cli._grid_db(grid)
     axis = np.arange(n) if kind == "transfer-heatmap" else centered_index(np.arange(n), n)
     write_rows_oracle(path, ["x", "y", "value_db"],
                       [[int(axis[i]), int(axis[j]), db[i, j]] for i in range(n) for j in range(n)])
@@ -816,4 +956,6 @@ def test_config_mutations_exit_cleanly(tmp_path_factory, data):
         assert message == ""
     else:
         assert message.startswith("tfcomm: ") and message.count("\n") == 1, message
+    if code == cli.EXIT_CONFIG:  # every config error starts with its location
+        assert re.match(r"tfcomm: config error: config[.\[:]", message), message
         assert not out.exists() or list(out.iterdir()) == []

@@ -119,6 +119,14 @@ def test_overspread_support_raises():
     assert exc.value.numerical_rank <= n
 
 
+def test_refuse_overspread_counts_only():
+    ident.refuse_overspread(32, 32)
+    with pytest.raises(ident.IdentifiabilityError, match="33 unknowns > N = 32") as exc:
+        ident.refuse_overspread(33, 32)
+    assert exc.value.n_unknowns == 33
+    assert exc.value.numerical_rank is None
+
+
 def test_bad_probe_raises_even_when_underspread():
     """A flat probe cannot separate two pure delays: duplicate columns."""
     n = 16
