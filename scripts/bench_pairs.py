@@ -11,7 +11,9 @@ neither side always gets the warmer machine.  Every run's end-to-end metrics
 are read from the JSON object on the last line of its standard output.
 
 The output file holds tfbench's environment line (Python, numpy, BLAS and
-CPU count) from the first run and, per workload and metric, both sides'
+CPU count) from the first run; in its protocol block, each checkout's
+``git rev-parse HEAD`` and whether its tracked or untracked files differ
+from that commit (``dirty``); and, per workload and metric, both sides'
 values in pair order, their medians and quartiles, and how many pairs the
 change won, judged by the metric's direction in BENCHMARK.json (ties count
 for neither side).  Uses the standard library only.
@@ -41,6 +43,14 @@ def tfbench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[d
     environment = next(json.loads(line.partition(" ")[2]) for line in lines
                        if line.startswith("environment "))
     return {name: metric["value"] for name, metric in result["metrics"].items()}, environment
+
+
+def revision(checkout: Path) -> dict:
+    """The HEAD commit of ``checkout`` and whether its working tree differs from it."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True,
+                              check=True).stdout.strip()
+    return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
 
 
 def summary(parent: list[float], change: list[float], better: str) -> dict:
@@ -74,7 +84,9 @@ def main() -> int:
     checkouts = {"parent": args.parent.resolve(), "change": ROOT}
     report = {"protocol": {"pairs": args.pairs, "seconds": args.seconds,
                            "seeds": [args.seed, args.seed + args.pairs - 1],
-                           "order": "parent first in even pairs, change first in odd pairs"},
+                           "order": "parent first in even pairs, change first in odd pairs",
+                           "checkouts": {side: revision(path)
+                                         for side, path in checkouts.items()}},
               "workloads": {}}
     for workload in args.workload:
         runs = {side: [] for side in SIDES}

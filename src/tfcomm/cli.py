@@ -47,8 +47,8 @@ from .channel_models import ScatteringProfile, from_specular, preset_profile, \
     time_invariant, wssus_sample
 from .identification import IdentifiabilityError, build_sounding_matrix, \
     centered_rect_support, dirac_train, identify, offgrid_ambiguity, refuse_overspread
-from .ofdm import OFDMConfig, cp_ofdm_config, design_pulses, interference_power, \
-    simulate_frames
+from .ofdm import OFDMConfig, cp_ofdm_config, design_pulses, interference_descent, \
+    interference_power, simulate_frames
 from .tf_core import SpreadingFunction, centered_index, spread_metrics, tf_transfer
 from .wh_frames import NotAFrameError, Pulse, WHGrid, check_wexler_raz, dual_window, \
     frame_bounds, gaussian_pulse, localization_metrics, read_pulse_csv, rect_pulse, \
@@ -120,7 +120,10 @@ def _validate(obj, keys: list[_Key], where: str) -> dict:
         if key.name in obj:
             val = obj[key.name]
             if float in key.types and isinstance(val, int) and not isinstance(val, bool):
+                _check_float_range(val, f"{where}.{key.name}")
                 val = float(val)
+            if key.entries and isinstance(val, list):
+                _check_float_range(val, f"{where}.{key.name}")
             if not isinstance(val, key.types) or isinstance(val, bool) and bool not in key.types:
                 names = "/".join(t.__name__ for t in key.types)
                 raise ConfigError(f"{where}.{key.name}: expected {names}, "
@@ -154,17 +157,34 @@ def _located(where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _check_finite(cfg: dict) -> None:
-    """Reject inf and nan anywhere in the config (JSON reads 1e400 as inf)."""
-    stack = [("config", cfg)]
+def _leaves(value, where: str):
+    """Yield (location, scalar) for every scalar in nested dicts and lists."""
+    stack = [(where, value)]
     while stack:
         where, value = stack.pop()
         if isinstance(value, dict):
             stack += [(f"{where}.{key}", item) for key, item in value.items()]
         elif isinstance(value, list):
             stack += [(f"{where}[{j}]", item) for j, item in enumerate(value)]
-        elif isinstance(value, float) and not math.isfinite(value):
+        else:
+            yield where, value
+
+
+def _check_finite(cfg: dict) -> None:
+    """Reject inf and nan anywhere in the config (JSON reads 1e400 as inf)."""
+    for where, value in _leaves(cfg, "config"):
+        if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{where}: non-finite number {value!r} is not allowed")
+
+
+def _check_float_range(value, where: str) -> None:
+    """Reject an int past float range in a value that becomes float or complex.
+
+    Only such values are checked: an int key (``seed``) takes any size.
+    """
+    for where, item in _leaves(value, where):
+        if isinstance(item, int) and abs(item) > sys.float_info.max:
+            raise ConfigError(f"{where}: integer beyond float range is not allowed")
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +222,7 @@ def _tagged(desc: dict, where: str, noun: str, variants: dict) -> tuple[str, dic
 def _build_profile(desc: dict, n_dim: int, where: str) -> ScatteringProfile:
     """A preset profile; ``preset_profile`` checks the kind and its parameters."""
     params = {k: v for k, v in desc.items() if k != "kind"}
+    _check_float_range(params, where)  # parameters are numbers the builders may read as floats
     with _located(where):
         return preset_profile(desc.get("kind"), n_dim, **params)
 
@@ -238,13 +259,19 @@ def _build_channel(desc: dict, n_dim: int, where: str) -> SpreadingFunction | Sc
                                for g in spec["gains"]], n_dim)
 
 
-def _design(spec: dict, n_dim: int, where: str) -> tuple[ScatteringProfile, OFDMConfig]:
-    """The profile and the designed system of validated ``_DESIGN_KEYS``."""
+def _design(spec: dict, n_dim: int, where: str
+            ) -> tuple[ScatteringProfile, OFDMConfig, list[float] | None]:
+    """The profile, the designed system and, for local search, the descent powers.
+
+    The one place that picks the method: ``local_search`` runs
+    ``interference_descent``, any other name goes to ``design_pulses``.
+    """
     grid = WHGrid(n_dim, spec["time_step"], spec["freq_step"])
     profile = _build_profile(spec["profile"], n_dim, f"{where}.profile")
-    tx, rx = design_pulses(profile, grid, spec["method"],
-                           n_sweeps=spec["n_sweeps"], step=spec["step"])
-    return profile, OFDMConfig(grid, tx, rx)
+    if spec["method"] == "local_search":
+        tx, rx, powers = interference_descent(profile, grid, spec["n_sweeps"], spec["step"])
+        return profile, OFDMConfig(grid, tx, rx), powers
+    return profile, OFDMConfig(grid, *design_pulses(profile, grid, spec["method"])), None
 
 
 def _build_system(desc: dict, n_dim: int, where: str, base_dir: Path) -> OFDMConfig:
@@ -381,7 +408,7 @@ def _run_frame_analyze(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
 
 
 def _run_pulse_design(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
-    profile, system = _design(spec, n, "config")
+    profile, system, powers = _design(spec, n, "config")
     report = {
         "method": spec["method"],
         **asdict(system.grid),
@@ -390,6 +417,8 @@ def _run_pulse_design(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
         "biorthogonality_defect": system.biorthogonality_defect,
         "interference_power": interference_power(profile, system),
     }
+    if powers is not None:
+        report["descent_powers"] = powers
     if spec["baseline"] is not None:
         base = _validate(spec["baseline"], _SYSTEMS["cp_ofdm"], "config.baseline")
         baseline = cp_ofdm_config(n, base["n_subcarriers"], base["cp_len"])

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tf_core import _centered_range, cross_ambiguity, tf_shift
+from .tf_core import _ambiguity_rows, _centered_range, tf_shift
 
 __all__ = [
     "IdentifiabilityError",
@@ -229,13 +229,21 @@ def sounding_quality(sounding, support) -> tuple[float, float]:
 def offgrid_ambiguity(sounding, support) -> float:
     """Max |A_{x,x}| over the support's pairwise differences but the origin.
 
-    Small values mean nearly orthogonal sounding columns.
+    Small values mean nearly orthogonal sounding columns.  Only the rows of
+    A at the support's delay differences are computed.
     """
     x = np.asarray(sounding, dtype=complex).ravel()
     n = x.size
     cells = _canonical_support(support, n)
-    amb = np.abs(cross_ambiguity(x, x))
     delays, dopplers = np.array(cells).T
-    diffs = amb[(delays[:, None] - delays) % n, (dopplers[:, None] - dopplers) % n]
-    off_diagonal = ~np.eye(len(cells), dtype=bool)
-    return float(diffs[off_diagonal].max(initial=0.0))
+    taps = np.unique(delays)
+    rows = np.unique((delays[:, None] - taps) % n)
+    amb = np.abs(_ambiguity_rows(x, x, rows))
+    worst = 0.0
+    for tap in taps:  # one delay at a time: pair arrays of (cells at tap) x |S|, not |S|^2
+        mine = np.flatnonzero(delays == tap)
+        diffs = amb[np.searchsorted(rows, (tap - delays) % n),
+                    (dopplers[mine, None] - dopplers) % n]
+        diffs[np.arange(mine.size), mine] = 0.0  # a cell against itself is the origin
+        worst = max(worst, float(diffs.max()))
+    return worst

@@ -6,11 +6,17 @@ translates.  Demodulation is plain inner products, so the output splits
 exactly into gain * symbol + interference + noise.  The cross-ambiguity A
 of the pair gives its biorthogonality defect (lattice Gram entries are
 samples of A up to unit phases) and its second-order interference power
-(the scattering profile against the lattice-folded |A|^2).  Pulses are
-built on the adjoint lattice (N/b, N/a): dual or tight frames there are
-biorthogonal or orthogonal transmission sets here, which makes a
+(the scattering profile against the lattice-folded |A|^2).  Each reads a
+few rows of A, one length-N FFT per row: the N/a lattice rows for the
+defect, and for the power the rows at delays = -m (mod a) for the support
+delays m.  Only the pulse-design heatmap builds the N x N grid.  Pulses
+are built on the adjoint lattice (N/b, N/a): dual or tight frames there
+are biorthogonal or orthogonal transmission sets here, which makes a
 Gaussian-shaped orthogonal pair with a prescribed time/frequency aspect
-cheap to compute.
+cheap to compute.  Local search perturbs one sample of the seed window per
+trial; that sample enters a / gcd(a, N/b) of the a adjoint Walnut blocks,
+so a trial re-solves only those and rewrites only their samples of the
+tight pair.
 
 Monte Carlo runs (``simulate_frames``) stay in the spreading domain: a
 channel is its K support cells S[m, l], never an N x N matrix.  The gain of
@@ -27,16 +33,17 @@ K cells.  The decomposition check stays per frame.  The dense
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .channel_models import ScatteringProfile, _support_draw
-from .tf_core import SpreadingFunction, as_matrix, cross_ambiguity, spreading_function, \
-    tf_shift, tf_transfer
-from .wh_frames import NotAFrameError, Pulse, WHGrid, _gram_defect, gaussian_pulse, \
-    lattice_matrix, rect_pulse, tight_window
+from .tf_core import SpreadingFunction, _ambiguity_rows, as_matrix, cross_ambiguity, \
+    spreading_function, tf_shift, tf_transfer
+from .wh_frames import NotAFrameError, Pulse, WHGrid, _gram_defect, _power_on_blocks, \
+    gaussian_pulse, lattice_matrix, rect_pulse, tight_window
 
 __all__ = [
     "OFDMConfig",
@@ -72,8 +79,10 @@ class OFDMConfig:
     The lattice must satisfy a*b >= N (at most one symbol per signal-space
     dimension).  ``biorthogonality_defect``, the largest deviation of the
     lattice cross Gram from the identity (zero: perfect recovery through an
-    identity channel), is read off the cross-ambiguity, which construction
-    caches read-only; the lattice matrices are cached on first use.
+    identity channel), is read off the N/a lattice rows of the
+    cross-ambiguity at construction.  The full N x N ``ambiguity`` grid and
+    the lattice matrices are built read-only on first use; the gain table
+    and the interference power compute only the ambiguity rows they read.
     """
 
     grid: WHGrid
@@ -95,7 +104,7 @@ class OFDMConfig:
         object.__setattr__(self, "tx_pulse", tx)
         object.__setattr__(self, "rx_pulse", rx)
         object.__setattr__(self, "biorthogonality_defect",
-                           _gram_defect(self.ambiguity, self.grid))
+                           _gram_defect(tx.samples, rx.samples, self.grid))
 
     @cached_property
     def tx_matrix(self) -> np.ndarray:
@@ -282,8 +291,8 @@ def _gain_table(cfg: OFDMConfig, delays: np.ndarray, dopplers: np.ndarray) -> np
     """Gains of the unit cells M^l D^m, one row per cell, columns in lattice order.
 
     <M^l D^m g_{n,k}, gamma_{n,k}> = exp(-2j*pi*(k*b*m + l*n*a + l*m)/N) * A[-m, l]
-    with A the cross-ambiguity of the pair; the phase is reduced mod N in
-    integers before the exponential.
+    with A the cross-ambiguity of the pair, of which only the rows -m are
+    computed; the phase is reduced mod N in integers before the exponential.
     """
     grid = cfg.grid
     n = grid.n_dim
@@ -292,7 +301,9 @@ def _gain_table(cfg: OFDMConfig, delays: np.ndarray, dopplers: np.ndarray) -> np
     slots = np.arange(grid.n_time)[None, :, None] * grid.time_step
     bins = np.arange(grid.n_freq)[None, None, :] * grid.freq_step
     phase = (bins * m + l * slots + l * m) % n
-    amb = cfg.ambiguity[(-delays) % n, dopplers]
+    rows, row_of_cell = np.unique((-delays) % n, return_inverse=True)
+    amb = _ambiguity_rows(cfg.tx_pulse.samples, cfg.rx_pulse.samples, rows)
+    amb = amb[row_of_cell, dopplers]
     table = np.exp(-2j * np.pi * phase / n) * amb[:, None, None]
     return table.reshape(delays.size, grid.size)
 
@@ -364,19 +375,34 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
     return energies
 
 
-def _predicted_interference(profile: ScatteringProfile, grid: WHGrid,
-                            ambiguity: np.ndarray) -> float:
-    """Interference power of a pair with cross-ambiguity ``ambiguity`` on ``grid``."""
+def _interference_score(profile: ScatteringProfile, grid: WHGrid):
+    """The scorer (g, gamma) -> interference power of the pair on ``grid``.
+
+    A scatterer at (m, l) with intensity C couples symbol pairs through
+    A[-m + j*a, l + k*b] for every lattice translate (j, k) but the origin,
+    so it contributes C times the lattice-folded |A|^2 at (-m, l) less
+    |A[-m, l]|^2.  The scorer computes only the rows of A at delays
+    = -m (mod a) for the support delays m, (distinct residues) * N/a rows,
+    not N; the row and cell indices are fixed here, once per profile.
+    """
     if profile.n_dim != grid.n_dim:
         raise ValueError("profile and grid dimensions differ")
     a, b = grid.time_step, grid.freq_step
     n = grid.n_dim
-    energy = np.abs(ambiguity) ** 2
-    # sum of |A|^2 over all nonzero lattice translates, on the full grid
-    block = energy.reshape(n // a, a, n // b, b).sum(axis=(0, 2))
-    folded = np.tile(block, (n // a, n // b)) - energy
-    reflected = np.roll(folded[::-1], 1, axis=0)
-    return float(np.sum(profile.intensities * reflected))
+    delays, dopplers, _ = profile.support_cells
+    weights = profile.intensities[delays, dopplers]
+    lags = (-delays) % n
+    residues, residue_of_cell = np.unique(lags % a, return_inverse=True)
+    rows = (residues[:, None] + a * np.arange(n // a)).ravel()
+    row_of_cell = residue_of_cell * (n // a) + lags // a
+
+    def score(g: np.ndarray, gamma: np.ndarray) -> float:
+        energy = np.abs(_ambiguity_rows(g, gamma, rows)) ** 2
+        folded = energy.reshape(residues.size, n * n // (a * b), b).sum(axis=1)
+        return float(np.sum(weights * (folded[residue_of_cell, dopplers % b]
+                                       - energy[row_of_cell, dopplers])))
+
+    return score
 
 
 def interference_power(profile: ScatteringProfile, cfg: OFDMConfig) -> float:
@@ -385,8 +411,9 @@ def interference_power(profile: ScatteringProfile, cfg: OFDMConfig) -> float:
     Contracts the scattering grid against the off-lattice ambiguity energy;
     the delay axis enters reflected because a scatterer at delay m couples
     symbol pairs separated by -m along the ambiguity delay axis.
+    ``interference_descent`` scores its trials with the same scorer.
     """
-    return _predicted_interference(profile, cfg.grid, cfg.ambiguity)
+    return _interference_score(profile, cfg.grid)(cfg.tx_pulse.samples, cfg.rx_pulse.samples)
 
 
 def gain_transfer_agreement(channel, cfg: OFDMConfig) -> float:
@@ -430,28 +457,29 @@ def _tight_pair(window, grid: WHGrid) -> tuple[Pulse, Pulse]:
     return pulse, pulse
 
 
-def design_pulses(profile: ScatteringProfile, grid: WHGrid,
-                  method: str = "matched_gaussian_tight", n_sweeps: int = 1,
-                  step: float = 0.02) -> tuple[Pulse, Pulse]:
-    """Biorthogonal transmission pair shaped for a scattering profile.
-
-    ``matched_gaussian_tight`` tightens a channel-matched Gaussian on the
-    adjoint lattice; ``local_search`` then runs coordinate descent on the
-    predicted interference power.  Requires a*b > N strictly: well
-    localized biorthogonal pairs only exist with room to spare, and the
-    adjoint-lattice frame operator degenerates at a*b = N.
-    """
+def _check_design(profile: ScatteringProfile, grid: WHGrid) -> None:
+    """Pulse design needs a*b > N and a profile on the grid's dimension."""
     if grid.time_step * grid.freq_step <= grid.n_dim:
         raise ValueError(
             f"pulse design needs a*b > N, got {grid.time_step}*{grid.freq_step} "
             f"with N = {grid.n_dim}")
     if profile.n_dim != grid.n_dim:
         raise ValueError("profile and grid dimensions differ")
+
+
+def design_pulses(profile: ScatteringProfile, grid: WHGrid,
+                  method: str = "matched_gaussian_tight") -> tuple[Pulse, Pulse]:
+    """Closed-form biorthogonal transmission pair shaped for a scattering profile.
+
+    ``matched_gaussian_tight`` tightens a channel-matched Gaussian on the
+    adjoint lattice; ``interference_descent`` refines that pair by local
+    search.  Requires a*b > N strictly: well localized biorthogonal pairs
+    only exist with room to spare, and the adjoint-lattice frame operator
+    degenerates at a*b = N.
+    """
+    _check_design(profile, grid)
     if method == "matched_gaussian_tight":
         return _tight_pair(gaussian_pulse(grid.n_dim, sigma=matched_sigma(profile, grid)), grid)
-    if method == "local_search":
-        tx, rx, _ = interference_descent(profile, grid, n_sweeps=n_sweeps, step=step)
-        return tx, rx
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -463,33 +491,52 @@ def interference_descent(profile: ScatteringProfile, grid: WHGrid,
     Starts from the matched Gaussian pair and perturbs one seed-window
     coordinate at a time (both quadratures, both signs), re-tightening on
     the adjoint lattice after every trial so biorthogonality stays exact
-    and trials are scored without forming the lattice Gram.  Only strict
-    improvements are kept, so the recorded power sequence is nonincreasing.
-    Returns (tx, rx, powers).
+    and trials are scored without forming the lattice Gram.  Sample i of
+    the seed window enters only the adjoint Walnut blocks r with
+    r = i mod gcd(a, N/b), a / gcd(a, N/b) of the a blocks.  So a trial
+    re-solves just those blocks, runs the frame test against the largest
+    eigenvalue over all blocks (the others' spectrum is kept from the
+    current window), and rewrites only their samples of the tight pair:
+    the window a full ``tight_window`` gives.  Trials are scored by the
+    scorer of ``interference_power``, on the ambiguity rows it reads.  Only
+    strict improvements are kept, so the recorded power sequence is
+    nonincreasing.  Returns (tx, rx, powers).
     """
     if n_sweeps < 0 or step <= 0:
         raise ValueError("need n_sweeps >= 0 and step > 0")
+    _check_design(profile, grid)
+    adjoint = grid.adjoint()
+    n_blocks, block_size = adjoint.n_freq, adjoint.freq_step
+    period = math.gcd(n_blocks, adjoint.time_step)
+    scale = np.sqrt(grid.time_step * grid.freq_step / grid.n_dim)
     window = gaussian_pulse(grid.n_dim, sigma=matched_sigma(profile, grid)).samples.copy()
-    tx, rx = _tight_pair(window, grid)
-    best = _predicted_interference(profile, grid, cross_ambiguity(tx, rx))
+    spectrum, values = _power_on_blocks(window, adjoint, -0.5, None, slice(None),
+                                        np.zeros((n_blocks, block_size)))
+    pulse = scale * values.T.ravel()
+    score = _interference_score(profile, grid)
+    best = score(pulse, pulse)
     powers = [best]
     for _ in range(n_sweeps):
         improved = False
         for idx in range(grid.n_dim):
+            blocks = np.arange(idx % period, n_blocks, period)
+            samples = blocks[:, None] + n_blocks * np.arange(block_size)
             for delta in (step, -step, 1j * step, -1j * step):
                 trial = window.copy()
                 trial[idx] += delta
                 try:
-                    cand_tx, cand_rx = _tight_pair(trial, grid)
+                    cand_spectrum, values = _power_on_blocks(trial, adjoint, -0.5, None,
+                                                             blocks, spectrum)
                 except NotAFrameError:
                     continue
-                power = _predicted_interference(profile, grid,
-                                                cross_ambiguity(cand_tx, cand_rx))
+                cand = pulse.copy()
+                cand[samples] = scale * values
+                power = score(cand, cand)
                 if power < best:
-                    window, best = trial, power
-                    tx, rx = cand_tx, cand_rx
+                    window, spectrum, pulse, best = trial, cand_spectrum, cand, power
                     improved = True
             powers.append(best)
         if not improved:
             break
-    return tx, rx, powers
+    tx = Pulse(pulse)
+    return tx, tx, powers

@@ -251,16 +251,28 @@ def tf_shift_op(n_dim: int, delay: int, doppler: int) -> DiscreteChannel:
 def cross_ambiguity(tx_pulse, rx_pulse) -> np.ndarray:
     """A[m, l] = sum_i g[i] conj(gamma[(i - m) mod N]) exp(-2j*pi*l*i/N).
 
-    Row m is the DFT of g times the conjugated, m-delayed gamma.  For unit
-    vectors the total energy is N (so each of the N^2 cells averages 1/N),
-    and biorthogonality of a transmission pair reads off as delta-delta
-    samples on the lattice.
+    Row m is the DFT of g times the conjugated, m-delayed gamma: this is
+    ``_ambiguity_rows`` over all N delays.  For unit vectors the total
+    energy is N (so each of the N^2 cells averages 1/N), and
+    biorthogonality of a transmission pair reads off as delta-delta samples
+    on the lattice.
     """
     g = as_samples(tx_pulse)
     gam = as_samples(rx_pulse)
     if g.size != gam.size:
         raise ValueError("pulse lengths differ")
-    return np.fft.fft(g * tf_shift(gam.conj(), np.arange(g.size), 0), axis=1)
+    return _ambiguity_rows(g, gam, np.arange(g.size))
+
+
+def _ambiguity_rows(g: np.ndarray, gamma: np.ndarray, delays) -> np.ndarray:
+    """Rows ``delays`` of ``cross_ambiguity(g, gamma)``, one length-N FFT each.
+
+    Consumers that read a few delays (lattice Grams, gain tables, folded
+    interference, sounding difference sets) call this on sample vectors
+    instead of building the N x N grid; a row does not depend on which
+    other rows are computed with it.
+    """
+    return np.fft.fft(g * tf_shift(gamma.conj(), delays, 0), axis=-1)
 
 
 def _delay_diagonals(mat: np.ndarray) -> np.ndarray:

@@ -8,9 +8,13 @@ only where i = j mod N/b (Walnut's representation): N/b b x b blocks, one
 per residue class of samples.  Bounds, canonical dual and tight windows,
 and the rank-tolerant pseudo-root come from one batched eigensolve of the
 blocks of g with itself (``frame_power``); the dense ``frame_operator`` is
-a reference.  The Wexler-Raz test reads duality on the lattice off the
-blocks of g with gamma, and biorthogonality on the adjoint lattice (time
-step N/b, frequency step N/a) off their cross-ambiguity, with no N x N matrix.
+a reference.  Sample i enters only the blocks r = i mod gcd(N/b, a), so a
+window that differs from a solved one in a few samples is re-solved on
+those blocks alone, with the same algebra and the kept spectrum of the
+rest (``_power_on_blocks``).  The Wexler-Raz test reads duality on the
+lattice off the blocks of g with gamma, and biorthogonality on the adjoint
+lattice (time step N/b, frequency step N/a) off the N/b lattice rows of
+their cross-ambiguity, with no N x N matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tf_core import DiscreteChannel, as_samples, centered_index, cross_ambiguity, tf_shift
+from .tf_core import DiscreteChannel, _ambiguity_rows, as_samples, centered_index, tf_shift
 
 __all__ = [
     "NotAFrameError",
@@ -141,31 +145,57 @@ def frame_operator(pulse, grid: WHGrid) -> DiscreteChannel:
     return DiscreteChannel(mat @ mat.conj().T)
 
 
-def _walnut_stack(g: np.ndarray, grid: WHGrid) -> np.ndarray:
-    """The (N/b, b, N/a) stack g[r + p*N/b - n*a] of block r, row p and slot n."""
+def _walnut_stack(g: np.ndarray, grid: WHGrid, blocks=slice(None)) -> np.ndarray:
+    """The (blocks, b, N/a) stack g[r + p*N/b - n*a] of block r, row p and slot n."""
     if g.size != grid.n_dim:
         raise ValueError(f"pulse length {g.size} does not match grid N = {grid.n_dim}")
     m = grid.n_freq
-    idx = (np.arange(m)[:, None, None] + m * np.arange(grid.freq_step)[None, :, None]
+    idx = (np.arange(m)[blocks][:, None, None] + m * np.arange(grid.freq_step)[None, :, None]
            - grid.time_step * np.arange(grid.n_time)[None, None, :]) % grid.n_dim
     return g[idx]
 
 
-def _walnut_blocks(pulse, grid: WHGrid):
-    """Eigensystem of the N/b Walnut blocks of the frame operator.
+def _walnut_blocks(pulse, grid: WHGrid, blocks=slice(None)):
+    """Eigensystem of the Walnut blocks ``blocks`` (all N/b by default) of the frame operator.
 
     With M = N/b, S[i, j] = (N/b) sum_n g[i - n*a] conj(g[j - n*a]) when
     i = j mod M and zero otherwise.  Block r holds samples r + p*M for
-    p = 0..b-1.  Returns (evals, evecs, g_blocks) of shapes (M, b),
-    (M, b, b) and (M, b); eigenvalues are clipped at zero.
+    p = 0..b-1.  Returns (evals, evecs, g_blocks) of shapes (B, b),
+    (B, b, b) and (B, b) for B blocks; eigenvalues are clipped at zero.
     """
     g = as_samples(pulse)
-    stack = _walnut_stack(g, grid)
+    stack = _walnut_stack(g, grid, blocks)
     evals, evecs = np.linalg.eigh(grid.n_freq * (stack @ stack.conj().transpose(0, 2, 1)))
-    return np.maximum(evals, 0.0), evecs, g.reshape(grid.freq_step, grid.n_freq).T
+    return np.maximum(evals, 0.0), evecs, g.reshape(grid.freq_step, grid.n_freq).T[blocks]
 
 
 FRAME_RANK_RTOL = 1e-10
+
+
+def _power_on_blocks(g: np.ndarray, grid: WHGrid, power: float, rank_rtol: float | None,
+                     blocks, evals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S^power g on the Walnut blocks ``blocks`` of g, rank-tested over every block.
+
+    ``evals`` (N/b, b) is the clipped spectrum of all blocks.  The blocks
+    in ``blocks`` are solved from g and replace their rows of a copy; the
+    others are kept, which is exact when g differs from the window they
+    came from only on samples of ``blocks``.  The frame test and the rank
+    threshold read the largest eigenvalue over all blocks, as for the whole
+    operator.  Returns (spectrum, values) with values[j, p] the sample
+    r + p*N/b of S^power g for the j-th block r.
+    """
+    block_evals, evecs, g_blocks = _walnut_blocks(g, grid, blocks)
+    evals = evals.copy()
+    evals[blocks] = block_evals
+    top = evals.max()
+    keep = evals > (FRAME_RANK_RTOL if rank_rtol is None else rank_rtol) * top
+    if rank_rtol is None and not keep.all():
+        raise NotAFrameError(
+            f"window does not generate a frame on {grid}: "
+            f"extreme eigenvalues ({evals.min():.3e}, {top:.3e})")
+    scale = np.power(block_evals, power, out=np.zeros_like(block_evals), where=keep[blocks])
+    coef = np.einsum("rpq,rp->rq", evecs.conj(), g_blocks) * scale
+    return evals, np.einsum("rpq,rq->rp", evecs, coef)
 
 
 def frame_power(pulse, grid: WHGrid, power: float, rank_rtol: float | None = None) -> Pulse:
@@ -176,16 +206,9 @@ def frame_power(pulse, grid: WHGrid, power: float, rank_rtol: float | None = Non
     rank_rtol times the largest eigenvalue of S are dropped, which gives the
     pseudo-power on the range of S (the critically dense case a*b = N).
     """
-    evals, evecs, g_blocks = _walnut_blocks(pulse, grid)
-    top = evals.max()
-    keep = evals > (FRAME_RANK_RTOL if rank_rtol is None else rank_rtol) * top
-    if rank_rtol is None and not keep.all():
-        raise NotAFrameError(
-            f"window does not generate a frame on {grid}: "
-            f"extreme eigenvalues ({evals.min():.3e}, {top:.3e})")
-    scale = np.power(evals, power, out=np.zeros_like(evals), where=keep)
-    coef = np.einsum("rpq,rp->rq", evecs.conj(), g_blocks) * scale
-    return Pulse(np.einsum("rpq,rq->rp", evecs, coef).T.ravel())
+    spectrum = np.zeros((grid.n_freq, grid.freq_step))
+    _, values = _power_on_blocks(as_samples(pulse), grid, power, rank_rtol, slice(None), spectrum)
+    return Pulse(values.T.ravel())
 
 
 def frame_bounds(pulse, grid: WHGrid) -> FrameReport:
@@ -209,14 +232,17 @@ def tight_window(pulse, grid: WHGrid) -> Pulse:
     return frame_power(pulse, grid, -0.5)
 
 
-def _gram_defect(ambiguity: np.ndarray, grid: WHGrid, constant: float = 1.0) -> float:
+def _gram_defect(g: np.ndarray, gamma: np.ndarray, grid: WHGrid, constant: float = 1.0) -> float:
     """max |<g_{n,k}, gamma_{n',k'}> - constant * delta| over the lattice.
 
-    Read off A = cross_ambiguity(g, gamma): each inner product is a unit
-    phase times A[(n'-n)*a, (k'-k)*b], and the diagonal is A[0, 0].
+    Each inner product is a unit phase times A[(n'-n)*a, (k'-k)*b] with
+    A = cross_ambiguity(g, gamma), so only the N/a lattice rows of A are
+    computed; the diagonal is A[0, 0].
     """
-    samples = np.abs(ambiguity[::grid.time_step, ::grid.freq_step])
-    samples[0, 0] = abs(ambiguity[0, 0] - constant)
+    rows = _ambiguity_rows(g, gamma, np.arange(0, grid.n_dim, grid.time_step))
+    lattice = rows[:, ::grid.freq_step]
+    samples = np.abs(lattice)
+    samples[0, 0] = abs(lattice[0, 0] - constant)
     return float(samples.max())
 
 
@@ -231,7 +257,7 @@ def check_wexler_raz(pulse, dual, grid: WHGrid) -> tuple[bool, float]:
     g, gam = as_samples(pulse), as_samples(dual)
     mixed = _walnut_stack(g, grid) @ _walnut_stack(gam, grid).conj().transpose(0, 2, 1)
     is_dual = bool(np.abs(grid.n_freq * mixed - np.eye(grid.freq_step)).max() <= 1e-10)
-    return is_dual, _gram_defect(cross_ambiguity(g, gam), grid.adjoint(), grid.tf_product)
+    return is_dual, _gram_defect(g, gam, grid.adjoint(), grid.tf_product)
 
 
 def _circular_spread(weights: np.ndarray) -> float:

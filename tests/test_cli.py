@@ -177,6 +177,22 @@ def test_pulse_design_artifacts(tmp_path):
     assert header == "x,y,value_db"
 
 
+def test_local_search_reports_descent_powers(tmp_path):
+    cfg = {"kind": "pulse-design", "n_dim": 32, "time_step": 8, "freq_step": 8,
+           "profile": {"kind": "flat_rect", "max_delay": 1, "max_doppler": 1},
+           "method": "local_search", "step": 0.05}
+    cli.run_experiment("pulse-design", cfg, tmp_path / "search")
+    report = json.loads((tmp_path / "search" / "design_report.json").read_text())
+    powers = report["descent_powers"]
+    assert len(powers) == 33  # the start, then one entry per window sample
+    assert all(p >= q for p, q in zip(powers, powers[1:])) and powers[-1] < powers[0]
+    assert powers[-1] == report["interference_power"]
+    cli.run_experiment("pulse-design", dict(cfg, method="matched_gaussian_tight"),
+                       tmp_path / "gauss")
+    assert "descent_powers" not in json.loads(
+        (tmp_path / "gauss" / "design_report.json").read_text())
+
+
 def test_ofdm_sim_artifacts(tmp_path):
     cli.run_experiment("ofdm-sim", SIM_CFG, tmp_path)
     with open(tmp_path / "frames.csv", newline="") as fh:
@@ -391,6 +407,45 @@ def test_overflowing_config_numbers_exit_2(tmp_path, capsys, kind, cfg, where):
 
 DESIGN_CFG = {"kind": "pulse-design", "n_dim": 24, "time_step": 4, "freq_step": 8,
               "profile": {"kind": "flat_rect", "max_delay": 1, "max_doppler": 1}}
+
+
+LONG_INT = "<10**400>"  # stands for a 401-digit JSON integer literal, past float range
+
+
+def write_long_int_config(tmp_path, cfg):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg).replace(f'"{LONG_INT}"', str(10 ** 400)), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("kind, cfg, where", [
+    ("capacity", dict(CAPACITY_CFG, snr=LONG_INT), "config.snr"),
+    ("capacity", dict(CAPACITY_CFG, power_budget=LONG_INT, bandwidths=[1.0]),
+     "config.power_budget"),
+    ("capacity", dict(CAPACITY_CFG, power_budget=1.0, bandwidths=[1.0, LONG_INT]),
+     "config.bandwidths[1]"),
+    ("spread-analyze", dict(SPREAD_CFG, channel={"kind": "time_invariant",
+                                                 "gains": [1.0, LONG_INT]}),
+     "config.channel.gains[1]"),
+    ("pulse-design", dict(DESIGN_CFG, profile=dict(DESIGN_CFG["profile"], total_gain=LONG_INT)),
+     "config.profile.total_gain"),
+])
+def test_integers_past_float_range_exit_2(tmp_path, capsys, kind, cfg, where):
+    # these used to exit 3 as "int too large to convert to float", naming no key
+    path = write_long_int_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"tfcomm: config error: {where}: integer beyond float range is not allowed\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", ["seed", "n_sweeps"])
+def test_integer_keys_take_integers_past_float_range(tmp_path, key):
+    # an int key never becomes a float, so only the float-valued keys above are refused
+    path = write_long_int_config(tmp_path, dict(DESIGN_CFG, **{key: LONG_INT}))
+    assert cli.run(["pulse-design", "--config", str(path),
+                    "--out", str(tmp_path / "out")]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("kind, cfg", [

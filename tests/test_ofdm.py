@@ -5,7 +5,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import tfcomm.channel_models as cm
+import tfcomm.cli as cli
+import tfcomm.identification as ident
 import tfcomm.ofdm as ofdm
+import tfcomm.tf_core as tf_core
 import tfcomm.wh_frames as wh
 from tfcomm.tf_core import SpreadingFunction, synthesize_channel
 
@@ -248,6 +251,33 @@ def test_config_and_interference_power_build_no_lattice_matrix(monkeypatch):
         ofdm.interference_power(profile, cfg)
     assert calls == []
     assert cfg.tx_matrix is cfg.tx_matrix and len(calls) == 1  # built once, on first use
+
+
+def test_only_the_heatmap_builds_the_full_ambiguity_grid(monkeypatch, tmp_path):
+    calls = []
+    full = tf_core.cross_ambiguity
+
+    def counted(*args):
+        calls.append(args)
+        return full(*args)
+
+    for module in (tf_core, wh, ofdm, ident, cli):
+        monkeypatch.setattr(module, "cross_ambiguity", counted, raising=False)
+    n = 48
+    profile = cm.flat_rect_profile(n, 2, 1)
+    grid = wh.WHGrid(n, 8, 8)
+    tx, rx, _ = ofdm.interference_descent(profile, grid, n_sweeps=1, step=0.05)
+    for cfg in (ofdm.cp_ofdm_config(n, 12, 4), ofdm.OFDMConfig(grid, tx, rx)):
+        ofdm.interference_power(profile, cfg)
+        ofdm.simulate_frames(cfg, profile, 3, 0)
+    wh.check_wexler_raz(tx, rx, grid.adjoint())
+    ident.offgrid_ambiguity(ident.dirac_train(n, 4), ident.centered_rect_support(3, 4))
+    assert calls == []
+    design = {"kind": "pulse-design", "n_dim": 24, "time_step": 4, "freq_step": 8,
+              "profile": {"kind": "flat_rect", "max_delay": 1, "max_doppler": 1},
+              "method": "local_search", "baseline": {"n_subcarriers": 6, "cp_len": 2}}
+    cli.run_experiment("pulse-design", design, tmp_path)
+    assert len(calls) == 1  # the ambiguity heatmap
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +628,18 @@ def test_descent_powers_match_config_oracle():
     assert np.abs(tx.samples - ref_tx.samples).max() <= 1e-12
 
 
+def test_descent_trajectory_pinned_at_n96():
+    """One sweep at N = 96 keeps the dense oracle's window and powers."""
+    n = 96
+    prof = cm.flat_rect_profile(n, 2, 2)
+    grid = wh.WHGrid(n, 12, 12)
+    tx, _, powers = ofdm.interference_descent(prof, grid, n_sweeps=1, step=0.02)
+    (ref_tx, _), ref_powers = descent_oracle(prof, grid, n_sweeps=1, step=0.02)
+    assert len(powers) == len(ref_powers) == n + 1
+    assert powers == pytest.approx(ref_powers, rel=1e-11)
+    assert np.abs(tx.samples - ref_tx.samples).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -624,3 +666,62 @@ def test_decomposition_identity_property(seed, noise_psd):
     frame = ofdm.random_symbols(cfg, seed, constellation="gaussian")
     res = ofdm.transmit_through(frame, cfg, h, noise_psd=noise_psd, seed=seed)
     assert res.decomposition_residual() <= 1e-12 * max(1.0, np.abs(res.estimates).max())
+
+
+def full_grid_interference(profile, grid, amb):
+    """Interference power from the whole N x N ambiguity grid, folded over the lattice."""
+    a, b, n = grid.time_step, grid.freq_step, grid.n_dim
+    energy = np.abs(amb) ** 2
+    block = energy.reshape(n // a, a, n // b, b).sum(axis=(0, 2))
+    folded = np.tile(block, (n // a, n // b)) - energy
+    return float(np.sum(profile.intensities * np.roll(folded[::-1], 1, axis=0)))
+
+
+@st.composite
+def wide_lattices(draw):
+    """(N, a, b) with a*b > N, a support whose delays wrap around N and collide mod a,
+    and a random pair."""
+    n = draw(st.integers(min_value=4, max_value=48))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    a, b = draw(st.sampled_from(divisors)), draw(st.sampled_from(divisors))
+    assume(a * b > n)
+    delays = draw(st.lists(st.integers(-n // 2, n // 2), min_size=1, max_size=6))
+    delays += [(m + a) % n for m in delays[:2]]  # same residue mod a
+    dopplers = draw(st.lists(st.integers(-n // 2, n // 2), min_size=len(delays),
+                             max_size=len(delays)))
+    return n, a, b, np.array(delays) % n, np.array(dopplers) % n, draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_lattices())
+def test_ambiguity_rows_and_restricted_consumers_property(case):
+    n, a, b, delays, dopplers, seed = case
+    rng = np.random.default_rng(seed)
+    g, gam = (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
+    amb = tf_core.cross_ambiguity(g, gam)
+    lags = rng.integers(-2 * n, 2 * n, size=7)
+    assert np.array_equal(tf_core._ambiguity_rows(g, gam, lags), amb[lags % n])
+
+    grid = wh.WHGrid(n, a, b)
+    cfg = ofdm.OFDMConfig(grid, g, gam)
+    for lattice, constant in ((grid, 1.0), (grid.adjoint(), 0.5)):
+        samples = np.abs(amb[::lattice.time_step, ::lattice.freq_step])
+        samples[0, 0] = abs(amb[0, 0] - constant)
+        assert wh._gram_defect(g, gam, lattice, constant) == pytest.approx(
+            float(samples.max()), rel=1e-12)
+
+    intensities = np.zeros((n, n))
+    intensities[delays, dopplers] = rng.random(delays.size) + 0.1
+    profile = cm.ScatteringProfile(n, intensities)
+    assert ofdm.interference_power(profile, cfg) == pytest.approx(
+        full_grid_interference(profile, grid, amb), rel=1e-12)
+
+    cells_m, cells_l, _ = profile.support_cells
+    m, l = cells_m[:, None, None], cells_l[:, None, None]
+    slots = np.arange(grid.n_time)[None, :, None] * a
+    bins = np.arange(grid.n_freq)[None, None, :] * b
+    phase = np.exp(-2j * np.pi * ((bins * m + l * slots + l * m) % n) / n)
+    full_table = (phase * amb[(-cells_m) % n, cells_l][:, None, None]).reshape(cells_m.size, -1)
+    table = ofdm._gain_table(cfg, cells_m, cells_l)
+    assert np.abs(table - full_table).max() <= 1e-12 * np.abs(full_table).max()
+    assert ofdm.interference_power(cm.ScatteringProfile(n, np.zeros((n, n))), cfg) == 0.0

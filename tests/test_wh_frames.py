@@ -1,5 +1,7 @@
 """Weyl-Heisenberg frames: lattice systems, bounds, duals, adjoint duality."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -401,3 +403,62 @@ def test_wexler_raz_matches_dense_property(lattice, seed, partner, sparse):
             gram = cfg.rx_matrix.conj().T @ cfg.tx_matrix
             dense_cfg = float(np.abs(gram - np.eye(lat.size)).max())
             assert abs(cfg.biorthogonality_defect - dense_cfg) <= 1e-12 * max(1.0, dense_cfg)
+
+
+# ---------------------------------------------------------------------------
+# property: block-local re-tightening against a full tight_window
+
+
+@settings(max_examples=80, deadline=None)
+@given(lattices(), st.integers(min_value=0, max_value=2 ** 31),
+       st.sampled_from(["sample", "zero_block", "faint_blocks"]))
+@example((256, 32, 16), 0, "sample")  # 2 of the 32 blocks
+@example((96, 12, 12), 1, "sample")  # 3 of 12
+@example((32, 8, 8), 2, "zero_block")  # 2 of 8
+@example((96, 12, 12), 3, "faint_blocks")
+def test_block_local_tight_window_property(lattice, seed, perturb):
+    """Re-solving the Walnut blocks that hold one perturbed sample, with the frame
+    test over the kept spectrum of the others, reproduces tight_window.  In the
+    faint case the blocks of the sample carry about 1e-12 of the energy of the
+    others, so only a test against the largest eigenvalue of all blocks refuses it."""
+    n, a, b = lattice
+    assume(a * b > n)
+    grid = wh.WHGrid(n, a, b).adjoint()  # where the descent tightens
+    rng = np.random.default_rng(seed)
+    g = random_window(n, seed)
+    idx = int(rng.integers(n))
+    period = math.gcd(grid.n_freq, grid.time_step)
+    faint = 1e-6 if perturb == "faint_blocks" else 1.0
+    g[idx % period::period] *= faint
+    trial = g.copy()
+    if perturb != "zero_block":
+        trial[idx] += 0.3 * faint * (rng.standard_normal() + 1j * rng.standard_normal())
+    else:  # idx is the only nonzero sample of its blocks; the trial zeroes them
+        g[idx % period::period] = 0.0
+        g[idx] = 1.0
+        trial[:] = g
+        trial[idx] = 0.0
+    blocks = np.arange(idx % period, grid.n_freq, period)
+    spectrum = wh._walnut_blocks(g, grid)[0]
+    try:
+        full = wh.tight_window(trial, grid).samples
+    except wh.NotAFrameError:
+        full = None
+    try:
+        _, values = wh._power_on_blocks(trial, grid, -0.5, None, blocks, spectrum)
+    except wh.NotAFrameError:
+        values = None
+    assert (full is None) == (values is None)
+    if perturb == "zero_block" or perturb == "faint_blocks" and period > 1:
+        assert full is None
+    if full is None:
+        return
+    samples = blocks[:, None] + grid.n_freq * np.arange(grid.freq_step)
+    scale = np.abs(full).max()
+    assert np.abs(values - full[samples]).max() <= 1e-13 * scale
+    try:
+        local = wh.tight_window(g, grid).samples.copy()
+    except wh.NotAFrameError:
+        return
+    local[samples] = values
+    assert np.abs(local - full).max() <= 1e-13 * scale
