@@ -12,11 +12,13 @@ are read from the JSON object on the last line of its standard output.
 
 The output file holds tfbench's environment line (Python, numpy, BLAS and
 CPU count) from the first run; in its protocol block, each checkout's
-``git rev-parse HEAD`` and whether its tracked or untracked files differ
-from that commit (``dirty``); and, per workload and metric, both sides'
-values in pair order, their medians and quartiles, and how many pairs the
-change won, judged by the metric's direction in BENCHMARK.json (ties count
-for neither side).  Uses the standard library only.
+``git rev-parse HEAD``, whether its tracked or untracked files differ
+from that commit (``dirty``) and the line count of its ``src/**/*.py``
+(``src_lines``); and, per workload and metric, both sides' values in pair
+order, their medians and quartiles, and how many pairs the change won,
+judged by the metric's direction in BENCHMARK.json (ties count for neither
+side).  A run that exits non-zero stops the script with the tail of that
+run's standard error.  Uses the standard library only.
 """
 
 import argparse
@@ -28,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+STDERR_TAIL_LINES = 20
 
 
 def tfbench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -35,7 +38,11 @@ def tfbench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[d
     proc = subprocess.run(
         [sys.executable, "tfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True)
+    if proc.returncode:
+        tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL_LINES:])
+        raise RuntimeError(f"{workload} seed {seed} in {checkout}: tfbench exited "
+                           f"{proc.returncode}\n{tail}")
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     if not result["correct"]:
@@ -46,11 +53,15 @@ def tfbench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[d
 
 
 def revision(checkout: Path) -> dict:
-    """The HEAD commit of ``checkout`` and whether its working tree differs from it."""
+    """The HEAD commit of ``checkout``, whether its working tree differs from it and
+    the line count of its library sources."""
     def git(*args: str) -> str:
         return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True,
                               check=True).stdout.strip()
-    return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
+    src_lines = sum(len(path.read_text(encoding="utf-8").splitlines())
+                    for path in (checkout / "src").rglob("*.py"))
+    return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain")),
+            "src_lines": src_lines}
 
 
 def summary(parent: list[float], change: list[float], better: str) -> dict:

@@ -260,8 +260,8 @@ def _build_channel(desc: dict, n_dim: int, where: str) -> SpreadingFunction | Sc
 
 
 def _design(spec: dict, n_dim: int, where: str
-            ) -> tuple[ScatteringProfile, OFDMConfig, list[float] | None]:
-    """The profile, the designed system and, for local search, the descent powers.
+            ) -> tuple[ScatteringProfile, OFDMConfig, tuple[list[float], int] | None]:
+    """The profile, the designed system and, for local search, (descent powers, accepted trials).
 
     The one place that picks the method: ``local_search`` runs
     ``interference_descent``, any other name goes to ``design_pulses``.
@@ -269,8 +269,9 @@ def _design(spec: dict, n_dim: int, where: str
     grid = WHGrid(n_dim, spec["time_step"], spec["freq_step"])
     profile = _build_profile(spec["profile"], n_dim, f"{where}.profile")
     if spec["method"] == "local_search":
-        tx, rx, powers = interference_descent(profile, grid, spec["n_sweeps"], spec["step"])
-        return profile, OFDMConfig(grid, tx, rx), powers
+        tx, rx, powers, accepted = interference_descent(profile, grid, spec["n_sweeps"],
+                                                        spec["step"])
+        return profile, OFDMConfig(grid, tx, rx), (powers, accepted)
     return profile, OFDMConfig(grid, *design_pulses(profile, grid, spec["method"])), None
 
 
@@ -408,7 +409,7 @@ def _run_frame_analyze(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
 
 
 def _run_pulse_design(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
-    profile, system, powers = _design(spec, n, "config")
+    profile, system, descent = _design(spec, n, "config")
     report = {
         "method": spec["method"],
         **asdict(system.grid),
@@ -417,8 +418,8 @@ def _run_pulse_design(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
         "biorthogonality_defect": system.biorthogonality_defect,
         "interference_power": interference_power(profile, system),
     }
-    if powers is not None:
-        report["descent_powers"] = powers
+    if descent is not None:
+        report["descent_powers"], report["descent_accepted_trials"] = descent
     if spec["baseline"] is not None:
         base = _validate(spec["baseline"], _SYSTEMS["cp_ofdm"], "config.baseline")
         baseline = cp_ofdm_config(n, base["n_subcarriers"], base["cp_len"])

@@ -43,7 +43,7 @@ from .channel_models import ScatteringProfile, _support_draw
 from .tf_core import SpreadingFunction, _ambiguity_rows, as_matrix, cross_ambiguity, \
     spreading_function, tf_shift, tf_transfer
 from .wh_frames import NotAFrameError, Pulse, WHGrid, _gram_defect, _power_on_blocks, \
-    gaussian_pulse, lattice_matrix, rect_pulse, tight_window
+    _walnut_index, gaussian_pulse, lattice_matrix, rect_pulse, tight_window
 
 __all__ = [
     "OFDMConfig",
@@ -383,7 +383,9 @@ def _interference_score(profile: ScatteringProfile, grid: WHGrid):
     so it contributes C times the lattice-folded |A|^2 at (-m, l) less
     |A[-m, l]|^2.  The scorer computes only the rows of A at delays
     = -m (mod a) for the support delays m, (distinct residues) * N/a rows,
-    not N; the row and cell indices are fixed here, once per profile.
+    not N.  The row and cell indices and the delay gather of those rows
+    (``_ambiguity_rows`` without its per-call index) are built here, once
+    per profile, so a descent scores every trial on them.
     """
     if profile.n_dim != grid.n_dim:
         raise ValueError("profile and grid dimensions differ")
@@ -395,11 +397,12 @@ def _interference_score(profile: ScatteringProfile, grid: WHGrid):
     residues, residue_of_cell = np.unique(lags % a, return_inverse=True)
     rows = (residues[:, None] + a * np.arange(n // a)).ravel()
     row_of_cell = residue_of_cell * (n // a) + lags // a
+    delayed, fold_of_cell = (np.arange(n) - rows[:, None]) % n, dopplers % b
 
     def score(g: np.ndarray, gamma: np.ndarray) -> float:
-        energy = np.abs(_ambiguity_rows(g, gamma, rows)) ** 2
+        energy = np.abs(np.fft.fft(g * np.take(gamma.conj(), delayed), axis=-1)) ** 2
         folded = energy.reshape(residues.size, n * n // (a * b), b).sum(axis=1)
-        return float(np.sum(weights * (folded[residue_of_cell, dopplers % b]
+        return float(np.sum(weights * (folded[residue_of_cell, fold_of_cell]
                                        - energy[row_of_cell, dopplers])))
 
     return score
@@ -485,7 +488,7 @@ def design_pulses(profile: ScatteringProfile, grid: WHGrid,
 
 def interference_descent(profile: ScatteringProfile, grid: WHGrid,
                          n_sweeps: int = 1, step: float = 0.02
-                         ) -> tuple[Pulse, Pulse, list[float]]:
+                         ) -> tuple[Pulse, Pulse, list[float], int]:
     """Coordinate descent on predicted interference power.
 
     Starts from the matched Gaussian pair and perturbs one seed-window
@@ -497,10 +500,13 @@ def interference_descent(profile: ScatteringProfile, grid: WHGrid,
     re-solves just those blocks, runs the frame test against the largest
     eigenvalue over all blocks (the others' spectrum is kept from the
     current window), and rewrites only their samples of the tight pair:
-    the window a full ``tight_window`` gives.  Trials are scored by the
-    scorer of ``interference_power``, on the ambiguity rows it reads.  Only
-    strict improvements are kept, so the recorded power sequence is
-    nonincreasing.  Returns (tx, rx, powers).
+    the window a full ``tight_window`` gives.  The Walnut gather index of
+    each of the gcd(a, N/b) residue classes is built once, before the
+    sweeps, and trials are scored by the scorer of ``interference_power``,
+    whose delay gather is built once per profile.  Only strict
+    improvements are kept, so the recorded power sequence is
+    nonincreasing.  Returns (tx, rx, powers, accepted), with ``accepted``
+    the number of trials kept.
     """
     if n_sweeps < 0 or step <= 0:
         raise ValueError("need n_sweeps >= 0 and step > 0")
@@ -510,33 +516,33 @@ def interference_descent(profile: ScatteringProfile, grid: WHGrid,
     period = math.gcd(n_blocks, adjoint.time_step)
     scale = np.sqrt(grid.time_step * grid.freq_step / grid.n_dim)
     window = gaussian_pulse(grid.n_dim, sigma=matched_sigma(profile, grid)).samples.copy()
-    spectrum, values = _power_on_blocks(window, adjoint, -0.5, None, slice(None),
+    spectrum, values = _power_on_blocks(window, adjoint, -0.5, None, _walnut_index(adjoint),
                                         np.zeros((n_blocks, block_size)))
     pulse = scale * values.T.ravel()
     score = _interference_score(profile, grid)
     best = score(pulse, pulse)
-    powers = [best]
+    powers, accepted = [best], 0
+    indices = [_walnut_index(adjoint, np.arange(r, n_blocks, period)) for r in range(period)]
     for _ in range(n_sweeps):
-        improved = False
+        before_sweep = accepted
         for idx in range(grid.n_dim):
-            blocks = np.arange(idx % period, n_blocks, period)
-            samples = blocks[:, None] + n_blocks * np.arange(block_size)
+            index = indices[idx % period]
             for delta in (step, -step, 1j * step, -1j * step):
                 trial = window.copy()
                 trial[idx] += delta
                 try:
                     cand_spectrum, values = _power_on_blocks(trial, adjoint, -0.5, None,
-                                                             blocks, spectrum)
+                                                             index, spectrum)
                 except NotAFrameError:
                     continue
                 cand = pulse.copy()
-                cand[samples] = scale * values
+                cand[index[:, :, 0]] = scale * values
                 power = score(cand, cand)
                 if power < best:
                     window, spectrum, pulse, best = trial, cand_spectrum, cand, power
-                    improved = True
+                    accepted += 1
             powers.append(best)
-        if not improved:
+        if accepted == before_sweep:
             break
     tx = Pulse(pulse)
-    return tx, tx, powers
+    return tx, tx, powers, accepted

@@ -8,13 +8,15 @@ only where i = j mod N/b (Walnut's representation): N/b b x b blocks, one
 per residue class of samples.  Bounds, canonical dual and tight windows,
 and the rank-tolerant pseudo-root come from one batched eigensolve of the
 blocks of g with itself (``frame_power``); the dense ``frame_operator`` is
-a reference.  Sample i enters only the blocks r = i mod gcd(N/b, a), so a
-window that differs from a solved one in a few samples is re-solved on
-those blocks alone, with the same algebra and the kept spectrum of the
-rest (``_power_on_blocks``).  The Wexler-Raz test reads duality on the
-lattice off the blocks of g with gamma, and biorthogonality on the adjoint
-lattice (time step N/b, frequency step N/a) off the N/b lattice rows of
-their cross-ambiguity, with no N x N matrix.
+a reference.  The blocks are gathered through an index that depends only
+on the lattice (``_walnut_index``), built once per call, or once per
+descent for each residue class.  Sample i enters only the blocks
+r = i mod gcd(N/b, a), so a window that differs from a solved one in a
+few samples is re-solved on those blocks alone, with the same algebra
+and the kept spectrum of the rest (``_power_on_blocks``).  The Wexler-Raz
+test reads duality on the lattice off the blocks of g with gamma, and
+biorthogonality on the adjoint lattice (time step N/b, frequency step N/a)
+off the N/b lattice rows of their cross-ambiguity, with no N x N matrix.
 """
 
 from __future__ import annotations
@@ -145,18 +147,26 @@ def frame_operator(pulse, grid: WHGrid) -> DiscreteChannel:
     return DiscreteChannel(mat @ mat.conj().T)
 
 
-def _walnut_stack(g: np.ndarray, grid: WHGrid, blocks=slice(None)) -> np.ndarray:
-    """The (blocks, b, N/a) stack g[r + p*N/b - n*a] of block r, row p and slot n."""
+def _walnut_index(grid: WHGrid, blocks=slice(None)) -> np.ndarray:
+    """The (blocks, b, N/a) gather index r + p*N/b - n*a mod N of block r, row p and slot n.
+
+    Slot 0 holds each block's own samples r + p*N/b, so ``index[:, 0, 0]``
+    are the block numbers and ``index[:, :, 0]`` their samples.
+    """
+    m = grid.n_freq
+    return (np.arange(m)[blocks][:, None, None] + m * np.arange(grid.freq_step)[None, :, None]
+            - grid.time_step * np.arange(grid.n_time)[None, None, :]) % grid.n_dim
+
+
+def _walnut_stack(g: np.ndarray, grid: WHGrid, index: np.ndarray) -> np.ndarray:
+    """The stack g[r + p*N/b - n*a] gathered through ``_walnut_index``."""
     if g.size != grid.n_dim:
         raise ValueError(f"pulse length {g.size} does not match grid N = {grid.n_dim}")
-    m = grid.n_freq
-    idx = (np.arange(m)[blocks][:, None, None] + m * np.arange(grid.freq_step)[None, :, None]
-           - grid.time_step * np.arange(grid.n_time)[None, None, :]) % grid.n_dim
-    return g[idx]
+    return np.take(g, index)
 
 
-def _walnut_blocks(pulse, grid: WHGrid, blocks=slice(None)):
-    """Eigensystem of the Walnut blocks ``blocks`` (all N/b by default) of the frame operator.
+def _walnut_blocks(pulse, grid: WHGrid, index: np.ndarray):
+    """Eigensystem of the Walnut blocks of the frame operator that ``index`` gathers.
 
     With M = N/b, S[i, j] = (N/b) sum_n g[i - n*a] conj(g[j - n*a]) when
     i = j mod M and zero otherwise.  Block r holds samples r + p*M for
@@ -164,27 +174,29 @@ def _walnut_blocks(pulse, grid: WHGrid, blocks=slice(None)):
     (B, b, b) and (B, b) for B blocks; eigenvalues are clipped at zero.
     """
     g = as_samples(pulse)
-    stack = _walnut_stack(g, grid, blocks)
+    stack = _walnut_stack(g, grid, index)
     evals, evecs = np.linalg.eigh(grid.n_freq * (stack @ stack.conj().transpose(0, 2, 1)))
-    return np.maximum(evals, 0.0), evecs, g.reshape(grid.freq_step, grid.n_freq).T[blocks]
+    return np.maximum(evals, 0.0), evecs, np.take(g, index[:, :, 0])
 
 
 FRAME_RANK_RTOL = 1e-10
 
 
 def _power_on_blocks(g: np.ndarray, grid: WHGrid, power: float, rank_rtol: float | None,
-                     blocks, evals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S^power g on the Walnut blocks ``blocks`` of g, rank-tested over every block.
+                     index: np.ndarray, evals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S^power g on the Walnut blocks that ``index`` gathers, rank-tested over every block.
 
     ``evals`` (N/b, b) is the clipped spectrum of all blocks.  The blocks
-    in ``blocks`` are solved from g and replace their rows of a copy; the
-    others are kept, which is exact when g differs from the window they
-    came from only on samples of ``blocks``.  The frame test and the rank
-    threshold read the largest eigenvalue over all blocks, as for the whole
-    operator.  Returns (spectrum, values) with values[j, p] the sample
-    r + p*N/b of S^power g for the j-th block r.
+    of ``index = _walnut_index(grid, blocks)``, built once per call or per
+    descent, are solved from g and replace their rows of a copy; the others
+    are kept, which is exact when g differs from the window they came from
+    only on samples of those blocks.  The frame test and the rank threshold
+    read the largest eigenvalue over all blocks, as for the whole operator.
+    Returns (spectrum, values) with values[j, p] the sample r + p*N/b of
+    S^power g for the j-th block r.
     """
-    block_evals, evecs, g_blocks = _walnut_blocks(g, grid, blocks)
+    block_evals, evecs, g_blocks = _walnut_blocks(g, grid, index)
+    blocks = index[:, 0, 0]
     evals = evals.copy()
     evals[blocks] = block_evals
     top = evals.max()
@@ -207,13 +219,14 @@ def frame_power(pulse, grid: WHGrid, power: float, rank_rtol: float | None = Non
     pseudo-power on the range of S (the critically dense case a*b = N).
     """
     spectrum = np.zeros((grid.n_freq, grid.freq_step))
-    _, values = _power_on_blocks(as_samples(pulse), grid, power, rank_rtol, slice(None), spectrum)
+    _, values = _power_on_blocks(as_samples(pulse), grid, power, rank_rtol, _walnut_index(grid),
+                                 spectrum)
     return Pulse(values.T.ravel())
 
 
 def frame_bounds(pulse, grid: WHGrid) -> FrameReport:
     """Extreme eigenvalues of the frame operator over all Walnut blocks; tight to 1e-9."""
-    evals, _, _ = _walnut_blocks(pulse, grid)
+    evals, _, _ = _walnut_blocks(pulse, grid, _walnut_index(grid))
     lower = float(evals.min())
     upper = float(evals.max())
     is_frame = upper > 0.0 and lower > FRAME_RANK_RTOL * upper
@@ -255,7 +268,8 @@ def check_wexler_raz(pulse, dual, grid: WHGrid) -> tuple[bool, float]:
     from (a*b/N) times the identity; the two criteria agree (Wexler-Raz).
     """
     g, gam = as_samples(pulse), as_samples(dual)
-    mixed = _walnut_stack(g, grid) @ _walnut_stack(gam, grid).conj().transpose(0, 2, 1)
+    index = _walnut_index(grid)
+    mixed = _walnut_stack(g, grid, index) @ _walnut_stack(gam, grid, index).conj().swapaxes(1, 2)
     is_dual = bool(np.abs(grid.n_freq * mixed - np.eye(grid.freq_step)).max() <= 1e-10)
     return is_dual, _gram_defect(g, gam, grid.adjoint(), grid.tf_product)
 

@@ -187,10 +187,15 @@ def test_local_search_reports_descent_powers(tmp_path):
     assert len(powers) == 33  # the start, then one entry per window sample
     assert all(p >= q for p, q in zip(powers, powers[1:])) and powers[-1] < powers[0]
     assert powers[-1] == report["interference_power"]
+    decreases = sum(p > q for p, q in zip(powers, powers[1:]))
+    assert report["descent_accepted_trials"] >= decreases > 0
+    cli.run_experiment("pulse-design", dict(cfg, n_sweeps=0), tmp_path / "none")
+    report = json.loads((tmp_path / "none" / "design_report.json").read_text())
+    assert report["descent_accepted_trials"] == 0 and len(report["descent_powers"]) == 1
     cli.run_experiment("pulse-design", dict(cfg, method="matched_gaussian_tight"),
                        tmp_path / "gauss")
-    assert "descent_powers" not in json.loads(
-        (tmp_path / "gauss" / "design_report.json").read_text())
+    report = json.loads((tmp_path / "gauss" / "design_report.json").read_text())
+    assert "descent_powers" not in report and "descent_accepted_trials" not in report
 
 
 def test_ofdm_sim_artifacts(tmp_path):

@@ -1,5 +1,7 @@
 """Multicarrier modem: exact decomposition, ambiguity identities, pulse design."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -68,6 +70,65 @@ def descent_oracle(profile, grid, n_sweeps, step):
         if not improved:
             break
     return pair, powers
+
+
+def rows_scorer(profile, grid):
+    """The interference scorer reading its rows through ``_ambiguity_rows``, which
+    builds the delay gather on every call."""
+    a, b, n = grid.time_step, grid.freq_step, grid.n_dim
+    delays, dopplers, _ = profile.support_cells
+    weights = profile.intensities[delays, dopplers]
+    lags = (-delays) % n
+    residues, residue_of_cell = np.unique(lags % a, return_inverse=True)
+    rows = (residues[:, None] + a * np.arange(n // a)).ravel()
+    row_of_cell = residue_of_cell * (n // a) + lags // a
+
+    def score(g, gamma):
+        energy = np.abs(tf_core._ambiguity_rows(g, gamma, rows)) ** 2
+        folded = energy.reshape(residues.size, n * n // (a * b), b).sum(axis=1)
+        return float(np.sum(weights * (folded[residue_of_cell, dopplers % b]
+                                       - energy[row_of_cell, dopplers])))
+
+    return score
+
+
+def per_trial_descent(profile, grid, n_sweeps, step):
+    """The block-local descent with the Walnut gather index built for every trial
+    and every trial scored by ``rows_scorer``; returns (pulse, powers, accepted)."""
+    adjoint = grid.adjoint()
+    n_blocks, block_size = adjoint.n_freq, adjoint.freq_step
+    period = math.gcd(n_blocks, adjoint.time_step)
+    scale = np.sqrt(grid.time_step * grid.freq_step / grid.n_dim)
+    window = wh.gaussian_pulse(grid.n_dim, sigma=ofdm.matched_sigma(profile, grid)).samples.copy()
+    spectrum, values = wh._power_on_blocks(window, adjoint, -0.5, None, wh._walnut_index(adjoint),
+                                           np.zeros((n_blocks, block_size)))
+    pulse = scale * values.T.ravel()
+    score = rows_scorer(profile, grid)
+    best = score(pulse, pulse)
+    powers, accepted = [best], 0
+    for _ in range(n_sweeps):
+        improved = False
+        for idx in range(grid.n_dim):
+            blocks = np.arange(idx % period, n_blocks, period)
+            samples = blocks[:, None] + n_blocks * np.arange(block_size)
+            for delta in (step, -step, 1j * step, -1j * step):
+                trial = window.copy()
+                trial[idx] += delta
+                try:
+                    cand_spectrum, values = wh._power_on_blocks(
+                        trial, adjoint, -0.5, None, wh._walnut_index(adjoint, blocks), spectrum)
+                except wh.NotAFrameError:
+                    continue
+                cand = pulse.copy()
+                cand[samples] = scale * values
+                power = score(cand, cand)
+                if power < best:
+                    window, spectrum, pulse, best = trial, cand_spectrum, cand, power
+                    improved, accepted = True, accepted + 1
+            powers.append(best)
+        if not improved:
+            break
+    return pulse, powers, accepted
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +327,7 @@ def test_only_the_heatmap_builds_the_full_ambiguity_grid(monkeypatch, tmp_path):
     n = 48
     profile = cm.flat_rect_profile(n, 2, 1)
     grid = wh.WHGrid(n, 8, 8)
-    tx, rx, _ = ofdm.interference_descent(profile, grid, n_sweeps=1, step=0.05)
+    tx, rx, _, _ = ofdm.interference_descent(profile, grid, n_sweeps=1, step=0.05)
     for cfg in (ofdm.cp_ofdm_config(n, 12, 4), ofdm.OFDMConfig(grid, tx, rx)):
         ofdm.interference_power(profile, cfg)
         ofdm.simulate_frames(cfg, profile, 3, 0)
@@ -605,7 +666,7 @@ def test_local_search_monotone_and_no_worse():
     n = 32
     prof = cm.flat_rect_profile(n, 1, 1)
     grid = wh.WHGrid(n, 8, 8)
-    tx, rx, powers = ofdm.interference_descent(prof, grid, n_sweeps=1, step=0.05)
+    tx, rx, powers, _ = ofdm.interference_descent(prof, grid, n_sweeps=1, step=0.05)
     assert all(powers[i] >= powers[i + 1] for i in range(len(powers) - 1))
     base_tx, base_rx = ofdm.design_pulses(prof, grid)
     base = ofdm.interference_power(prof, ofdm.OFDMConfig(grid, base_tx, base_rx))
@@ -620,7 +681,7 @@ def test_descent_powers_match_config_oracle():
     n = 32
     prof = cm.flat_rect_profile(n, 1, 1)
     grid = wh.WHGrid(n, 8, 8)
-    tx, rx, powers = ofdm.interference_descent(prof, grid, n_sweeps=2, step=0.05)
+    tx, rx, powers, _ = ofdm.interference_descent(prof, grid, n_sweeps=2, step=0.05)
     (ref_tx, _), ref_powers = descent_oracle(prof, grid, n_sweeps=2, step=0.05)
     assert len(powers) == len(ref_powers) > 1
     assert powers == pytest.approx(ref_powers, rel=1e-11)
@@ -633,11 +694,26 @@ def test_descent_trajectory_pinned_at_n96():
     n = 96
     prof = cm.flat_rect_profile(n, 2, 2)
     grid = wh.WHGrid(n, 12, 12)
-    tx, _, powers = ofdm.interference_descent(prof, grid, n_sweeps=1, step=0.02)
+    tx, _, powers, _ = ofdm.interference_descent(prof, grid, n_sweeps=1, step=0.02)
     (ref_tx, _), ref_powers = descent_oracle(prof, grid, n_sweeps=1, step=0.02)
     assert len(powers) == len(ref_powers) == n + 1
     assert powers == pytest.approx(ref_powers, rel=1e-11)
     assert np.abs(tx.samples - ref_tx.samples).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n, a, b, max_delay, max_doppler", [
+    (96, 12, 12, 1, 1), (96, 12, 12, 2, 1), (96, 12, 12, 1, 2), (96, 12, 12, 2, 2),
+    (120, 12, 15, 2, 1), (256, 32, 16, 1, 1)])
+def test_descent_equals_per_trial_loop(n, a, b, max_delay, max_doppler):
+    """Gather indices built once per descent leave every trial's arithmetic as it
+    was: the same kept window, powers and accepted trials, exactly."""
+    prof = cm.flat_rect_profile(n, max_delay, max_doppler)
+    grid = wh.WHGrid(n, a, b)
+    tx, rx, powers, accepted = ofdm.interference_descent(prof, grid, n_sweeps=1, step=0.02)
+    ref_pulse, ref_powers, ref_accepted = per_trial_descent(prof, grid, n_sweeps=1, step=0.02)
+    assert rx is tx and np.array_equal(tx.samples, ref_pulse)
+    assert powers == ref_powers and len(powers) == n + 1
+    assert accepted == ref_accepted > 0
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +766,21 @@ def wide_lattices(draw):
     dopplers = draw(st.lists(st.integers(-n // 2, n // 2), min_size=len(delays),
                              max_size=len(delays)))
     return n, a, b, np.array(delays) % n, np.array(dopplers) % n, draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_lattices())
+def test_scorer_equals_rows_scorer_property(case):
+    """The scorer's delay gather, built once per profile, gives exactly the score
+    of rows read through ``_ambiguity_rows``."""
+    n, a, b, delays, dopplers, seed = case
+    rng = np.random.default_rng(seed)
+    g, gam = (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
+    intensities = np.zeros((n, n))
+    intensities[delays, dopplers] = rng.random(delays.size) + 0.1
+    profile = cm.ScatteringProfile(n, intensities)
+    grid = wh.WHGrid(n, a, b)
+    assert ofdm._interference_score(profile, grid)(g, gam) == rows_scorer(profile, grid)(g, gam)
 
 
 @settings(max_examples=60, deadline=None)

@@ -323,6 +323,28 @@ def lattices(draw):
     return n, draw(st.sampled_from(divisors)), draw(st.sampled_from(divisors))
 
 
+@settings(max_examples=80, deadline=None)
+@given(lattices(), st.integers(min_value=0, max_value=2 ** 31))
+@example((96, 8, 8), 0)  # the adjoint of pulse-design-n96: 4 classes of 3 blocks
+@example((64, 64, 1), 1)
+def test_walnut_index_property(lattice, seed):
+    """The gather index, whole or for one residue class r mod gcd(N/b, a) of the
+    blocks, picks g[r + p*N/b - n*a] as the per-call gather expression did, and
+    holds each block's samples in slot 0."""
+    n, a, b = lattice
+    grid = wh.WHGrid(n, a, b)
+    g = random_window(n, seed)
+    m = n // b
+    period = math.gcd(m, a)
+    for blocks in [np.arange(m)] + [np.arange(r, m, period) for r in range(period)]:
+        index = wh._walnut_index(grid, blocks)
+        stack = g[(blocks[:, None, None] + m * np.arange(b)[None, :, None]
+                   - a * np.arange(n // a)[None, None, :]) % n]
+        assert np.array_equal(wh._walnut_stack(g, grid, index), stack)
+        assert np.array_equal(index[:, :, 0], blocks[:, None] + m * np.arange(b))
+    assert np.array_equal(wh._walnut_index(grid), wh._walnut_index(grid, np.arange(m)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(lattices(), st.integers(min_value=0, max_value=2 ** 31), st.booleans())
 @example((24, 4, 6), 0, False)  # a*b = N
@@ -337,7 +359,7 @@ def test_blocked_engine_matches_dense_property(lattice, seed, sparse):
         g[rng.random(n) < 0.3] = 0.0
     evals, root = dense_frame_power(g, grid, -0.5, rank_rtol=1e-10)
     top = evals[-1]
-    blocked = np.sort(wh._walnut_blocks(g, grid)[0].ravel())
+    blocked = np.sort(wh._walnut_blocks(g, grid, wh._walnut_index(grid))[0].ravel())
     assert np.abs(blocked - evals).max() <= 1e-12 * top
     report = wh.frame_bounds(g, grid)
     assert abs(report.lower_bound - evals[0]) <= 1e-12 * top
@@ -439,13 +461,14 @@ def test_block_local_tight_window_property(lattice, seed, perturb):
         trial[:] = g
         trial[idx] = 0.0
     blocks = np.arange(idx % period, grid.n_freq, period)
-    spectrum = wh._walnut_blocks(g, grid)[0]
+    spectrum = wh._walnut_blocks(g, grid, wh._walnut_index(grid))[0]
     try:
         full = wh.tight_window(trial, grid).samples
     except wh.NotAFrameError:
         full = None
     try:
-        _, values = wh._power_on_blocks(trial, grid, -0.5, None, blocks, spectrum)
+        _, values = wh._power_on_blocks(trial, grid, -0.5, None,
+                                        wh._walnut_index(grid, blocks), spectrum)
     except wh.NotAFrameError:
         values = None
     assert (full is None) == (values is None)
