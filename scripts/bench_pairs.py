@@ -4,28 +4,36 @@
     python3 scripts/bench_pairs.py PARENT_CHECKOUT --workload W [--workload W ...] \\
         --pairs P --seconds S --out BENCH_<n>.json [--seed FIRST]
 
-Pair j of each workload runs ``tfbench/run.py --workload W --seed FIRST+j
---seconds S`` once in PARENT_CHECKOUT and once in this checkout, each with its
-own ``src/``.  The parent runs first in even pairs and second in odd ones, so
-neither side always gets the warmer machine.  Every run's end-to-end metrics
-are read from the JSON object on the last line of its standard output.
+Each side's ``src/`` and ``tfbench/`` (PARENT_CHECKOUT's and this
+checkout's) are first copied, without ``__pycache__``, into the sibling
+directories ``parent`` and ``change`` of one fresh temporary directory, so
+both sides import from directories made the same way: where a checkout lives
+and what it has compiled before move ``setup_s`` by several percent.  Pair j
+of each workload runs ``tfbench/run.py --workload W --seed FIRST+j
+--seconds S`` once in each copy.  The parent runs first in even pairs and
+second in odd ones, so neither side always gets the warmer machine.  Every
+run's end-to-end metrics are read from the JSON object on the last line of
+its standard output.
 
 The output file holds tfbench's environment line (Python, numpy, BLAS and
 CPU count) from the first run; in its protocol block, each checkout's
 ``git rev-parse HEAD``, whether its tracked or untracked files differ
 from that commit (``dirty``) and the line count of its ``src/**/*.py``
-(``src_lines``); and, per workload and metric, both sides' values in pair
-order, their medians and quartiles, and how many pairs the change won,
-judged by the metric's direction in BENCHMARK.json (ties count for neither
-side).  A run that exits non-zero stops the script with the tail of that
-run's standard error.  Uses the standard library only.
+(``src_lines``), and the directory that held the copies (``copies``); and,
+per workload and metric, both sides' values in pair order, their medians
+and quartiles, and how many pairs the change won, judged by the metric's
+direction in BENCHMARK.json (ties count for neither side).  A run that
+exits non-zero stops the script with the tail of that run's standard
+error.  Uses the standard library only.
 """
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,6 +72,14 @@ def revision(checkout: Path) -> dict:
             "src_lines": src_lines}
 
 
+def stage(checkout: Path, dest: Path) -> Path:
+    """``dest`` holding copies of ``checkout``'s ``src/`` and ``tfbench/``, without bytecode."""
+    for part in ("src", "tfbench"):
+        shutil.copytree(checkout / part, dest / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
 def summary(parent: list[float], change: list[float], better: str) -> dict:
     out = {}
     for side, values in zip(SIDES, (parent, change)):
@@ -99,21 +115,24 @@ def main() -> int:
                            "checkouts": {side: revision(path)
                                          for side, path in checkouts.items()}},
               "workloads": {}}
-    for workload in args.workload:
-        runs = {side: [] for side in SIDES}
-        for j in range(args.pairs):
-            seed = args.seed + j
-            for side in SIDES if j % 2 == 0 else SIDES[::-1]:
-                metrics, environment = tfbench(checkouts[side], workload, seed, args.seconds)
-                runs[side].append(metrics)
-                report.setdefault("environment", environment)
-            print(f"{workload} pair {j + 1}/{args.pairs} (seed {seed}): "
-                  + ", ".join(f"{side} wall_s {runs[side][-1]['wall_s']:.4f}"
-                              for side in SIDES), flush=True)
-        report["workloads"][workload] = {
-            name: summary([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
-                          better)
-            for name, better in directions.items()}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        copies = {side: stage(path, Path(tmp) / side) for side, path in checkouts.items()}
+        report["protocol"]["copies"] = tmp
+        for workload in args.workload:
+            runs = {side: [] for side in SIDES}
+            for j in range(args.pairs):
+                seed = args.seed + j
+                for side in SIDES if j % 2 == 0 else SIDES[::-1]:
+                    metrics, environment = tfbench(copies[side], workload, seed, args.seconds)
+                    runs[side].append(metrics)
+                    report.setdefault("environment", environment)
+                print(f"{workload} pair {j + 1}/{args.pairs} (seed {seed}): "
+                      + ", ".join(f"{side} wall_s {runs[side][-1]['wall_s']:.4f}"
+                                  for side in SIDES), flush=True)
+            report["workloads"][workload] = {
+                name: summary([r[name] for r in runs["parent"]],
+                              [r[name] for r in runs["change"]], better)
+                for name, better in directions.items()}
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
 

@@ -47,8 +47,8 @@ from .channel_models import ScatteringProfile, from_specular, preset_profile, \
     time_invariant, wssus_sample
 from .identification import IdentifiabilityError, build_sounding_matrix, \
     centered_rect_support, dirac_train, identify, offgrid_ambiguity, refuse_overspread
-from .ofdm import OFDMConfig, cp_ofdm_config, design_pulses, interference_descent, \
-    interference_power, simulate_frames
+from .ofdm import OFDMConfig, cp_ofdm_config, interference_descent, interference_power, \
+    simulate_frames
 from .tf_core import SpreadingFunction, centered_index, spread_metrics, tf_transfer
 from .wh_frames import NotAFrameError, Pulse, WHGrid, check_wexler_raz, dual_window, \
     frame_bounds, gaussian_pulse, localization_metrics, read_pulse_csv, rect_pulse, \
@@ -197,7 +197,7 @@ def _check_float_range(value, where: str) -> None:
 _DESIGN_KEYS = [_Key("time_step", (int,)), _Key("freq_step", (int,)), _Key("profile", (dict,)),
                 _Key("method", (str,), "matched_gaussian_tight"), _Key("n_sweeps", (int,), 1, lo=0),
                 _Key("step", (float,), 0.02, lo=0, hi=1, open_lo=True)]
-_PULSES = {"gaussian": [_Key("sigma", (float,), None)],
+_PULSES = {"gaussian": [_Key("sigma", (float,), None, lo=0, open_lo=True)],
            "rect": [_Key("length", (int,)), _Key("offset", (int,), 0)],
            "csv": [_Key("path", (str,))]}
 _CHANNELS = {"specular": [_Key("paths", (list,), entries=(("delay", "doppler", "re", "im"),))],
@@ -260,19 +260,21 @@ def _build_channel(desc: dict, n_dim: int, where: str) -> SpreadingFunction | Sc
 
 
 def _design(spec: dict, n_dim: int, where: str
-            ) -> tuple[ScatteringProfile, OFDMConfig, tuple[list[float], int] | None]:
-    """The profile, the designed system and, for local search, (descent powers, accepted trials).
+            ) -> tuple[ScatteringProfile, OFDMConfig, float, dict]:
+    """The profile, the designed system, its interference power and its report's descent fields.
 
-    The one place that picks the method: ``local_search`` runs
-    ``interference_descent``, any other name goes to ``design_pulses``.
+    The one place that knows the method names: both run ``interference_descent``,
+    ``matched_gaussian_tight`` with no sweeps, ``local_search`` with ``n_sweeps``.
     """
     grid = WHGrid(n_dim, spec["time_step"], spec["freq_step"])
     profile = _build_profile(spec["profile"], n_dim, f"{where}.profile")
-    if spec["method"] == "local_search":
-        tx, rx, powers, accepted = interference_descent(profile, grid, spec["n_sweeps"],
-                                                        spec["step"])
-        return profile, OFDMConfig(grid, tx, rx), (powers, accepted)
-    return profile, OFDMConfig(grid, *design_pulses(profile, grid, spec["method"])), None
+    sweeps = {"matched_gaussian_tight": 0, "local_search": spec["n_sweeps"]}.get(spec["method"])
+    if sweeps is None:
+        raise ConfigError(f"{where}: unknown method {spec['method']!r}")
+    tx, rx, powers, accepted = interference_descent(profile, grid, sweeps, spec["step"])
+    descent = {"descent_powers": powers, "descent_accepted_trials": accepted} \
+        if spec["method"] == "local_search" else {}
+    return profile, OFDMConfig(grid, tx, rx), powers[-1], descent
 
 
 def _build_system(desc: dict, n_dim: int, where: str, base_dir: Path) -> OFDMConfig:
@@ -354,12 +356,9 @@ def emit_plotdata(kind: str, source, path) -> None:
         return
     if kind == "capacity-curve":
         rates = np.asarray(source.rates, dtype=float)
-        peak = rates.max()
-        with np.errstate(divide="ignore", invalid="ignore"):  # rates <= 0 sit on the floor
-            rel = np.fmax(20.0 * np.log10(rates / peak), DB_FLOOR) if peak > 0 \
-                else np.full(rates.shape, DB_FLOOR)
-        _write_csv(path, ["x", "y", "value_db"],
-                   [np.asarray(source.bandwidths, dtype=float), rates, rel])
+        _write_csv(path, ["x", "y", "value_db"],  # rates <= 0 sit on the floor
+                   [np.asarray(source.bandwidths, dtype=float), rates,
+                    _grid_db(np.maximum(rates, 0.0))])
         return
     raise ConfigError(f"unknown plotdata kind {kind!r}")
 
@@ -409,17 +408,16 @@ def _run_frame_analyze(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
 
 
 def _run_pulse_design(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
-    profile, system, descent = _design(spec, n, "config")
+    profile, system, power, descent = _design(spec, n, "config")
     report = {
         "method": spec["method"],
         **asdict(system.grid),
         "tf_product": system.grid.tf_product,
         "spectral_efficiency": system.spectral_efficiency,
         "biorthogonality_defect": system.biorthogonality_defect,
-        "interference_power": interference_power(profile, system),
+        "interference_power": power,
+        **descent,
     }
-    if descent is not None:
-        report["descent_powers"], report["descent_accepted_trials"] = descent
     if spec["baseline"] is not None:
         base = _validate(spec["baseline"], _SYSTEMS["cp_ofdm"], "config.baseline")
         baseline = cp_ofdm_config(n, base["n_subcarriers"], base["cp_len"])
@@ -544,7 +542,7 @@ def _run_capacity(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
 # kind -> (runner, report file, config keys between "n_dim" and "seed")
 _RUNNERS = {
     "spread-analyze": (_run_spread_analyze, "spread_report.json", [
-        _Key("channel", (dict,)), _Key("sample_rate", (float,), None)]),
+        _Key("channel", (dict,)), _Key("sample_rate", (float,), None, lo=0, open_lo=True)]),
     "frame-analyze": (_run_frame_analyze, "frame_report.json", [
         _Key("time_step", (int,)), _Key("freq_step", (int,)), _Key("pulse", (dict,))]),
     "pulse-design": (_run_pulse_design, "design_report.json", [
@@ -557,7 +555,7 @@ _RUNNERS = {
         _Key("period", (int,)), _Key("support", (dict, list), entries=(("delay", "doppler"),)),
         _Key("noise_psd", (float,), 0.0, lo=0)]),
     "capacity": (_run_capacity, "capacity_report.json", [
-        _Key("profile", (dict,)), _Key("snr", (float,), None),
+        _Key("profile", (dict,)), _Key("snr", (float,), None, lo=0, open_lo=True),
         _Key("power_budget", (float,), None, lo=0, open_lo=True),
         _Key("bandwidths", (list, dict), None, entries=((),)),
         _Key("delay_cell", (float,), 1.0, lo=0, open_lo=True),

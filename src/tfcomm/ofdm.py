@@ -13,10 +13,11 @@ delays m.  Only the pulse-design heatmap builds the N x N grid.  Pulses
 are built on the adjoint lattice (N/b, N/a): dual or tight frames there
 are biorthogonal or orthogonal transmission sets here, which makes a
 Gaussian-shaped orthogonal pair with a prescribed time/frequency aspect
-cheap to compute.  Local search perturbs one sample of the seed window per
-trial; that sample enters a / gcd(a, N/b) of the a adjoint Walnut blocks,
-so a trial re-solves only those and rewrites only their samples of the
-tight pair.
+cheap to compute.  ``interference_descent`` starts from that pair for a
+channel-matched Gaussian (``design_pulses`` stops there); each trial of
+its local search perturbs one seed-window sample, which enters a / gcd(a,
+N/b) of the a adjoint Walnut blocks, so the trial re-solves only those
+and rewrites only their samples of the tight pair.
 
 Monte Carlo runs (``simulate_frames``) stay in the spreading domain: a
 channel is its K support cells S[m, l], never an N x N matrix.  The gain of
@@ -43,7 +44,7 @@ from .channel_models import ScatteringProfile, _support_draw
 from .tf_core import SpreadingFunction, _ambiguity_rows, as_matrix, cross_ambiguity, \
     spreading_function, tf_shift, tf_transfer
 from .wh_frames import NotAFrameError, Pulse, WHGrid, _gram_defect, _power_on_blocks, \
-    _walnut_index, gaussian_pulse, lattice_matrix, rect_pulse, tight_window
+    _walnut_index, gaussian_pulse, lattice_matrix, rect_pulse
 
 __all__ = [
     "OFDMConfig",
@@ -452,38 +453,12 @@ def matched_sigma(profile: ScatteringProfile, grid: WHGrid) -> float:
     return float(np.sqrt(grid.time_step * grid.n_dim / grid.freq_step))
 
 
-def _tight_pair(window, grid: WHGrid) -> tuple[Pulse, Pulse]:
-    """Orthogonal transmission pair from a seed window via the adjoint lattice."""
-    tight = tight_window(window, grid.adjoint())
-    scale = np.sqrt(grid.time_step * grid.freq_step / grid.n_dim)
-    pulse = Pulse(scale * tight.samples)
-    return pulse, pulse
+def design_pulses(profile: ScatteringProfile, grid: WHGrid) -> tuple[Pulse, Pulse]:
+    """Orthogonal pair from the channel-matched Gaussian tightened on the adjoint lattice.
 
-
-def _check_design(profile: ScatteringProfile, grid: WHGrid) -> None:
-    """Pulse design needs a*b > N and a profile on the grid's dimension."""
-    if grid.time_step * grid.freq_step <= grid.n_dim:
-        raise ValueError(
-            f"pulse design needs a*b > N, got {grid.time_step}*{grid.freq_step} "
-            f"with N = {grid.n_dim}")
-    if profile.n_dim != grid.n_dim:
-        raise ValueError("profile and grid dimensions differ")
-
-
-def design_pulses(profile: ScatteringProfile, grid: WHGrid,
-                  method: str = "matched_gaussian_tight") -> tuple[Pulse, Pulse]:
-    """Closed-form biorthogonal transmission pair shaped for a scattering profile.
-
-    ``matched_gaussian_tight`` tightens a channel-matched Gaussian on the
-    adjoint lattice; ``interference_descent`` refines that pair by local
-    search.  Requires a*b > N strictly: well localized biorthogonal pairs
-    only exist with room to spare, and the adjoint-lattice frame operator
-    degenerates at a*b = N.
+    The start of ``interference_descent``, returned with no sweeps; a*b > N.
     """
-    _check_design(profile, grid)
-    if method == "matched_gaussian_tight":
-        return _tight_pair(gaussian_pulse(grid.n_dim, sigma=matched_sigma(profile, grid)), grid)
-    raise ValueError(f"unknown method {method!r}")
+    return interference_descent(profile, grid, 0)[:2]
 
 
 def interference_descent(profile: ScatteringProfile, grid: WHGrid,
@@ -491,26 +466,35 @@ def interference_descent(profile: ScatteringProfile, grid: WHGrid,
                          ) -> tuple[Pulse, Pulse, list[float], int]:
     """Coordinate descent on predicted interference power.
 
-    Starts from the matched Gaussian pair and perturbs one seed-window
-    coordinate at a time (both quadratures, both signs), re-tightening on
-    the adjoint lattice after every trial so biorthogonality stays exact
-    and trials are scored without forming the lattice Gram.  Sample i of
-    the seed window enters only the adjoint Walnut blocks r with
-    r = i mod gcd(a, N/b), a / gcd(a, N/b) of the a blocks.  So a trial
-    re-solves just those blocks, runs the frame test against the largest
-    eigenvalue over all blocks (the others' spectrum is kept from the
-    current window), and rewrites only their samples of the tight pair:
-    the window a full ``tight_window`` gives.  The Walnut gather index of
-    each of the gcd(a, N/b) residue classes is built once, before the
-    sweeps, and trials are scored by the scorer of ``interference_power``,
-    whose delay gather is built once per profile.  Only strict
-    improvements are kept, so the recorded power sequence is
-    nonincreasing.  Returns (tx, rx, powers, accepted), with ``accepted``
-    the number of trials kept.
+    Starts from the channel-matched Gaussian (``matched_sigma``) tightened
+    on the adjoint lattice and scaled by sqrt(a*b/N), an orthogonal pair by
+    Wexler-Raz duality; with no sweeps that pair is the result.  Requires
+    a*b > N strictly: well localized orthogonal pairs only exist with room
+    to spare, and the adjoint-lattice frame operator degenerates at a*b = N.
+    A sweep perturbs one seed-window coordinate at a time (both
+    quadratures, both signs), re-tightening on the adjoint lattice after
+    every trial so orthogonality stays exact and trials are scored without
+    forming the lattice Gram.  Sample i of the seed window enters only the
+    adjoint Walnut blocks r with r = i mod gcd(a, N/b), a / gcd(a, N/b) of
+    the a blocks.  So a trial re-solves just those blocks, runs the frame
+    test against the largest eigenvalue over all blocks (the others'
+    spectrum is kept from the current window), and rewrites only their
+    samples of the tight pair: the window a full ``tight_window`` gives.
+    The Walnut gather index of each of the gcd(a, N/b) residue classes is
+    built once, before the sweeps, and every pair is scored by the scorer
+    of ``interference_power``, whose delay gather is built once per
+    profile.  Only strict improvements are kept, so the recorded power
+    sequence is nonincreasing and ends at the returned pair's power.
+    Returns (tx, rx, powers, accepted), with ``accepted`` the number of
+    trials kept.
     """
     if n_sweeps < 0 or step <= 0:
         raise ValueError("need n_sweeps >= 0 and step > 0")
-    _check_design(profile, grid)
+    if grid.time_step * grid.freq_step <= grid.n_dim:
+        raise ValueError(
+            f"pulse design needs a*b > N, got {grid.time_step}*{grid.freq_step} "
+            f"with N = {grid.n_dim}")
+    score = _interference_score(profile, grid)  # checks the profile's dimension
     adjoint = grid.adjoint()
     n_blocks, block_size = adjoint.n_freq, adjoint.freq_step
     period = math.gcd(n_blocks, adjoint.time_step)
@@ -519,7 +503,6 @@ def interference_descent(profile: ScatteringProfile, grid: WHGrid,
     spectrum, values = _power_on_blocks(window, adjoint, -0.5, None, _walnut_index(adjoint),
                                         np.zeros((n_blocks, block_size)))
     pulse = scale * values.T.ravel()
-    score = _interference_score(profile, grid)
     best = score(pulse, pulse)
     powers, accepted = [best], 0
     indices = [_walnut_index(adjoint, np.arange(r, n_blocks, period)) for r in range(period)]

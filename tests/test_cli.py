@@ -13,11 +13,12 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tfcomm.cli as cli
 from tfcomm import __version__
@@ -175,6 +176,22 @@ def test_pulse_design_artifacts(tmp_path):
     assert report["interference_power"] < report["baseline"]["interference_power"]
     header = (tmp_path / "ambiguity_db.csv").read_text().splitlines()[0]
     assert header == "x,y,value_db"
+
+
+@pytest.mark.parametrize("n_sweeps, step", [(0, 0.02), (1, 0.02), (3, 0.5), (2, 1.0)])
+def test_matched_gaussian_tight_is_local_search_with_no_sweeps(tmp_path, n_sweeps, step):
+    cfg = {"kind": "pulse-design", "n_dim": 32, "time_step": 8, "freq_step": 8,
+           "profile": {"kind": "flat_rect", "max_delay": 2, "max_doppler": 1}}
+    cli.run_experiment("pulse-design", dict(cfg, method="matched_gaussian_tight",
+                                            n_sweeps=n_sweeps, step=step), tmp_path / "tight")
+    cli.run_experiment("pulse-design", dict(cfg, method="local_search", n_sweeps=0),
+                       tmp_path / "search")
+    for name in ("tx_pulse.csv", "rx_pulse.csv"):
+        tight = (tmp_path / "tight" / name).read_bytes()
+        assert tight == (tmp_path / "search" / name).read_bytes()
+    tight, search = (json.loads((tmp_path / side / "design_report.json").read_text())
+                     for side in ("tight", "search"))
+    assert tight["interference_power"] == search["interference_power"]
 
 
 def test_local_search_reports_descent_powers(tmp_path):
@@ -549,9 +566,16 @@ def test_unbounded_sizes_exit_2(tmp_path, capsys, kind, cfg, message):
      "config.delay_cell: expected 0 < delay_cell, got -1.0"),
     ("capacity", dict(SWEEP_CFG, doppler_cell=0),
      "config.doppler_cell: expected 0 < doppler_cell, got 0.0"),
+    # these three used to be refused by the library, in messages that named no key
+    ("capacity", dict(CAPACITY_CFG, snr=-1.0), "config.snr: expected 0 < snr, got -1.0"),
+    ("spread-analyze", dict(SPREAD_CFG, sample_rate=0),
+     "config.sample_rate: expected 0 < sample_rate, got 0.0"),
+    ("frame-analyze", dict(FRAME_CFG, pulse={"kind": "gaussian", "sigma": -1.0}),
+     "config.pulse.sigma: expected 0 < sigma, got -1.0"),
 ], ids=["identify-noise_psd", "sim-noise_psd", "n_frames", "bandwidths-min", "bandwidths-count",
         "bandwidths-max", "n_dim", "identify-seed", "sim-seed", "wssus-seed", "n_sweeps",
-        "system-n_sweeps", "power_budget", "delay_cell", "doppler_cell"])
+        "system-n_sweeps", "power_budget", "delay_cell", "doppler_cell", "snr", "sample_rate",
+        "sigma"])
 def test_declared_bounds_name_the_key(tmp_path, capsys, kind, cfg, message):
     path = write_config(tmp_path, "bounds.json", cfg)
     out = tmp_path / "out"
@@ -580,6 +604,9 @@ def specular(*paths):
     ("spread-analyze", specular([99999, 0, 1.0, 0.0]),
      "config.channel.paths: path delay 99999 outside centered range [-7, 8] for N = 16"),
     ("pulse-design", dict(DESIGN_CFG, method="foo"), "config: unknown method 'foo'"),
+    ("ofdm-sim", dict(SIM_CFG, n_dim=24, system={
+        "kind": "designed", "time_step": 4, "freq_step": 8, "profile": DESIGN_CFG["profile"],
+        "method": "foo"}), "config.system: unknown method 'foo'"),
     ("frame-analyze", dict(FRAME_CFG, pulse={"kind": "rect", "length": 99}),
      "config.pulse: length must be in [1, 24], got 99"),
     ("frame-analyze", dict(FRAME_CFG, time_step=5), "config: time_step 5 does not divide N = 24"),
@@ -617,9 +644,10 @@ def specular(*paths):
      "config.channel.gains[1]: expected a number or [re, im]"),
     ("ofdm-sim", dict(SIM_CFG, channel={"kind": "time_invariant", "gains": ["1"]}),
      "config.channel.gains[0]: expected a number or [re, im]"),
-], ids=["period", "paths", "method", "pulse", "time_step", "system", "system-tx", "gains",
-        "support-duplicates", "support-duplicates-over-n", "support-range", "bandwidths", "support-bool", "support-short",
-        "paths-bool", "paths-str", "bandwidths-bool", "bandwidths-str", "gains-bool", "gains-str"])
+], ids=["period", "paths", "method", "system-method", "pulse", "time_step", "system",
+        "system-tx", "gains", "support-duplicates", "support-duplicates-over-n", "support-range",
+        "bandwidths", "support-bool", "support-short", "paths-bool", "paths-str",
+        "bandwidths-bool", "bandwidths-str", "gains-bool", "gains-str"])
 def test_config_errors_name_their_location(tmp_path, capsys, kind, cfg, message):
     path = write_config(tmp_path, "located.json", cfg)
     out = tmp_path / "out"
@@ -918,6 +946,36 @@ def test_column_writer_matches_row_oracle(tmp_path_factory, data):
         cli.emit_plotdata(kind, grid, tmp / "new_heat.csv")
     heatmap_oracle(kind, grid, tmp / "old_heat.csv")
     assert (tmp / "new_heat.csv").read_bytes() == (tmp / "old_heat.csv").read_bytes()
+
+
+def capacity_curve_oracle(sweep, path):
+    """The capacity curve with its former inline dB formula, written row by row."""
+    rates = np.asarray(sweep.rates, dtype=float)
+    peak = rates.max()
+    with np.errstate(all="ignore"):  # the inline formula also overflowed on -1e296 / 1e-12
+        rel = np.fmax(20.0 * np.log10(rates / peak), cli.DB_FLOOR) if peak > 0 \
+            else np.full(rates.shape, cli.DB_FLOOR)
+    write_rows_oracle(path, ["x", "y", "value_db"], list(zip(sweep.bandwidths, rates, rel)))
+
+
+RATE_CELLS = FLOAT_CELLS | st.sampled_from([0.0, -1.0, 1e-300, -1e-300, 1e300, -1e300])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(RATE_CELLS, min_size=1, max_size=12), st.booleans())
+@example([0.0, 0.0], False)
+@example([-1.0, 0.0, -1e300], False)
+@example([1e-300, 1e300, 0.0, -2.0], False)
+@example([1e-12, -1.797693134862316e+296], False)  # -inf from the inline division
+def test_capacity_curve_db_matches_inline_oracle(tmp_path_factory, rates, nonpositive):
+    """The curve's dB column, now the heatmaps' scale on rates clamped at 0, matches
+    the inline formula it replaced, zero and negative rates included."""
+    tmp = tmp_path_factory.mktemp("curve")
+    rates = -np.abs(rates) if nonpositive else np.array(rates)
+    sweep = SimpleNamespace(bandwidths=np.arange(1.0, rates.size + 1.0), rates=rates)
+    cli.emit_plotdata("capacity-curve", sweep, tmp / "new.csv")
+    capacity_curve_oracle(sweep, tmp / "old.csv")
+    assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import tfcomm.channel_models as cm
 import tfcomm.cli as cli
@@ -629,8 +629,6 @@ def test_design_rejects_critical_grid():
     prof = cm.flat_rect_profile(48, 1, 1)
     with pytest.raises(ValueError):
         ofdm.design_pulses(prof, wh.WHGrid(48, 8, 6))
-    with pytest.raises(ValueError):
-        ofdm.design_pulses(prof, wh.WHGrid(48, 8, 8), method="global_search")
 
 
 def test_designed_pair_beats_rectangular_cp():
@@ -816,3 +814,39 @@ def test_ambiguity_rows_and_restricted_consumers_property(case):
     table = ofdm._gain_table(cfg, cells_m, cells_l)
     assert np.abs(table - full_table).max() <= 1e-12 * np.abs(full_table).max()
     assert ofdm.interference_power(cm.ScatteringProfile(n, np.zeros((n, n))), cfg) == 0.0
+
+
+def matched_tight_oracle(profile, grid):
+    """sqrt(ab/N) times the matched Gaussian tightened on the adjoint lattice, composed
+    from the public frame calls."""
+    window = wh.gaussian_pulse(grid.n_dim, sigma=ofdm.matched_sigma(profile, grid))
+    tight = wh.tight_window(window, grid.adjoint())
+    return np.sqrt(grid.time_step * grid.freq_step / grid.n_dim) * tight.samples
+
+
+@st.composite
+def flat_designs(draw):
+    """(N, a, b) with a*b > N and the extents of a centered flat rectangular profile."""
+    n = draw(st.integers(min_value=4, max_value=48))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    a, b = draw(st.sampled_from(divisors)), draw(st.sampled_from(divisors))
+    assume(a * b > n)
+    return n, a, b, draw(st.integers(0, n // 2 - 1)), draw(st.integers(0, n // 2 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(flat_designs())
+@example((14, 2, 14, 6, 1))  # the matched Gaussian generates no frame on the adjoint lattice
+def test_design_pulses_is_matched_tight_pair_property(case):
+    """``design_pulses``, the descent with no sweeps, is exactly the matched Gaussian
+    tightened on the adjoint lattice, and refuses the same non-frames."""
+    n, a, b, max_delay, max_doppler = case
+    profile, grid = cm.flat_rect_profile(n, max_delay, max_doppler), wh.WHGrid(n, a, b)
+    try:
+        expected = matched_tight_oracle(profile, grid)
+    except wh.NotAFrameError:
+        with pytest.raises(wh.NotAFrameError):
+            ofdm.design_pulses(profile, grid)
+        return
+    tx, rx = ofdm.design_pulses(profile, grid)
+    assert np.array_equal(tx.samples, expected) and np.array_equal(rx.samples, expected)
