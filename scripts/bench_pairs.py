@@ -4,22 +4,23 @@
     python3 scripts/bench_pairs.py PARENT_CHECKOUT --workload W [--workload W ...] \\
         --pairs P --seconds S --out BENCH_<n>.json [--seed FIRST]
 
-Each side's ``src/`` and ``tfbench/`` (PARENT_CHECKOUT's and this
-checkout's) are first copied, without ``__pycache__``, into the sibling
-directories ``parent`` and ``change`` of one fresh temporary directory, so
-both sides import from directories made the same way: where a checkout lives
-and what it has compiled before move ``setup_s`` by several percent.  Pair j
-of each workload runs ``tfbench/run.py --workload W --seed FIRST+j
---seconds S`` once in each copy.  The parent runs first in even pairs and
-second in odd ones, so neither side always gets the warmer machine.  Every
-run's end-to-end metrics are read from the JSON object on the last line of
-its standard output.
+Pair j of each workload runs ``tfbench/run.py --workload W --seed FIRST+j
+--seconds S`` once for each side.  The parent runs first in even pairs and
+second in odd ones, so neither side always gets the warmer machine.  Right
+before each run, that side's ``src/`` and ``tfbench/`` (PARENT_CHECKOUT's or
+this checkout's) are copied, without ``__pycache__``, into the directory
+``parent`` or ``change`` of a temporary directory made afresh for the pair,
+and the run uses the copy.  Both sides thus import from directories made
+the same way and equally recently: where a checkout lives, what it has
+compiled before and which copy was made first move ``setup_s`` by several
+percent.  Every run's end-to-end metrics are read from the JSON object on
+the last line of its standard output.
 
 The output file holds tfbench's environment line (Python, numpy, BLAS and
 CPU count) from the first run; in its protocol block, each checkout's
 ``git rev-parse HEAD``, whether its tracked or untracked files differ
 from that commit (``dirty``) and the line count of its ``src/**/*.py``
-(``src_lines``), and the directory that held the copies (``copies``); and,
+(``src_lines``), and how the copies were staged (``staging``); and,
 per workload and metric, both sides' values in pair order, their medians
 and quartiles, and how many pairs the change won, judged by the metric's
 direction in BENCHMARK.json (ties count for neither side).  A run that
@@ -112,27 +113,28 @@ def main() -> int:
     report = {"protocol": {"pairs": args.pairs, "seconds": args.seconds,
                            "seeds": [args.seed, args.seed + args.pairs - 1],
                            "order": "parent first in even pairs, change first in odd pairs",
+                           "staging": "fresh copies for every pair, each made right before "
+                                      "its run",
                            "checkouts": {side: revision(path)
                                          for side, path in checkouts.items()}},
               "workloads": {}}
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        copies = {side: stage(path, Path(tmp) / side) for side, path in checkouts.items()}
-        report["protocol"]["copies"] = tmp
-        for workload in args.workload:
-            runs = {side: [] for side in SIDES}
-            for j in range(args.pairs):
-                seed = args.seed + j
+    for workload in args.workload:
+        runs = {side: [] for side in SIDES}
+        for j in range(args.pairs):
+            seed = args.seed + j
+            with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
                 for side in SIDES if j % 2 == 0 else SIDES[::-1]:
-                    metrics, environment = tfbench(copies[side], workload, seed, args.seconds)
+                    copy = stage(checkouts[side], Path(tmp) / side)
+                    metrics, environment = tfbench(copy, workload, seed, args.seconds)
                     runs[side].append(metrics)
                     report.setdefault("environment", environment)
-                print(f"{workload} pair {j + 1}/{args.pairs} (seed {seed}): "
-                      + ", ".join(f"{side} wall_s {runs[side][-1]['wall_s']:.4f}"
-                                  for side in SIDES), flush=True)
-            report["workloads"][workload] = {
-                name: summary([r[name] for r in runs["parent"]],
-                              [r[name] for r in runs["change"]], better)
-                for name, better in directions.items()}
+            print(f"{workload} pair {j + 1}/{args.pairs} (seed {seed}): "
+                  + ", ".join(f"{side} wall_s {runs[side][-1]['wall_s']:.4f}"
+                              for side in SIDES), flush=True)
+        report["workloads"][workload] = {
+            name: summary([r[name] for r in runs["parent"]],
+                          [r[name] for r in runs["change"]], better)
+            for name, better in directions.items()}
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
 

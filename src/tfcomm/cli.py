@@ -8,7 +8,8 @@ byte-identical artifacts; the manifest's wall-time field is the one value
 outside that guarantee.  CSVs are written column-wise, numbers as their
 ``repr`` and rows ending in \\r\\n.  Exit codes: 0 success, 2 config/validation
 problems, 3 numerical failures surfaced from the library (not a frame, not
-identifiable, a failed eigensolver or demodulator split, a non-finite result).
+identifiable, a failed eigensolver or demodulator split, a non-finite result)
+and refused allocations (out of memory).
 
 One table, ``_RUNNERS``, maps each kind to its runner, its report file and
 its own config keys.  ``run_experiment`` does the shared work once: it
@@ -45,11 +46,11 @@ from . import __version__
 from .capacity import CapacityQuery, bandwidth_sweep, capacity_low_snr
 from .channel_models import ScatteringProfile, from_specular, preset_profile, \
     time_invariant, wssus_sample
-from .identification import IdentifiabilityError, build_sounding_matrix, \
+from .identification import IdentifiabilityError, _canonical_support, \
     centered_rect_support, dirac_train, identify, offgrid_ambiguity, refuse_overspread
 from .ofdm import OFDMConfig, cp_ofdm_config, interference_descent, interference_power, \
     simulate_frames
-from .tf_core import SpreadingFunction, centered_index, spread_metrics, tf_transfer
+from .tf_core import SpreadingFunction, _apply_cells, centered_index, spread_metrics, tf_transfer
 from .wh_frames import NotAFrameError, Pulse, WHGrid, check_wexler_raz, dual_window, \
     frame_bounds, gaussian_pulse, localization_metrics, read_pulse_csv, rect_pulse, \
     tight_window, write_pulse_csv
@@ -459,17 +460,16 @@ def _run_identify(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
                           _Key("n_doppler", (int,), lo=1, hi=n)], "config.support")
     with _located("config.period"):
         probe = dirac_train(n, spec["period"])
-    # from the counts, before any cell is enumerated or X is built
+    # from the counts, before any cell is enumerated
     refuse_overspread(rect["n_delay"] * rect["n_doppler"] if rect else
                       len({tuple(cell) for cell in spec["support"]}), n)
     with _located("config.support"):
-        support = centered_rect_support(rect["n_delay"], rect["n_doppler"]) if rect else \
-            tuple(map(tuple, spec["support"]))
-        mat = build_sounding_matrix(probe, support, n)
+        support = _canonical_support(centered_rect_support(rect["n_delay"], rect["n_doppler"])
+                                     if rect else tuple(map(tuple, spec["support"])), n)
     rng = np.random.default_rng([spec["seed"], 0])
     truth = (rng.standard_normal(len(support))
              + 1j * rng.standard_normal(len(support))) / np.sqrt(2.0)
-    observation = mat @ truth
+    observation = _apply_cells(probe, *np.array(support).T, truth)  # X truth, X never formed
     if spec["noise_psd"] > 0.0:
         noise_rng = np.random.default_rng([spec["seed"], 1])
         observation = observation + np.sqrt(spec["noise_psd"] / 2.0) * (
@@ -682,6 +682,9 @@ def run(argv=None) -> int:
                        base_dir=config_path.resolve().parent)
     except (NotAFrameError, IdentifiabilityError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"tfcomm: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:  # numpy's message names the refused allocation
+        print(f"tfcomm: out of memory: {str(exc) or 'an allocation was refused'}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ConfigError as exc:
         print(f"tfcomm: config error: {exc}", file=sys.stderr)

@@ -23,8 +23,8 @@ Monte Carlo runs (``simulate_frames``) stay in the spreading domain: a
 channel is its K support cells S[m, l], never an N x N matrix.  The gain of
 symbol (n, k) is linear in S with weights that are phase-rotated samples of
 the cross-ambiguity, so one K x size table per run turns gains into a matrix
-product, and the filtered signal is the sum over delays m of a
-Doppler-weighted diagonal times the m-delayed transmit signal.  Frames go
+product, and ``tf_core._apply_cells`` filters the signal: a sum over
+delays m of a Doppler-weighted diagonal times D^m x.  Frames go
 through in blocks of ``_FRAME_BLOCK``: each frame still draws from its own
 substreams, and the algebra runs once per block as (block x K), (block x
 size) and (block x N) products, O(K*size + K*N + N*size) per frame for
@@ -41,8 +41,8 @@ from functools import cached_property
 import numpy as np
 
 from .channel_models import ScatteringProfile, _support_draw
-from .tf_core import SpreadingFunction, _ambiguity_rows, as_matrix, cross_ambiguity, \
-    spreading_function, tf_shift, tf_transfer
+from .tf_core import SpreadingFunction, _ambiguity_rows, _apply_cells, as_matrix, \
+    cross_ambiguity, spreading_function, tf_transfer
 from .wh_frames import NotAFrameError, Pulse, WHGrid, _gram_defect, _power_on_blocks, \
     _walnut_index, gaussian_pulse, lattice_matrix, rect_pulse
 
@@ -342,13 +342,6 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
     if noise_psd < 0:
         raise ValueError("noise_psd must be nonnegative")
     table = _gain_table(cfg, delays, dopplers)
-    # H x = sum over distinct delays m of d_m * x[(i - m) mod N], where
-    # d_m[i] = sum_l S[m, l] exp(-2j*pi*l*i/N) collects that delay's cells
-    taps, tap_of_cell = np.unique(delays, return_inverse=True)
-    tones = tf_shift(np.ones(n), 0, dopplers)
-    cells_of_tap = [np.flatnonzero(tap_of_cell == u) for u in range(taps.size)]
-    delayed = (np.arange(n)[None, :] - taps[:, None]) % n
-
     energies = np.empty((n_frames, 4))
     # overflow is reported by the ArithmeticErrors below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -361,11 +354,8 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
             symbols = np.array([random_symbols(cfg, [seed, idx, 1], constellation).data
                                 for idx in frames])
             x = symbols.reshape(len(frames), -1) @ cfg.tx_matrix.T
-            filtered = np.zeros((len(frames), n), dtype=complex)
-            for cells, shifted in zip(cells_of_tap, delayed):
-                filtered += (s[:, cells] @ tones[cells]) * x[:, shifted]
             gains = (s @ table).reshape(symbols.shape)
-            clean = _project(cfg, filtered)
+            clean = _project(cfg, _apply_cells(x, delays, dopplers, s))
             noise = _projected_noise(cfg, noise_psd, [[seed, idx, 2] for idx in frames])
             estimates, interference = clean + noise, clean - gains * symbols
             _checked(estimates, gains * symbols + interference + noise)

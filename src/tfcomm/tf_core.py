@@ -9,7 +9,8 @@ under <A, B> = trace(B^H A); the basis coefficients of a channel are its
 delay-Doppler spreading function, and their 2-D Fourier transform is the
 time-frequency transfer function.  ``tf_shift`` builds every shifted copy
 M^l D^m x in the package: operator matrices, lattice translates, sounding
-columns and the rows of the cross-ambiguity function.
+columns and the rows of the cross-ambiguity function.  ``_apply_cells``
+applies a channel given by its support cells to signals, never forming H.
 """
 
 from __future__ import annotations
@@ -230,6 +231,21 @@ def tf_shift(x, delay, doppler) -> np.ndarray:
         return delayed  # a pure delay, already of the broadcast shape
     tones = np.exp(-2j * np.pi * i / n)
     return delayed * tones[(l[..., None] * i) % n]
+
+
+def _apply_cells(x, delays, dopplers, coeffs) -> np.ndarray:
+    """H x along the last axis for H = sum_c coeffs[..., c] M^dopplers[c] D^delays[c].
+
+    ``coeffs`` carries the leading (frame) axes of ``x``.  Per distinct delay
+    m, the tones of m's cells only weight D^m x: no array exceeds (cells at m) x N.
+    """
+    n = x.shape[-1]
+    taps, tap_of_cell = np.unique(delays, return_inverse=True)
+    out = np.zeros(np.broadcast_shapes(x.shape[:-1], coeffs.shape[:-1]) + (n,), dtype=complex)
+    for u, m in enumerate(taps):
+        cells = np.flatnonzero(tap_of_cell == u)
+        out += (coeffs[..., cells] @ tf_shift(np.ones(n), 0, dopplers[cells])) * tf_shift(x, m, 0)
+    return out
 
 
 def time_shift_op(n_dim: int, shift: int) -> DiscreteChannel:

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tfcomm.cli as cli
+import tfcomm.identification as ident
 from tfcomm import __version__
 from tfcomm.tf_core import centered_index
 from tfcomm.wh_frames import gaussian_pulse, write_pulse_csv
@@ -667,7 +669,8 @@ def test_overspread_identify_exits_3_before_building(tmp_path, capsys, monkeypat
         raise AssertionError("an overspread support must be refused before it is built")
 
     monkeypatch.setattr(cli, "centered_rect_support", refuse)
-    monkeypatch.setattr(cli, "build_sounding_matrix", refuse)
+    monkeypatch.setattr(cli, "_canonical_support", refuse)
+    monkeypatch.setattr(cli, "_apply_cells", refuse)  # the observation X s
     path = write_config(tmp_path, "over.json", dict(IDENTIFY_CFG, n_dim=n_dim, period=period,
                                                     support=support))
     out = tmp_path / "out"
@@ -825,6 +828,40 @@ def test_eigensolver_failure_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure" in err and "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("target, kind, cfg, error, line", [
+    ("simulate_frames", "ofdm-sim", SIM_CFG,
+     MemoryError("Unable to allocate 256. MiB for an array with shape (4096, 8192)"),
+     "tfcomm: out of memory: Unable to allocate 256. MiB for an array with shape (4096, 8192)"),
+    ("identify", "identify", IDENTIFY_CFG, MemoryError(),
+     "tfcomm: out of memory: an allocation was refused"),
+], ids=["numpy-message", "bare"])
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, target, kind, cfg, error, line):
+    def refuse(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, target, refuse)
+    path = write_config(tmp_path, "big.json", cfg)
+    out = tmp_path / "out"
+    assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == line + "\n"
+    assert list(out.iterdir()) == []
+
+
+def test_identify_run_never_forms_the_sounding_matrix(tmp_path):
+    # the N x |S| complex matrix alone would take 16 MiB here
+    cfg = {"kind": "identify", "n_dim": 1024, "period": 32,
+           "support": {"n_delay": 32, "n_doppler": 32}}
+    tracemalloc.start()
+    try:
+        cli.run_experiment("identify", cfg, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024 * 16
+    report = json.loads((tmp_path / "identify_report.json").read_text())
+    assert report["numerical_rank"] == 1024 and report["relative_error"] < 1e-12
 
 
 @pytest.mark.parametrize("kind, cfg, report", [
@@ -1041,6 +1078,22 @@ def config_paths(node, prefix=()):
 def test_fuzz_bases_run(tmp_path):
     for j, cfg in enumerate(FUZZ_BASES):
         cli.run_experiment(cfg["kind"], cfg, tmp_path / str(j))
+
+
+def test_no_kind_builds_the_sounding_matrix(monkeypatch, tmp_path):
+    calls = []
+    dense = ident.build_sounding_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return dense(*args)
+
+    for module in (ident, cli):
+        monkeypatch.setattr(module, "build_sounding_matrix", counted, raising=False)
+    assert {cfg["kind"] for cfg in FUZZ_BASES} == set(cli.KINDS)
+    for j, cfg in enumerate(FUZZ_BASES):
+        cli.run_experiment(cfg["kind"], cfg, tmp_path / str(j))
+    assert calls == []
 
 
 @settings(max_examples=250, deadline=None)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tfcomm.identification as ident
 import tfcomm.tf_core as core
 
 
@@ -202,6 +203,48 @@ def test_synthesis_matches_full_grid_oracle_property(coeffs):
     """Transforming only the occupied delay rows gives exactly the full-grid matrix."""
     fast = core.synthesize_channel(core.SpreadingFunction(coeffs)).matrix
     assert np.array_equal(fast, dense_synthesis_oracle(coeffs))
+
+
+@st.composite
+def cell_channels(draw):
+    """(x, delays, dopplers, coeffs): distinct centered cells, with or without frames."""
+    n = draw(st.integers(min_value=1, max_value=64))
+    axis = st.integers(min_value=-((n - 1) // 2), max_value=n // 2)
+    shape = draw(st.sampled_from(["empty", "one_delay", "any", "wrap_around"]))
+    cells = []
+    if shape == "one_delay":  # one delay, many Dopplers
+        m = draw(axis)
+        cells = [(m, l) for l in draw(st.lists(axis, min_size=1, max_size=n, unique=True))]
+    elif shape != "empty":
+        cells = draw(st.lists(st.tuples(axis, axis), min_size=1, max_size=12, unique=True))
+    if shape == "wrap_around" and n >= 3 and (-1, -1) not in cells:
+        cells.append((-1, -1))  # the last delay row and Doppler column
+    frames = draw(st.sampled_from([(), (1,), (3,)]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    x = rng.standard_normal(frames + (n,)) + 1j * rng.standard_normal(frames + (n,))
+    coeffs = rng.standard_normal(frames + (len(cells),)) \
+        + 1j * rng.standard_normal(frames + (len(cells),))
+    delays, dopplers = np.array(cells, dtype=int).reshape(-1, 2).T
+    return x, delays, dopplers, coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell_channels())
+def test_apply_cells_matches_dense_channel_and_sounding_matrix_property(channel):
+    """H x on the cells equals the synthesized matrix and the sounding matrix, per frame."""
+    x, delays, dopplers, coeffs = channel
+    n = x.shape[-1]
+    out = core._apply_cells(x, delays, dopplers, coeffs)
+    assert out.shape == x.shape
+    for frame in np.ndindex(x.shape[:-1]):
+        tol = 1e-12 * max(1.0, float(np.linalg.norm(out[frame])))
+        grid = np.zeros((n, n), dtype=complex)
+        grid[delays % n, dopplers % n] = coeffs[frame]
+        dense = core.synthesize_channel(core.SpreadingFunction(grid)).matrix @ x[frame]
+        assert np.linalg.norm(out[frame] - dense) <= tol
+        if delays.size:
+            sounding = ident.build_sounding_matrix(x[frame], zip(delays, dopplers), n)
+            assert np.linalg.norm(out[frame] - sounding @ coeffs[frame]) <= tol
 
 
 # ---------------------------------------------------------------------------
