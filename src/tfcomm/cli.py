@@ -21,8 +21,11 @@ config value starts with its location: ``_located`` is the one place where a
 library ValueError/TypeError becomes a ConfigError, at the dotted key a
 builder or library call reads, else at ``config`` around the whole runner.
 
-All randomness is derived from the single run seed through fixed substream
-labels, so per-frame draws are reproducible in isolation.
+All randomness is derived from the single run seed through generators of
+fixed lists: [seed, 0] for a spread-analyze WSSUS draw and the identify
+truth, [seed, 1] for identify noise, and [seed, idx] for ofdm-sim frame idx,
+which draws its channel, symbols and noise from that one generator, so each
+frame is reproducible in isolation.
 """
 
 from __future__ import annotations
@@ -436,8 +439,9 @@ def _run_pulse_design(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
 def _run_ofdm_sim(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
     system = _build_system(spec["system"], n, "config.system", base_dir)
     channel = _build_channel(spec["channel"], n, "config.channel")
-    energies = simulate_frames(system, channel, spec["n_frames"], spec["seed"],
-                               spec["noise_psd"], spec["constellation"])
+    with _located("config.constellation"):  # the one value simulate_frames checks itself
+        energies = simulate_frames(system, channel, spec["n_frames"], spec["seed"],
+                                   spec["noise_psd"], spec["constellation"])
     _write_csv(out / "frames.csv", ["frame", "gain_energy", "interference_energy",
                                     "noise_energy", "error_vector_energy"],
                [np.arange(spec["n_frames"]), *energies.T])

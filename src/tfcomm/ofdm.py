@@ -25,11 +25,11 @@ symbol (n, k) is linear in S with weights that are phase-rotated samples of
 the cross-ambiguity, so one K x size table per run turns gains into a matrix
 product, and ``tf_core._apply_cells`` filters the signal: a sum over
 delays m of a Doppler-weighted diagonal times D^m x.  Frames go
-through in blocks of ``_FRAME_BLOCK``: each frame still draws from its own
-substreams, and the algebra runs once per block as (block x K), (block x
-size) and (block x N) products, O(K*size + K*N + N*size) per frame for
-K cells.  The decomposition check stays per frame.  The dense
-``transmit_through`` is the reference it agrees with to rounding.
+through in blocks of ``_FRAME_BLOCK``: each frame draws its channel, symbols
+and noise from one generator of its own, and the algebra runs once per block
+as (block x K), (block x size) and (block x N) products, O(K*size + K*N +
+N*size) per frame for K cells.  The decomposition check stays per frame.
+The dense ``transmit_through`` is the reference it agrees with to rounding.
 """
 
 from __future__ import annotations
@@ -198,17 +198,21 @@ def cp_ofdm_config(n_dim: int, n_subcarriers: int, cp_len: int) -> OFDMConfig:
     return OFDMConfig(grid, tx, Pulse(rx))
 
 
+def _draw_symbols(rngs: list, shape: tuple, constellation: str) -> np.ndarray:
+    """Unit-average-energy symbols, one ``shape`` grid drawn from each generator."""
+    if constellation == "qpsk":
+        quadrants = np.array([rng.integers(0, 4, size=shape) for rng in rngs])
+        return np.exp(1j * (np.pi / 4 + np.pi / 2 * quadrants))
+    if constellation == "gaussian":
+        parts = np.array([rng.standard_normal((2, *shape)) for rng in rngs])
+        return (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
+    raise ValueError(f"unknown constellation {constellation!r}")
+
+
 def random_symbols(cfg: OFDMConfig, seed, constellation: str = "qpsk") -> SymbolFrame:
     """Unit-average-energy random symbols on the config layout."""
-    rng = np.random.default_rng(seed)
     shape = (cfg.n_slots, cfg.n_subcarriers)
-    if constellation == "qpsk":
-        data = np.exp(1j * (np.pi / 4 + np.pi / 2 * rng.integers(0, 4, size=shape)))
-    elif constellation == "gaussian":
-        data = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    else:
-        raise ValueError(f"unknown constellation {constellation!r}")
-    return SymbolFrame(data)
+    return SymbolFrame(_draw_symbols([np.random.default_rng(seed)], shape, constellation)[0])
 
 
 def modulate(frame: SymbolFrame, cfg: OFDMConfig) -> np.ndarray:
@@ -242,14 +246,12 @@ def _dense_gains(h: np.ndarray, cfg: OFDMConfig) -> np.ndarray:
     return gains.reshape(cfg.n_slots, cfg.n_subcarriers)
 
 
-def _projected_noise(cfg: OFDMConfig, noise_psd: float, seeds: list) -> np.ndarray:
-    """Receive projections of white CN(0, noise_psd) vectors, one drawn from each seed."""
+def _projected_noise(cfg: OFDMConfig, noise_psd: float, rngs: list) -> np.ndarray:
+    """Receive projections of white CN(0, noise_psd) vectors, one drawn from each generator."""
     if not noise_psd > 0.0:
-        return np.zeros((len(seeds), cfg.n_slots, cfg.n_subcarriers), dtype=complex)
-    n = cfg.n_dim
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    w = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n) for rng in rngs])
-    return _project(cfg, np.sqrt(noise_psd / 2.0) * w)
+        return np.zeros((len(rngs), cfg.n_slots, cfg.n_subcarriers), dtype=complex)
+    parts = np.array([rng.standard_normal((2, cfg.n_dim)) for rng in rngs])
+    return _project(cfg, np.sqrt(noise_psd / 2.0) * (parts[:, 0] + 1j * parts[:, 1]))
 
 
 def _checked(estimates: np.ndarray, recon: np.ndarray) -> None:
@@ -282,7 +284,7 @@ def transmit_through(frame: SymbolFrame, cfg: OFDMConfig, channel,
         raise ValueError(f"channel dimension {h.shape[0]} does not match N = {cfg.n_dim}")
     gains = _dense_gains(h, cfg)
     clean = _project(cfg, h @ (cfg.tx_matrix @ frame.data.ravel()))
-    noise = _projected_noise(cfg, noise_psd, [seed])[0]
+    noise = _projected_noise(cfg, noise_psd, [np.random.default_rng(seed)])[0]
     estimates, interference = clean + noise, clean - gains * frame.data
     _checked(estimates, gains * frame.data + interference + noise)
     return DemodResult(frame, estimates, gains, interference, noise)
@@ -313,18 +315,21 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
                     constellation: str = "qpsk") -> np.ndarray:
     """Per-frame energies of a Monte Carlo run, computed on the channel support.
 
-    ``channel`` is a ScatteringProfile, drawn afresh for frame idx from
-    substream [seed, idx, 0] exactly as ``wssus_sample`` draws it, or a
-    SpreadingFunction used for every frame on its nonzero cells.  Symbols
-    come from ``random_symbols(cfg, [seed, idx, 1], constellation)`` and
-    noise from substream [seed, idx, 2].  Frames are computed in blocks of
-    ``_FRAME_BLOCK``, one matrix product per block where a frame-by-frame
-    loop would take one per frame; the substreams are the same, so frame
+    ``channel`` is a ScatteringProfile, drawn afresh for each frame exactly
+    as ``wssus_sample`` draws it, or a SpreadingFunction used for every
+    frame on its nonzero cells.  Frame idx draws everything from the one
+    generator ``default_rng([seed, idx])``, in this order: the channel (2K
+    normals, profiles only), the symbols as ``random_symbols`` draws them,
+    then the noise (only when noise_psd > 0).  So a frame depends on
+    nothing but [seed, idx], and with a profile its symbols depend on K.
+    Frames are computed in blocks of ``_FRAME_BLOCK``, one matrix product
+    per block where a frame-by-frame loop would take one per frame; frame
     idx reproduces the dense ``transmit_through`` of the same draws to
     rounding (a block product rounds differently from a per-frame one) and
     passes the same decomposition check, each frame against its own
-    largest estimate.  Non-finite outputs or energies raise
-    ArithmeticError.  Returns an (n_frames, 4) array of mean energies per
+    largest estimate.  An unknown constellation raises ValueError before
+    any table or lattice matrix is built.  Non-finite outputs or energies
+    raise ArithmeticError.  Returns an (n_frames, 4) array of mean energies per
     symbol: gain (|gain * symbol|^2), interference, noise and error vector
     (|estimate - symbol|^2).
     """
@@ -341,22 +346,22 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
         raise ValueError(f"channel dimension {channel.n_dim} does not match N = {n}")
     if noise_psd < 0:
         raise ValueError("noise_psd must be nonnegative")
+    if constellation not in ("qpsk", "gaussian"):
+        raise ValueError(f"unknown constellation {constellation!r}")
     table = _gain_table(cfg, delays, dopplers)
     energies = np.empty((n_frames, 4))
     # overflow is reported by the ArithmeticErrors below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_frames, _FRAME_BLOCK):
             stop = min(start + _FRAME_BLOCK, n_frames)
-            frames = range(start, stop)
-            s = np.broadcast_to(fixed, (len(frames), fixed.size)) if fixed is not None else \
-                np.array([_support_draw(channel, np.random.default_rng([seed, idx, 0]))
-                          for idx in frames])
-            symbols = np.array([random_symbols(cfg, [seed, idx, 1], constellation).data
-                                for idx in frames])
-            x = symbols.reshape(len(frames), -1) @ cfg.tx_matrix.T
+            rngs = [np.random.default_rng([seed, idx]) for idx in range(start, stop)]
+            s = np.broadcast_to(fixed, (len(rngs), fixed.size)) if fixed is not None else \
+                np.array([_support_draw(channel, rng) for rng in rngs])
+            symbols = _draw_symbols(rngs, (cfg.n_slots, cfg.n_subcarriers), constellation)
+            x = symbols.reshape(len(rngs), -1) @ cfg.tx_matrix.T
             gains = (s @ table).reshape(symbols.shape)
             clean = _project(cfg, _apply_cells(x, delays, dopplers, s))
-            noise = _projected_noise(cfg, noise_psd, [[seed, idx, 2] for idx in frames])
+            noise = _projected_noise(cfg, noise_psd, rngs)
             estimates, interference = clean + noise, clean - gains * symbols
             _checked(estimates, gains * symbols + interference + noise)
             energies[start:stop] = np.stack([np.mean(np.abs(v) ** 2, axis=(1, 2)) for v in (

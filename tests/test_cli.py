@@ -609,6 +609,8 @@ def specular(*paths):
     ("ofdm-sim", dict(SIM_CFG, n_dim=24, system={
         "kind": "designed", "time_step": 4, "freq_step": 8, "profile": DESIGN_CFG["profile"],
         "method": "foo"}), "config.system: unknown method 'foo'"),
+    ("ofdm-sim", dict(SIM_CFG, constellation="qam1024"),
+     "config.constellation: unknown constellation 'qam1024'"),
     ("frame-analyze", dict(FRAME_CFG, pulse={"kind": "rect", "length": 99}),
      "config.pulse: length must be in [1, 24], got 99"),
     ("frame-analyze", dict(FRAME_CFG, time_step=5), "config: time_step 5 does not divide N = 24"),
@@ -646,9 +648,9 @@ def specular(*paths):
      "config.channel.gains[1]: expected a number or [re, im]"),
     ("ofdm-sim", dict(SIM_CFG, channel={"kind": "time_invariant", "gains": ["1"]}),
      "config.channel.gains[0]: expected a number or [re, im]"),
-], ids=["period", "paths", "method", "system-method", "pulse", "time_step", "system",
-        "system-tx", "gains", "support-duplicates", "support-duplicates-over-n", "support-range",
-        "bandwidths", "support-bool", "support-short", "paths-bool", "paths-str",
+], ids=["period", "paths", "method", "system-method", "constellation", "pulse", "time_step",
+        "system", "system-tx", "gains", "support-duplicates", "support-duplicates-over-n",
+        "support-range", "bandwidths", "support-bool", "support-short", "paths-bool", "paths-str",
         "bandwidths-bool", "bandwidths-str", "gains-bool", "gains-str"])
 def test_config_errors_name_their_location(tmp_path, capsys, kind, cfg, message):
     path = write_config(tmp_path, "located.json", cfg)

@@ -173,6 +173,38 @@ def test_random_symbols():
         ofdm.random_symbols(cfg, 3, constellation="qam1024")
 
 
+def former_random_symbols(cfg, seed, constellation):
+    """``random_symbols`` as it was before it drew through ``_draw_symbols``."""
+    rng = np.random.default_rng(seed)
+    shape = (cfg.n_slots, cfg.n_subcarriers)
+    if constellation == "qpsk":
+        return np.exp(1j * (np.pi / 4 + np.pi / 2 * rng.integers(0, 4, size=shape)))
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("constellation", ["qpsk", "gaussian"])
+@pytest.mark.parametrize("seed", [3, [3, 7, 1], "generator"])
+def test_random_symbols_bit_identical_to_former_body(seed, constellation):
+    cfg = ofdm.cp_ofdm_config(48, 12, 4)
+    seeds = [np.random.default_rng(5), np.random.default_rng(5)] if seed == "generator" \
+        else [seed, seed]
+    data = ofdm.random_symbols(cfg, seeds[0], constellation).data
+    assert np.array_equal(data, former_random_symbols(cfg, seeds[1], constellation))
+    if seed == "generator":  # both consumed the same draws
+        assert seeds[0].bit_generator.state == seeds[1].bit_generator.state
+
+
+def test_projected_noise_bit_identical_to_former_body():
+    cfg = ofdm.cp_ofdm_config(48, 12, 4)
+    seeds = [[9, idx, 2] for idx in range(5)]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    former = np.array([rng.standard_normal(48) + 1j * rng.standard_normal(48)
+                       for rng in map(np.random.default_rng, seeds)])
+    expected = ofdm._project(cfg, np.sqrt(0.3 / 2.0) * former)
+    assert np.array_equal(ofdm._projected_noise(cfg, 0.3, rngs), expected)
+    assert np.array_equal(ofdm._projected_noise(cfg, 0.0, rngs), np.zeros_like(expected))
+
+
 # ---------------------------------------------------------------------------
 # modulate / demodulate
 
@@ -349,12 +381,12 @@ def dense_frames(cfg, channel, n_frames, seed, noise_psd, constellation):
     """simulate_frames oracle: dense channel matrix and transmit_through per frame."""
     out = np.empty((n_frames, 4))
     for idx in range(n_frames):
+        rng = np.random.default_rng([seed, idx])  # channel, then symbols, then noise
         spreading = channel
         if isinstance(channel, cm.ScatteringProfile):
-            spreading = cm.wssus_sample(channel, [seed, idx, 0])
-        frame = ofdm.random_symbols(cfg, [seed, idx, 1], constellation)
-        res = ofdm.transmit_through(frame, cfg, synthesize_channel(spreading),
-                                    noise_psd, [seed, idx, 2])
+            spreading = cm.wssus_sample(channel, rng)
+        frame = ofdm.random_symbols(cfg, rng, constellation)
+        res = ofdm.transmit_through(frame, cfg, synthesize_channel(spreading), noise_psd, rng)
         out[idx] = (np.mean(np.abs(res.gains * frame.data) ** 2), res.interference_energy(),
                     np.mean(np.abs(res.noise) ** 2),
                     np.mean(np.abs(res.estimates - frame.data) ** 2))
@@ -459,6 +491,27 @@ def test_wssus_sample_draws_two_normals_per_support_cell():
     assert all(np.array_equal(x, y) for x, y in zip(cells, (rows, cols, amplitudes)))
 
 
+@pytest.mark.parametrize("noise_psd", [0.0, 0.05])
+@pytest.mark.parametrize("channel", [
+    cm.exponential_jakes_profile(16, 1.0, 1, max_delay=2),
+    cm.from_specular([(0, 0, 0.9), (-2, 1, 0.3 - 0.2j)], 16),
+], ids=["profile", "fixed"])
+def test_simulate_frames_builds_one_generator_per_frame(monkeypatch, channel, noise_psd):
+    cfg = ofdm.OFDMConfig(wh.WHGrid(16, 4, 8), wh.gaussian_pulse(16, sigma=2.0),
+                          wh.gaussian_pulse(16, sigma=3.0))
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counting(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    n_frames = ofdm._FRAME_BLOCK + 5
+    ofdm.simulate_frames(cfg, channel, n_frames, 4, noise_psd)
+    assert seeds == [[4, idx] for idx in range(n_frames)]
+
+
 def test_simulate_frames_validates():
     cfg = ofdm.cp_ofdm_config(48, 12, 4)
     with pytest.raises(TypeError):
@@ -469,6 +522,18 @@ def test_simulate_frames_validates():
         ofdm.simulate_frames(cfg, cm.flat_rect_profile(48, 1, 1), 1, 0, noise_psd=-1.0)
     with pytest.raises(ArithmeticError):
         ofdm.simulate_frames(cfg, cm.time_invariant([1e308, 1e308], 48), 1, 0)
+
+
+def test_simulate_frames_rejects_constellation_before_building(monkeypatch):
+    cfg = ofdm.cp_ofdm_config(48, 12, 4)
+
+    def refuse(*args):
+        raise AssertionError("an unknown constellation must be refused first")
+
+    monkeypatch.setattr(ofdm, "_gain_table", refuse)
+    monkeypatch.setattr(ofdm, "lattice_matrix", refuse)
+    with pytest.raises(ValueError, match="unknown constellation 'qam1024'"):
+        ofdm.simulate_frames(cfg, cm.flat_rect_profile(48, 1, 1), 2, 0, constellation="qam1024")
 
 
 # ---------------------------------------------------------------------------
