@@ -5,11 +5,11 @@ identify, capacity) each read a strict JSON config, run a thin composition
 of library calls, and write CSV/JSON artifacts plus a manifest with sha256
 digests into the output directory.  Identical config and seed give
 byte-identical artifacts; the manifest's wall-time field is the one value
-outside that guarantee.  CSVs are written column-wise, numbers as their
-``repr`` and rows ending in \\r\\n.  Exit codes: 0 success, 2 config/validation
-problems, 3 numerical failures surfaced from the library (not a frame, not
-identifiable, a failed eigensolver or demodulator split, a non-finite result)
-and refused allocations (out of memory).
+outside that guarantee.  Tables are written column-wise and heatmaps by grid
+row, numbers as their ``repr`` and rows ending in \\r\\n.  Exit codes: 0
+success, 2 config/validation problems, 3 numerical failures surfaced from the
+library (not a frame, not identifiable, a failed eigensolver or demodulator
+split, a non-finite result) and refused allocations (out of memory).
 
 One table, ``_RUNNERS``, maps each kind to its runner, its report file and
 its own config keys.  ``run_experiment`` does the shared work once: it
@@ -51,8 +51,8 @@ from .channel_models import ScatteringProfile, from_specular, preset_profile, \
     time_invariant, wssus_sample
 from .identification import IdentifiabilityError, _canonical_support, \
     centered_rect_support, dirac_train, identify, offgrid_ambiguity, refuse_overspread
-from .ofdm import OFDMConfig, cp_ofdm_config, interference_descent, interference_power, \
-    simulate_frames
+from .ofdm import OFDMConfig, _check_constellation, cp_ofdm_config, interference_descent, \
+    interference_power, simulate_frames
 from .tf_core import SpreadingFunction, _apply_cells, centered_index, spread_metrics, tf_transfer
 from .wh_frames import NotAFrameError, Pulse, WHGrid, check_wexler_raz, dual_window, \
     frame_bounds, gaussian_pulse, localization_metrics, read_pulse_csv, rect_pulse, \
@@ -299,22 +299,23 @@ def _build_system(desc: dict, n_dim: int, where: str, base_dir: Path) -> OFDMCon
 
 
 _CSV_BLOCK_ROWS = 8192
+# grid rows per block of a heatmap's two passes
+_HEATMAP_BLOCK_ROWS = 64
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write equal-length columns (1-D numpy arrays or lists of ready strings) as rows.
+    """Write equal-length 1-D numpy arrays as the columns of a table.
 
     Numbers are written as their ``repr``, rows end in \\r\\n and go out in
     blocks of ``_CSV_BLOCK_ROWS``.  A non-finite value raises ArithmeticError
     before the file is opened.
     """
-    if any(not isinstance(col, list) and not np.isfinite(col).all() for col in columns):
+    if any(not np.isfinite(col).all() for col in columns):
         raise ArithmeticError(f"non-finite value in the CSV artifact {path.name}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            block = [col[start:start + _CSV_BLOCK_ROWS] for col in columns]
-            block = [c if isinstance(c, list) else map(repr, c.tolist()) for c in block]
+            block = [map(repr, col[start:start + _CSV_BLOCK_ROWS].tolist()) for col in columns]
             fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
@@ -327,9 +328,10 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def _grid_db(values: np.ndarray) -> np.ndarray:
+def _grid_db(values: np.ndarray, peak=None) -> np.ndarray:
+    """20 log10(|values| / peak) clamped at ``DB_FLOOR``; ``peak`` defaults to max |values|."""
     mags = np.abs(values)
-    peak = mags.max()
+    peak = mags.max() if peak is None else peak
     if peak == 0.0:
         return np.full(values.shape, DB_FLOOR)
     with np.errstate(divide="ignore"):
@@ -341,30 +343,43 @@ def emit_plotdata(kind: str, source, path) -> None:
     """Write long-format (x, y, value_db) CSV for heatmaps and curves.
 
     Magnitudes are normalized to the grid peak and clamped at ``DB_FLOOR``
-    (40 dB of dynamic range).  Spreading and ambiguity
-    grids use centered axes; transfer grids use raw (n, k).  For
-    capacity-curve the columns are (bandwidth, rate, rate relative to the
-    peak in dB).  The file is written column-wise: floats as their ``repr``,
-    rows ending in \\r\\n; a non-finite value raises ArithmeticError and
-    writes nothing.
+    (40 dB of dynamic range).  Spreading and ambiguity grids use centered
+    axes, transfer grids raw (n, k); x labels a grid row, y a column.  A
+    heatmap takes two passes over blocks of ``_HEATMAP_BLOCK_ROWS`` rows:
+    one finds the peak, one scales each block as ``_grid_db`` scales the
+    whole grid and writes each row through one line template (a row wholly
+    at the floor is one formatted floor row).  For capacity-curve the
+    columns are (bandwidth, rate, rate relative to the peak in dB), written
+    column-wise.  Floats are written as their ``repr``, rows end in \\r\\n;
+    a non-finite value raises ArithmeticError and writes nothing.
     """
     path = Path(path)
-    if kind in ("spreading-heatmap", "ambiguity-heatmap", "transfer-heatmap"):
-        grid = np.asarray(source)
-        n = grid.shape[0]
-        db = _grid_db(grid)
-        axis = np.arange(n) if kind == "transfer-heatmap" else centered_index(np.arange(n), n)
-        labels = list(map(str, axis.tolist()))
-        _write_csv(path, ["x", "y", "value_db"],
-                   [[x for x in labels for _ in range(n)], labels * n, db.ravel()])
-        return
     if kind == "capacity-curve":
         rates = np.asarray(source.rates, dtype=float)
         _write_csv(path, ["x", "y", "value_db"],  # rates <= 0 sit on the floor
                    [np.asarray(source.bandwidths, dtype=float), rates,
                     _grid_db(np.maximum(rates, 0.0))])
         return
-    raise ConfigError(f"unknown plotdata kind {kind!r}")
+    if kind not in ("spreading-heatmap", "ambiguity-heatmap", "transfer-heatmap"):
+        raise ConfigError(f"unknown plotdata kind {kind!r}")
+    grid = np.asarray(source)
+    n = grid.shape[0]
+    starts = range(0, n, _HEATMAP_BLOCK_ROWS)
+    peak = np.max([np.abs(grid[start:start + _HEATMAP_BLOCK_ROWS]).max() for start in starts],
+                  initial=0.0)  # a nan block peak makes it nan
+    if not np.isfinite(peak):
+        raise ArithmeticError(f"non-finite value in the CSV artifact {path.name}")
+    axis = np.arange(n) if kind == "transfer-heatmap" else centered_index(np.arange(n), n)
+    labels = list(map(str, axis.tolist()))
+    line = ["", *(f",{y},%r\r\n" for y in labels)]  # x.join(line): x,y0,v0 x,y1,v1 ...
+    floor_line = ["", *(f",{y},{DB_FLOOR!r}\r\n" for y in labels)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("x,y,value_db\r\n")
+        for start in starts:
+            db = _grid_db(grid[start:start + _HEATMAP_BLOCK_ROWS], peak)
+            on_floor = (db == DB_FLOOR).all(axis=1).tolist()
+            for x, row, floor in zip(labels[start:start + _HEATMAP_BLOCK_ROWS], db, on_floor):
+                fh.write(x.join(floor_line) if floor else x.join(line) % tuple(row.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +452,12 @@ def _run_pulse_design(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
 
 
 def _run_ofdm_sim(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
+    with _located("config.constellation"):  # before a designed system is optimised
+        _check_constellation(spec["constellation"])
     system = _build_system(spec["system"], n, "config.system", base_dir)
     channel = _build_channel(spec["channel"], n, "config.channel")
-    with _located("config.constellation"):  # the one value simulate_frames checks itself
-        energies = simulate_frames(system, channel, spec["n_frames"], spec["seed"],
-                                   spec["noise_psd"], spec["constellation"])
+    energies = simulate_frames(system, channel, spec["n_frames"], spec["seed"],
+                               spec["noise_psd"], spec["constellation"])
     _write_csv(out / "frames.csv", ["frame", "gain_energy", "interference_energy",
                                     "noise_energy", "error_vector_energy"],
                [np.arange(spec["n_frames"]), *energies.T])

@@ -66,6 +66,8 @@ __all__ = [
 
 # frames per block in simulate_frames: bounds its (block, N) work arrays
 _FRAME_BLOCK = 64
+# the symbol alphabets _draw_symbols knows
+_CONSTELLATIONS = ("qpsk", "gaussian")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -200,13 +202,17 @@ def cp_ofdm_config(n_dim: int, n_subcarriers: int, cp_len: int) -> OFDMConfig:
 
 def _draw_symbols(rngs: list, shape: tuple, constellation: str) -> np.ndarray:
     """Unit-average-energy symbols, one ``shape`` grid drawn from each generator."""
+    _check_constellation(constellation)
     if constellation == "qpsk":
         quadrants = np.array([rng.integers(0, 4, size=shape) for rng in rngs])
         return np.exp(1j * (np.pi / 4 + np.pi / 2 * quadrants))
-    if constellation == "gaussian":
-        parts = np.array([rng.standard_normal((2, *shape)) for rng in rngs])
-        return (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
-    raise ValueError(f"unknown constellation {constellation!r}")
+    parts = np.array([rng.standard_normal((2, *shape)) for rng in rngs])
+    return (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
+
+
+def _check_constellation(constellation: str) -> None:
+    if constellation not in _CONSTELLATIONS:
+        raise ValueError(f"unknown constellation {constellation!r}")
 
 
 def random_symbols(cfg: OFDMConfig, seed, constellation: str = "qpsk") -> SymbolFrame:
@@ -346,8 +352,7 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
         raise ValueError(f"channel dimension {channel.n_dim} does not match N = {n}")
     if noise_psd < 0:
         raise ValueError("noise_psd must be nonnegative")
-    if constellation not in ("qpsk", "gaussian"):
-        raise ValueError(f"unknown constellation {constellation!r}")
+    _check_constellation(constellation)
     table = _gain_table(cfg, delays, dopplers)
     energies = np.empty((n_frames, 4))
     # overflow is reported by the ArithmeticErrors below, not as warnings

@@ -660,6 +660,26 @@ def test_config_errors_name_their_location(tmp_path, capsys, kind, cfg, message)
     assert list(out.iterdir()) == []
 
 
+def test_unknown_constellation_refused_before_design(tmp_path, capsys, monkeypatch):
+    calls, descent = [], cli.interference_descent
+    monkeypatch.setattr(cli, "interference_descent",
+                        lambda *args: calls.append(args) or descent(*args))
+    cfg = dict(SIM_CFG, n_dim=24, constellation="qam1024", system={
+        "kind": "designed", "time_step": 4, "freq_step": 8, "profile": DESIGN_CFG["profile"],
+        "method": "local_search"})
+    path = write_config(tmp_path, "qam.json", cfg)
+    out = tmp_path / "out"
+    assert cli.run(["ofdm-sim", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "tfcomm: config error: config.constellation: unknown constellation 'qam1024'\n"
+    assert calls == []
+    # the same config with a known constellation designs its system once
+    cfg["constellation"] = "gaussian"
+    path = write_config(tmp_path, "gauss.json", cfg)
+    assert cli.run(["ofdm-sim", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("n_dim, period, support, n_unknowns", [
     # the 255 x 255 rectangle used to take seconds and hundreds of MB to reach this verdict
     (255, 5, {"n_delay": 255, "n_doppler": 255}, 255 * 255),
@@ -958,16 +978,15 @@ def test_column_writer_matches_row_oracle(tmp_path_factory, data):
     block = data.draw(st.sampled_from([1, 2, 3, 8192]), label="block rows")
     n_rows = data.draw(st.integers(0, 20), label="rows")
     columns, rows_by_col = [], []
-    for kind in data.draw(st.lists(st.sampled_from(["int", "float", "str"]), min_size=1,
-                                   max_size=5), label="column kinds"):
+    for kind in data.draw(st.lists(st.sampled_from(["int", "float"]), min_size=1, max_size=5),
+                          label="column kinds"):
         if kind == "float":
             cells = data.draw(st.lists(FLOAT_CELLS, min_size=n_rows, max_size=n_rows))
             columns.append(np.array(cells, dtype=float))
         else:
             cells = data.draw(st.lists(st.integers(-2**40, 2**40), min_size=n_rows,
                                        max_size=n_rows))
-            columns.append(np.array(cells, dtype=np.int64) if kind == "int"
-                           else [str(c) for c in cells])
+            columns.append(np.array(cells, dtype=np.int64))
         rows_by_col.append(cells)
     header = [f"c{j}" for j in range(len(columns))]
     with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block):
@@ -975,16 +994,69 @@ def test_column_writer_matches_row_oracle(tmp_path_factory, data):
     write_rows_oracle(tmp / "old.csv", header, list(zip(*rows_by_col)))
     assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
-    n = data.draw(st.integers(1, 9), label="grid size")
-    kind = data.draw(st.sampled_from(["spreading-heatmap", "ambiguity-heatmap",
-                                      "transfer-heatmap"]), label="heatmap")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**31), label="seed"))
-    grid = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) \
-        * (rng.random((n, n)) < 0.6) * 10.0 ** rng.uniform(-300, 300)
-    with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block):
-        cli.emit_plotdata(kind, grid, tmp / "new_heat.csv")
-    heatmap_oracle(kind, grid, tmp / "old_heat.csv")
-    assert (tmp / "new_heat.csv").read_bytes() == (tmp / "old_heat.csv").read_bytes()
+
+HEATMAP_KINDS = ["spreading-heatmap", "ambiguity-heatmap", "transfer-heatmap"]
+
+
+def heatmap_grid(pattern, n, seed):
+    """An n x n complex grid: all zero, one nonzero cell, sparse with whole rows and
+    cells at zero over a random scale, or dense within 40 dB of its peak (no floor cell)."""
+    rng = np.random.default_rng(seed)
+    cells = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if pattern == "zero":
+        return np.zeros((n, n), dtype=complex)
+    if pattern == "single":
+        grid = np.zeros((n, n), dtype=complex)
+        grid[rng.integers(n), rng.integers(n)] = cells[0, 0]
+        return grid
+    if pattern == "sparse":
+        return cells * (rng.random((n, 1)) < 0.5) * (rng.random((n, n)) < 0.6) \
+            * 10.0 ** rng.uniform(-300, 300)
+    return np.exp(2j * np.pi * rng.random((n, n))) * rng.uniform(0.1, 1.0, (n, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(HEATMAP_KINDS), st.sampled_from([1, 2, 3]), st.integers(1, 40),
+       st.sampled_from(["zero", "single", "sparse", "dense"]), st.integers(0, 2**32 - 1))
+@example("spreading-heatmap", 3, 40, "zero", 0)
+@example("transfer-heatmap", 2, 39, "single", 1)
+@example("ambiguity-heatmap", 1, 7, "sparse", 2)
+@example("spreading-heatmap", 3, 37, "dense", 3)
+def test_heatmap_row_blocks_match_row_oracle(tmp_path_factory, kind, block, n, pattern, seed):
+    """Written by blocks of 1-3 grid rows, across block edges, every heatmap kind
+    is byte-identical to the whole-grid dB scale written one cell per row."""
+    tmp = tmp_path_factory.mktemp("heat")
+    grid = heatmap_grid(pattern, n, seed)
+    with mock.patch.object(cli, "_HEATMAP_BLOCK_ROWS", block):
+        cli.emit_plotdata(kind, grid, tmp / "new.csv")
+    heatmap_oracle(kind, grid, tmp / "old.csv")
+    assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", HEATMAP_KINDS)
+# |1e308 + 1e308j| is 1.41e308, still finite; |1.5e308 + 1.5e308j| overflows
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5e308 + 1.5e308j],
+                         ids=["nan", "inf", "abs-overflow"])
+def test_heatmap_non_finite_writes_nothing(tmp_path, kind, bad):
+    grid = np.ones((5, 5), dtype=complex)
+    grid[4, 2] = bad  # in the last block of two rows
+    path = tmp_path / "heat.csv"
+    with mock.patch.object(cli, "_HEATMAP_BLOCK_ROWS", 2), pytest.raises(ArithmeticError):
+        cli.emit_plotdata(kind, grid, path)
+    assert not path.exists()
+
+
+def test_heatmap_memory_is_bounded_by_a_row_block(tmp_path):
+    # the whole-grid writer built N^2-entry label lists and a dB grid: 25 MiB here
+    grid = np.zeros((1024, 1024), dtype=complex)
+    grid[0, 0], grid[3, 1000], grid[700, 5] = 1.0, 0.5j, 1e-3
+    tracemalloc.start()
+    try:
+        cli.emit_plotdata("spreading-heatmap", grid, tmp_path / "heat.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024 * 4
 
 
 def capacity_curve_oracle(sweep, path):
