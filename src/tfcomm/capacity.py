@@ -4,11 +4,12 @@ When neither end knows the channel realization, the achievable rate at SNR
 rho falls below the coherent AWGN value log(1 + rho) by a penalty that
 integrates log(1 + rho * C(tau, nu)) over the scattering density.  The
 profile grid stores cell masses, so the density is mass per cell area and
-the integral is a Riemann sum on the grid.  Everything is in nats per
-degree of freedom; bandwidth enters only through rho = power / bandwidth
-in the sweep, which is where the characteristic interior rate maximum
-appears.  The approximation is a low-SNR expansion and carries no asserted
-error bar at moderate SNR.
+the integral is a Riemann sum over the support cells (log 1 = 0 off the
+support).  Everything is in nats per degree of freedom; bandwidth enters
+only through rho = power / bandwidth in the sweep, which is where the
+characteristic interior rate maximum appears; a point query is the sweep
+at unit bandwidth.  The approximation is a low-SNR expansion and carries
+no asserted error bar at moderate SNR.
 """
 
 from __future__ import annotations
@@ -46,12 +47,12 @@ class CapacityQuery:
     def __post_init__(self):
         if not isinstance(self.profile, ScatteringProfile):
             raise TypeError("profile must be a ScatteringProfile")
-        if self.snr <= 0:
-            raise ValueError(f"snr must be positive, got {self.snr}")
+        if not 0 < self.snr < np.inf:
+            raise ValueError(f"snr must be positive and finite, got {self.snr}")
         if self.doppler_cell is None:
             object.__setattr__(self, "doppler_cell", 1.0 / self.profile.n_dim)
-        if self.delay_cell <= 0 or self.doppler_cell <= 0:
-            raise ValueError("grid cell sizes must be positive")
+        if not (0 < self.delay_cell < np.inf and 0 < self.doppler_cell < np.inf):
+            raise ValueError("grid cell sizes must be positive and finite")
 
     @property
     def cell_area(self) -> float:
@@ -70,15 +71,15 @@ class CapacityQuery:
 def capacity_low_snr(query: CapacityQuery) -> tuple[float, float]:
     """(capacity, penalty) in nats per degree of freedom.
 
-    penalty = sum over cells of log(1 + rho * mass / cell_area) * cell_area;
-    capacity = log(1 + rho) - penalty.  The penalty vanishes with the
-    profile and grows with both rho and the support area, so capacity never
-    exceeds the AWGN reference.
+    penalty = sum over support cells of log(1 + rho * mass / cell_area) *
+    cell_area; capacity = log(1 + rho) - penalty.  The penalty vanishes with
+    the profile and grows with both rho and the support area, so capacity
+    never exceeds the AWGN reference.  This is ``bandwidth_sweep`` at the
+    one bandwidth 1, where rho / 1 = rho exactly.
     """
-    area = query.cell_area
-    masses = query.profile.intensities
-    penalty = float(np.sum(np.log1p(query.snr * masses / area)) * area)
-    return query.awgn_reference - penalty, penalty
+    sweep = bandwidth_sweep(query.profile, query.snr, [1.0], query.delay_cell,
+                            query.doppler_cell)
+    return float(sweep.capacities[0]), float(sweep.penalties[0])
 
 
 @dataclass(frozen=True)
@@ -114,17 +115,17 @@ def bandwidth_sweep(profile: ScatteringProfile, power_budget: float, bandwidths,
     charging per dof, so on a wide enough grid the rate curve peaks at a
     finite interior bandwidth.
     """
-    if power_budget <= 0:
-        raise ValueError("power_budget must be positive")
+    if not 0 < power_budget < np.inf:
+        raise ValueError(f"power_budget must be positive and finite, got {power_budget}")
     w = np.asarray(bandwidths, dtype=float).ravel()
-    if w.size == 0 or np.any(w <= 0):
-        raise ValueError("bandwidth grid must be nonempty and positive")
+    if w.size == 0 or not np.all((0 < w) & (w < np.inf)):
+        raise ValueError("bandwidth grid must be nonempty, positive and finite")
     if np.any(np.diff(w) <= 0):
         raise ValueError("bandwidth grid must be strictly increasing")
     snrs = power_budget / w
     # the smallest SNR is the one the query validation can reject
     area = CapacityQuery(profile, snrs[-1], delay_cell, doppler_cell).cell_area
-    masses = profile.intensities[profile.intensities != 0]
+    masses = profile.support_cells[2]
     step = max(1, _SWEEP_BLOCK_CELLS // max(masses.size, 1))
     pens = np.concatenate([np.log1p(snrs[j:j + step, None] * masses / area).sum(axis=1)
                            for j in range(0, w.size, step)]) * area

@@ -78,9 +78,9 @@ class ScatteringProfile:
 
     @cached_property
     def support_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(delays, Dopplers, sqrt(C)) of the K cells carrying mass, row-major."""
+        """(delays, Dopplers, C) of the K cells carrying mass, row-major."""
         rows, cols = np.nonzero(self.intensities)
-        return rows, cols, np.sqrt(self.intensities[rows, cols])
+        return rows, cols, self.intensities[rows, cols]
 
     @property
     def total_gain(self) -> float:
@@ -98,10 +98,8 @@ class ScatteringProfile:
     def support_extents(self) -> tuple[int, int]:
         """Largest |centered delay| and |centered Doppler| carrying mass."""
         rows, cols, _ = self.support_cells
-        if rows.size == 0:
-            return 0, 0
-        return (int(np.abs(centered_index(rows, self.n_dim)).max()),
-                int(np.abs(centered_index(cols, self.n_dim)).max()))
+        return (int(np.abs(centered_index(rows, self.n_dim)).max(initial=0)),
+                int(np.abs(centered_index(cols, self.n_dim)).max(initial=0)))
 
     def scaled(self, total_gain: float) -> "ScatteringProfile":
         current = self.total_gain
@@ -211,12 +209,12 @@ def oscillator_impairment(freq_offset: int, timing_offset: int,
     return SpreadingFunction(coeffs)
 
 
-def _support_draw(profile: ScatteringProfile, rng: np.random.Generator) -> np.ndarray:
-    """CN(0, C) coefficients on the K support cells, in ``support_cells`` order.
+def _support_draw(amplitudes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """CN(0, C) coefficients on K support cells, given their ``amplitudes`` sqrt(C).
 
     Consumes exactly 2K standard normals: K real parts, then K imaginary parts.
+    Callers take the square roots once per profile, not once per draw.
     """
-    amplitudes = profile.support_cells[2]
     k = amplitudes.size
     return amplitudes * (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
 
@@ -231,9 +229,9 @@ def wssus_sample(profile: ScatteringProfile, seed) -> SpreadingFunction:
     every draw is then reproducible in isolation and draws never share a
     stream.
     """
-    rows, cols, _ = profile.support_cells
+    rows, cols, masses = profile.support_cells
     coeffs = np.zeros((profile.n_dim, profile.n_dim), dtype=complex)
-    coeffs[rows, cols] = _support_draw(profile, np.random.default_rng(seed))
+    coeffs[rows, cols] = _support_draw(np.sqrt(masses), np.random.default_rng(seed))
     return SpreadingFunction(coeffs)
 
 

@@ -53,7 +53,8 @@ from .identification import IdentifiabilityError, _canonical_support, \
     centered_rect_support, dirac_train, identify, offgrid_ambiguity, refuse_overspread
 from .ofdm import OFDMConfig, _check_constellation, cp_ofdm_config, interference_descent, \
     interference_power, simulate_frames
-from .tf_core import SpreadingFunction, _apply_cells, centered_index, spread_metrics, tf_transfer
+from .tf_core import SpreadingFunction, _apply_cells, centered_index, cross_ambiguity, \
+    spread_metrics, tf_transfer
 from .wh_frames import NotAFrameError, Pulse, WHGrid, check_wexler_raz, dual_window, \
     frame_bounds, gaussian_pulse, localization_metrics, read_pulse_csv, rect_pulse, \
     tight_window, write_pulse_csv
@@ -447,7 +448,8 @@ def _run_pulse_design(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
         }
     write_pulse_csv(out / "tx_pulse.csv", system.tx_pulse)
     write_pulse_csv(out / "rx_pulse.csv", system.rx_pulse)
-    emit_plotdata("ambiguity-heatmap", system.ambiguity, out / "ambiguity_db.csv")
+    emit_plotdata("ambiguity-heatmap", cross_ambiguity(system.tx_pulse, system.rx_pulse),
+                  out / "ambiguity_db.csv")
     return report
 
 

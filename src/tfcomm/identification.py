@@ -38,7 +38,6 @@ __all__ = [
     "build_sounding_matrix",
     "refuse_overspread",
     "identify",
-    "sounding_quality",
     "offgrid_ambiguity",
 ]
 
@@ -211,19 +210,6 @@ def identify(observation, sounding, support) -> IdentificationResult:
         misfit[rows] -= (blocks @ coeffs)[:, :, 0]
     return IdentificationResult(cells, estimate, float(np.linalg.norm(misfit)),
                                 float(sigma.max() / sigma.min()), rank, float(sigma.min()))
-
-
-def sounding_quality(sounding, support) -> tuple[float, float]:
-    """(condition number of X, :func:`offgrid_ambiguity`); the two move together.
-
-    The condition number is infinite when X has a zero singular value.
-    """
-    x = np.asarray(sounding, dtype=complex).ravel()
-    cells = _canonical_support(support, x.size)
-    _, sigma = _block_svd(x, cells)
-    full = sigma.size == min(x.size, len(cells)) and sigma.min() > 0
-    condition = float(sigma.max() / sigma.min()) if full else float("inf")
-    return condition, offgrid_ambiguity(x, cells)
 
 
 def offgrid_ambiguity(sounding, support) -> float:

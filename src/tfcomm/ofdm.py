@@ -9,7 +9,7 @@ samples of A up to unit phases) and its second-order interference power
 (the scattering profile against the lattice-folded |A|^2).  Each reads a
 few rows of A, one length-N FFT per row: the N/a lattice rows for the
 defect, and for the power the rows at delays = -m (mod a) for the support
-delays m.  Only the pulse-design heatmap builds the N x N grid.  Pulses
+delays m.  Nothing here builds the N x N grid.  Pulses
 are built on the adjoint lattice (N/b, N/a): dual or tight frames there
 are biorthogonal or orthogonal transmission sets here, which makes a
 Gaussian-shaped orthogonal pair with a prescribed time/frequency aspect
@@ -42,7 +42,7 @@ import numpy as np
 
 from .channel_models import ScatteringProfile, _support_draw
 from .tf_core import SpreadingFunction, _ambiguity_rows, _apply_cells, as_matrix, \
-    cross_ambiguity, spreading_function, tf_transfer
+    spreading_function, tf_transfer
 from .wh_frames import NotAFrameError, Pulse, WHGrid, _gram_defect, _power_on_blocks, \
     _walnut_index, gaussian_pulse, lattice_matrix, rect_pulse
 
@@ -83,9 +83,9 @@ class OFDMConfig:
     dimension).  ``biorthogonality_defect``, the largest deviation of the
     lattice cross Gram from the identity (zero: perfect recovery through an
     identity channel), is read off the N/a lattice rows of the
-    cross-ambiguity at construction.  The full N x N ``ambiguity`` grid and
-    the lattice matrices are built read-only on first use; the gain table
-    and the interference power compute only the ambiguity rows they read.
+    cross-ambiguity at construction.  The lattice matrices are built
+    read-only on first use; the gain table and the interference power
+    compute only the ambiguity rows they read.
     """
 
     grid: WHGrid
@@ -118,11 +118,6 @@ class OFDMConfig:
     def rx_matrix(self) -> np.ndarray:
         """Receive translates gamma_{n,k} as columns, in ``lattice_matrix`` order."""
         return _read_only(lattice_matrix(self.rx_pulse, self.grid))
-
-    @cached_property
-    def ambiguity(self) -> np.ndarray:
-        """Cross-ambiguity grid of the pair, ``cross_ambiguity(tx, rx)``."""
-        return _read_only(cross_ambiguity(self.tx_pulse, self.rx_pulse))
 
     @property
     def n_dim(self) -> int:
@@ -283,8 +278,8 @@ def transmit_through(frame: SymbolFrame, cfg: OFDMConfig, channel,
     sample), never from a separate draw, so the split reproduces the
     demodulator output to rounding.
     """
-    if noise_psd < 0:
-        raise ValueError("noise_psd must be nonnegative")
+    if not 0 <= noise_psd < np.inf:
+        raise ValueError(f"noise_psd must be nonnegative and finite, got {noise_psd}")
     h = as_matrix(channel)
     if h.shape[0] != cfg.n_dim:
         raise ValueError(f"channel dimension {h.shape[0]} does not match N = {cfg.n_dim}")
@@ -341,8 +336,8 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
     """
     n = cfg.n_dim
     if isinstance(channel, ScatteringProfile):
-        delays, dopplers, _ = channel.support_cells
-        fixed = None
+        delays, dopplers, masses = channel.support_cells
+        amplitudes, fixed = np.sqrt(masses), None
     elif isinstance(channel, SpreadingFunction):
         delays, dopplers = np.nonzero(channel.coeffs)
         fixed = channel.coeffs[delays, dopplers]
@@ -350,8 +345,8 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
         raise TypeError("channel must be a ScatteringProfile or a SpreadingFunction")
     if channel.n_dim != n:
         raise ValueError(f"channel dimension {channel.n_dim} does not match N = {n}")
-    if noise_psd < 0:
-        raise ValueError("noise_psd must be nonnegative")
+    if not 0 <= noise_psd < np.inf:
+        raise ValueError(f"noise_psd must be nonnegative and finite, got {noise_psd}")
     _check_constellation(constellation)
     table = _gain_table(cfg, delays, dopplers)
     energies = np.empty((n_frames, 4))
@@ -361,7 +356,7 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
             stop = min(start + _FRAME_BLOCK, n_frames)
             rngs = [np.random.default_rng([seed, idx]) for idx in range(start, stop)]
             s = np.broadcast_to(fixed, (len(rngs), fixed.size)) if fixed is not None else \
-                np.array([_support_draw(channel, rng) for rng in rngs])
+                np.array([_support_draw(amplitudes, rng) for rng in rngs])
             symbols = _draw_symbols(rngs, (cfg.n_slots, cfg.n_subcarriers), constellation)
             x = symbols.reshape(len(rngs), -1) @ cfg.tx_matrix.T
             gains = (s @ table).reshape(symbols.shape)
@@ -392,8 +387,7 @@ def _interference_score(profile: ScatteringProfile, grid: WHGrid):
         raise ValueError("profile and grid dimensions differ")
     a, b = grid.time_step, grid.freq_step
     n = grid.n_dim
-    delays, dopplers, _ = profile.support_cells
-    weights = profile.intensities[delays, dopplers]
+    delays, dopplers, weights = profile.support_cells
     lags = (-delays) % n
     residues, residue_of_cell = np.unique(lags % a, return_inverse=True)
     rows = (residues[:, None] + a * np.arange(n // a)).ravel()

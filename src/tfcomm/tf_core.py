@@ -463,13 +463,8 @@ def spread_metrics(spreading: SpreadingFunction,
     n = spreading.n_dim
     idx = spreading.support_indices(centered=True)
     count = idx.shape[0]
-    if count:
-        m_max = int(np.abs(idx[:, 0]).max())
-        l_max = int(np.abs(idx[:, 1]).max())
-    else:
-        m_max = l_max = 0
-    tau_max = m_max / fs
-    nu_max = l_max * fs / n
+    tau_max = int(np.abs(idx[:, 0]).max(initial=0)) / fs
+    nu_max = int(np.abs(idx[:, 1]).max(initial=0)) * fs / n
     return SpreadMetrics(
         support_count=count,
         normalized_spread=count / n,

@@ -4,10 +4,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tfcomm.capacity as cap
 import tfcomm.channel_models as cm
+import tfcomm.ofdm as ofdm
 
 
 def penalty_oracle(profile, snr, delay_cell, doppler_cell):
@@ -173,7 +174,7 @@ def test_penalty_bounds_property(seed, rho):
 
 
 # ---------------------------------------------------------------------------
-# property: the broadcast sweep equals one capacity_low_snr query per bandwidth
+# property: the broadcast sweep equals the cell-by-cell oracle at every bandwidth
 
 
 @settings(max_examples=40, deadline=None)
@@ -192,9 +193,62 @@ def test_sweep_matches_pointwise_queries_property(data):
     block = data.draw(st.sampled_from([1, 5, 1 << 20]), label="block cells")
     with mock.patch.object(cap, "_SWEEP_BLOCK_CELLS", block):
         res = cap.bandwidth_sweep(p, power, w, delay_cell, doppler_cell)
+    doppler = 1.0 / n if doppler_cell is None else doppler_cell
     for j, bw in enumerate(w):
-        c, pen = cap.capacity_low_snr(cap.CapacityQuery(p, power / bw, delay_cell, doppler_cell))
+        pen = penalty_oracle(p, power / bw, delay_cell, doppler)
+        c = np.log1p(power / bw) - pen
         assert res.snrs[j] == power / bw
         assert res.penalties[j] == pytest.approx(pen, rel=1e-14, abs=0.0)
         assert abs(res.capacities[j] - c) <= 1e-14 * (np.log1p(power / bw) + pen)
         assert res.rates[j] == bw * res.capacities[j]
+
+
+# ---------------------------------------------------------------------------
+# property: a point query is the sweep at unit bandwidth, to the bit
+
+
+@st.composite
+def profiles(draw):
+    """Random grids with at least one mass, sparse to full, over six decades."""
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    density = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    grid = rng.random((n, n)) * 10.0 ** rng.uniform(-3, 3) * (rng.random((n, n)) < density)
+    grid.flat[rng.integers(n * n)] = rng.uniform(0.1, 2.0)
+    return cm.ScatteringProfile(n, grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(profiles(), st.floats(1e-3, 1e3), st.sampled_from([1.0, 0.25, 3.0]),
+       st.sampled_from([None, 0.5, 2.0]))
+@example(cm.flat_rect_profile(64, 1, 1), 0.5, 1.0, None)  # the shipped capacity config
+def test_point_capacity_is_unit_bandwidth_sweep_property(profile, snr, delay_cell,
+                                                         doppler_cell):
+    point = cap.capacity_low_snr(cap.CapacityQuery(profile, snr, delay_cell, doppler_cell))
+    sweep = cap.bandwidth_sweep(profile, snr, [1.0], delay_cell, doppler_cell)
+    assert point == (sweep.capacities[0], sweep.penalties[0])
+
+
+# ---------------------------------------------------------------------------
+# non-finite scalars are refused where they enter the library
+
+
+FLAT = cm.flat_rect_profile(16, 1, 1)
+CP_OFDM = ofdm.cp_ofdm_config(16, 4, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", [
+    lambda bad: cap.CapacityQuery(FLAT, bad),
+    lambda bad: cap.CapacityQuery(FLAT, 1.0, delay_cell=bad),
+    lambda bad: cap.CapacityQuery(FLAT, 1.0, doppler_cell=bad),
+    lambda bad: cap.bandwidth_sweep(FLAT, bad, [1.0, 2.0]),
+    lambda bad: cap.bandwidth_sweep(FLAT, 1.0, [1.0, bad]),
+    lambda bad: ofdm.simulate_frames(CP_OFDM, FLAT, 2, 0, noise_psd=bad),
+    lambda bad: ofdm.transmit_through(ofdm.random_symbols(CP_OFDM, 0), CP_OFDM, np.eye(16),
+                                      noise_psd=bad),
+], ids=["snr", "delay_cell", "doppler_cell", "power_budget", "bandwidth", "simulate_frames",
+        "transmit_through"])
+def test_non_finite_scalars_raise_value_error(call, bad):
+    with pytest.raises(ValueError, match="finite"):
+        call(bad)

@@ -164,16 +164,18 @@ def test_matched_train_quality_is_perfect():
     n = 64
     x = ident.dirac_train(n, 8)
     support = ident.centered_rect_support(8, 8)
-    condition, worst_amb = ident.sounding_quality(x, support)
-    assert condition == pytest.approx(1.0, abs=1e-9)
-    assert worst_amb <= 1e-12
+    assert ident.identify(np.zeros(n), x, support).condition_number == pytest.approx(
+        1.0, abs=1e-9)
+    assert ident.offgrid_ambiguity(x, support) <= 1e-12
 
 
 def test_flat_probe_quality_is_poor():
     n = 16
-    condition, worst_amb = ident.sounding_quality(np.ones(n) / 4.0, [(0, 0), (1, 0)])
-    assert condition == np.inf or condition > 1e9
-    assert worst_amb == pytest.approx(1.0, abs=1e-12)
+    flat, support = np.ones(n) / 4.0, [(0, 0), (1, 0)]
+    with pytest.raises(ident.IdentifiabilityError) as exc:
+        ident.identify(np.zeros(n), flat, support)
+    assert exc.value.numerical_rank == 1
+    assert ident.offgrid_ambiguity(flat, support) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quality_predicts_conditioning():
@@ -183,9 +185,10 @@ def test_quality_predicts_conditioning():
     rng = np.random.default_rng(12)
     noiselike = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     noiselike /= np.linalg.norm(noiselike)
-    cond_train, amb_train = ident.sounding_quality(ident.dirac_train(n, 4), support)
-    cond_noise, amb_noise = ident.sounding_quality(noiselike, support)
-    assert amb_train < amb_noise
+    train = ident.dirac_train(n, 4)
+    cond_train = ident.identify(np.zeros(n), train, support).condition_number
+    cond_noise = ident.identify(np.zeros(n), noiselike, support).condition_number
+    assert ident.offgrid_ambiguity(train, support) < ident.offgrid_ambiguity(noiselike, support)
     assert cond_train < cond_noise
 
 
@@ -203,7 +206,7 @@ def worst_offgrid_loop(x, support):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_sounding_quality_matches_pairwise_loop(data):
+def test_offgrid_ambiguity_matches_pairwise_loop(data):
     n = data.draw(st.integers(2, 24), label="n")
     lo = -((n - 1) // 2)
     cell = st.tuples(st.integers(lo, lo + n - 1), st.integers(lo, lo + n - 1))
@@ -213,8 +216,7 @@ def test_sounding_quality_matches_pairwise_loop(data):
     if data.draw(st.booleans(), label="train"):
         x = ident.dirac_train(n, data.draw(st.sampled_from(
             [p for p in range(1, n + 1) if n % p == 0]), label="period"))
-    _, worst = ident.sounding_quality(x, support)
-    assert worst == worst_offgrid_loop(x, support)
+    assert ident.offgrid_ambiguity(x, support) == worst_offgrid_loop(x, support)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +277,9 @@ def assert_blocked_matches_dense(y, x, support):
     assert blocked.size <= sigma.size
     padded = np.sort(np.concatenate([blocked, np.zeros(sigma.size - blocked.size)]))[::-1]
     assert np.abs(padded - sigma).max() <= 1e-12 * top
-    condition, _ = ident.sounding_quality(x, support)
+    # infinite on the structural and exact zeros of X
+    full = blocked.size == sigma.size and blocked.min() > 0
+    condition = blocked.max() / blocked.min() if full else np.inf
     if sigma[-1] > ident.RANK_RTOL * top:
         dense_condition = sigma[0] / sigma[-1]
         tol = max(1e-10, dense_condition * 1e-12)
