@@ -19,7 +19,8 @@ the last line of its standard output.
 The output file holds tfbench's environment line (Python, numpy, BLAS and
 CPU count) from the first run; in its protocol block, each checkout's
 ``git rev-parse HEAD``, whether its tracked or untracked files differ
-from that commit (``dirty``) and the line count of its ``src/**/*.py``
+from that commit (``dirty``), both null for a checkout that is not the
+root of a git work tree, and the line count of its ``src/**/*.py``
 (``src_lines``), and how the copies were staged (``staging``); and,
 per workload and metric, both sides' values in pair order, their medians
 and quartiles, and how many pairs the change won, judged by the metric's
@@ -63,14 +64,20 @@ def tfbench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[d
 
 def revision(checkout: Path) -> dict:
     """The HEAD commit of ``checkout``, whether its working tree differs from it and
-    the line count of its library sources."""
-    def git(*args: str) -> str:
-        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True,
-                              check=True).stdout.strip()
+    the line count of its library sources.
+
+    ``commit`` and ``dirty`` are None when ``checkout`` is not the root of a
+    git work tree, such as a plain copy of the sources.
+    """
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
     src_lines = sum(len(path.read_text(encoding="utf-8").splitlines())
                     for path in (checkout / "src").rglob("*.py"))
-    return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain")),
-            "src_lines": src_lines}
+    top = git("rev-parse", "--show-toplevel")
+    if top.returncode or Path(top.stdout.strip()).resolve() != checkout.resolve():
+        return {"commit": None, "dirty": None, "src_lines": src_lines}
+    return {"commit": git("rev-parse", "HEAD").stdout.strip(),
+            "dirty": bool(git("status", "--porcelain").stdout.strip()), "src_lines": src_lines}
 
 
 def stage(checkout: Path, dest: Path) -> Path:

@@ -212,11 +212,13 @@ def oscillator_impairment(freq_offset: int, timing_offset: int,
 def _support_draw(amplitudes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """CN(0, C) coefficients on K support cells, given their ``amplitudes`` sqrt(C).
 
-    Consumes exactly 2K standard normals: K real parts, then K imaginary parts.
-    Callers take the square roots once per profile, not once per draw.
+    Consumes exactly 2K standard normals in one call: K real parts, then K
+    imaginary parts.  Callers take the square roots once per profile, not
+    once per draw.
     """
     k = amplitudes.size
-    return amplitudes * (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
+    normals = rng.standard_normal(2 * k)
+    return amplitudes * (normals[:k] + 1j * normals[k:]) / np.sqrt(2.0)
 
 
 def wssus_sample(profile: ScatteringProfile, seed) -> SpreadingFunction:

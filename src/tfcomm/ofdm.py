@@ -19,6 +19,13 @@ its local search perturbs one seed-window sample, which enters a / gcd(a,
 N/b) of the a adjoint Walnut blocks, so the trial re-solves only those
 and rewrites only their samples of the tight pair.
 
+The modulator is Gabor synthesis and the demodulator Gabor analysis on
+the lattice.  With M = N/b both factor through the Walnut gather
+g[r + p*M - n*a] that the frame blocks use: one length-M FFT per slot and
+one (b x N/a) product per residue r, O(N^2/a) per signal where the N x size
+lattice matrix costs O(N * size).  The config caches the two gathered
+stacks; the lattice matrices serve only the dense references.
+
 Monte Carlo runs (``simulate_frames``) stay in the spreading domain: a
 channel is its K support cells S[m, l], never an N x N matrix.  The gain of
 symbol (n, k) is linear in S with weights that are phase-rotated samples of
@@ -27,9 +34,10 @@ product, and ``tf_core._apply_cells`` filters the signal: a sum over
 delays m of a Doppler-weighted diagonal times D^m x.  Frames go
 through in blocks of ``_FRAME_BLOCK``: each frame draws its channel, symbols
 and noise from one generator of its own, and the algebra runs once per block
-as (block x K), (block x size) and (block x N) products, O(K*size + K*N +
-N*size) per frame for K cells.  The decomposition check stays per frame.
-The dense ``transmit_through`` is the reference it agrees with to rounding.
+as a (block x K) @ (K x size) product, the Walnut synthesis and analysis and
+the cell filter, O(K*size + K*N + N^2/a) per frame for K cells.  The
+decomposition check stays per frame.  The dense ``transmit_through`` is the
+reference it agrees with to rounding.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from .channel_models import ScatteringProfile, _support_draw
 from .tf_core import SpreadingFunction, _ambiguity_rows, _apply_cells, as_matrix, \
     spreading_function, tf_transfer
 from .wh_frames import NotAFrameError, Pulse, WHGrid, _gram_defect, _power_on_blocks, \
-    _walnut_index, gaussian_pulse, lattice_matrix, rect_pulse
+    _walnut_index, _walnut_stack, gaussian_pulse, lattice_matrix, rect_pulse
 
 __all__ = [
     "OFDMConfig",
@@ -83,9 +91,10 @@ class OFDMConfig:
     dimension).  ``biorthogonality_defect``, the largest deviation of the
     lattice cross Gram from the identity (zero: perfect recovery through an
     identity channel), is read off the N/a lattice rows of the
-    cross-ambiguity at construction.  The lattice matrices are built
-    read-only on first use; the gain table and the interference power
-    compute only the ambiguity rows they read.
+    cross-ambiguity at construction.  The Walnut stacks of the modem and
+    the lattice matrices of the dense references are built read-only on
+    first use; the gain table and the interference power compute only the
+    ambiguity rows they read.
     """
 
     grid: WHGrid
@@ -108,6 +117,19 @@ class OFDMConfig:
         object.__setattr__(self, "rx_pulse", rx)
         object.__setattr__(self, "biorthogonality_defect",
                            _gram_defect(tx.samples, rx.samples, self.grid))
+
+    @cached_property
+    def _walnut_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """The modem's two Walnut stacks, each N^2/a entries, read-only.
+
+        With M = N/b: the (M, b, N/a) stack g[r + p*M - n*a] of the transmit
+        window, and the (M, N/a, b) stack conj(gamma[r + p*M - n*a]) of the
+        receive window, so block r of each is one residue's matrix.
+        """
+        index = _walnut_index(self.grid)
+        tx = _walnut_stack(self.tx_pulse.samples, self.grid, index)
+        rx = _walnut_stack(self.rx_pulse.samples, self.grid, index).conj().swapaxes(1, 2)
+        return _read_only(tx), _read_only(np.ascontiguousarray(rx))
 
     @cached_property
     def tx_matrix(self) -> np.ndarray:
@@ -217,11 +239,11 @@ def random_symbols(cfg: OFDMConfig, seed, constellation: str = "qpsk") -> Symbol
 
 
 def modulate(frame: SymbolFrame, cfg: OFDMConfig) -> np.ndarray:
-    """Synthesize sum_{n,k} c[n,k] g_{n,k} as one matrix-vector product."""
+    """Synthesize sum_{n,k} c[n,k] g_{n,k} on the Walnut gather (``_synthesize``)."""
     expected = (cfg.n_slots, cfg.n_subcarriers)
     if frame.data.shape != expected:
         raise ValueError(f"symbol grid shape {frame.data.shape} does not match layout {expected}")
-    return cfg.tx_matrix @ frame.data.ravel()
+    return _synthesize(cfg, frame.data)
 
 
 def demodulate(signal, cfg: OFDMConfig) -> SymbolFrame:
@@ -232,12 +254,31 @@ def demodulate(signal, cfg: OFDMConfig) -> SymbolFrame:
     return SymbolFrame(_project(cfg, y))
 
 
+def _synthesize(cfg: OFDMConfig, symbols: np.ndarray) -> np.ndarray:
+    """tx_matrix @ c for symbols (..., slots, subcarriers), without the matrix.
+
+    With M = N/b, g_{n,k}[r + p*M] = g[r + p*M - n*a] * exp(2j*pi*k*r/M), so
+    x[r + p*M] = sum_n g[r + p*M - n*a] * (M * IDFT_M c[n, .])[r]: one
+    length-M inverse FFT per slot, then one (b x N/a) @ (N/a x frames)
+    product per residue r.  Each leading index is one frame.
+    """
+    frames = symbols.reshape(-1, cfg.n_slots, cfg.n_subcarriers)
+    tones = np.fft.ifft(frames, axis=-1, norm="forward").transpose(2, 1, 0)
+    x = cfg._walnut_pair[0] @ np.ascontiguousarray(tones)
+    return x.transpose(2, 1, 0).reshape(*symbols.shape[:-2], cfg.n_dim)
+
+
 def _project(cfg: OFDMConfig, signal: np.ndarray) -> np.ndarray:
     """Receive projections rx^H signal on the (slot, subcarrier) layout.
 
-    ``signal`` is (..., N); each leading index is projected on its own.
+    ``signal`` is (..., N); each leading index is projected on its own.  The
+    mirror of ``_synthesize``: c[n, k] = DFT_M over r of
+    sum_p conj(gamma[r + p*M - n*a]) * y[r + p*M], one (N/a x b) @ (b x frames)
+    product per residue r, then one length-M FFT per slot.
     """
-    proj = (signal.conj() @ cfg.rx_matrix).conj()
+    frames = signal.reshape(-1, cfg.grid.freq_step, cfg.n_subcarriers).transpose(2, 1, 0)
+    z = cfg._walnut_pair[1] @ np.ascontiguousarray(frames)
+    proj = np.fft.fft(z.transpose(2, 1, 0), axis=-1)
     return proj.reshape(*signal.shape[:-1], cfg.n_slots, cfg.n_subcarriers)
 
 
@@ -276,7 +317,9 @@ def transmit_through(frame: SymbolFrame, cfg: OFDMConfig, channel,
     interference collects every cross coupling; noise terms come from
     projecting one injected white Gaussian vector (variance noise_psd per
     sample), never from a separate draw, so the split reproduces the
-    demodulator output to rounding.
+    demodulator output to rounding.  The dense reference of
+    ``simulate_frames``: the signal is modulated and projected with the
+    lattice matrices, not on the Walnut gather.
     """
     if not 0 <= noise_psd < np.inf:
         raise ValueError(f"noise_psd must be nonnegative and finite, got {noise_psd}")
@@ -284,7 +327,8 @@ def transmit_through(frame: SymbolFrame, cfg: OFDMConfig, channel,
     if h.shape[0] != cfg.n_dim:
         raise ValueError(f"channel dimension {h.shape[0]} does not match N = {cfg.n_dim}")
     gains = _dense_gains(h, cfg)
-    clean = _project(cfg, h @ (cfg.tx_matrix @ frame.data.ravel()))
+    clean = ((h @ (cfg.tx_matrix @ frame.data.ravel())).conj() @ cfg.rx_matrix).conj()
+    clean = clean.reshape(frame.data.shape)
     noise = _projected_noise(cfg, noise_psd, [np.random.default_rng(seed)])[0]
     estimates, interference = clean + noise, clean - gains * frame.data
     _checked(estimates, gains * frame.data + interference + noise)
@@ -328,8 +372,10 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
     idx reproduces the dense ``transmit_through`` of the same draws to
     rounding (a block product rounds differently from a per-frame one) and
     passes the same decomposition check, each frame against its own
-    largest estimate.  An unknown constellation raises ValueError before
-    any table or lattice matrix is built.  Non-finite outputs or energies
+    largest estimate.  Signals are synthesized and analyzed on the Walnut
+    gather, so no N x size lattice matrix is built.  An unknown
+    constellation raises ValueError before the gain table or the Walnut
+    stacks are built.  Non-finite outputs or energies
     raise ArithmeticError.  Returns an (n_frames, 4) array of mean energies per
     symbol: gain (|gain * symbol|^2), interference, noise and error vector
     (|estimate - symbol|^2).
@@ -358,7 +404,7 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
             s = np.broadcast_to(fixed, (len(rngs), fixed.size)) if fixed is not None else \
                 np.array([_support_draw(amplitudes, rng) for rng in rngs])
             symbols = _draw_symbols(rngs, (cfg.n_slots, cfg.n_subcarriers), constellation)
-            x = symbols.reshape(len(rngs), -1) @ cfg.tx_matrix.T
+            x = _synthesize(cfg, symbols)
             gains = (s @ table).reshape(symbols.shape)
             clean = _project(cfg, _apply_cells(x, delays, dopplers, s))
             noise = _projected_noise(cfg, noise_psd, rngs)

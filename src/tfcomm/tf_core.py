@@ -238,13 +238,17 @@ def _apply_cells(x, delays, dopplers, coeffs) -> np.ndarray:
 
     ``coeffs`` carries the leading (frame) axes of ``x``.  Per distinct delay
     m, the tones of m's cells only weight D^m x: no array exceeds (cells at m) x N.
+    The weighted tones are multiplied by D^m x in place, so each delay adds
+    one shifted copy of x and one term array.
     """
     n = x.shape[-1]
     taps, tap_of_cell = np.unique(delays, return_inverse=True)
     out = np.zeros(np.broadcast_shapes(x.shape[:-1], coeffs.shape[:-1]) + (n,), dtype=complex)
     for u, m in enumerate(taps):
         cells = np.flatnonzero(tap_of_cell == u)
-        out += (coeffs[..., cells] @ tf_shift(np.ones(n), 0, dopplers[cells])) * tf_shift(x, m, 0)
+        term = coeffs[..., cells] @ tf_shift(np.ones(n), 0, dopplers[cells])
+        term *= np.roll(x, m, axis=-1)
+        out += term
     return out
 
 

@@ -42,6 +42,11 @@ def test_query_validation():
         cap.CapacityQuery(p, snr=1.0, delay_cell=-1.0)
     with pytest.raises(TypeError):
         cap.CapacityQuery(np.ones((4, 4)), snr=1.0)
+    for cell in (1e200, 1e-200):  # in range one by one, but not their product
+        with pytest.raises(ValueError, match="cell area"):
+            cap.CapacityQuery(p, snr=1.0, delay_cell=cell, doppler_cell=cell)
+        with pytest.raises(ValueError, match="cell area"):
+            cap.bandwidth_sweep(p, 1.0, [1.0, 2.0], cell, cell)
 
 
 # ---------------------------------------------------------------------------

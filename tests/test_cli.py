@@ -23,6 +23,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import tfcomm.cli as cli
 import tfcomm.identification as ident
+import tfcomm.ofdm as ofdm
+import tfcomm.wh_frames as wh
 from tfcomm import __version__
 from tfcomm.tf_core import centered_index
 from tfcomm.wh_frames import gaussian_pulse, write_pulse_csv
@@ -821,6 +823,39 @@ def test_non_finite_json_literals_exit_2(tmp_path, capsys):
     assert "non-finite number" in capsys.readouterr().err
     assert cli.run(["capacity", "--config", str(finite),
                     "--out", str(tmp_path / "c")]) == cli.EXIT_OK
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+
+
+def test_no_shipped_config_builds_a_lattice_matrix(monkeypatch, tmp_path):
+    calls = []
+    build = wh.lattice_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(wh, "lattice_matrix", counting)
+    monkeypatch.setattr(ofdm, "lattice_matrix", counting)
+    paths = sorted(CONFIGS.glob("*.json"))
+    assert len(paths) == len(cli.KINDS)
+    for path in paths:
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        cli.run_experiment(cfg["kind"], cfg, tmp_path / path.stem, base_dir=CONFIGS)
+    assert calls == []
+
+
+@pytest.mark.parametrize("cell", ["1e200", "1e-200"])
+def test_capacity_cell_area_out_of_range_exits_2(tmp_path, capsys, cell):
+    # each cell size is in range, but their product overflows to inf or underflows to 0
+    out = tmp_path / "out"
+    assert cli.run(["capacity", "--config", str(CONFIGS / "capacity.json"), "--out", str(out),
+                    "--set", f"delay_cell={cell}", "--set", f"doppler_cell={cell}"]) \
+        == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("tfcomm: config error: config: grid cell area") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
 def test_cli_numerical_failures_exit_3(tmp_path, capsys):

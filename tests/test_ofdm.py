@@ -1,6 +1,7 @@
 """Multicarrier modem: exact decomposition, ambiguity identities, pulse design."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,58 @@ def test_demodulate_matches_inner_product_oracle():
             gam = np.roll(cfg.rx_pulse.samples, t * a) * np.exp(
                 2j * np.pi * f * b * np.arange(48) / 48)
             assert abs(out[t, f] - np.vdot(gam, y)) <= 1e-12
+
+
+@st.composite
+def walnut_modems(draw):
+    """A config on random (N, a, b) with a*b >= N, compact or full-support windows."""
+    n = draw(st.sampled_from([1, 2, 6, 8, 12, 16, 18, 24, 30, 32, 48, 64]))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    a, b = draw(st.sampled_from([(a, b) for a in divisors for b in divisors if a * b >= n]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+    def window():
+        kind = draw(st.sampled_from(["rect", "gaussian", "random"]))
+        if kind == "rect":
+            return wh.rect_pulse(n, draw(st.integers(1, n)), draw(st.integers(0, n - 1)))
+        if kind == "gaussian":
+            return wh.gaussian_pulse(n, sigma=draw(st.floats(min_value=0.5, max_value=2.0 * n)))
+        return wh.Pulse(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+    cfg = ofdm.OFDMConfig(wh.WHGrid(n, a, b), window(), window())
+    return cfg, draw(st.sampled_from([(), (1,), (3,), (2, 2)])), rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(walnut_modems())
+def test_walnut_modem_matches_lattice_matrices_property(case):
+    """Synthesis is lattice_matrix(g) @ c and analysis lattice_matrix(gamma)^H y, per frame."""
+    cfg, frames, rng = case
+    layout = frames + (cfg.n_slots, cfg.n_subcarriers)
+    symbols = rng.standard_normal(layout) + 1j * rng.standard_normal(layout)
+    signal = rng.standard_normal(frames + (cfg.n_dim,)) \
+        + 1j * rng.standard_normal(frames + (cfg.n_dim,))
+    tx = wh.lattice_matrix(cfg.tx_pulse, cfg.grid)
+    rx = wh.lattice_matrix(cfg.rx_pulse, cfg.grid)
+    synthesized = ofdm._synthesize(cfg, symbols)
+    projected = ofdm._project(cfg, signal)
+    assert synthesized.shape == frames + (cfg.n_dim,) and projected.shape == layout
+    for frame in np.ndindex(frames):
+        for fast, ref in ((synthesized[frame], tx @ symbols[frame].ravel()),
+                          (projected[frame].ravel(), rx.conj().T @ signal[frame])):
+            assert np.linalg.norm(fast - ref) <= 1e-12 * max(1.0, float(np.linalg.norm(ref)))
+
+
+def test_simulate_frames_forms_no_lattice_sized_array():
+    # each N x size lattice matrix alone would take 16 MiB here
+    profile = cm.flat_rect_profile(1024, 1, 1)
+    tracemalloc.start()
+    try:
+        ofdm.simulate_frames(ofdm.cp_ofdm_config(1024, 64, 0), profile, 4, 3, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024 * 1024
 
 
 def test_round_trip_through_identity():
@@ -531,6 +584,7 @@ def test_simulate_frames_rejects_constellation_before_building(monkeypatch):
         raise AssertionError("an unknown constellation must be refused first")
 
     monkeypatch.setattr(ofdm, "_gain_table", refuse)
+    monkeypatch.setattr(ofdm, "_walnut_index", refuse)
     monkeypatch.setattr(ofdm, "lattice_matrix", refuse)
     with pytest.raises(ValueError, match="unknown constellation 'qam1024'"):
         ofdm.simulate_frames(cfg, cm.flat_rect_profile(48, 1, 1), 2, 0, constellation="qam1024")
