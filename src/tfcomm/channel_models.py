@@ -26,7 +26,6 @@ from .tf_core import SpreadingFunction, _centered_range, centered_index, dd_to_t
 __all__ = [
     "ScatteringProfile",
     "TFCorrelation",
-    "SpecularPath",
     "from_specular",
     "time_invariant",
     "frequency_dispersive",
@@ -128,39 +127,19 @@ class TFCorrelation:
         return float(self.values[0, 0].real)
 
 
-@dataclass(frozen=True)
-class SpecularPath:
-    """One discrete propagation path: integer delay/Doppler and complex gain."""
-
-    delay: int
-    doppler: int
-    gain: complex
-
-
-def _sparse_spreading(n_dim: int, cells: dict[tuple[int, int], complex]) -> SpreadingFunction:
-    coeffs = np.zeros((n_dim, n_dim), dtype=complex)
-    for (m, l), gain in cells.items():
-        coeffs[m % n_dim, l % n_dim] += gain
-    return SpreadingFunction(coeffs)
-
-
 def from_specular(paths, n_dim: int) -> SpreadingFunction:
     """Superpose point scatterers: each path contributes gain at (delay, Doppler).
 
-    ``paths`` is an iterable of SpecularPath or (delay, doppler, gain)
-    triples; delays and Dopplers must be integers inside the centered grid.
-    Coinciding paths add coherently.
+    ``paths`` is an iterable of (delay, doppler, gain) triples; delays and
+    Dopplers must be integers inside the centered grid.  Each validated
+    gain is added into its cell, so coinciding paths add coherently.
     """
-    cells: dict[tuple[int, int], complex] = {}
-    for path in paths:
-        if isinstance(path, SpecularPath):
-            delay, doppler, gain = path.delay, path.doppler, path.gain
-        else:
-            delay, doppler, gain = path
+    coeffs = np.zeros((n_dim, n_dim), dtype=complex)
+    for delay, doppler, gain in paths:
         m = _check_on_grid(delay, "path delay", n_dim)
         l = _check_on_grid(doppler, "path doppler", n_dim)
-        cells[(m, l)] = cells.get((m, l), 0.0) + complex(gain)
-    return _sparse_spreading(n_dim, cells)
+        coeffs[m % n_dim, l % n_dim] += complex(gain)
+    return SpreadingFunction(coeffs)
 
 
 def time_invariant(gains, n_dim: int, delays=None) -> SpreadingFunction:

@@ -545,7 +545,8 @@ def _run_capacity(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
             grid = spacing(gspec["min"], gspec["max"], gspec["count"])
         else:
             grid = spec["bandwidths"]
-        with _located("config.bandwidths"):  # power_budget and the cells have declared bounds
+        CapacityQuery(profile, spec["power_budget"], spec["delay_cell"], spec["doppler_cell"])
+        with _located("config.bandwidths"):  # the query above checked the cells, not a bandwidth
             sweep = bandwidth_sweep(profile, spec["power_budget"], grid,
                                     spec["delay_cell"], spec["doppler_cell"])
         _write_csv(out / "sweep.csv", ["bandwidth", "snr", "capacity", "penalty", "rate"],

@@ -24,7 +24,8 @@ the lattice.  With M = N/b both factor through the Walnut gather
 g[r + p*M - n*a] that the frame blocks use: one length-M FFT per slot and
 one (b x N/a) product per residue r, O(N^2/a) per signal where the N x size
 lattice matrix costs O(N * size).  The config caches the two gathered
-stacks; the lattice matrices serve only the dense references.
+stacks; the lattice matrices serve only the dense references, which
+build them per call.
 
 Monte Carlo runs (``simulate_frames``) stay in the spreading domain: a
 channel is its K support cells S[m, l], never an N x N matrix.  The gain of
@@ -78,11 +79,6 @@ _FRAME_BLOCK = 64
 _CONSTELLATIONS = ("qpsk", "gaussian")
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class OFDMConfig:
     """Transmission lattice plus transmit/receive window pair.
@@ -91,10 +87,10 @@ class OFDMConfig:
     dimension).  ``biorthogonality_defect``, the largest deviation of the
     lattice cross Gram from the identity (zero: perfect recovery through an
     identity channel), is read off the N/a lattice rows of the
-    cross-ambiguity at construction.  The Walnut stacks of the modem and
-    the lattice matrices of the dense references are built read-only on
-    first use; the gain table and the interference power compute only the
-    ambiguity rows they read.
+    cross-ambiguity at construction.  The Walnut stacks of the modem are
+    built read-only on first use and are all the config caches; the dense
+    references build the lattice matrices per call, and the gain table and
+    the interference power compute only the ambiguity rows they read.
     """
 
     grid: WHGrid
@@ -128,18 +124,10 @@ class OFDMConfig:
         """
         index = _walnut_index(self.grid)
         tx = _walnut_stack(self.tx_pulse.samples, self.grid, index)
-        rx = _walnut_stack(self.rx_pulse.samples, self.grid, index).conj().swapaxes(1, 2)
-        return _read_only(tx), _read_only(np.ascontiguousarray(rx))
-
-    @cached_property
-    def tx_matrix(self) -> np.ndarray:
-        """Transmit translates g_{n,k} as columns, in ``lattice_matrix`` order."""
-        return _read_only(lattice_matrix(self.tx_pulse, self.grid))
-
-    @cached_property
-    def rx_matrix(self) -> np.ndarray:
-        """Receive translates gamma_{n,k} as columns, in ``lattice_matrix`` order."""
-        return _read_only(lattice_matrix(self.rx_pulse, self.grid))
+        rx = np.ascontiguousarray(
+            _walnut_stack(self.rx_pulse.samples, self.grid, index).conj().swapaxes(1, 2))
+        tx.flags.writeable = rx.flags.writeable = False
+        return tx, rx
 
     @property
     def n_dim(self) -> int:
@@ -255,7 +243,7 @@ def demodulate(signal, cfg: OFDMConfig) -> SymbolFrame:
 
 
 def _synthesize(cfg: OFDMConfig, symbols: np.ndarray) -> np.ndarray:
-    """tx_matrix @ c for symbols (..., slots, subcarriers), without the matrix.
+    """lattice_matrix(g) @ c for symbols (..., slots, subcarriers), without the matrix.
 
     With M = N/b, g_{n,k}[r + p*M] = g[r + p*M - n*a] * exp(2j*pi*k*r/M), so
     x[r + p*M] = sum_n g[r + p*M - n*a] * (M * IDFT_M c[n, .])[r]: one
@@ -282,9 +270,9 @@ def _project(cfg: OFDMConfig, signal: np.ndarray) -> np.ndarray:
     return proj.reshape(*signal.shape[:-1], cfg.n_slots, cfg.n_subcarriers)
 
 
-def _dense_gains(h: np.ndarray, cfg: OFDMConfig) -> np.ndarray:
-    """Exact symbol gains <H g_{n,k}, gamma_{n,k}> of a dense channel matrix."""
-    gains = np.einsum("ij,ij->j", cfg.rx_matrix.conj(), h @ cfg.tx_matrix)
+def _dense_gains(h: np.ndarray, cfg: OFDMConfig, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
+    """Exact symbol gains <H g_{n,k}, gamma_{n,k}> from the two lattice matrices."""
+    gains = np.einsum("ij,ij->j", rx.conj(), h @ tx)
     return gains.reshape(cfg.n_slots, cfg.n_subcarriers)
 
 
@@ -326,8 +314,9 @@ def transmit_through(frame: SymbolFrame, cfg: OFDMConfig, channel,
     h = as_matrix(channel)
     if h.shape[0] != cfg.n_dim:
         raise ValueError(f"channel dimension {h.shape[0]} does not match N = {cfg.n_dim}")
-    gains = _dense_gains(h, cfg)
-    clean = ((h @ (cfg.tx_matrix @ frame.data.ravel())).conj() @ cfg.rx_matrix).conj()
+    tx, rx = lattice_matrix(cfg.tx_pulse, cfg.grid), lattice_matrix(cfg.rx_pulse, cfg.grid)
+    gains = _dense_gains(h, cfg, tx, rx)
+    clean = ((h @ (tx @ frame.data.ravel())).conj() @ rx).conj()
     clean = clean.reshape(frame.data.shape)
     noise = _projected_noise(cfg, noise_psd, [np.random.default_rng(seed)])[0]
     estimates, interference = clean + noise, clean - gains * frame.data
@@ -467,8 +456,8 @@ def gain_transfer_agreement(channel, cfg: OFDMConfig) -> float:
     sampled |L|.  Zero for the identity; grows with channel spread as the
     pointwise-multiplication picture degrades.
     """
-    h = as_matrix(channel)
-    gains = _dense_gains(h, cfg)
+    tx, rx = lattice_matrix(cfg.tx_pulse, cfg.grid), lattice_matrix(cfg.rx_pulse, cfg.grid)
+    gains = _dense_gains(as_matrix(channel), cfg, tx, rx)
 
     n = cfg.n_dim
     transfer = tf_transfer(spreading_function(channel)).values

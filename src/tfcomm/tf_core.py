@@ -28,14 +28,11 @@ __all__ = [
     "as_samples",
     "centered_index",
     "tf_shift",
-    "time_shift_op",
-    "modulation_op",
     "tf_shift_op",
     "cross_ambiguity",
     "spreading_function",
     "synthesize_channel",
     "tf_transfer",
-    "transfer_to_spreading",
     "dd_to_tf_grid",
     "tf_to_dd_grid",
     "commutation_defect",
@@ -104,17 +101,6 @@ class DiscreteChannel:
     @property
     def n_dim(self) -> int:
         return self.matrix.shape[0]
-
-    def apply(self, signal) -> np.ndarray:
-        """Propagate a length-N signal through the channel."""
-        x = np.asarray(signal, dtype=complex)
-        if x.shape != (self.n_dim,):
-            raise ValueError(f"signal must have shape ({self.n_dim},), got {x.shape}")
-        return self.matrix @ x
-
-    def compose(self, other) -> "DiscreteChannel":
-        """Concatenation self after other, i.e. the matrix product."""
-        return DiscreteChannel(self.matrix @ as_matrix(other))
 
 
 def as_matrix(channel) -> np.ndarray:
@@ -252,18 +238,11 @@ def _apply_cells(x, delays, dopplers, coeffs) -> np.ndarray:
     return out
 
 
-def time_shift_op(n_dim: int, shift: int) -> DiscreteChannel:
-    """Cyclic delay by ``shift`` samples, the matrix power D^shift."""
-    return tf_shift_op(n_dim, shift, 0)
-
-
-def modulation_op(n_dim: int, shift: int) -> DiscreteChannel:
-    """Modulation M^shift, diagonal with entries exp(-2j*pi*i*shift/N)."""
-    return tf_shift_op(n_dim, 0, shift)
-
-
 def tf_shift_op(n_dim: int, delay: int, doppler: int) -> DiscreteChannel:
-    """The combined shift M^doppler D^delay without forming the product."""
+    """The combined shift M^doppler D^delay without forming the product.
+
+    Delay 0 or Doppler 0 gives the pure modulation M^doppler or delay D^delay.
+    """
     n = _check_dim(n_dim)
     return DiscreteChannel(tf_shift(np.eye(n), int(delay), int(doppler)).T)
 
@@ -361,12 +340,6 @@ def tf_to_dd_grid(grid: np.ndarray) -> np.ndarray:
 def tf_transfer(spreading: SpreadingFunction) -> TransferFunction:
     """Time-frequency transfer function, the 2-D DFT of the spreading grid."""
     return TransferFunction(dd_to_tf_grid(spreading.coeffs))
-
-
-def transfer_to_spreading(transfer: TransferFunction,
-                          zero_threshold: float | None = None) -> SpreadingFunction:
-    """Invert :func:`tf_transfer`."""
-    return SpreadingFunction(tf_to_dd_grid(transfer.values), zero_threshold)
 
 
 def _root_gap(k: int, n: int) -> float:

@@ -114,11 +114,6 @@ class Pulse:
     def n_dim(self) -> int:
         return self.samples.size
 
-    def normalized(self) -> "Pulse":
-        if self.norm == 0.0:
-            raise ValueError("cannot normalize a zero pulse")
-        return Pulse(self.samples / self.norm)
-
 
 @dataclass(frozen=True)
 class FrameReport:
@@ -353,7 +348,10 @@ def read_pulse_csv(path) -> Pulse:
         if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["index", "re", "im"]:
             raise ValueError(f"{Path(path).name}: expected header index,re,im")
         for row in reader:
-            rows[int(row["index"])] = float(row["re"]) + 1j * float(row["im"])
+            idx = int(row["index"])
+            if idx in rows:
+                raise ValueError(f"{Path(path).name}: index {idx} is repeated")
+            rows[idx] = float(row["re"]) + 1j * float(row["im"])
     n = len(rows)
     if n == 0 or sorted(rows) != list(range(n)):
         raise ValueError(f"{Path(path).name}: indices must cover 0..N-1")

@@ -61,7 +61,7 @@ def test_specular_single_path_is_shift_operator():
 
 def test_specular_paths_add_coherently():
     n = 8
-    s = cm.from_specular([cm.SpecularPath(1, -2, 1.0), (1, -2, -1.0 + 0.5j), (0, 0, 2.0)], n)
+    s = cm.from_specular([(1, -2, 1.0), (1, -2, -1.0 + 0.5j), (0, 0, 2.0)], n)
     assert s.coeffs[1, -2 % n] == pytest.approx(0.5j)
     assert s.coeffs[0, 0] == pytest.approx(2.0)
     assert np.count_nonzero(s.coeffs) == 2

@@ -787,6 +787,19 @@ def test_missing_pulse_file_exits_2(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_pulse_file_with_repeated_index_exits_2(tmp_path, capsys):
+    # indices 0, 1, 2, 3, 3 used to run as a length-4 pulse whose last sample was the second 3
+    (tmp_path / "repeat.csv").write_text("index,re,im\n0,1,0\n1,0,0\n2,0,0\n3,0.5,0\n3,2,0\n")
+    path = write_config(tmp_path, "csv.json", dict(FRAME_CFG, n_dim=4, time_step=2, freq_step=2,
+                                                   pulse={"kind": "csv", "path": "repeat.csv"}))
+    out = tmp_path / "out"
+    assert cli.run(["frame-analyze", "--config", str(path), "--out", str(out)]) == \
+        cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "tfcomm: config error: config.pulse: repeat.csv: index 3 is repeated\n"
+    assert list(out.iterdir()) == []
+
+
 DEEP = "[" * 3000 + "]" * 3000  # deeper than json's recursion limit
 
 
@@ -855,6 +868,22 @@ def test_capacity_cell_area_out_of_range_exits_2(tmp_path, capsys, cell):
         == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("tfcomm: config error: config: grid cell area") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # the cell area is not a bandwidth, so a sweep without snr says config, as one with snr does
+    (["delay_cell=1e200", "doppler_cell=1e200"],
+     "config: grid cell area delay_cell * doppler_cell must be positive and finite, got inf"),
+    (["power_budget=1e-300", "bandwidths=[1.0, 1e300]"],
+     "config.bandwidths: snr must be positive and finite, got 0.0"),
+], ids=["cell-area", "grid-snr-underflow"])
+def test_capacity_sweep_without_snr_locates_cells_and_grid(tmp_path, capsys, overrides, message):
+    path = write_config(tmp_path, "sweep.json", {k: v for k, v in SWEEP_CFG.items() if k != "snr"})
+    out = tmp_path / "out"
+    argv = ["capacity", "--config", str(path), "--out", str(out)]
+    assert cli.run(argv + [arg for o in overrides for arg in ("--set", o)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"tfcomm: config error: {message}\n"
     assert list(out.iterdir()) == []
 
 

@@ -375,13 +375,18 @@ def test_transmit_validates():
         ofdm.transmit_through(frame, cfg, np.eye(48, dtype=complex), noise_psd=-1.0)
 
 
-def test_config_caches_lattice_matrices_and_ambiguity():
-    cfg = ofdm.cp_ofdm_config(48, 12, 4)
-    assert cfg.tx_matrix is cfg.tx_matrix
-    assert np.array_equal(cfg.tx_matrix, wh.lattice_matrix(cfg.tx_pulse, cfg.grid))
-    assert np.array_equal(cfg.rx_matrix, wh.lattice_matrix(cfg.rx_pulse, cfg.grid))
-    with pytest.raises(ValueError):
-        cfg.tx_matrix[0, 0] = 0.0
+def test_config_caches_read_only_walnut_pair():
+    cfg = ofdm.cp_ofdm_config(48, 12, 4)  # a = 16, b = 4, M = N/b = 12
+    tx, rx = cfg._walnut_pair
+    assert cfg._walnut_pair is cfg._walnut_pair
+    r, p, n = np.ogrid[:12, :4, :3]
+    index = (r + 12 * p - 16 * n) % 48
+    assert np.array_equal(tx, cfg.tx_pulse.samples[index])
+    assert np.array_equal(rx, cfg.rx_pulse.samples[index].conj().swapaxes(1, 2))
+    for stack in (tx, rx):
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 0.0
 
 
 def test_config_and_interference_power_build_no_lattice_matrix(monkeypatch):
@@ -395,7 +400,6 @@ def test_config_and_interference_power_build_no_lattice_matrix(monkeypatch):
         assert cfg.biorthogonality_defect <= 1e-10
         ofdm.interference_power(profile, cfg)
     assert calls == []
-    assert cfg.tx_matrix is cfg.tx_matrix and len(calls) == 1  # built once, on first use
 
 
 def test_only_the_heatmap_builds_the_full_ambiguity_grid(monkeypatch, tmp_path):

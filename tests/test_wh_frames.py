@@ -77,7 +77,6 @@ def test_grid_validation():
 def test_pulse_norm_and_validation():
     p = wh.Pulse(np.array([3.0, 4.0]))
     assert p.norm == pytest.approx(5.0)
-    assert p.normalized().norm == pytest.approx(1.0)
     with pytest.raises(ValueError):
         wh.Pulse(np.array([np.inf, 0.0]))
     with pytest.raises(ValueError):
@@ -286,6 +285,14 @@ def test_pulse_csv_rejects_bad_header(tmp_path):
         wh.read_pulse_csv(path)
 
 
+def test_pulse_csv_rejects_repeated_index(tmp_path):
+    # five rows over indices 0..3 used to read as a length-4 pulse, the later row 3 winning
+    path = tmp_path / "repeat.csv"
+    path.write_text("index,re,im\r\n0,1,0\r\n1,0,0\r\n2,0,0\r\n3,0.5,0\r\n3,2,0\r\n")
+    with pytest.raises(ValueError, match="repeat.csv: index 3 is repeated"):
+        wh.read_pulse_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # property: dual reconstructs whenever the window makes a frame
 
@@ -422,7 +429,8 @@ def test_wexler_raz_matches_dense_property(lattice, seed, partner, sparse):
     for lat in (grid, grid.adjoint()):
         if lat.time_step * lat.freq_step >= n:
             cfg = ofdm.OFDMConfig(lat, g, gam)
-            gram = cfg.rx_matrix.conj().T @ cfg.tx_matrix
+            tx, rx = wh.lattice_matrix(cfg.tx_pulse, lat), wh.lattice_matrix(cfg.rx_pulse, lat)
+            gram = rx.conj().T @ tx
             dense_cfg = float(np.abs(gram - np.eye(lat.size)).max())
             assert abs(cfg.biorthogonality_defect - dense_cfg) <= 1e-12 * max(1.0, dense_cfg)
 
