@@ -125,8 +125,9 @@ def bandwidth_sweep(profile: ScatteringProfile, power_budget: float, bandwidths,
         raise ValueError("bandwidth grid must be nonempty, positive and finite")
     if np.any(np.diff(w) <= 0):
         raise ValueError("bandwidth grid must be strictly increasing")
-    snrs = power_budget / w
-    # the smallest SNR is the one the query validation can reject
+    with np.errstate(over="ignore"):  # the queries at both extreme SNRs reject inf and 0
+        snrs = power_budget / w
+    CapacityQuery(profile, snrs[0], delay_cell, doppler_cell)
     area = CapacityQuery(profile, snrs[-1], delay_cell, doppler_cell).cell_area
     masses = profile.support_cells[2]
     step = max(1, _SWEEP_BLOCK_CELLS // max(masses.size, 1))

@@ -55,9 +55,8 @@ from .ofdm import OFDMConfig, _check_constellation, cp_ofdm_config, interference
     interference_power, simulate_frames
 from .tf_core import SpreadingFunction, _apply_cells, centered_index, cross_ambiguity, \
     spread_metrics, tf_transfer
-from .wh_frames import NotAFrameError, Pulse, WHGrid, check_wexler_raz, dual_window, \
-    frame_bounds, gaussian_pulse, localization_metrics, read_pulse_csv, rect_pulse, \
-    tight_window, write_pulse_csv
+from .wh_frames import NotAFrameError, Pulse, WHGrid, _frame_analysis, check_wexler_raz, \
+    gaussian_pulse, localization_metrics, read_pulse_csv, rect_pulse, write_pulse_csv
 
 __all__ = [
     "ConfigError",
@@ -408,9 +407,7 @@ def _run_spread_analyze(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
 def _run_frame_analyze(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
     grid = WHGrid(n, spec["time_step"], spec["freq_step"])
     pulse = _build_pulse(spec["pulse"], n, "config.pulse", base_dir, grid)
-    bounds = frame_bounds(pulse, grid)
-    dual = dual_window(pulse, grid)
-    tight = tight_window(pulse, grid)
+    bounds, dual, tight = _frame_analysis(pulse, grid)
     is_dual, biorth_defect = check_wexler_raz(pulse, dual, grid)
     t_spread, f_spread = localization_metrics(pulse)
     write_pulse_csv(out / "dual_window.csv", dual)
@@ -676,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="kind", required=True)
     for kind in KINDS:
-        cmd = sub.add_parser(kind, help=f"run a {kind} experiment")
+        cmd = sub.add_parser(kind, help=f"run the {kind} experiment")
         cmd.add_argument("--config", required=True, help="JSON config path")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--out", default=None,

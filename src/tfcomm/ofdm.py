@@ -52,8 +52,8 @@ import numpy as np
 from .channel_models import ScatteringProfile, _support_draw
 from .tf_core import SpreadingFunction, _ambiguity_rows, _apply_cells, as_matrix, \
     spreading_function, tf_transfer
-from .wh_frames import NotAFrameError, Pulse, WHGrid, _gram_defect, _power_on_blocks, \
-    _walnut_index, _walnut_stack, gaussian_pulse, lattice_matrix, rect_pulse
+from .wh_frames import NotAFrameError, Pulse, WHGrid, _block_power, _gram_defect, \
+    _walnut_blocks, _walnut_index, _walnut_stack, gaussian_pulse, lattice_matrix, rect_pulse
 
 __all__ = [
     "OFDMConfig",
@@ -525,13 +525,13 @@ def interference_descent(profile: ScatteringProfile, grid: WHGrid,
             f"with N = {grid.n_dim}")
     score = _interference_score(profile, grid)  # checks the profile's dimension
     adjoint = grid.adjoint()
-    n_blocks, block_size = adjoint.n_freq, adjoint.freq_step
+    n_blocks = adjoint.n_freq
     period = math.gcd(n_blocks, adjoint.time_step)
     scale = np.sqrt(grid.time_step * grid.freq_step / grid.n_dim)
     window = gaussian_pulse(grid.n_dim, sigma=matched_sigma(profile, grid)).samples.copy()
-    spectrum, values = _power_on_blocks(window, adjoint, -0.5, None, _walnut_index(adjoint),
-                                        np.zeros((n_blocks, block_size)))
-    pulse = scale * values.T.ravel()
+    solved = _walnut_blocks(window, adjoint, _walnut_index(adjoint))
+    spectrum = solved[0]
+    pulse = scale * _block_power(adjoint, solved, spectrum, -0.5).T.ravel()
     best = score(pulse, pulse)
     powers, accepted = [best], 0
     indices = [_walnut_index(adjoint, np.arange(r, n_blocks, period)) for r in range(period)]
@@ -542,16 +542,18 @@ def interference_descent(profile: ScatteringProfile, grid: WHGrid,
             for delta in (step, -step, 1j * step, -1j * step):
                 trial = window.copy()
                 trial[idx] += delta
+                solved = _walnut_blocks(trial, adjoint, index)
+                cand_evals = spectrum.copy()
+                cand_evals[index[:, 0, 0]] = solved[0]
                 try:
-                    cand_spectrum, values = _power_on_blocks(trial, adjoint, -0.5, None,
-                                                             index, spectrum)
+                    values = _block_power(adjoint, solved, cand_evals, -0.5, None, index[:, 0, 0])
                 except NotAFrameError:
                     continue
                 cand = pulse.copy()
                 cand[index[:, :, 0]] = scale * values
                 power = score(cand, cand)
                 if power < best:
-                    window, spectrum, pulse, best = trial, cand_spectrum, cand, power
+                    window, spectrum, pulse, best = trial, cand_evals, cand, power
                     accepted += 1
             powers.append(best)
         if accepted == before_sweep:

@@ -5,18 +5,17 @@ g_{n,k} = M^(-k*b) D^(n*a) g, i.e. g_{n,k}[i] = g[(i - n*a) mod N] *
 exp(2j*pi*k*b*i/N) with a | N and b | N, built by ``tf_core.tf_shift``.
 Summing over the modulations leaves sum_{n,k} g_{n,k} gamma_{n,k}^H nonzero
 only where i = j mod N/b (Walnut's representation): N/b b x b blocks, one
-per residue class of samples.  Bounds, canonical dual and tight windows,
-and the rank-tolerant pseudo-root come from one batched eigensolve of the
-blocks of g with itself (``frame_power``); the dense ``frame_operator`` is
-a reference.  The blocks are gathered through an index that depends only
-on the lattice (``_walnut_index``), built once per call, or once per
-descent for each residue class.  Sample i enters only the blocks
-r = i mod gcd(N/b, a), so a window that differs from a solved one in a
-few samples is re-solved on those blocks alone, with the same algebra
-and the kept spectrum of the rest (``_power_on_blocks``).  The Wexler-Raz
-test reads duality on the lattice off the blocks of g with gamma, and
-biorthogonality on the adjoint lattice (time step N/b, frequency step N/a)
-off the N/b lattice rows of their cross-ambiguity, with no N x N matrix.
+per residue class of samples.  One batched eigensolve of the blocks of g
+with itself (``_walnut_blocks``) factors the frame operator: the bounds, the
+canonical dual and tight windows and the rank-tolerant pseudo-powers are read
+off it (``_block_power``), and frame-analyze solves it once for all three
+(``_frame_analysis``).  The dense ``frame_operator`` is a reference.  Sample
+i enters only the blocks r = i mod gcd(N/b, a), so a window that differs from
+a solved one in a few samples is re-solved on those blocks alone, against the
+kept spectrum of the rest.  The Wexler-Raz test reads duality on the lattice
+off the blocks of g with gamma, and biorthogonality on the adjoint lattice
+(time step N/b, frequency step N/a) off the N/b lattice rows of their
+cross-ambiguity.
 """
 
 from __future__ import annotations
@@ -177,57 +176,57 @@ def _walnut_blocks(pulse, grid: WHGrid, index: np.ndarray):
 FRAME_RANK_RTOL = 1e-10
 
 
-def _power_on_blocks(g: np.ndarray, grid: WHGrid, power: float, rank_rtol: float | None,
-                     index: np.ndarray, evals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S^power g on the Walnut blocks that ``index`` gathers, rank-tested over every block.
+def _block_power(grid: WHGrid, solved, spectrum: np.ndarray, power: float,
+                 rank_rtol: float | None = None, blocks=slice(None)) -> np.ndarray:
+    """S^power g on the Walnut blocks ``blocks`` that ``_walnut_blocks`` solved.
 
-    ``evals`` (N/b, b) is the clipped spectrum of all blocks.  The blocks
-    of ``index = _walnut_index(grid, blocks)``, built once per call or per
-    descent, are solved from g and replace their rows of a copy; the others
-    are kept, which is exact when g differs from the window they came from
-    only on samples of those blocks.  The frame test and the rank threshold
-    read the largest eigenvalue over all blocks, as for the whole operator.
-    Returns (spectrum, values) with values[j, p] the sample r + p*N/b of
-    S^power g for the j-th block r.
+    ``solved`` is its (evals, evecs, g_blocks).  The frame test and the rank
+    threshold read the largest eigenvalue of ``spectrum``, the (N/b, b)
+    spectrum of all blocks with the solved rows at ``blocks``.  Returns
+    values[j, p], the sample r + p*N/b of S^power g for the j-th block r.
     """
-    block_evals, evecs, g_blocks = _walnut_blocks(g, grid, index)
-    blocks = index[:, 0, 0]
-    evals = evals.copy()
-    evals[blocks] = block_evals
-    top = evals.max()
-    keep = evals > (FRAME_RANK_RTOL if rank_rtol is None else rank_rtol) * top
+    block_evals, evecs, g_blocks = solved
+    top = spectrum.max()
+    keep = spectrum > (FRAME_RANK_RTOL if rank_rtol is None else rank_rtol) * top
     if rank_rtol is None and not keep.all():
         raise NotAFrameError(
             f"window does not generate a frame on {grid}: "
-            f"extreme eigenvalues ({evals.min():.3e}, {top:.3e})")
+            f"extreme eigenvalues ({spectrum.min():.3e}, {top:.3e})")
     scale = np.power(block_evals, power, out=np.zeros_like(block_evals), where=keep[blocks])
     coef = np.einsum("rpq,rp->rq", evecs.conj(), g_blocks) * scale
-    return evals, np.einsum("rpq,rq->rp", evecs, coef)
+    return np.einsum("rpq,rq->rp", evecs, coef)
+
+
+def _frame_report(evals: np.ndarray) -> FrameReport:
+    """``frame_bounds`` read off the clipped Walnut spectrum ``evals``."""
+    lower, upper = float(evals.min()), float(evals.max())
+    is_frame = upper > 0.0 and lower > FRAME_RANK_RTOL * upper
+    is_tight = is_frame and (upper / lower - 1.0) <= 1e-9
+    condition = upper / lower if is_frame else float("inf")
+    return FrameReport(lower, upper, is_frame, is_tight, condition)
+
+
+def _frame_analysis(pulse, grid: WHGrid) -> tuple[FrameReport, Pulse, Pulse]:
+    """(``frame_bounds``, ``dual_window``, ``tight_window``) from one eigensolve."""
+    solved = _walnut_blocks(pulse, grid, _walnut_index(grid))
+    dual, tight = (Pulse(_block_power(grid, solved, solved[0], p).T.ravel()) for p in (-1.0, -0.5))
+    return _frame_report(solved[0]), dual, tight
 
 
 def frame_power(pulse, grid: WHGrid, power: float, rank_rtol: float | None = None) -> Pulse:
     """S^power g, with S the frame operator of g on the lattice.
 
     With ``rank_rtol`` None the window must generate a frame, else
-    NotAFrameError.  With ``rank_rtol`` set, eigenvalues at or below
-    rank_rtol times the largest eigenvalue of S are dropped, which gives the
-    pseudo-power on the range of S (the critically dense case a*b = N).
+    NotAFrameError.  With it set, eigenvalues at or below rank_rtol times the
+    largest are dropped: the pseudo-power on the range of S (as at a*b = N).
     """
-    spectrum = np.zeros((grid.n_freq, grid.freq_step))
-    _, values = _power_on_blocks(as_samples(pulse), grid, power, rank_rtol, _walnut_index(grid),
-                                 spectrum)
-    return Pulse(values.T.ravel())
+    solved = _walnut_blocks(pulse, grid, _walnut_index(grid))
+    return Pulse(_block_power(grid, solved, solved[0], power, rank_rtol).T.ravel())
 
 
 def frame_bounds(pulse, grid: WHGrid) -> FrameReport:
     """Extreme eigenvalues of the frame operator over all Walnut blocks; tight to 1e-9."""
-    evals, _, _ = _walnut_blocks(pulse, grid, _walnut_index(grid))
-    lower = float(evals.min())
-    upper = float(evals.max())
-    is_frame = upper > 0.0 and lower > FRAME_RANK_RTOL * upper
-    is_tight = is_frame and (upper / lower - 1.0) <= 1e-9
-    condition = upper / lower if is_frame else float("inf")
-    return FrameReport(lower, upper, is_frame, is_tight, condition)
+    return _frame_report(_walnut_blocks(pulse, grid, _walnut_index(grid))[0])
 
 
 def dual_window(pulse, grid: WHGrid) -> Pulse:

@@ -153,6 +153,8 @@ def test_sweep_validation():
         cap.bandwidth_sweep(p, power_budget=1.0, bandwidths=[-1.0, 1.0])
     with pytest.raises(ValueError):
         cap.bandwidth_sweep(p, power_budget=1.0, bandwidths=[])
+    with pytest.raises(ValueError, match="snr must be positive and finite, got inf"):
+        cap.bandwidth_sweep(p, power_budget=1e10, bandwidths=[1e-300, 1.0])
 
 
 # ---------------------------------------------------------------------------

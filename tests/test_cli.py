@@ -859,6 +859,20 @@ def test_no_shipped_config_builds_a_lattice_matrix(monkeypatch, tmp_path):
     assert calls == []
 
 
+def test_frame_analyze_runs_one_eigensolve(monkeypatch, tmp_path):
+    # bounds, dual and tight window are read off one batched eigh of the Walnut blocks
+    calls = []
+    solve = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    cli.run_experiment("frame-analyze", FRAME_CFG, tmp_path)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("cell", ["1e200", "1e-200"])
 def test_capacity_cell_area_out_of_range_exits_2(tmp_path, capsys, cell):
     # each cell size is in range, but their product overflows to inf or underflows to 0
@@ -877,7 +891,9 @@ def test_capacity_cell_area_out_of_range_exits_2(tmp_path, capsys, cell):
      "config: grid cell area delay_cell * doppler_cell must be positive and finite, got inf"),
     (["power_budget=1e-300", "bandwidths=[1.0, 1e300]"],
      "config.bandwidths: snr must be positive and finite, got 0.0"),
-], ids=["cell-area", "grid-snr-underflow"])
+    (["power_budget=1e10", "bandwidths=[1e-300, 1.0]"],
+     "config.bandwidths: snr must be positive and finite, got inf"),
+], ids=["cell-area", "grid-snr-underflow", "grid-snr-overflow"])
 def test_capacity_sweep_without_snr_locates_cells_and_grid(tmp_path, capsys, overrides, message):
     path = write_config(tmp_path, "sweep.json", {k: v for k, v in SWEEP_CFG.items() if k != "snr"})
     out = tmp_path / "out"
@@ -893,6 +909,11 @@ def test_cli_numerical_failures_exit_3(tmp_path, capsys):
         "pulse": {"kind": "gaussian"}})
     assert cli.run(["frame-analyze", "--config", str(sparse),
                     "--out", str(tmp_path / "f")]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "tfcomm: numerical failure: window does not generate a frame on "
+        "WHGrid(n_dim=24, time_step=6, freq_step=6): extreme eigenvalues (")
+    assert err.count("\n") == 1 and err.endswith("\n")
     overspread = write_config(tmp_path, "over.json", {
         "kind": "identify", "n_dim": 32, "period": 4,
         "support": {"n_delay": 5, "n_doppler": 8}})

@@ -101,9 +101,9 @@ def per_trial_descent(profile, grid, n_sweeps, step):
     period = math.gcd(n_blocks, adjoint.time_step)
     scale = np.sqrt(grid.time_step * grid.freq_step / grid.n_dim)
     window = wh.gaussian_pulse(grid.n_dim, sigma=ofdm.matched_sigma(profile, grid)).samples.copy()
-    spectrum, values = wh._power_on_blocks(window, adjoint, -0.5, None, wh._walnut_index(adjoint),
-                                           np.zeros((n_blocks, block_size)))
-    pulse = scale * values.T.ravel()
+    solved = wh._walnut_blocks(window, adjoint, wh._walnut_index(adjoint))
+    spectrum = solved[0]
+    pulse = scale * wh._block_power(adjoint, solved, spectrum, -0.5).T.ravel()
     score = rows_scorer(profile, grid)
     best = score(pulse, pulse)
     powers, accepted = [best], 0
@@ -115,9 +115,11 @@ def per_trial_descent(profile, grid, n_sweeps, step):
             for delta in (step, -step, 1j * step, -1j * step):
                 trial = window.copy()
                 trial[idx] += delta
+                solved = wh._walnut_blocks(trial, adjoint, wh._walnut_index(adjoint, blocks))
+                cand_spectrum = spectrum.copy()
+                cand_spectrum[blocks] = solved[0]
                 try:
-                    cand_spectrum, values = wh._power_on_blocks(
-                        trial, adjoint, -0.5, None, wh._walnut_index(adjoint, blocks), spectrum)
+                    values = wh._block_power(adjoint, solved, cand_spectrum, -0.5, None, blocks)
                 except wh.NotAFrameError:
                     continue
                 cand = pulse.copy()

@@ -385,13 +385,21 @@ def test_blocked_engine_matches_dense_property(lattice, seed, sparse):
         _, dual = dense_frame_power(g, grid, -1.0)
     except wh.NotAFrameError:
         assert not report.is_frame
-        for window in (wh.dual_window, wh.tight_window):
-            with pytest.raises(wh.NotAFrameError):
+        messages = set()
+        for window in (wh.dual_window, wh.tight_window, wh._frame_analysis):
+            with pytest.raises(wh.NotAFrameError) as raised:
                 window(g, grid)
+            messages.add(str(raised.value))
+        assert len(messages) == 1
         return
     assert report.is_frame
     assert_close(wh.dual_window(g, grid), dual, evals[0], -1.0)
     assert_close(wh.tight_window(g, grid), dense_frame_power(g, grid, -0.5)[1], evals[0], -0.5)
+    # the one-eigensolve entry of frame-analyze returns exactly the public results
+    bounds, one_dual, one_tight = wh._frame_analysis(g, grid)
+    assert bounds == report
+    assert np.array_equal(one_dual.samples, wh.dual_window(g, grid).samples)
+    assert np.array_equal(one_tight.samples, wh.tight_window(g, grid).samples)
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +482,10 @@ def test_block_local_tight_window_property(lattice, seed, perturb):
         full = wh.tight_window(trial, grid).samples
     except wh.NotAFrameError:
         full = None
+    solved = wh._walnut_blocks(trial, grid, wh._walnut_index(grid, blocks))
+    spectrum[blocks] = solved[0]
     try:
-        _, values = wh._power_on_blocks(trial, grid, -0.5, None,
-                                        wh._walnut_index(grid, blocks), spectrum)
+        values = wh._block_power(grid, solved, spectrum, -0.5, None, blocks)
     except wh.NotAFrameError:
         values = None
     assert (full is None) == (values is None)
