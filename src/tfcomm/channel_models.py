@@ -8,9 +8,10 @@ cell of the scattering-profile support gets an independent zero-mean complex
 Gaussian coefficient whose variance is read off the profile, which makes the
 wide-sense stationarity of the induced time-frequency transfer exact rather
 than asymptotic.  Cells outside the support carry no mass and draw nothing,
-so a draw costs O(K) normals for K support cells, not O(N^2).  Second-order
-statistics live in the scattering profile and its 2-D Fourier dual, the
-time-frequency correlation grid.
+so a draw costs O(K) normals for K support cells, not O(N^2).  A scattering
+profile is its K support cells (delay, Doppler, mass C > 0); the presets
+emit cells, never an N x N grid.  Its 2-D Fourier dual is the
+time-frequency correlation grid of the second-order statistics.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .tf_core import SpreadingFunction, _centered_range, centered_index, dd_to_tf_grid, \
-    tf_to_dd_grid
+from .tf_core import SpreadingFunction, _centered_range, _check_dim, centered_index, \
+    dd_to_tf_grid, tf_to_dd_grid
 
 __all__ = [
     "ScatteringProfile",
@@ -41,6 +42,9 @@ __all__ = [
 ]
 
 
+_DUAL_ATOL = 1e-10  # per-cell rounding slack when inverting a valid dual
+
+
 def _check_on_grid(value, name: str, n_dim: int) -> int:
     if int(value) != value:
         raise ValueError(f"{name} must be an on-grid integer, got {value!r}")
@@ -50,49 +54,58 @@ def _check_on_grid(value, name: str, n_dim: int) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScatteringProfile:
-    """Nonnegative second-moment grid C[m, l] of a WSSUS channel.
+    """Second moments C > 0 of a WSSUS channel, stored as its K support cells.
 
-    The grid is a read-only copy, so the cached support cannot go stale.
+    ``support_cells`` is (delays, Dopplers, C), row-major and read-only.
+    ``ScatteringProfile(n_dim, grid)`` keeps the nonzero cells of a dense grid.
     """
 
     n_dim: int
-    intensities: np.ndarray
+    support_cells: tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    def __post_init__(self):
-        c = np.array(self.intensities, dtype=float)
-        n = int(self.n_dim)
-        if n < 1:
-            raise ValueError("dimension must be positive")
+    def __init__(self, n_dim: int, intensities):
+        n = _check_dim(n_dim)
+        c = np.asarray(intensities, dtype=float)
         if c.shape != (n, n):
             raise ValueError(f"intensity grid must be {n}x{n}, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
+        rows, cols = np.nonzero(c)
+        self.__dict__.update(vars(self._from_cells(n, rows, cols, c[rows, cols])))
+
+    @classmethod
+    def _from_cells(cls, n_dim: int, delays, dopplers, masses) -> "ScatteringProfile":
+        """Validate the masses, add repeated cells in order, drop zeros, sort row-major."""
+        n, masses = _check_dim(n_dim), np.asarray(masses, dtype=float)
+        if not np.all(np.isfinite(masses)):
             raise ValueError("intensity grid contains non-finite entries")
-        if c.min(initial=0.0) < 0:
+        if masses.min(initial=0.0) < 0:
             raise ValueError("intensities must be nonnegative")
-        c.flags.writeable = False
-        object.__setattr__(self, "n_dim", n)
-        object.__setattr__(self, "intensities", c)
+        keys = np.asarray(delays, dtype=int) * n + np.asarray(dopplers, dtype=int)
+        keys, cell_of_entry = np.unique(keys, return_inverse=True)
+        summed = np.bincount(cell_of_entry, weights=masses)  # adds in entry order
+        keys, summed = keys[summed > 0], summed[summed > 0]
+        profile = object.__new__(cls)
+        profile.__dict__.update(n_dim=n, support_cells=(keys // n, keys % n, summed))
+        for array in profile.support_cells:
+            array.flags.writeable = False
+        return profile
 
     @cached_property
-    def support_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(delays, Dopplers, C) of the K cells carrying mass, row-major."""
-        rows, cols = np.nonzero(self.intensities)
-        return rows, cols, self.intensities[rows, cols]
+    def intensities(self) -> np.ndarray:
+        """The dense N x N grid, built on first read; read-only."""
+        grid = np.zeros((self.n_dim, self.n_dim))
+        grid[self.support_cells[:2]] = self.support_cells[2]
+        grid.flags.writeable = False
+        return grid
 
     @property
     def total_gain(self) -> float:
-        return float(self.intensities.sum())
+        return float(self.support_cells[2].sum())
 
     @property
     def support_count(self) -> int:
-        return int(self.support_cells[0].size)
-
-    @property
-    def normalized_spread(self) -> float:
-        """Support cells per dimension; the discrete underspread measure."""
-        return self.support_count / self.n_dim
+        return int(self.support_cells[2].size)
 
     def support_extents(self) -> tuple[int, int]:
         """Largest |centered delay| and |centered Doppler| carrying mass."""
@@ -104,7 +117,8 @@ class ScatteringProfile:
         current = self.total_gain
         if current == 0.0:
             raise ValueError("cannot rescale an all-zero profile")
-        return ScatteringProfile(self.n_dim, self.intensities * (total_gain / current))
+        rows, cols, masses = self.support_cells
+        return self._from_cells(self.n_dim, rows, cols, masses * (total_gain / current))
 
 
 @dataclass(frozen=True)
@@ -226,10 +240,10 @@ def tf_correlation(profile: ScatteringProfile) -> TFCorrelation:
     return TFCorrelation(profile.n_dim, dd_to_tf_grid(profile.intensities.astype(complex)))
 
 
-def scattering_from_correlation(corr: TFCorrelation, atol: float = 1e-10) -> ScatteringProfile:
+def scattering_from_correlation(corr: TFCorrelation) -> ScatteringProfile:
     """Invert :func:`tf_correlation`; rejects grids that are not valid duals."""
     c = tf_to_dd_grid(corr.values)
-    if np.abs(c.imag).max(initial=0.0) > atol or c.real.min(initial=0.0) < -atol:
+    if np.abs(c.imag).max(initial=0.0) > _DUAL_ATOL or c.real.min(initial=0.0) < -_DUAL_ATOL:
         raise ValueError("correlation grid is not the dual of a nonnegative profile")
     return ScatteringProfile(corr.n_dim, np.maximum(c.real, 0.0))
 
@@ -252,11 +266,11 @@ def jakes_doppler_masses(max_doppler: int) -> np.ndarray:
 
 def _place_centered(n_dim: int, delays, delay_weights, dopplers, doppler_weights,
                     total_gain: float) -> ScatteringProfile:
-    grid = np.zeros((n_dim, n_dim))
     rows = np.array([_check_on_grid(m, "delay", n_dim) % n_dim for m in delays], dtype=int)
     cols = np.array([_check_on_grid(l, "doppler", n_dim) % n_dim for l in dopplers], dtype=int)
-    grid[np.ix_(rows, cols)] = np.outer(delay_weights, doppler_weights)
-    return ScatteringProfile(n_dim, grid).scaled(total_gain)
+    return ScatteringProfile._from_cells(
+        n_dim, np.repeat(rows, cols.size), np.tile(cols, rows.size),
+        np.outer(delay_weights, doppler_weights).ravel()).scaled(total_gain)
 
 
 def flat_rect_profile(n_dim: int, max_delay: int, max_doppler: int,
@@ -313,7 +327,7 @@ def drm_like_profile(n_dim: int, tap_delays=(0, 1, 2, 3), tap_gains=DRM_TAP_GAIN
                                                             doppler_halfwidths))
     if not len(tap_delays) == len(tap_gains) == len(doppler_halfwidths):
         raise ValueError("tap parameter tuples must have equal lengths")
-    grid = np.zeros((n_dim, n_dim))
+    cells = []  # (delay, Doppler, mass) rows, repeated taps added in order
     for delay, gain, halfwidth in zip(tap_delays, tap_gains, doppler_halfwidths):
         if gain < 0:
             raise ValueError("tap gains must be nonnegative")
@@ -321,8 +335,8 @@ def drm_like_profile(n_dim: int, tap_delays=(0, 1, 2, 3), tap_gains=DRM_TAP_GAIN
         halfwidth = _check_on_grid(halfwidth, "doppler_halfwidths", n_dim)
         masses = gain * jakes_doppler_masses(halfwidth)
         for offset, mass in zip(range(-halfwidth, halfwidth + 1), masses):
-            grid[row, _check_on_grid(offset, "doppler", n_dim) % n_dim] += mass
-    return ScatteringProfile(n_dim, grid).scaled(total_gain)
+            cells.append((row, _check_on_grid(offset, "doppler", n_dim) % n_dim, mass))
+    return ScatteringProfile._from_cells(n_dim, *np.reshape(cells, (-1, 3)).T).scaled(total_gain)
 
 
 _PRESETS = {

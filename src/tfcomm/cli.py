@@ -393,8 +393,7 @@ def _run_spread_analyze(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
         spreading = wssus_sample(spreading, [spec["seed"], 0])
     metrics = spread_metrics(spreading, spec["sample_rate"])
     transfer = tf_transfer(spreading)
-    m_raw, l_raw = spreading.support_indices().T
-    vals = spreading.coeffs[m_raw, l_raw]
+    m_raw, l_raw, vals = spreading.support_cells
     _write_csv(out / "spreading.csv", ["m", "l", "re", "im"],
                [centered_index(m_raw, n), centered_index(l_raw, n), vals.real, vals.imag])
     emit_plotdata("spreading-heatmap", spreading.coeffs, out / "spreading_db.csv")

@@ -351,7 +351,7 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
 
     ``channel`` is a ScatteringProfile, drawn afresh for each frame exactly
     as ``wssus_sample`` draws it, or a SpreadingFunction used for every
-    frame on its nonzero cells.  Frame idx draws everything from the one
+    frame on its ``support_cells``.  Frame idx draws everything from the one
     generator ``default_rng([seed, idx])``, in this order: the channel (2K
     normals, profiles only), the symbols as ``random_symbols`` draws them,
     then the noise (only when noise_psd > 0).  So a frame depends on
@@ -374,8 +374,7 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
         delays, dopplers, masses = channel.support_cells
         amplitudes, fixed = np.sqrt(masses), None
     elif isinstance(channel, SpreadingFunction):
-        delays, dopplers = np.nonzero(channel.coeffs)
-        fixed = channel.coeffs[delays, dopplers]
+        delays, dopplers, fixed = channel.support_cells
     else:
         raise TypeError("channel must be a ScatteringProfile or a SpreadingFunction")
     if channel.n_dim != n:

@@ -114,13 +114,12 @@ def as_matrix(channel) -> np.ndarray:
 class SpreadingFunction:
     """Delay-Doppler coefficients S[m, l] of a channel.
 
-    coeffs[m, l] is the coefficient of M^l D^m; the support is the set of
-    cells whose magnitude exceeds ``zero_threshold``.  When the threshold is
-    not given it defaults to SUPPORT_RTOL times the largest magnitude.
+    coeffs[m, l] is the coefficient of M^l D^m.  Every reader of the channel
+    support (Monte Carlo frames, spread metrics and the spreading CSV) reads
+    ``support_cells``: the cells with |S| > SUPPORT_RTOL * max |S|.
     """
 
     coeffs: np.ndarray
-    zero_threshold: float | None = None
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -128,32 +127,22 @@ class SpreadingFunction:
             raise ValueError(f"coefficient grid must be square, got shape {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficient grid contains non-finite entries")
-        thr = self.zero_threshold
-        if thr is None:
-            thr = SUPPORT_RTOL * float(np.abs(c).max(initial=0.0))
-        if thr < 0:
-            raise ValueError("zero_threshold must be nonnegative")
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "zero_threshold", float(thr))
 
     @property
     def n_dim(self) -> int:
         return self.coeffs.shape[0]
 
     @property
-    def support_mask(self) -> np.ndarray:
-        return np.abs(self.coeffs) > self.zero_threshold
+    def support_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(delays, Dopplers, S) of the K support cells, row-major."""
+        magnitude = np.abs(self.coeffs)
+        rows, cols = np.nonzero(magnitude > SUPPORT_RTOL * float(magnitude.max(initial=0.0)))
+        return rows, cols, self.coeffs[rows, cols]
 
     @property
     def support_count(self) -> int:
-        return int(self.support_mask.sum())
-
-    def support_indices(self, centered: bool = False) -> np.ndarray:
-        """(K, 2) array of (delay, Doppler) indices on the support."""
-        idx = np.argwhere(self.support_mask)
-        if centered and idx.size:
-            idx = centered_index(idx, self.n_dim)
-        return idx
+        return int(self.support_cells[0].size)
 
 
 @dataclass(frozen=True)
@@ -281,8 +270,7 @@ def _delay_diagonals(mat: np.ndarray) -> np.ndarray:
     return mat[i[None, :], (i[None, :] - i[:, None]) % n]
 
 
-def spreading_function(channel, zero_threshold: float | None = None,
-                       method: str = "fast") -> SpreadingFunction:
+def spreading_function(channel, method: str = "fast") -> SpreadingFunction:
     """Expand a channel in the delay-Doppler basis.
 
     S[m, l] = <H, M^l D^m> / N.  The fast path reads one cyclic diagonal per
@@ -302,7 +290,7 @@ def spreading_function(channel, zero_threshold: float | None = None,
                 coeffs[m, l] = np.vdot(basis, mat) / n
     else:
         raise ValueError(f"unknown method {method!r}, expected 'fast' or 'naive'")
-    return SpreadingFunction(coeffs, zero_threshold)
+    return SpreadingFunction(coeffs)
 
 
 def synthesize_channel(spreading: SpreadingFunction) -> DiscreteChannel:
@@ -368,7 +356,7 @@ def commutation_defect(n_dim: int, delay: int, doppler: int,
     return defect, bound
 
 
-def spreading_of_product(channel_a, channel_b, zero_threshold: float | None = None
+def spreading_of_product(channel_a, channel_b
                          ) -> tuple[SpreadingFunction, SpreadingFunction, float]:
     """Exact and convolution-approximated spreading of a channel product.
 
@@ -377,14 +365,13 @@ def spreading_of_product(channel_a, channel_b, zero_threshold: float | None = No
     size at most 2*pi*|m*l|/N; dropping those phases gives the plain cyclic
     convolution.  Returns (exact, approximate, relative Frobenius error).
     """
-    sa = spreading_function(channel_a, zero_threshold)
-    sb = spreading_function(channel_b, zero_threshold)
+    sa = spreading_function(channel_a)
+    sb = spreading_function(channel_b)
     if sa.n_dim != sb.n_dim:
         raise ValueError("channel dimensions do not match")
-    exact = spreading_function(
-        DiscreteChannel(as_matrix(channel_a) @ as_matrix(channel_b)), zero_threshold)
+    exact = spreading_function(DiscreteChannel(as_matrix(channel_a) @ as_matrix(channel_b)))
     conv = np.fft.ifft2(np.fft.fft2(sa.coeffs) * np.fft.fft2(sb.coeffs))
-    approx = SpreadingFunction(conv, zero_threshold)
+    approx = SpreadingFunction(conv)
     denom = float(np.linalg.norm(exact.coeffs))
     diff = float(np.linalg.norm(exact.coeffs - conv))
     error = 0.0 if denom == 0.0 and diff == 0.0 else diff / denom
@@ -438,10 +425,10 @@ def spread_metrics(spreading: SpreadingFunction,
         raise ValueError("sample_rate must be positive")
     fs = 1.0 if sample_rate is None else float(sample_rate)
     n = spreading.n_dim
-    idx = spreading.support_indices(centered=True)
-    count = idx.shape[0]
-    tau_max = int(np.abs(idx[:, 0]).max(initial=0)) / fs
-    nu_max = int(np.abs(idx[:, 1]).max(initial=0)) * fs / n
+    rows, cols, _ = spreading.support_cells
+    count = rows.size
+    tau_max = int(np.abs(centered_index(rows, n)).max(initial=0)) / fs
+    nu_max = int(np.abs(centered_index(cols, n)).max(initial=0)) * fs / n
     return SpreadMetrics(
         support_count=count,
         normalized_spread=count / n,

@@ -1,10 +1,14 @@
 """Channel constructions: deterministic builders, WSSUS statistics, profiles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import tfcomm.channel_models as cm
+from tfcomm.capacity import CapacityQuery, capacity_low_snr
+from tfcomm.ofdm import cp_ofdm_config, interference_power
 from tfcomm.tf_core import dd_to_tf_grid, synthesize_channel, tf_shift_op, tf_transfer
 
 
@@ -20,7 +24,7 @@ def test_profile_properties():
     p = cm.ScatteringProfile(8, grid)
     assert p.total_gain == pytest.approx(3.5)
     assert p.support_count == 3
-    assert p.normalized_spread == pytest.approx(3 / 8)
+    assert p.support_count / p.n_dim == pytest.approx(3 / 8)
     assert p.support_extents() == (2, 2)
     assert p.scaled(7.0).total_gain == pytest.approx(7.0)
 
@@ -307,6 +311,66 @@ def test_preset_dispatch():
         cm.preset_profile("rayleigh", 16)
     with pytest.raises(TypeError):
         cm.preset_profile("flat_rect", 16, max_delay=1, max_doppler=1, bogus=2)
+
+
+# ---------------------------------------------------------------------------
+# a profile is its support cells
+
+
+def test_flat_profile_allocates_only_its_cells():
+    # the dense 1024 x 1024 grid alone would take 8 MiB
+    tracemalloc.start()
+    try:
+        cm.flat_rect_profile(1024, 1, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+
+
+def test_profile_adds_repeated_cells_and_drops_zeros():
+    p = cm.drm_like_profile(16, tap_delays=(-1, 0, -1), tap_gains=(1.0, 0.0, 3.0),
+                            doppler_halfwidths=(0, 2, 0), total_gain=2.0)
+    rows, cols, masses = p.support_cells
+    assert rows.tolist() == [15] and cols.tolist() == [0] and masses.tolist() == [2.0]
+    assert not any(array.flags.writeable for array in p.support_cells)
+
+
+@st.composite
+def preset_profiles(draw):
+    """Presets on small grids; drm-like taps repeat delays and wrap negative ones."""
+    n = draw(st.sampled_from([8, 12, 16, 24]))
+    lo, hi = -((n - 1) // 2), n // 2
+    gain = draw(st.floats(min_value=0.1, max_value=10.0))
+    kind = draw(st.sampled_from(["flat_rect", "exponential_jakes", "drm_like"]))
+    if kind == "flat_rect":
+        min_delay, min_doppler = draw(st.integers(lo, hi)), draw(st.integers(lo, hi))
+        return cm.flat_rect_profile(n, draw(st.integers(min_delay, hi)),
+                                    draw(st.integers(min_doppler, hi)),
+                                    min_delay, min_doppler, total_gain=gain)
+    if kind == "exponential_jakes":
+        return cm.exponential_jakes_profile(n, draw(st.floats(0.2, 5.0)), draw(st.integers(0, -lo)),
+                                            max_delay=draw(st.integers(0, hi)), total_gain=gain)
+    taps = draw(st.lists(st.tuples(st.one_of(st.sampled_from([-1, 0]), st.integers(lo, hi)),
+                                   st.one_of(st.just(0.0), st.floats(0.1, 2.0)),
+                                   st.integers(0, -lo)), min_size=1, max_size=6))
+    assume(any(tap_gain > 0 for _, tap_gain, _ in taps))
+    return cm.drm_like_profile(n, *zip(*taps), total_gain=gain)
+
+
+@settings(max_examples=80, deadline=None)
+@given(preset_profiles(), st.floats(min_value=0.01, max_value=100.0))
+def test_cell_built_profile_equals_its_dense_grid_property(p, gain):
+    dense = cm.ScatteringProfile(p.n_dim, p.intensities)
+    for built, read in zip(p.support_cells, dense.support_cells):
+        assert np.array_equal(built, read)
+    assert dense.total_gain == pytest.approx(p.total_gain, rel=1e-12)
+    assert np.allclose(dense.scaled(gain).support_cells[2], p.scaled(gain).support_cells[2],
+                       rtol=1e-12, atol=0.0)
+    assert capacity_low_snr(CapacityQuery(dense, 3.0)) == pytest.approx(
+        capacity_low_snr(CapacityQuery(p, 3.0)), rel=1e-12)
+    cfg = cp_ofdm_config(p.n_dim, 4, 0)
+    assert interference_power(dense, cfg) == pytest.approx(interference_power(p, cfg), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,20 @@ def test_simulate_frames_forms_no_lattice_sized_array():
     assert peak < 8 * 1024 * 1024
 
 
+def test_fixed_channel_support_is_the_spread_metrics_support(monkeypatch):
+    """simulate_frames reads the cells spread_metrics counts: |S| > SUPPORT_RTOL * max |S|."""
+    cfg = ofdm.cp_ofdm_config(48, 12, 4)
+    paths = [(0, 0, 1.0), (2, 1, 0.5j)]
+    channel = cm.from_specular(paths + [(-1, 3, 1e-14)], 48)
+    read, gain_table = [], ofdm._gain_table
+    monkeypatch.setattr(ofdm, "_gain_table", lambda cfg, delays, dopplers: (
+        read.append(delays.size), gain_table(cfg, delays, dopplers))[1])
+    energies = ofdm.simulate_frames(cfg, channel, 3, 5, 0.01)
+    zeroed = cm.from_specular(paths, 48)
+    assert np.array_equal(energies, ofdm.simulate_frames(cfg, zeroed, 3, 5, 0.01))
+    assert read == [2, 2] == [tf_core.spread_metrics(channel).support_count] * 2
+
+
 def test_round_trip_through_identity():
     cfg = ofdm.cp_ofdm_config(48, 12, 4)
     frame = ofdm.random_symbols(cfg, 2)

@@ -17,7 +17,7 @@ def test_module_exports_resolve_at_top_level():
     assert sorted(tfcomm.__all__) == sorted(["__version__", *names])
 
 
-SRC_LINE_BUDGET = 2900
+SRC_LINE_BUDGET = 2850
 
 
 def test_source_stays_within_line_budget():
