@@ -85,7 +85,7 @@ def capacity_low_snr(query: CapacityQuery) -> tuple[float, float]:
     return float(sweep.capacities[0]), float(sweep.penalties[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandwidthSweepResult:
     """Rate-versus-bandwidth curve at a fixed receive power budget."""
 

@@ -54,7 +54,7 @@ def _check_on_grid(value, name: str, n_dim: int) -> int:
     return int(value)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ScatteringProfile:
     """Second moments C > 0 of a WSSUS channel, stored as its K support cells.
 
@@ -121,7 +121,7 @@ class ScatteringProfile:
         return self._from_cells(self.n_dim, rows, cols, masses * (total_gain / current))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TFCorrelation:
     """Correlation grid R[dn, dk] of the transfer values of a WSSUS channel."""
 
@@ -202,16 +202,16 @@ def oscillator_impairment(freq_offset: int, timing_offset: int,
     return SpreadingFunction(coeffs)
 
 
-def _support_draw(amplitudes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _support_draw(amplitudes: np.ndarray, rng: np.random.Generator, lead=()) -> np.ndarray:
     """CN(0, C) coefficients on K support cells, given their ``amplitudes`` sqrt(C).
 
-    Consumes exactly 2K standard normals in one call: K real parts, then K
-    imaginary parts.  Callers take the square roots once per profile, not
-    once per draw.
+    Draws ``lead`` + (2K,) standard normals in one call (per draw K real,
+    then K imaginary parts), as that many one-draw calls would.  Callers
+    take the square roots once per profile, not once per draw.
     """
     k = amplitudes.size
-    normals = rng.standard_normal(2 * k)
-    return amplitudes * (normals[:k] + 1j * normals[k:]) / np.sqrt(2.0)
+    normals = rng.standard_normal((*lead, 2 * k))
+    return amplitudes * (normals[..., :k] + 1j * normals[..., k:]) / np.sqrt(2.0)
 
 
 def wssus_sample(profile: ScatteringProfile, seed) -> SpreadingFunction:

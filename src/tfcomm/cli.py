@@ -53,7 +53,7 @@ from .identification import IdentifiabilityError, _canonical_support, \
     centered_rect_support, dirac_train, identify, offgrid_ambiguity, refuse_overspread
 from .ofdm import OFDMConfig, _check_constellation, cp_ofdm_config, interference_descent, \
     interference_power, simulate_frames
-from .tf_core import SpreadingFunction, _apply_cells, centered_index, cross_ambiguity, \
+from .tf_core import SpreadingFunction, _cell_filter, centered_index, cross_ambiguity, \
     spread_metrics, tf_transfer
 from .wh_frames import NotAFrameError, Pulse, WHGrid, _frame_analysis, check_wexler_raz, \
     gaussian_pulse, localization_metrics, read_pulse_csv, rect_pulse, write_pulse_csv
@@ -487,7 +487,7 @@ def _run_identify(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
     rng = np.random.default_rng([spec["seed"], 0])
     truth = (rng.standard_normal(len(support))
              + 1j * rng.standard_normal(len(support))) / np.sqrt(2.0)
-    observation = _apply_cells(probe, *np.array(support).T, truth)  # X truth, X never formed
+    observation = _cell_filter(*np.array(support).T, n)(probe, truth)  # X truth, X never formed
     if spec["noise_psd"] > 0.0:
         noise_rng = np.random.default_rng([spec["seed"], 1])
         observation = observation + np.sqrt(spec["noise_psd"] / 2.0) * (

@@ -76,7 +76,7 @@ def _canonical_support(support, n_dim: int) -> tuple[tuple[int, int], ...]:
     return tuple(seen)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdentificationResult:
     """Least-squares estimate on the declared support."""
 

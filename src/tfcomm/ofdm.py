@@ -31,11 +31,12 @@ Monte Carlo runs (``simulate_frames``) stay in the spreading domain: a
 channel is its K support cells S[m, l], never an N x N matrix.  The gain of
 symbol (n, k) is linear in S with weights that are phase-rotated samples of
 the cross-ambiguity, so one K x size table per run turns gains into a matrix
-product, and ``tf_core._apply_cells`` filters the signal: a sum over
-delays m of a Doppler-weighted diagonal times D^m x.  Frames go
-through in blocks of ``_FRAME_BLOCK``: each frame draws its channel, symbols
-and noise from one generator of its own, and the algebra runs once per block
-as a (block x K) @ (K x size) product, the Walnut synthesis and analysis and
+product, and ``tf_core._cell_filter`` filters the signal on tone rows built
+once per run: a sum over delays m of a Doppler-weighted diagonal times D^m x.
+A run draws channels, symbols and noise from one generator per kind,
+[seed, 0], [seed, 1] and [seed, 2], frame after frame.  In blocks of
+``_FRAME_BLOCK`` frames, one draw call per kind, the algebra runs as a
+(block x K) @ (K x size) product, the Walnut synthesis and analysis and
 the cell filter, O(K*size + K*N + N^2/a) per frame for K cells.  The
 decomposition check stays per frame.  The dense ``transmit_through`` is the
 reference it agrees with to rounding.
@@ -50,7 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel_models import ScatteringProfile, _support_draw
-from .tf_core import SpreadingFunction, _ambiguity_rows, _apply_cells, as_matrix, \
+from .tf_core import SpreadingFunction, _ambiguity_rows, _cell_filter, as_matrix, \
     spreading_function, tf_transfer
 from .wh_frames import NotAFrameError, Pulse, WHGrid, _block_power, _gram_defect, \
     _walnut_blocks, _walnut_index, _walnut_stack, gaussian_pulse, lattice_matrix, rect_pulse
@@ -75,11 +76,12 @@ __all__ = [
 
 # frames per block in simulate_frames: bounds its (block, N) work arrays
 _FRAME_BLOCK = 64
-# the symbol alphabets _draw_symbols knows
+# the symbol alphabets _draw_symbols knows, and the QPSK points by quadrant
 _CONSTELLATIONS = ("qpsk", "gaussian")
+_QPSK = np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OFDMConfig:
     """Transmission lattice plus transmit/receive window pair.
 
@@ -147,7 +149,7 @@ class OFDMConfig:
         return 1.0 / self.grid.tf_product
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolFrame:
     """Data symbols c[n, k] on the (slot, subcarrier) layout."""
 
@@ -162,7 +164,7 @@ class SymbolFrame:
         object.__setattr__(self, "data", d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DemodResult:
     """Exact split of the demodulator output: estimates = gains*symbols + interference + noise."""
 
@@ -205,14 +207,13 @@ def cp_ofdm_config(n_dim: int, n_subcarriers: int, cp_len: int) -> OFDMConfig:
     return OFDMConfig(grid, tx, Pulse(rx))
 
 
-def _draw_symbols(rngs: list, shape: tuple, constellation: str) -> np.ndarray:
-    """Unit-average-energy symbols, one ``shape`` grid drawn from each generator."""
+def _draw_symbols(rng: np.random.Generator, shape: tuple, constellation: str) -> np.ndarray:
+    """Unit-energy symbols (..., slots, subcarriers) in one draw, as per-grid draws would."""
     _check_constellation(constellation)
     if constellation == "qpsk":
-        quadrants = np.array([rng.integers(0, 4, size=shape) for rng in rngs])
-        return np.exp(1j * (np.pi / 4 + np.pi / 2 * quadrants))
-    parts = np.array([rng.standard_normal((2, *shape)) for rng in rngs])
-    return (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
+        return _QPSK[rng.integers(0, 4, size=shape)]
+    parts = rng.standard_normal((*shape[:-2], 2, *shape[-2:]))
+    return (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / np.sqrt(2.0)
 
 
 def _check_constellation(constellation: str) -> None:
@@ -223,7 +224,7 @@ def _check_constellation(constellation: str) -> None:
 def random_symbols(cfg: OFDMConfig, seed, constellation: str = "qpsk") -> SymbolFrame:
     """Unit-average-energy random symbols on the config layout."""
     shape = (cfg.n_slots, cfg.n_subcarriers)
-    return SymbolFrame(_draw_symbols([np.random.default_rng(seed)], shape, constellation)[0])
+    return SymbolFrame(_draw_symbols(np.random.default_rng(seed), shape, constellation))
 
 
 def modulate(frame: SymbolFrame, cfg: OFDMConfig) -> np.ndarray:
@@ -276,12 +277,13 @@ def _dense_gains(h: np.ndarray, cfg: OFDMConfig, tx: np.ndarray, rx: np.ndarray)
     return gains.reshape(cfg.n_slots, cfg.n_subcarriers)
 
 
-def _projected_noise(cfg: OFDMConfig, noise_psd: float, rngs: list) -> np.ndarray:
-    """Receive projections of white CN(0, noise_psd) vectors, one drawn from each generator."""
+def _projected_noise(cfg: OFDMConfig, noise_psd: float, rng: np.random.Generator,
+                     lead: tuple = ()) -> np.ndarray:
+    """Projections of ``lead`` white CN(0, noise_psd) vectors (one draw; none at psd 0)."""
     if not noise_psd > 0.0:
-        return np.zeros((len(rngs), cfg.n_slots, cfg.n_subcarriers), dtype=complex)
-    parts = np.array([rng.standard_normal((2, cfg.n_dim)) for rng in rngs])
-    return _project(cfg, np.sqrt(noise_psd / 2.0) * (parts[:, 0] + 1j * parts[:, 1]))
+        return np.zeros((*lead, cfg.n_slots, cfg.n_subcarriers), dtype=complex)
+    parts = rng.standard_normal((*lead, 2, cfg.n_dim))
+    return _project(cfg, np.sqrt(noise_psd / 2.0) * (parts[..., 0, :] + 1j * parts[..., 1, :]))
 
 
 def _checked(estimates: np.ndarray, recon: np.ndarray) -> None:
@@ -318,7 +320,7 @@ def transmit_through(frame: SymbolFrame, cfg: OFDMConfig, channel,
     gains = _dense_gains(h, cfg, tx, rx)
     clean = ((h @ (tx @ frame.data.ravel())).conj() @ rx).conj()
     clean = clean.reshape(frame.data.shape)
-    noise = _projected_noise(cfg, noise_psd, [np.random.default_rng(seed)])[0]
+    noise = _projected_noise(cfg, noise_psd, np.random.default_rng(seed))
     estimates, interference = clean + noise, clean - gains * frame.data
     _checked(estimates, gains * frame.data + interference + noise)
     return DemodResult(frame, estimates, gains, interference, noise)
@@ -351,11 +353,13 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
 
     ``channel`` is a ScatteringProfile, drawn afresh for each frame exactly
     as ``wssus_sample`` draws it, or a SpreadingFunction used for every
-    frame on its ``support_cells``.  Frame idx draws everything from the one
-    generator ``default_rng([seed, idx])``, in this order: the channel (2K
-    normals, profiles only), the symbols as ``random_symbols`` draws them,
-    then the noise (only when noise_psd > 0).  So a frame depends on
-    nothing but [seed, idx], and with a profile its symbols depend on K.
+    frame on its ``support_cells``.  Each variate kind has one generator
+    per run, drawn frame after frame: channels from ``default_rng([seed,
+    0])`` (2K normals per frame, profiles only), symbols from [seed, 1] as
+    ``random_symbols`` draws them, noise from [seed, 2] as
+    ``transmit_through`` does (only when noise_psd > 0).  One draw call per
+    kind and block consumes a stream as the per-frame calls would, so a
+    shorter run is a prefix of a longer one, whatever the block size.
     Frames are computed in blocks of ``_FRAME_BLOCK``, one matrix product
     per block where a frame-by-frame loop would take one per frame; frame
     idx reproduces the dense ``transmit_through`` of the same draws to
@@ -364,8 +368,8 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
     largest estimate.  Signals are synthesized and analyzed on the Walnut
     gather, so no N x size lattice matrix is built.  An unknown
     constellation raises ValueError before the gain table or the Walnut
-    stacks are built.  Non-finite outputs or energies
-    raise ArithmeticError.  Returns an (n_frames, 4) array of mean energies per
+    stacks are built.  Non-finite outputs or energies raise
+    ArithmeticError.  Returns an (n_frames, 4) array of mean energies per
     symbol: gain (|gain * symbol|^2), interference, noise and error vector
     (|estimate - symbol|^2).
     """
@@ -383,19 +387,22 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
         raise ValueError(f"noise_psd must be nonnegative and finite, got {noise_psd}")
     _check_constellation(constellation)
     table = _gain_table(cfg, delays, dopplers)
+    cell_filter = _cell_filter(delays, dopplers, n)
+    channel_rng, symbol_rng, noise_rng = (np.random.default_rng([seed, k]) for k in range(3))
+    layout = (cfg.n_slots, cfg.n_subcarriers)
     energies = np.empty((n_frames, 4))
     # overflow is reported by the ArithmeticErrors below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_frames, _FRAME_BLOCK):
             stop = min(start + _FRAME_BLOCK, n_frames)
-            rngs = [np.random.default_rng([seed, idx]) for idx in range(start, stop)]
-            s = np.broadcast_to(fixed, (len(rngs), fixed.size)) if fixed is not None else \
-                np.array([_support_draw(amplitudes, rng) for rng in rngs])
-            symbols = _draw_symbols(rngs, (cfg.n_slots, cfg.n_subcarriers), constellation)
+            block = (stop - start,)
+            s = np.broadcast_to(fixed, (*block, fixed.size)) if fixed is not None else \
+                _support_draw(amplitudes, channel_rng, block)
+            symbols = _draw_symbols(symbol_rng, (*block, *layout), constellation)
             x = _synthesize(cfg, symbols)
             gains = (s @ table).reshape(symbols.shape)
-            clean = _project(cfg, _apply_cells(x, delays, dopplers, s))
-            noise = _projected_noise(cfg, noise_psd, rngs)
+            clean = _project(cfg, cell_filter(x, s))
+            noise = _projected_noise(cfg, noise_psd, noise_rng, block)
             estimates, interference = clean + noise, clean - gains * symbols
             _checked(estimates, gains * symbols + interference + noise)
             energies[start:stop] = np.stack([np.mean(np.abs(v) ** 2, axis=(1, 2)) for v in (

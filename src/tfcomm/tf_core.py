@@ -9,7 +9,7 @@ under <A, B> = trace(B^H A); the basis coefficients of a channel are its
 delay-Doppler spreading function, and their 2-D Fourier transform is the
 time-frequency transfer function.  ``tf_shift`` builds every shifted copy
 M^l D^m x in the package: operator matrices, lattice translates, sounding
-columns and the rows of the cross-ambiguity function.  ``_apply_cells``
+columns and the rows of the cross-ambiguity function.  ``_cell_filter``
 applies a channel given by its support cells to signals, never forming H.
 """
 
@@ -82,7 +82,7 @@ def as_samples(pulse) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteChannel:
     """A linear channel on length-N cyclic signals, stored as a dense matrix."""
 
@@ -110,7 +110,7 @@ def as_matrix(channel) -> np.ndarray:
     return DiscreteChannel(np.asarray(channel)).matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpreadingFunction:
     """Delay-Doppler coefficients S[m, l] of a channel.
 
@@ -145,7 +145,7 @@ class SpreadingFunction:
         return int(self.support_cells[0].size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferFunction:
     """Time-frequency transfer values L[n, k] on the full N x N grid."""
 
@@ -208,23 +208,28 @@ def tf_shift(x, delay, doppler) -> np.ndarray:
     return delayed * tones[(l[..., None] * i) % n]
 
 
-def _apply_cells(x, delays, dopplers, coeffs) -> np.ndarray:
-    """H x along the last axis for H = sum_c coeffs[..., c] M^dopplers[c] D^delays[c].
+def _cell_filter(delays, dopplers, n_dim: int):
+    """x, coeffs -> H x on the last axis for H = sum_c coeffs[..., c] M^dopplers[c] D^delays[c].
 
-    ``coeffs`` carries the leading (frame) axes of ``x``.  Per distinct delay
-    m, the tones of m's cells only weight D^m x: no array exceeds (cells at m) x N.
-    The weighted tones are multiplied by D^m x in place, so each delay adds
-    one shifted copy of x and one term array.
+    ``coeffs`` carries the leading (frame) axes of ``x``.  The tone of each
+    distinct Doppler is built once, here; a call weights the tones of delay
+    m's cells and multiplies by D^m x in place, so no array exceeds N x N.
     """
-    n = x.shape[-1]
     taps, tap_of_cell = np.unique(delays, return_inverse=True)
-    out = np.zeros(np.broadcast_shapes(x.shape[:-1], coeffs.shape[:-1]) + (n,), dtype=complex)
-    for u, m in enumerate(taps):
-        cells = np.flatnonzero(tap_of_cell == u)
-        term = coeffs[..., cells] @ tf_shift(np.ones(n), 0, dopplers[cells])
-        term *= np.roll(x, m, axis=-1)
-        out += term
-    return out
+    shifts, tone_of_cell = np.unique(dopplers, return_inverse=True)
+    tones = tf_shift(np.ones(n_dim), 0, shifts)
+    cells = [np.flatnonzero(tap_of_cell == u) for u in range(taps.size)]
+
+    def apply(x, coeffs) -> np.ndarray:
+        out = np.zeros(np.broadcast_shapes(x.shape[:-1], coeffs.shape[:-1]) + (n_dim,),
+                       dtype=complex)
+        for m, c in zip(taps, cells):
+            term = coeffs[..., c] @ tones[tone_of_cell[c]]
+            term *= np.roll(x, m, axis=-1)
+            out += term
+        return out
+
+    return apply
 
 
 def tf_shift_op(n_dim: int, delay: int, doppler: int) -> DiscreteChannel:

@@ -97,7 +97,7 @@ class WHGrid:
         return WHGrid(self.n_dim, self.n_dim // self.freq_step, self.n_dim // self.time_step)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pulse:
     """A length-N window with cached l2 norm."""
 

@@ -694,7 +694,7 @@ def test_overspread_identify_exits_3_before_building(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(cli, "centered_rect_support", refuse)
     monkeypatch.setattr(cli, "_canonical_support", refuse)
-    monkeypatch.setattr(cli, "_apply_cells", refuse)  # the observation X s
+    monkeypatch.setattr(cli, "_cell_filter", refuse)  # the observation X s
     path = write_config(tmp_path, "over.json", dict(IDENTIFY_CFG, n_dim=n_dim, period=period,
                                                     support=support))
     out = tmp_path / "out"

@@ -198,14 +198,15 @@ def test_random_symbols_bit_identical_to_former_body(seed, constellation):
 
 
 def test_projected_noise_bit_identical_to_former_body():
+    """Five noise vectors in one draw equal five one-vector draws of the former body."""
     cfg = ofdm.cp_ofdm_config(48, 12, 4)
-    seeds = [[9, idx, 2] for idx in range(5)]
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    former = np.array([rng.standard_normal(48) + 1j * rng.standard_normal(48)
-                       for rng in map(np.random.default_rng, seeds)])
+    rng, ref = np.random.default_rng([9, 2]), np.random.default_rng([9, 2])
+    former = np.array([ref.standard_normal(48) + 1j * ref.standard_normal(48) for _ in range(5)])
     expected = ofdm._project(cfg, np.sqrt(0.3 / 2.0) * former)
-    assert np.array_equal(ofdm._projected_noise(cfg, 0.3, rngs), expected)
-    assert np.array_equal(ofdm._projected_noise(cfg, 0.0, rngs), np.zeros_like(expected))
+    assert np.array_equal(ofdm._projected_noise(cfg, 0.3, rng, (5,)), expected)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(ofdm._projected_noise(cfg, 0.0, rng, (5,)), np.zeros_like(expected))
+    assert rng.bit_generator.state == ref.bit_generator.state  # no noise, no draw
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +451,20 @@ def test_only_the_heatmap_builds_the_full_ambiguity_grid(monkeypatch, tmp_path):
 
 
 def dense_frames(cfg, channel, n_frames, seed, noise_psd, constellation):
-    """simulate_frames oracle: dense channel matrix and transmit_through per frame."""
+    """simulate_frames oracle: dense channel matrix and transmit_through per frame.
+
+    The run's three generators, channel [seed, 0], symbols [seed, 1] and
+    noise [seed, 2], are drawn one frame at a time.
+    """
+    channel_rng, symbol_rng, noise_rng = (np.random.default_rng([seed, k]) for k in range(3))
     out = np.empty((n_frames, 4))
     for idx in range(n_frames):
-        rng = np.random.default_rng([seed, idx])  # channel, then symbols, then noise
         spreading = channel
         if isinstance(channel, cm.ScatteringProfile):
-            spreading = cm.wssus_sample(channel, rng)
-        frame = ofdm.random_symbols(cfg, rng, constellation)
-        res = ofdm.transmit_through(frame, cfg, synthesize_channel(spreading), noise_psd, rng)
+            spreading = cm.wssus_sample(channel, channel_rng)
+        frame = ofdm.random_symbols(cfg, symbol_rng, constellation)
+        res = ofdm.transmit_through(frame, cfg, synthesize_channel(spreading), noise_psd,
+                                    noise_rng)
         out[idx] = (np.mean(np.abs(res.gains * frame.data) ** 2), res.interference_energy(),
                     np.mean(np.abs(res.noise) ** 2),
                     np.mean(np.abs(res.estimates - frame.data) ** 2))
@@ -569,7 +575,8 @@ def test_wssus_sample_draws_two_normals_per_support_cell():
     cm.exponential_jakes_profile(16, 1.0, 1, max_delay=2),
     cm.from_specular([(0, 0, 0.9), (-2, 1, 0.3 - 0.2j)], 16),
 ], ids=["profile", "fixed"])
-def test_simulate_frames_builds_one_generator_per_frame(monkeypatch, channel, noise_psd):
+def test_simulate_frames_builds_one_generator_per_kind(monkeypatch, channel, noise_psd):
+    """A run of several blocks builds three generators, channel, symbols and noise."""
     cfg = ofdm.OFDMConfig(wh.WHGrid(16, 4, 8), wh.gaussian_pulse(16, sigma=2.0),
                           wh.gaussian_pulse(16, sigma=3.0))
     seeds = []
@@ -580,9 +587,41 @@ def test_simulate_frames_builds_one_generator_per_frame(monkeypatch, channel, no
         return default_rng(seed)
 
     monkeypatch.setattr(np.random, "default_rng", counting)
-    n_frames = ofdm._FRAME_BLOCK + 5
-    ofdm.simulate_frames(cfg, channel, n_frames, 4, noise_psd)
-    assert seeds == [[4, idx] for idx in range(n_frames)]
+    ofdm.simulate_frames(cfg, channel, 2 * ofdm._FRAME_BLOCK + 5, 4, noise_psd)
+    assert seeds == [[4, 0], [4, 1], [4, 2]]
+
+
+@pytest.mark.parametrize("noise_psd", [0.0, 0.05])
+@pytest.mark.parametrize("constellation", ["qpsk", "gaussian"])
+@pytest.mark.parametrize("channel", [
+    cm.exponential_jakes_profile(15, 1.0, 1, max_delay=2),
+    cm.from_specular([(0, 0, 0.9), (-2, 1, 0.3 - 0.2j)], 15),
+], ids=["profile", "fixed"])
+def test_simulate_frames_draws_do_not_depend_on_block_size(monkeypatch, channel, constellation,
+                                                           noise_psd):
+    """Blocks of 1, 5 or 64 frames give the same energies and leave every
+    generator in the same state, on an odd per-frame symbol count (3 x 5)."""
+    cfg = ofdm.cp_ofdm_config(15, 5, 0)
+    assert (cfg.n_slots, cfg.n_subcarriers) == (3, 5)
+    default_rng = np.random.default_rng
+    runs = []
+    for block in (1, 5, 64):
+        rngs = []
+
+        def keeping(seed=None):
+            rngs.append(default_rng(seed))
+            return rngs[-1]
+
+        monkeypatch.setattr(ofdm, "_FRAME_BLOCK", block)
+        monkeypatch.setattr(np.random, "default_rng", keeping)
+        energies = ofdm.simulate_frames(cfg, channel, 13, 6, noise_psd, constellation)
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        runs.append((energies, [rng.bit_generator.state for rng in rngs]))
+    (ref, ref_states), *others = runs
+    assert len(ref_states) == 3
+    for energies, states in others:
+        assert np.all(np.abs(energies - ref) <= 1e-12 * ref.max(axis=1, keepdims=True))
+        assert states == ref_states
 
 
 def test_simulate_frames_validates():

@@ -234,7 +234,7 @@ def test_apply_cells_matches_dense_channel_and_sounding_matrix_property(channel)
     """H x on the cells equals the synthesized matrix and the sounding matrix, per frame."""
     x, delays, dopplers, coeffs = channel
     n = x.shape[-1]
-    out = core._apply_cells(x, delays, dopplers, coeffs)
+    out = core._cell_filter(delays, dopplers, n)(x, coeffs)
     assert out.shape == x.shape
     for frame in np.ndindex(x.shape[:-1]):
         tol = 1e-12 * max(1.0, float(np.linalg.norm(out[frame])))
