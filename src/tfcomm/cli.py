@@ -23,9 +23,8 @@ builder or library call reads, else at ``config`` around the whole runner.
 
 All randomness is derived from the single run seed through generators of
 fixed lists: [seed, 0] for a spread-analyze WSSUS draw and the identify
-truth, [seed, 1] for identify noise, and [seed, idx] for ofdm-sim frame idx,
-which draws its channel, symbols and noise from that one generator, so each
-frame is reproducible in isolation.
+truth, [seed, 1] for identify noise, and [seed, 0], [seed, 1] and [seed, 2]
+for ofdm-sim's channels, symbols and noise, drawn frame after frame.
 """
 
 from __future__ import annotations

@@ -5,19 +5,18 @@ transmission lattice (a, b) with a*b >= N; data symbols ride on the
 translates.  Demodulation is plain inner products, so the output splits
 exactly into gain * symbol + interference + noise.  The cross-ambiguity A
 of the pair gives its biorthogonality defect (lattice Gram entries are
-samples of A up to unit phases) and its second-order interference power
-(the scattering profile against the lattice-folded |A|^2).  Each reads a
-few rows of A, one length-N FFT per row: the N/a lattice rows for the
-defect, and for the power the rows at delays = -m (mod a) for the support
-delays m.  Nothing here builds the N x N grid.  Pulses
-are built on the adjoint lattice (N/b, N/a): dual or tight frames there
-are biorthogonal or orthogonal transmission sets here, which makes a
-Gaussian-shaped orthogonal pair with a prescribed time/frequency aspect
-cheap to compute.  ``interference_descent`` starts from that pair for a
-channel-matched Gaussian (``design_pulses`` stops there); each trial of
-its local search perturbs one seed-window sample, which enters a / gcd(a,
-N/b) of the a adjoint Walnut blocks, so the trial re-solves only those
-and rewrites only their samples of the tight pair.
+samples of A up to unit phases, read off the N/a lattice rows, one
+length-N FFT each) and its second-order interference power (the
+scattering profile against the lattice-folded |A|^2, read off b rows of
+the self-ambiguities on the adjoint lattice plus one row of A per support
+delay).  Nothing here builds the N x N grid.  Pulses are built on the
+adjoint lattice (N/b, N/a): dual or tight frames there are biorthogonal
+or orthogonal transmission sets here.  ``interference_descent`` starts
+from such a pair for a channel-matched Gaussian (``design_pulses`` stops
+there); a trial of its local search perturbs one seed-window sample,
+which enters a / gcd(a, N/b) of the a adjoint Walnut blocks, so it
+re-solves only those, and a coordinate's trials are solved and scored as
+one stack.
 
 The modulator is Gabor synthesis and the demodulator Gabor analysis on
 the lattice.  With M = N/b both factor through the Walnut gather
@@ -28,18 +27,11 @@ stacks; the lattice matrices serve only the dense references, which
 build them per call.
 
 Monte Carlo runs (``simulate_frames``) stay in the spreading domain: a
-channel is its K support cells S[m, l], never an N x N matrix.  The gain of
-symbol (n, k) is linear in S with weights that are phase-rotated samples of
-the cross-ambiguity, so one K x size table per run turns gains into a matrix
-product, and ``tf_core._cell_filter`` filters the signal on tone rows built
-once per run: a sum over delays m of a Doppler-weighted diagonal times D^m x.
-A run draws channels, symbols and noise from one generator per kind,
-[seed, 0], [seed, 1] and [seed, 2], frame after frame.  In blocks of
-``_FRAME_BLOCK`` frames, one draw call per kind, the algebra runs as a
-(block x K) @ (K x size) product, the Walnut synthesis and analysis and
-the cell filter, O(K*size + K*N + N^2/a) per frame for K cells.  The
-decomposition check stays per frame.  The dense ``transmit_through`` is the
-reference it agrees with to rounding.
+channel is its K support cells S[m, l], the symbol gains are a (frames x K)
+@ (K x size) product with one table of phase-rotated ambiguity samples,
+and ``tf_core._cell_filter`` filters the signal on tone rows built once per
+run, O(K*size + K*N + N^2/a) per frame.  The dense ``transmit_through`` is
+the reference it agrees with to rounding.
 """
 
 from __future__ import annotations
@@ -53,7 +45,7 @@ import numpy as np
 from .channel_models import ScatteringProfile, _support_draw
 from .tf_core import SpreadingFunction, _ambiguity_rows, _cell_filter, as_matrix, \
     spreading_function, tf_transfer
-from .wh_frames import NotAFrameError, Pulse, WHGrid, _block_power, _gram_defect, \
+from .wh_frames import Pulse, WHGrid, _block_power, _gram_defect, \
     _walnut_blocks, _walnut_index, _walnut_stack, gaussian_pulse, lattice_matrix, rect_pulse
 
 __all__ = [
@@ -357,21 +349,16 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
     per run, drawn frame after frame: channels from ``default_rng([seed,
     0])`` (2K normals per frame, profiles only), symbols from [seed, 1] as
     ``random_symbols`` draws them, noise from [seed, 2] as
-    ``transmit_through`` does (only when noise_psd > 0).  One draw call per
-    kind and block consumes a stream as the per-frame calls would, so a
-    shorter run is a prefix of a longer one, whatever the block size.
-    Frames are computed in blocks of ``_FRAME_BLOCK``, one matrix product
-    per block where a frame-by-frame loop would take one per frame; frame
-    idx reproduces the dense ``transmit_through`` of the same draws to
-    rounding (a block product rounds differently from a per-frame one) and
-    passes the same decomposition check, each frame against its own
-    largest estimate.  Signals are synthesized and analyzed on the Walnut
-    gather, so no N x size lattice matrix is built.  An unknown
-    constellation raises ValueError before the gain table or the Walnut
-    stacks are built.  Non-finite outputs or energies raise
-    ArithmeticError.  Returns an (n_frames, 4) array of mean energies per
-    symbol: gain (|gain * symbol|^2), interference, noise and error vector
-    (|estimate - symbol|^2).
+    ``transmit_through`` does (only when noise_psd > 0).  Frames run in
+    blocks of ``_FRAME_BLOCK``, one draw call per kind (consuming a stream
+    as per-frame calls would, so a shorter run is a prefix of a longer one)
+    and one matrix product per block; frame idx reproduces the dense
+    ``transmit_through`` of the same draws to rounding and passes its
+    decomposition check against its own largest estimate.  An unknown
+    constellation raises ValueError before any table is built; non-finite
+    outputs or energies raise ArithmeticError.  Returns an (n_frames, 4)
+    array of mean energies per symbol: gain (|gain * symbol|^2),
+    interference, noise and error vector (|estimate - symbol|^2).
     """
     n = cfg.n_dim
     if isinstance(channel, ScatteringProfile):
@@ -418,28 +405,41 @@ def _interference_score(profile: ScatteringProfile, grid: WHGrid):
     A scatterer at (m, l) with intensity C couples symbol pairs through
     A[-m + j*a, l + k*b] for every lattice translate (j, k) but the origin,
     so it contributes C times the lattice-folded |A|^2 at (-m, l) less
-    |A[-m, l]|^2.  The scorer computes only the rows of A at delays
-    = -m (mod a) for the support delays m, (distinct residues) * N/a rows,
-    not N.  The row and cell indices and the delay gather of those rows
-    (``_ambiguity_rows`` without its per-call index) are built here, once
-    per profile, so a descent scores every trial on them.
+    |A[-m, l]|^2.  The fold is read off the adjoint lattice (the fundamental
+    identity of Gabor analysis): with M = N/b and F_x[t, r] = sum over
+    i = r (mod a) of x[i] conj(x[i - t*M]) for t < b, the fold at delay r0
+    and Doppler l is M Re sum_t exp(-2j*pi*t*l/b) sum_r F_g[t, r]
+    conj(F_gamma[t, r - r0]), which is (M/a) Re fft2 of the a-point inverse
+    DFTs of F_g times conj(F_gamma).  |A[-m, l]|^2 takes one length-N FFT
+    per distinct support delay; a cell's difference (a sum of squares) is
+    clipped at 0.  Stacks g, gamma (..., N) score each window as it scores
+    alone; the gathers are built once per profile.
     """
     if profile.n_dim != grid.n_dim:
         raise ValueError("profile and grid dimensions differ")
-    a, b = grid.time_step, grid.freq_step
-    n = grid.n_dim
+    a, b, n = grid.time_step, grid.freq_step, grid.n_dim
     delays, dopplers, weights = profile.support_cells
     lags = (-delays) % n
+    rows, row_of_cell = np.unique(lags, return_inverse=True)
     residues, residue_of_cell = np.unique(lags % a, return_inverse=True)
-    rows = (residues[:, None] + a * np.arange(n // a)).ravel()
-    row_of_cell = residue_of_cell * (n // a) + lags // a
-    delayed, fold_of_cell = (np.arange(n) - rows[:, None]) % n, dopplers % b
+    samples = np.arange(a)[:, None] + a * np.arange(n // a)
+    lagged = (samples[:, None, :] - (n // b) * np.arange(b)[:, None]) % n
+    shifted = (np.arange(a) - residues[:, None]) % a
+    tones = (n // b) * np.exp(-2j * np.pi * np.outer(np.arange(b), dopplers % b) / b)
+    delayed, cell_entries = (np.arange(n) - rows[:, None]) % n, row_of_cell * n + dopplers
 
-    def score(g: np.ndarray, gamma: np.ndarray) -> float:
-        energy = np.abs(np.fft.fft(g * np.take(gamma.conj(), delayed), axis=-1)) ** 2
-        folded = energy.reshape(residues.size, n * n // (a * b), b).sum(axis=1)
-        return float(np.sum(weights * (folded[residue_of_cell, fold_of_cell]
-                                       - energy[row_of_cell, dopplers])))
+    def folds(x: np.ndarray) -> np.ndarray:  # F_x[..., t, r], one product per residue r
+        f = x.conj().take(lagged, axis=-1) @ x.take(samples, axis=-1)[..., None]
+        return f[..., 0].swapaxes(-1, -2)
+
+    def score(g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+        f_g = folds(g)
+        f_gamma = f_g if gamma is g else folds(gamma)
+        corr = (f_gamma.conj().take(shifted, axis=-1) @ f_g[..., None])[..., 0]
+        folded = (corr.take(residue_of_cell, axis=-1) * tones).sum(axis=-2).real
+        amb = np.fft.fft(g[..., None, :] * gamma.conj().take(delayed, axis=-1))
+        direct = amb.reshape(*amb.shape[:-2], -1).take(cell_entries, axis=-1)
+        return (weights * np.maximum(folded - np.abs(direct) ** 2, 0.0)).sum(axis=-1)
 
     return score
 
@@ -447,12 +447,12 @@ def _interference_score(profile: ScatteringProfile, grid: WHGrid):
 def interference_power(profile: ScatteringProfile, cfg: OFDMConfig) -> float:
     """Mean interference energy per symbol for unit-energy data over WSSUS draws.
 
-    Contracts the scattering grid against the off-lattice ambiguity energy;
-    the delay axis enters reflected because a scatterer at delay m couples
-    symbol pairs separated by -m along the ambiguity delay axis.
-    ``interference_descent`` scores its trials with the same scorer.
+    Contracts the scattering profile against the off-lattice ambiguity
+    energy, read off the adjoint lattice by the scorer that
+    ``interference_descent`` runs; a scatterer at delay m couples symbol
+    pairs separated by -m along the ambiguity delay axis.
     """
-    return _interference_score(profile, cfg.grid)(cfg.tx_pulse.samples, cfg.rx_pulse.samples)
+    return float(_interference_score(profile, cfg.grid)(cfg.tx_pulse.samples, cfg.rx_pulse.samples))
 
 
 def gain_transfer_agreement(channel, cfg: OFDMConfig) -> float:
@@ -503,66 +503,61 @@ def interference_descent(profile: ScatteringProfile, grid: WHGrid,
 
     Starts from the channel-matched Gaussian (``matched_sigma``) tightened
     on the adjoint lattice and scaled by sqrt(a*b/N), an orthogonal pair by
-    Wexler-Raz duality; with no sweeps that pair is the result.  Requires
-    a*b > N strictly: well localized orthogonal pairs only exist with room
-    to spare, and the adjoint-lattice frame operator degenerates at a*b = N.
-    A sweep perturbs one seed-window coordinate at a time (both
-    quadratures, both signs), re-tightening on the adjoint lattice after
-    every trial so orthogonality stays exact and trials are scored without
-    forming the lattice Gram.  Sample i of the seed window enters only the
-    adjoint Walnut blocks r with r = i mod gcd(a, N/b), a / gcd(a, N/b) of
-    the a blocks.  So a trial re-solves just those blocks, runs the frame
-    test against the largest eigenvalue over all blocks (the others'
-    spectrum is kept from the current window), and rewrites only their
-    samples of the tight pair: the window a full ``tight_window`` gives.
-    The Walnut gather index of each of the gcd(a, N/b) residue classes is
-    built once, before the sweeps, and every pair is scored by the scorer
-    of ``interference_power``, whose delay gather is built once per
-    profile.  Only strict improvements are kept, so the recorded power
-    sequence is nonincreasing and ends at the returned pair's power.
-    Returns (tx, rx, powers, accepted), with ``accepted`` the number of
-    trials kept.
+    Wexler-Raz duality (the result with no sweeps); needs a*b > N, as the
+    adjoint frame operator degenerates at a*b = N.  A sweep perturbs one
+    seed-window sample at a time by step, -step, i*step and -i*step and
+    re-tightens: sample i enters only the adjoint Walnut blocks
+    r = i mod gcd(a, N/b), so a trial re-solves those blocks, runs the
+    frame test against the kept spectrum of the others and rewrites their
+    samples of the tight pair, the window ``tight_window`` gives.  A
+    coordinate's trials are solved (one batched eigensolve) and scored (the
+    scorer of ``interference_power``) as one stack; the first in order that
+    is a frame and strictly improves is kept, and only the trials after it
+    are stacked again from the new window, so each trial sees the window it
+    would see one at a time.  The recorded powers are nonincreasing and end
+    at the returned pair's.  Returns (tx, rx, powers, accepted), ``accepted``
+    counting the kept trials.
     """
-    if n_sweeps < 0 or step <= 0:
-        raise ValueError("need n_sweeps >= 0 and step > 0")
+    if n_sweeps < 0 or not 0 < step < np.inf:
+        raise ValueError(f"need n_sweeps >= 0 and a finite step > 0, got step={step}")
     if grid.time_step * grid.freq_step <= grid.n_dim:
         raise ValueError(
             f"pulse design needs a*b > N, got {grid.time_step}*{grid.freq_step} "
             f"with N = {grid.n_dim}")
     score = _interference_score(profile, grid)  # checks the profile's dimension
     adjoint = grid.adjoint()
-    n_blocks = adjoint.n_freq
-    period = math.gcd(n_blocks, adjoint.time_step)
+    n_blocks, period = adjoint.n_freq, math.gcd(adjoint.n_freq, adjoint.time_step)
     scale = np.sqrt(grid.time_step * grid.freq_step / grid.n_dim)
+    deltas = step * np.array([1, -1, 1j, -1j])
     window = gaussian_pulse(grid.n_dim, sigma=matched_sigma(profile, grid)).samples.copy()
     solved = _walnut_blocks(window, adjoint, _walnut_index(adjoint))
     spectrum = solved[0]
     pulse = scale * _block_power(adjoint, solved, spectrum, -0.5).T.ravel()
-    best = score(pulse, pulse)
+    best = float(score(pulse, pulse))
     powers, accepted = [best], 0
     indices = [_walnut_index(adjoint, np.arange(r, n_blocks, period)) for r in range(period)]
     for _ in range(n_sweeps):
-        before_sweep = accepted
         for idx in range(grid.n_dim):
-            index = indices[idx % period]
-            for delta in (step, -step, 1j * step, -1j * step):
-                trial = window.copy()
-                trial[idx] += delta
-                solved = _walnut_blocks(trial, adjoint, index)
-                cand_evals = spectrum.copy()
-                cand_evals[index[:, 0, 0]] = solved[0]
-                try:
-                    values = _block_power(adjoint, solved, cand_evals, -0.5, None, index[:, 0, 0])
-                except NotAFrameError:
-                    continue
-                cand = pulse.copy()
-                cand[index[:, :, 0]] = scale * values
-                power = score(cand, cand)
-                if power < best:
-                    window, spectrum, pulse, best = trial, cand_evals, cand, power
-                    accepted += 1
+            index, todo = indices[idx % period], deltas
+            while todo.size:
+                trials = window[None].repeat(todo.size, axis=0)
+                trials[:, idx] += todo
+                solved = _walnut_blocks(trials, adjoint, index)
+                cand_evals = spectrum[None].repeat(todo.size, axis=0)
+                cand_evals[:, index[:, 0, 0]] = solved[0]
+                values, is_frame = _block_power(adjoint, solved, cand_evals, -0.5, None,
+                                                index[:, 0, 0])
+                cands = pulse[None].repeat(todo.size, axis=0)
+                cands[:, index[:, :, 0]] = scale * values
+                trial_powers = score(cands, cands)
+                better = np.flatnonzero(is_frame & (trial_powers < best))
+                if not better.size:
+                    break
+                j = better[0]
+                window, spectrum, pulse = trials[j], cand_evals[j], cands[j]
+                best, accepted, todo = float(trial_powers[j]), accepted + 1, todo[j + 1:]
             powers.append(best)
-        if accepted == before_sweep:
+        if powers[-1] == powers[-1 - grid.n_dim]:  # no trial kept in this sweep
             break
     tx = Pulse(pulse)
     return tx, tx, powers, accepted

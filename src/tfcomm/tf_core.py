@@ -260,8 +260,8 @@ def cross_ambiguity(tx_pulse, rx_pulse) -> np.ndarray:
 def _ambiguity_rows(g: np.ndarray, gamma: np.ndarray, delays) -> np.ndarray:
     """Rows ``delays`` of ``cross_ambiguity(g, gamma)``, one length-N FFT each.
 
-    Consumers that read a few delays (lattice Grams, gain tables, folded
-    interference, sounding difference sets) call this on sample vectors
+    Consumers that read a few delays (lattice Grams, gain tables, sounding
+    difference sets; the interference scorer inlines its gather) call this
     instead of building the N x N grid; a row does not depend on which
     other rows are computed with it.
     """

@@ -153,10 +153,10 @@ def _walnut_index(grid: WHGrid, blocks=slice(None)) -> np.ndarray:
 
 
 def _walnut_stack(g: np.ndarray, grid: WHGrid, index: np.ndarray) -> np.ndarray:
-    """The stack g[r + p*N/b - n*a] gathered through ``_walnut_index``."""
-    if g.size != grid.n_dim:
-        raise ValueError(f"pulse length {g.size} does not match grid N = {grid.n_dim}")
-    return np.take(g, index)
+    """The stack g[..., r + p*N/b - n*a] gathered through ``_walnut_index``."""
+    if g.shape[-1] != grid.n_dim:
+        raise ValueError(f"pulse length {g.shape[-1]} does not match grid N = {grid.n_dim}")
+    return g.take(index, axis=-1)
 
 
 def _walnut_blocks(pulse, grid: WHGrid, index: np.ndarray):
@@ -164,37 +164,43 @@ def _walnut_blocks(pulse, grid: WHGrid, index: np.ndarray):
 
     With M = N/b, S[i, j] = (N/b) sum_n g[i - n*a] conj(g[j - n*a]) when
     i = j mod M and zero otherwise.  Block r holds samples r + p*M for
-    p = 0..b-1.  Returns (evals, evecs, g_blocks) of shapes (B, b),
-    (B, b, b) and (B, b) for B blocks; eigenvalues are clipped at zero.
+    p = 0..b-1.  Returns (evals, evecs, g_blocks) of shapes (..., B, b),
+    (..., B, b, b) and (..., B, b) for B blocks, evals clipped at zero; a
+    stack of windows (T, N) is taken as given and solved in one ``eigh``.
     """
-    g = as_samples(pulse)
+    g = pulse if isinstance(pulse, np.ndarray) and pulse.ndim > 1 else as_samples(pulse)
     stack = _walnut_stack(g, grid, index)
-    evals, evecs = np.linalg.eigh(grid.n_freq * (stack @ stack.conj().transpose(0, 2, 1)))
-    return np.maximum(evals, 0.0), evecs, np.take(g, index[:, :, 0])
+    evals, evecs = np.linalg.eigh(grid.n_freq * (stack @ stack.conj().swapaxes(-1, -2)))
+    return np.maximum(evals, 0.0), evecs, g.take(index[:, :, 0], axis=-1)
 
 
 FRAME_RANK_RTOL = 1e-10
 
 
 def _block_power(grid: WHGrid, solved, spectrum: np.ndarray, power: float,
-                 rank_rtol: float | None = None, blocks=slice(None)) -> np.ndarray:
+                 rank_rtol: float | None = None, blocks=slice(None)):
     """S^power g on the Walnut blocks ``blocks`` that ``_walnut_blocks`` solved.
 
     ``solved`` is its (evals, evecs, g_blocks).  The frame test and the rank
-    threshold read the largest eigenvalue of ``spectrum``, the (N/b, b)
+    threshold read the largest eigenvalue of ``spectrum``, the (..., N/b, b)
     spectrum of all blocks with the solved rows at ``blocks``.  Returns
-    values[j, p], the sample r + p*N/b of S^power g for the j-th block r.
+    values[..., j, p], the sample r + p*N/b of S^power g for the j-th block
+    r; a stack returns (values, is_frame) where one window raises
+    NotAFrameError (a non-frame's values are then its pseudo-power).
     """
     block_evals, evecs, g_blocks = solved
-    top = spectrum.max()
-    keep = spectrum > (FRAME_RANK_RTOL if rank_rtol is None else rank_rtol) * top
-    if rank_rtol is None and not keep.all():
+    keep = spectrum > (FRAME_RANK_RTOL if rank_rtol is None else rank_rtol) * \
+        spectrum.max(axis=(-2, -1), keepdims=True)
+    is_frame = keep.all(axis=(-2, -1))
+    if rank_rtol is None and spectrum.ndim == 2 and not is_frame:
         raise NotAFrameError(
             f"window does not generate a frame on {grid}: "
-            f"extreme eigenvalues ({spectrum.min():.3e}, {top:.3e})")
-    scale = np.power(block_evals, power, out=np.zeros_like(block_evals), where=keep[blocks])
-    coef = np.einsum("rpq,rp->rq", evecs.conj(), g_blocks) * scale
-    return np.einsum("rpq,rq->rp", evecs, coef)
+            f"extreme eigenvalues ({spectrum.min():.3e}, {spectrum.max():.3e})")
+    scale = np.power(block_evals, power, out=np.zeros_like(block_evals),
+                     where=keep[..., blocks, :])
+    coef = np.einsum("...pq,...p->...q", evecs.conj(), g_blocks) * scale
+    values = np.einsum("...pq,...q->...p", evecs, coef)
+    return values if spectrum.ndim == 2 else (values, is_frame)
 
 
 def _frame_report(evals: np.ndarray) -> FrameReport:

@@ -74,8 +74,9 @@ def descent_oracle(profile, grid, n_sweeps, step):
 
 
 def rows_scorer(profile, grid):
-    """The interference scorer reading its rows through ``_ambiguity_rows``, which
-    builds the delay gather on every call."""
+    """The interference scorer on full ambiguity rows: the (delay residues mod a) *
+    N/a rows at delays -m (mod a), one length-N FFT each through ``_ambiguity_rows``,
+    folded over the lattice."""
     a, b, n = grid.time_step, grid.freq_step, grid.n_dim
     delays, dopplers, _ = profile.support_cells
     weights = profile.intensities[delays, dopplers]
@@ -94,8 +95,10 @@ def rows_scorer(profile, grid):
 
 
 def per_trial_descent(profile, grid, n_sweeps, step):
-    """The block-local descent with the Walnut gather index built for every trial
-    and every trial scored by ``rows_scorer``; returns (pulse, powers, accepted)."""
+    """The block-local descent one trial at a time, the Walnut gather index built
+    for every trial and every trial scored alone by the library scorer; returns
+    (pulse, powers, accepted, skipped), ``skipped`` counting trials that fail the
+    frame test."""
     adjoint = grid.adjoint()
     n_blocks, block_size = adjoint.n_freq, adjoint.freq_step
     period = math.gcd(n_blocks, adjoint.time_step)
@@ -104,9 +107,9 @@ def per_trial_descent(profile, grid, n_sweeps, step):
     solved = wh._walnut_blocks(window, adjoint, wh._walnut_index(adjoint))
     spectrum = solved[0]
     pulse = scale * wh._block_power(adjoint, solved, spectrum, -0.5).T.ravel()
-    score = rows_scorer(profile, grid)
-    best = score(pulse, pulse)
-    powers, accepted = [best], 0
+    score = ofdm._interference_score(profile, grid)
+    best = float(score(pulse, pulse))
+    powers, accepted, skipped = [best], 0, 0
     for _ in range(n_sweeps):
         improved = False
         for idx in range(grid.n_dim):
@@ -121,17 +124,18 @@ def per_trial_descent(profile, grid, n_sweeps, step):
                 try:
                     values = wh._block_power(adjoint, solved, cand_spectrum, -0.5, None, blocks)
                 except wh.NotAFrameError:
+                    skipped += 1
                     continue
                 cand = pulse.copy()
                 cand[samples] = scale * values
-                power = score(cand, cand)
+                power = float(score(cand, cand))
                 if power < best:
                     window, spectrum, pulse, best = trial, cand_spectrum, cand, power
                     improved, accepted = True, accepted + 1
             powers.append(best)
         if not improved:
             break
-    return pulse, powers, accepted
+    return pulse, powers, accepted, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +731,16 @@ def test_interference_power_zero_cases():
     assert ofdm.interference_power(beyond_cp, cfg) > 1e-3
 
 
+@pytest.mark.parametrize("n, n_sub, cp", [(48, 12, 4), (64, 16, 16), (96, 8, 4), (120, 10, 5)])
+def test_interference_power_within_cp_is_nonnegative_zero(n, n_sub, cp):
+    """Every delay spread the prefix covers gives zero interference to rounding and
+    never a negative power: each cell's fold-minus-direct energy is a sum of squares."""
+    cfg = ofdm.cp_ofdm_config(n, n_sub, cp)
+    powers = [ofdm.interference_power(cm.flat_rect_profile(n, m, 0, min_delay=0), cfg)
+              for m in range(cp + 1)]
+    assert all(0.0 <= p <= 1e-13 for p in powers)
+
+
 def test_interference_power_matches_monte_carlo():
     """Second-order prediction vs. simulated interference energy, 250 draws."""
     n, k = 32, 250
@@ -881,15 +895,51 @@ def test_descent_trajectory_pinned_at_n96():
     (96, 12, 12, 1, 1), (96, 12, 12, 2, 1), (96, 12, 12, 1, 2), (96, 12, 12, 2, 2),
     (120, 12, 15, 2, 1), (256, 32, 16, 1, 1)])
 def test_descent_equals_per_trial_loop(n, a, b, max_delay, max_doppler):
-    """Gather indices built once per descent leave every trial's arithmetic as it
-    was: the same kept window, powers and accepted trials, exactly."""
+    """Scoring a coordinate's trials as one stack leaves every trial's arithmetic as
+    it is alone: the same kept window, powers and accepted trials, exactly."""
     prof = cm.flat_rect_profile(n, max_delay, max_doppler)
     grid = wh.WHGrid(n, a, b)
     tx, rx, powers, accepted = ofdm.interference_descent(prof, grid, n_sweeps=1, step=0.02)
-    ref_pulse, ref_powers, ref_accepted = per_trial_descent(prof, grid, n_sweeps=1, step=0.02)
+    ref_pulse, ref_powers, ref_accepted, _ = per_trial_descent(prof, grid, n_sweeps=1,
+                                                                step=0.02)
     assert rx is tx and np.array_equal(tx.samples, ref_pulse)
     assert powers == ref_powers and len(powers) == n + 1
     assert accepted == ref_accepted > 0
+
+
+def test_descent_skips_trials_that_are_not_frames():
+    """At (48, 48, 4) each adjoint Walnut block is 1 x 1, the energy of one sample
+    class mod 12, and in the narrow matched Gaussian (sigma 4) sample 1 carries all
+    but under 1e-20 of its class's energy; the trial -step = -window[1] zeroes it, fails the
+    frame test inside a stack and is skipped as the per-trial loop skips it (a
+    RuntimeWarning would be an error)."""
+    n = 48
+    prof = cm.flat_rect_profile(n, 1, 3)
+    grid = wh.WHGrid(n, n, 4)
+    step = wh.gaussian_pulse(n, sigma=ofdm.matched_sigma(prof, grid)).samples[1].real
+    tx, _, powers, accepted = ofdm.interference_descent(prof, grid, n_sweeps=1, step=step)
+    ref_pulse, ref_powers, ref_accepted, skipped = per_trial_descent(prof, grid, 1, step)
+    assert skipped > 0
+    assert np.array_equal(tx.samples, ref_pulse) and powers == ref_powers
+    assert accepted == ref_accepted > 0
+
+
+def test_descent_solves_each_coordinate_once(monkeypatch):
+    """One batched eigensolve per coordinate's trial stack, plus one per acceptance
+    that leaves later trials to re-stack (one trial per eigensolve gives 4N + 1)."""
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    n = 96
+    _, _, powers, accepted = ofdm.interference_descent(
+        cm.flat_rect_profile(n, 2, 1), wh.WHGrid(n, 12, 12), n_sweeps=1, step=0.02)
+    assert len(powers) == n + 1 and accepted > 0
+    assert len(calls) <= 1 + n + accepted
+
+
+@pytest.mark.parametrize("step", [0.0, -0.02, np.nan, np.inf])
+def test_descent_rejects_bad_step(step):
+    with pytest.raises(ValueError, match="step"):
+        ofdm.interference_descent(cm.flat_rect_profile(32, 1, 1), wh.WHGrid(32, 8, 8), 1, step)
 
 
 # ---------------------------------------------------------------------------
@@ -930,37 +980,50 @@ def full_grid_interference(profile, grid, amb):
 
 
 @st.composite
-def wide_lattices(draw):
-    """(N, a, b) with a*b > N, a support whose delays wrap around N and collide mod a,
-    and a random pair."""
+def wide_lattices(draw, critical=False):
+    """(N, a, b) with a*b > N (a*b >= N if ``critical``), a support whose delays wrap
+    around N and collide mod a and whose Dopplers repeat mod b in other cosets, and a
+    random pair."""
     n = draw(st.integers(min_value=4, max_value=48))
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     a, b = draw(st.sampled_from(divisors)), draw(st.sampled_from(divisors))
-    assume(a * b > n)
+    assume(a * b >= n if critical else a * b > n)
     delays = draw(st.lists(st.integers(-n // 2, n // 2), min_size=1, max_size=6))
-    delays += [(m + a) % n for m in delays[:2]]  # same residue mod a
     dopplers = draw(st.lists(st.integers(-n // 2, n // 2), min_size=len(delays),
                              max_size=len(delays)))
+    delays += [(m + a) % n for m in delays[:2]] + delays[:2]  # same residue mod a
+    dopplers += dopplers[:2] + [l + b for l in dopplers[:2]]  # same residue mod b
     return n, a, b, np.array(delays) % n, np.array(dopplers) % n, draw(st.integers(0, 2**31))
 
 
-@settings(max_examples=60, deadline=None)
-@given(wide_lattices())
-def test_scorer_equals_rows_scorer_property(case):
-    """The scorer's delay gather, built once per profile, gives exactly the score
-    of rows read through ``_ambiguity_rows``."""
+@settings(max_examples=80, deadline=None)
+@given(wide_lattices(critical=True), st.booleans())
+@example((12, 3, 4, np.array([1, 4, 11, 2]), np.array([0, 4, 9, 8]), 7), False)
+@example((12, 4, 3, np.array([0, 4, 8, 5]), np.array([1, 4, 11, 2]), 3), True)
+def test_scorer_equals_rows_scorer_property(case, self_pair):
+    """The adjoint-lattice scorer against the lattice-folded |A|^2 of the FFT rows, to
+    1e-12 of the profile mass times the Moyal energy N |g|^2 |gamma|^2 (the score is a
+    difference of folded energies), for general and self pairs; a stack of pairs
+    scores each pair exactly as it scores alone."""
     n, a, b, delays, dopplers, seed = case
     rng = np.random.default_rng(seed)
     g, gam = (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
+    if self_pair:
+        gam = g
     intensities = np.zeros((n, n))
     intensities[delays, dopplers] = rng.random(delays.size) + 0.1
     profile = cm.ScatteringProfile(n, intensities)
     grid = wh.WHGrid(n, a, b)
-    assert ofdm._interference_score(profile, grid)(g, gam) == rows_scorer(profile, grid)(g, gam)
+    score = ofdm._interference_score(profile, grid)
+    energy = profile.total_gain * n * np.vdot(g, g).real * np.vdot(gam, gam).real
+    assert abs(score(g, gam) - rows_scorer(profile, grid)(g, gam)) <= 1e-12 * energy
+    stack = np.stack([g, gam])
+    assert list(score(stack, stack[::-1])) == [score(g, gam), score(gam, g)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(wide_lattices())
+@example((47, 47, 47, np.array([0, 0, 0]), np.array([45, 45, 45]), 3))  # only the origin folds
 def test_ambiguity_rows_and_restricted_consumers_property(case):
     n, a, b, delays, dopplers, seed = case
     rng = np.random.default_rng(seed)
@@ -980,8 +1043,10 @@ def test_ambiguity_rows_and_restricted_consumers_property(case):
     intensities = np.zeros((n, n))
     intensities[delays, dopplers] = rng.random(delays.size) + 0.1
     profile = cm.ScatteringProfile(n, intensities)
-    assert ofdm.interference_power(profile, cfg) == pytest.approx(
-        full_grid_interference(profile, grid, amb), rel=1e-12)
+    reference = full_grid_interference(profile, grid, amb)
+    assert rows_scorer(profile, grid)(g, gam) == pytest.approx(reference, rel=1e-12)
+    energy = profile.total_gain * n * np.vdot(g, g).real * np.vdot(gam, gam).real
+    assert abs(ofdm.interference_power(profile, cfg) - reference) <= 1e-12 * energy
 
     cells_m, cells_l, _ = profile.support_cells
     m, l = cells_m[:, None, None], cells_l[:, None, None]
