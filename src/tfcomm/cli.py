@@ -423,6 +423,10 @@ def _run_frame_analyze(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
 
 
 def _run_pulse_design(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
+    if spec["baseline"] is not None:  # before the descent
+        base = _validate(spec["baseline"], _SYSTEMS["cp_ofdm"], "config.baseline")
+        with _located("config.baseline"):
+            baseline = cp_ofdm_config(n, **base)
     profile, system, power, descent = _design(spec, n, "config")
     report = {
         "method": spec["method"],
@@ -434,8 +438,6 @@ def _run_pulse_design(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
         **descent,
     }
     if spec["baseline"] is not None:
-        base = _validate(spec["baseline"], _SYSTEMS["cp_ofdm"], "config.baseline")
-        baseline = cp_ofdm_config(n, base["n_subcarriers"], base["cp_len"])
         report["baseline"] = {
             **base,
             "tf_product": baseline.grid.tf_product,
@@ -451,8 +453,8 @@ def _run_pulse_design(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
 def _run_ofdm_sim(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
     with _located("config.constellation"):  # before a designed system is optimised
         _check_constellation(spec["constellation"])
+    channel = _build_channel(spec["channel"], n, "config.channel")  # likewise
     system = _build_system(spec["system"], n, "config.system", base_dir)
-    channel = _build_channel(spec["channel"], n, "config.channel")
     energies = simulate_frames(system, channel, spec["n_frames"], spec["seed"],
                                spec["noise_psd"], spec["constellation"])
     _write_csv(out / "frames.csv", ["frame", "gain_energy", "interference_energy",

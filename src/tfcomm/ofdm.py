@@ -13,10 +13,9 @@ delay).  Nothing here builds the N x N grid.  Pulses are built on the
 adjoint lattice (N/b, N/a): dual or tight frames there are biorthogonal
 or orthogonal transmission sets here.  ``interference_descent`` starts
 from such a pair for a channel-matched Gaussian (``design_pulses`` stops
-there); a trial of its local search perturbs one seed-window sample,
-which enters a / gcd(a, N/b) of the a adjoint Walnut blocks, so it
-re-solves only those, and a coordinate's trials are solved and scored as
-one stack.
+there); a trial of its local search perturbs one seed-window sample, which
+enters one orbit of adjoint Walnut blocks, so it solves one block, and a
+coordinate's trials are solved and scored as one stack.
 
 The modulator is Gabor synthesis and the demodulator Gabor analysis on
 the lattice.  With M = N/b both factor through the Walnut gather
@@ -45,8 +44,8 @@ import numpy as np
 from .channel_models import ScatteringProfile, _support_draw
 from .tf_core import SpreadingFunction, _ambiguity_rows, _cell_filter, as_matrix, \
     spreading_function, tf_transfer
-from .wh_frames import Pulse, WHGrid, _block_power, _gram_defect, \
-    _walnut_blocks, _walnut_index, _walnut_stack, gaussian_pulse, lattice_matrix, rect_pulse
+from .wh_frames import Pulse, WHGrid, _block_power, _gram_defect, _walnut_blocks, \
+    _walnut_orbits, gaussian_pulse, lattice_matrix, rect_pulse
 
 __all__ = [
     "OFDMConfig",
@@ -116,10 +115,9 @@ class OFDMConfig:
         window, and the (M, N/a, b) stack conj(gamma[r + p*M - n*a]) of the
         receive window, so block r of each is one residue's matrix.
         """
-        index = _walnut_index(self.grid)
-        tx = _walnut_stack(self.tx_pulse.samples, self.grid, index)
-        rx = np.ascontiguousarray(
-            _walnut_stack(self.rx_pulse.samples, self.grid, index).conj().swapaxes(1, 2))
+        index = _walnut_orbits(self.grid).index
+        tx = self.tx_pulse.samples.take(index)
+        rx = np.ascontiguousarray(self.rx_pulse.samples.take(index).conj().swapaxes(1, 2))
         tx.flags.writeable = rx.flags.writeable = False
         return tx, rx
 
@@ -263,10 +261,11 @@ def _project(cfg: OFDMConfig, signal: np.ndarray) -> np.ndarray:
     return proj.reshape(*signal.shape[:-1], cfg.n_slots, cfg.n_subcarriers)
 
 
-def _dense_gains(h: np.ndarray, cfg: OFDMConfig, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
-    """Exact symbol gains <H g_{n,k}, gamma_{n,k}> from the two lattice matrices."""
+def _dense_gains(h: np.ndarray, cfg: OFDMConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact symbol gains <H g_{n,k}, gamma_{n,k}> and the two lattice matrices they come from."""
+    tx, rx = lattice_matrix(cfg.tx_pulse, cfg.grid), lattice_matrix(cfg.rx_pulse, cfg.grid)
     gains = np.einsum("ij,ij->j", rx.conj(), h @ tx)
-    return gains.reshape(cfg.n_slots, cfg.n_subcarriers)
+    return gains.reshape(cfg.n_slots, cfg.n_subcarriers), tx, rx
 
 
 def _projected_noise(cfg: OFDMConfig, noise_psd: float, rng: np.random.Generator,
@@ -308,8 +307,7 @@ def transmit_through(frame: SymbolFrame, cfg: OFDMConfig, channel,
     h = as_matrix(channel)
     if h.shape[0] != cfg.n_dim:
         raise ValueError(f"channel dimension {h.shape[0]} does not match N = {cfg.n_dim}")
-    tx, rx = lattice_matrix(cfg.tx_pulse, cfg.grid), lattice_matrix(cfg.rx_pulse, cfg.grid)
-    gains = _dense_gains(h, cfg, tx, rx)
+    gains, tx, rx = _dense_gains(h, cfg)
     clean = ((h @ (tx @ frame.data.ravel())).conj() @ rx).conj()
     clean = clean.reshape(frame.data.shape)
     noise = _projected_noise(cfg, noise_psd, np.random.default_rng(seed))
@@ -462,8 +460,7 @@ def gain_transfer_agreement(channel, cfg: OFDMConfig) -> float:
     sampled |L|.  Zero for the identity; grows with channel spread as the
     pointwise-multiplication picture degrades.
     """
-    tx, rx = lattice_matrix(cfg.tx_pulse, cfg.grid), lattice_matrix(cfg.rx_pulse, cfg.grid)
-    gains = _dense_gains(as_matrix(channel), cfg, tx, rx)
+    gains = _dense_gains(as_matrix(channel), cfg)[0]
 
     n = cfg.n_dim
     transfer = tf_transfer(spreading_function(channel)).values
@@ -506,10 +503,10 @@ def interference_descent(profile: ScatteringProfile, grid: WHGrid,
     Wexler-Raz duality (the result with no sweeps); needs a*b > N, as the
     adjoint frame operator degenerates at a*b = N.  A sweep perturbs one
     seed-window sample at a time by step, -step, i*step and -i*step and
-    re-tightens: sample i enters only the adjoint Walnut blocks
-    r = i mod gcd(a, N/b), so a trial re-solves those blocks, runs the
-    frame test against the kept spectrum of the others and rewrites their
-    samples of the tight pair, the window ``tight_window`` gives.  A
+    re-tightens: sample i enters only the orbit of adjoint Walnut blocks
+    r = i mod gcd(a, N/b), so a trial solves one block of it, runs the
+    frame test against the kept spectrum of the others and rewrites the
+    orbit's samples of the tight pair, the window ``tight_window`` gives.  A
     coordinate's trials are solved (one batched eigensolve) and scored (the
     scorer of ``interference_power``) as one stack; the first in order that
     is a frame and strictly improves is kept, and only the trials after it
@@ -530,25 +527,24 @@ def interference_descent(profile: ScatteringProfile, grid: WHGrid,
     scale = np.sqrt(grid.time_step * grid.freq_step / grid.n_dim)
     deltas = step * np.array([1, -1, 1j, -1j])
     window = gaussian_pulse(grid.n_dim, sigma=matched_sigma(profile, grid)).samples.copy()
-    solved = _walnut_blocks(window, adjoint, _walnut_index(adjoint))
+    solved = _walnut_blocks(window, adjoint, _walnut_orbits(adjoint))
     spectrum = solved[0]
     pulse = scale * _block_power(adjoint, solved, spectrum, -0.5).T.ravel()
     best = float(score(pulse, pulse))
     powers, accepted = [best], 0
-    indices = [_walnut_index(adjoint, np.arange(r, n_blocks, period)) for r in range(period)]
+    orbits = [_walnut_orbits(adjoint, np.arange(r, n_blocks, period)) for r in range(period)]
     for _ in range(n_sweeps):
         for idx in range(grid.n_dim):
-            index, todo = indices[idx % period], deltas
+            orbit, todo = orbits[idx % period], deltas
             while todo.size:
                 trials = window[None].repeat(todo.size, axis=0)
                 trials[:, idx] += todo
-                solved = _walnut_blocks(trials, adjoint, index)
+                solved = _walnut_blocks(trials, adjoint, orbit)
                 cand_evals = spectrum[None].repeat(todo.size, axis=0)
-                cand_evals[:, index[:, 0, 0]] = solved[0]
-                values, is_frame = _block_power(adjoint, solved, cand_evals, -0.5, None,
-                                                index[:, 0, 0])
+                cand_evals[:, orbit.samples[:, 0]] = solved[0]
+                values, is_frame = _block_power(adjoint, solved, cand_evals, -0.5)
                 cands = pulse[None].repeat(todo.size, axis=0)
-                cands[:, index[:, :, 0]] = scale * values
+                cands[:, orbit.samples] = scale * values
                 trial_powers = score(cands, cands)
                 better = np.flatnonzero(is_frame & (trial_powers < best))
                 if not better.size:

@@ -53,9 +53,7 @@ def _centered_range(n_dim: int) -> tuple[int, int]:
 
 def centered_index(index, n_dim: int):
     """Map indices mod N to centered representatives in (-N/2, N/2]."""
-    if n_dim < 1:
-        raise ValueError("dimension must be positive")
-    lo, _ = _centered_range(n_dim)
+    lo, _ = _centered_range(_check_dim(n_dim))
     idx = np.asarray(index)
     out = (idx - lo) % n_dim + lo
     if np.isscalar(index) or idx.ndim == 0:
@@ -82,6 +80,16 @@ def as_samples(pulse) -> np.ndarray:
     return x
 
 
+def _square_grid(values, noun: str, finite: bool = True) -> np.ndarray:
+    """``values`` as a nonempty square complex array, checked finite unless ``finite`` is False."""
+    grid = np.asarray(values, dtype=complex)
+    if grid.ndim != 2 or grid.shape[0] != grid.shape[1] or grid.shape[0] == 0:
+        raise ValueError(f"{noun} must be square, got shape {grid.shape}")
+    if finite and not np.all(np.isfinite(grid)):
+        raise ValueError(f"{noun} contains non-finite entries")
+    return grid
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteChannel:
     """A linear channel on length-N cyclic signals, stored as a dense matrix."""
@@ -89,14 +97,7 @@ class DiscreteChannel:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"channel matrix must be square, got shape {mat.shape}")
-        if mat.shape[0] == 0:
-            raise ValueError("channel dimension must be positive")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("channel matrix contains non-finite entries")
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", _square_grid(self.matrix, "channel matrix"))
 
     @property
     def n_dim(self) -> int:
@@ -122,12 +123,7 @@ class SpreadingFunction:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] == 0:
-            raise ValueError(f"coefficient grid must be square, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficient grid contains non-finite entries")
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", _square_grid(self.coeffs, "coefficient grid"))
 
     @property
     def n_dim(self) -> int:
@@ -152,10 +148,7 @@ class TransferFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] == 0:
-            raise ValueError(f"transfer grid must be square, got shape {v.shape}")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _square_grid(self.values, "transfer grid", False))
 
     @property
     def n_dim(self) -> int:

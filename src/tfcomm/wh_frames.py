@@ -5,28 +5,32 @@ g_{n,k} = M^(-k*b) D^(n*a) g, i.e. g_{n,k}[i] = g[(i - n*a) mod N] *
 exp(2j*pi*k*b*i/N) with a | N and b | N, built by ``tf_core.tf_shift``.
 Summing over the modulations leaves sum_{n,k} g_{n,k} gamma_{n,k}^H nonzero
 only where i = j mod N/b (Walnut's representation): N/b b x b blocks, one
-per residue class of samples.  One batched eigensolve of the blocks of g
-with itself (``_walnut_blocks``) factors the frame operator: the bounds, the
-canonical dual and tight windows and the rank-tolerant pseudo-powers are read
-off it (``_block_power``), and frame-analyze solves it once for all three
-(``_frame_analysis``).  The dense ``frame_operator`` is a reference.  Sample
-i enters only the blocks r = i mod gcd(N/b, a), so a window that differs from
-a solved one in a few samples is re-solved on those blocks alone, against the
-kept spectrum of the rest.  The Wexler-Raz test reads duality on the lattice
-off the blocks of g with gamma, and biorthogonality on the adjoint lattice
-(time step N/b, frequency step N/a) off the N/b lattice rows of their
-cross-ambiguity.
+per residue class of samples.  The frame operator S (gamma = g) commutes
+with D^a, so with d = gcd(N/b, a) the blocks r, r + d, r + 2d, ... are one
+orbit, one matrix up to a cyclic shift (``_walnut_orbits``).  One batched
+eigensolve of a block per orbit (``_walnut_blocks``) factors S: the bounds,
+the canonical dual and tight windows and the rank-tolerant pseudo-powers
+are read off it (``_block_power``), and frame-analyze solves it once for
+all three (``_frame_analysis``).  The dense ``frame_operator`` is a
+reference.  A window that differs from a solved one in sample i is
+re-solved on one block, of the orbit of i mod d.  The Wexler-Raz test
+reads duality on the lattice off the blocks of g with gamma, and
+biorthogonality on the adjoint lattice (time step N/b, frequency step N/a)
+off the N/b lattice rows of their cross-ambiguity.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .tf_core import DiscreteChannel, _ambiguity_rows, as_samples, centered_index, tf_shift
+from .tf_core import DiscreteChannel, _ambiguity_rows, _check_dim, as_samples, centered_index, \
+    tf_shift
 
 __all__ = [
     "NotAFrameError",
@@ -66,10 +70,8 @@ class WHGrid:
             if int(val) != val or val < 1:
                 raise ValueError(f"{name} must be a positive integer, got {val}")
             object.__setattr__(self, name, int(val))
-        if self.n_dim % self.time_step:
-            raise ValueError(f"time_step {self.time_step} does not divide N = {self.n_dim}")
-        if self.n_dim % self.freq_step:
-            raise ValueError(f"freq_step {self.freq_step} does not divide N = {self.n_dim}")
+            if self.n_dim % int(val):
+                raise ValueError(f"{name} {int(val)} does not divide N = {self.n_dim}")
 
     @property
     def n_time(self) -> int:
@@ -141,63 +143,70 @@ def frame_operator(pulse, grid: WHGrid) -> DiscreteChannel:
     return DiscreteChannel(mat @ mat.conj().T)
 
 
-def _walnut_index(grid: WHGrid, blocks=slice(None)) -> np.ndarray:
-    """The (blocks, b, N/a) gather index r + p*N/b - n*a mod N of block r, row p and slot n.
+_Orbits = namedtuple("_Orbits", "index solved samples rep rows")
 
-    Slot 0 holds each block's own samples r + p*N/b, so ``index[:, 0, 0]``
-    are the block numbers and ``index[:, :, 0]`` their samples.
+
+def _walnut_orbits(grid: WHGrid, blocks=slice(None)) -> _Orbits:
+    """The Walnut gather of the blocks ``blocks``, with one block to solve per orbit.
+
+    ``index`` gathers r + p*M - n*a mod N (M = N/b) at [block r, row p, slot n] and
+    ``samples`` is its slot 0.  Block r + j*d, d = gcd(M, a) = u*M - v*a, gathers block
+    r's rows and slots rolled by j*u and j*v, so its matrix is block r's rolled by j*u.
+    ``solved`` gathers the orbits' r < d, and block k reads row rep[k] and eigenvector rows rows[k].
     """
-    m = grid.n_freq
-    return (np.arange(m)[blocks][:, None, None] + m * np.arange(grid.freq_step)[None, :, None]
-            - grid.time_step * np.arange(grid.n_time)[None, None, :]) % grid.n_dim
+    m, b, period = grid.n_freq, grid.freq_step, math.gcd(grid.n_freq, grid.time_step)
+    blocks = np.arange(m)[blocks]
+    reps, rep = np.unique(blocks % period, return_inverse=True)
+    index = (np.append(blocks, reps)[:, None, None] + m * np.arange(b)[None, :, None]
+             - grid.time_step * np.arange(grid.n_time)[None, None, :]) % grid.n_dim
+    roll = pow(m // period, -1, grid.time_step // period) * (blocks // period)
+    rows = b * rep[:, None] + (np.arange(b) + roll[:, None]) % b
+    return _Orbits(index[:blocks.size], index[blocks.size:], index[:blocks.size, :, 0], rep, rows)
 
 
-def _walnut_stack(g: np.ndarray, grid: WHGrid, index: np.ndarray) -> np.ndarray:
-    """The stack g[..., r + p*N/b - n*a] gathered through ``_walnut_index``."""
-    if g.shape[-1] != grid.n_dim:
-        raise ValueError(f"pulse length {g.shape[-1]} does not match grid N = {grid.n_dim}")
-    return g.take(index, axis=-1)
-
-
-def _walnut_blocks(pulse, grid: WHGrid, index: np.ndarray):
-    """Eigensystem of the Walnut blocks of the frame operator that ``index`` gathers.
+def _walnut_blocks(pulse, grid: WHGrid, orbits: _Orbits):
+    """Eigensystem of the Walnut blocks of the frame operator that ``orbits`` gathers.
 
     With M = N/b, S[i, j] = (N/b) sum_n g[i - n*a] conj(g[j - n*a]) when
     i = j mod M and zero otherwise.  Block r holds samples r + p*M for
     p = 0..b-1.  Returns (evals, evecs, g_blocks) of shapes (..., B, b),
-    (..., B, b, b) and (..., B, b) for B blocks, evals clipped at zero; a
-    stack of windows (T, N) is taken as given and solved in one ``eigh``.
+    (..., B, b, b) and (..., B, b) for B blocks, evals clipped at zero, all
+    read off one ``eigh`` per orbit; a stack of windows (T, N) is taken as
+    given and solved in one ``eigh``.
     """
     g = pulse if isinstance(pulse, np.ndarray) and pulse.ndim > 1 else as_samples(pulse)
-    stack = _walnut_stack(g, grid, index)
+    if g.shape[-1] != grid.n_dim:
+        raise ValueError(f"pulse length {g.shape[-1]} does not match grid N = {grid.n_dim}")
+    stack = g.take(orbits.solved, axis=-1)
     evals, evecs = np.linalg.eigh(grid.n_freq * (stack @ stack.conj().swapaxes(-1, -2)))
-    return np.maximum(evals, 0.0), evecs, g.take(index[:, :, 0], axis=-1)
+    evecs = evecs.reshape(*evecs.shape[:-3], -1, grid.freq_step).take(orbits.rows, axis=-2)
+    return np.maximum(evals, 0.0).take(orbits.rep, axis=-2), evecs, g.take(orbits.samples, axis=-1)
 
 
 FRAME_RANK_RTOL = 1e-10
 
 
 def _block_power(grid: WHGrid, solved, spectrum: np.ndarray, power: float,
-                 rank_rtol: float | None = None, blocks=slice(None)):
-    """S^power g on the Walnut blocks ``blocks`` that ``_walnut_blocks`` solved.
+                 rank_rtol: float | None = None):
+    """S^power g on the Walnut blocks that ``_walnut_blocks`` solved.
 
     ``solved`` is its (evals, evecs, g_blocks).  The frame test and the rank
     threshold read the largest eigenvalue of ``spectrum``, the (..., N/b, b)
-    spectrum of all blocks with the solved rows at ``blocks``.  Returns
+    spectrum of all blocks, the solved ones included.  Returns
     values[..., j, p], the sample r + p*N/b of S^power g for the j-th block
     r; a stack returns (values, is_frame) where one window raises
     NotAFrameError (a non-frame's values are then its pseudo-power).
     """
     block_evals, evecs, g_blocks = solved
-    keep = spectrum > (FRAME_RANK_RTOL if rank_rtol is None else rank_rtol) * \
+    floor = (FRAME_RANK_RTOL if rank_rtol is None else rank_rtol) * \
         spectrum.max(axis=(-2, -1), keepdims=True)
-    is_frame = keep.all(axis=(-2, -1))
+    is_frame = (spectrum > floor).all(axis=(-2, -1))
     if rank_rtol is None and spectrum.ndim == 2 and not is_frame:
         raise NotAFrameError(
             f"window does not generate a frame on {grid}: "
             f"extreme eigenvalues ({spectrum.min():.3e}, {spectrum.max():.3e})")
     scale = np.power(block_evals, power, out=np.zeros_like(block_evals),
-                     where=keep[..., blocks, :])
+                     where=block_evals > floor)
     coef = np.einsum("...pq,...p->...q", evecs.conj(), g_blocks) * scale
     values = np.einsum("...pq,...q->...p", evecs, coef)
     return values if spectrum.ndim == 2 else (values, is_frame)
@@ -214,7 +223,7 @@ def _frame_report(evals: np.ndarray) -> FrameReport:
 
 def _frame_analysis(pulse, grid: WHGrid) -> tuple[FrameReport, Pulse, Pulse]:
     """(``frame_bounds``, ``dual_window``, ``tight_window``) from one eigensolve."""
-    solved = _walnut_blocks(pulse, grid, _walnut_index(grid))
+    solved = _walnut_blocks(pulse, grid, _walnut_orbits(grid))
     dual, tight = (Pulse(_block_power(grid, solved, solved[0], p).T.ravel()) for p in (-1.0, -0.5))
     return _frame_report(solved[0]), dual, tight
 
@@ -226,13 +235,13 @@ def frame_power(pulse, grid: WHGrid, power: float, rank_rtol: float | None = Non
     NotAFrameError.  With it set, eigenvalues at or below rank_rtol times the
     largest are dropped: the pseudo-power on the range of S (as at a*b = N).
     """
-    solved = _walnut_blocks(pulse, grid, _walnut_index(grid))
+    solved = _walnut_blocks(pulse, grid, _walnut_orbits(grid))
     return Pulse(_block_power(grid, solved, solved[0], power, rank_rtol).T.ravel())
 
 
 def frame_bounds(pulse, grid: WHGrid) -> FrameReport:
     """Extreme eigenvalues of the frame operator over all Walnut blocks; tight to 1e-9."""
-    return _frame_report(_walnut_blocks(pulse, grid, _walnut_index(grid))[0])
+    return _frame_report(_walnut_blocks(pulse, grid, _walnut_orbits(grid))[0])
 
 
 def dual_window(pulse, grid: WHGrid) -> Pulse:
@@ -268,8 +277,10 @@ def check_wexler_raz(pulse, dual, grid: WHGrid) -> tuple[bool, float]:
     from (a*b/N) times the identity; the two criteria agree (Wexler-Raz).
     """
     g, gam = as_samples(pulse), as_samples(dual)
-    index = _walnut_index(grid)
-    mixed = _walnut_stack(g, grid, index) @ _walnut_stack(gam, grid, index).conj().swapaxes(1, 2)
+    if g.size != grid.n_dim or gam.size != grid.n_dim:
+        raise ValueError(f"pulse lengths {g.size}, {gam.size} do not match grid N = {grid.n_dim}")
+    index = _walnut_orbits(grid).index
+    mixed = g.take(index) @ gam.take(index).conj().swapaxes(1, 2)
     is_dual = bool(np.abs(grid.n_freq * mixed - np.eye(grid.freq_step)).max() <= 1e-10)
     return is_dual, _gram_defect(g, gam, grid.adjoint(), grid.tf_product)
 
@@ -301,9 +312,7 @@ def gaussian_pulse(n_dim: int, time_step: int | None = None,
     sqrt(a*N/b) matches the window's time/frequency spread ratio to the
     grid aspect a/b; with no grid given it falls back to sqrt(N).
     """
-    n = int(n_dim)
-    if n < 1:
-        raise ValueError("dimension must be positive")
+    n = _check_dim(n_dim)
     if sigma is None:
         if time_step is not None and freq_step is not None:
             sigma = np.sqrt(time_step * n / freq_step)

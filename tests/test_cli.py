@@ -682,6 +682,36 @@ def test_unknown_constellation_refused_before_design(tmp_path, capsys, monkeypat
     assert len(calls) == 1
 
 
+DESIGNED_SIM_CFG = dict(SIM_CFG, n_dim=24, system={
+    "kind": "designed", "time_step": 4, "freq_step": 8, "profile": DESIGN_CFG["profile"],
+    "method": "local_search"})
+
+
+@pytest.mark.parametrize("kind, cfg, message", [
+    ("pulse-design", dict(DESIGN_CFG, method="local_search",
+                          baseline={"n_subcarriers": 4, "cp_len": 3}),
+     "config.baseline: symbol length 7 must divide N = 24"),
+    ("pulse-design", dict(DESIGN_CFG, method="local_search",
+                          baseline={"n_subcarriers": 4, "cp": 3}),
+     "config.baseline: unknown keys ['cp']; allowed ['cp_len', 'n_subcarriers']"),
+    ("ofdm-sim", dict(DESIGNED_SIM_CFG, channel={"kind": "wssus", "profile": {
+        "kind": "flat_rect", "max_delay": 1, "max_doppler": 99}}),
+     "config.channel.profile: max_doppler 99 outside centered range [-11, 12] for N = 24"),
+    ("ofdm-sim", dict(DESIGNED_SIM_CFG, channel={"kind": "specular", "paths": [[0, 0, 1.0]]}),
+     "config.channel.paths[0]: expected [delay, doppler, re, im]"),
+], ids=["baseline-symbol", "baseline-key", "channel-doppler", "channel-path"])
+def test_config_errors_refused_before_design(tmp_path, capsys, monkeypatch, kind, cfg, message):
+    # these used to be found only after the descent had run (about 1 s at N = 512)
+    calls, descent = [], cli.interference_descent
+    monkeypatch.setattr(cli, "interference_descent",
+                        lambda *args: calls.append(args) or descent(*args))
+    path = write_config(tmp_path, "late.json", cfg)
+    out = tmp_path / "out"
+    assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"tfcomm: config error: {message}\n"
+    assert calls == [] and list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("n_dim, period, support, n_unknowns", [
     # the 255 x 255 rectangle used to take seconds and hundreds of MB to reach this verdict
     (255, 5, {"n_delay": 255, "n_doppler": 255}, 255 * 255),

@@ -95,7 +95,7 @@ def rows_scorer(profile, grid):
 
 
 def per_trial_descent(profile, grid, n_sweeps, step):
-    """The block-local descent one trial at a time, the Walnut gather index built
+    """The block-local descent one trial at a time, the Walnut orbit maps built
     for every trial and every trial scored alone by the library scorer; returns
     (pulse, powers, accepted, skipped), ``skipped`` counting trials that fail the
     frame test."""
@@ -104,7 +104,7 @@ def per_trial_descent(profile, grid, n_sweeps, step):
     period = math.gcd(n_blocks, adjoint.time_step)
     scale = np.sqrt(grid.time_step * grid.freq_step / grid.n_dim)
     window = wh.gaussian_pulse(grid.n_dim, sigma=ofdm.matched_sigma(profile, grid)).samples.copy()
-    solved = wh._walnut_blocks(window, adjoint, wh._walnut_index(adjoint))
+    solved = wh._walnut_blocks(window, adjoint, wh._walnut_orbits(adjoint))
     spectrum = solved[0]
     pulse = scale * wh._block_power(adjoint, solved, spectrum, -0.5).T.ravel()
     score = ofdm._interference_score(profile, grid)
@@ -118,11 +118,11 @@ def per_trial_descent(profile, grid, n_sweeps, step):
             for delta in (step, -step, 1j * step, -1j * step):
                 trial = window.copy()
                 trial[idx] += delta
-                solved = wh._walnut_blocks(trial, adjoint, wh._walnut_index(adjoint, blocks))
+                solved = wh._walnut_blocks(trial, adjoint, wh._walnut_orbits(adjoint, blocks))
                 cand_spectrum = spectrum.copy()
                 cand_spectrum[blocks] = solved[0]
                 try:
-                    values = wh._block_power(adjoint, solved, cand_spectrum, -0.5, None, blocks)
+                    values = wh._block_power(adjoint, solved, cand_spectrum, -0.5)
                 except wh.NotAFrameError:
                     skipped += 1
                     continue
@@ -647,7 +647,7 @@ def test_simulate_frames_rejects_constellation_before_building(monkeypatch):
         raise AssertionError("an unknown constellation must be refused first")
 
     monkeypatch.setattr(ofdm, "_gain_table", refuse)
-    monkeypatch.setattr(ofdm, "_walnut_index", refuse)
+    monkeypatch.setattr(ofdm, "_walnut_orbits", refuse)
     monkeypatch.setattr(ofdm, "lattice_matrix", refuse)
     with pytest.raises(ValueError, match="unknown constellation 'qam1024'"):
         ofdm.simulate_frames(cfg, cm.flat_rect_profile(48, 1, 1), 2, 0, constellation="qam1024")
@@ -934,6 +934,20 @@ def test_descent_solves_each_coordinate_once(monkeypatch):
         cm.flat_rect_profile(n, 2, 1), wh.WHGrid(n, 12, 12), n_sweeps=1, step=0.02)
     assert len(powers) == n + 1 and accepted > 0
     assert len(calls) <= 1 + n + accepted
+
+
+def test_descent_solves_one_block_per_trial(monkeypatch):
+    """At (96, 12, 12) a sample enters one orbit of three 8 x 8 adjoint Walnut blocks and
+    a trial solves one of them: at most 4 (N + accepted) + 4 matrices per sweep, where a
+    solve per block took 1,509."""
+    counts, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda h: counts.append(math.prod(h.shape[:-2])) or eigh(h))
+    n = 96
+    _, _, powers, accepted = ofdm.interference_descent(
+        cm.flat_rect_profile(n, 2, 1), wh.WHGrid(n, 12, 12), n_sweeps=1, step=0.02)
+    assert len(powers) == n + 1 and accepted > 0
+    assert sum(counts) <= 4 * (n + accepted) + 4
 
 
 @pytest.mark.parametrize("step", [0.0, -0.02, np.nan, np.inf])

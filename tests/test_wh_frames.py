@@ -344,12 +344,13 @@ def test_walnut_index_property(lattice, seed):
     m = n // b
     period = math.gcd(m, a)
     for blocks in [np.arange(m)] + [np.arange(r, m, period) for r in range(period)]:
-        index = wh._walnut_index(grid, blocks)
+        index = wh._walnut_orbits(grid, blocks).index
         stack = g[(blocks[:, None, None] + m * np.arange(b)[None, :, None]
                    - a * np.arange(n // a)[None, None, :]) % n]
-        assert np.array_equal(wh._walnut_stack(g, grid, index), stack)
+        assert np.array_equal(g[index], stack)
         assert np.array_equal(index[:, :, 0], blocks[:, None] + m * np.arange(b))
-    assert np.array_equal(wh._walnut_index(grid), wh._walnut_index(grid, np.arange(m)))
+    assert np.array_equal(wh._walnut_orbits(grid).index,
+                          wh._walnut_orbits(grid, np.arange(m)).index)
 
 
 @settings(max_examples=60, deadline=None)
@@ -366,7 +367,7 @@ def test_blocked_engine_matches_dense_property(lattice, seed, sparse):
         g[rng.random(n) < 0.3] = 0.0
     evals, root = dense_frame_power(g, grid, -0.5, rank_rtol=1e-10)
     top = evals[-1]
-    blocked = np.sort(wh._walnut_blocks(g, grid, wh._walnut_index(grid))[0].ravel())
+    blocked = np.sort(wh._walnut_blocks(g, grid, wh._walnut_orbits(grid))[0].ravel())
     assert np.abs(blocked - evals).max() <= 1e-12 * top
     report = wh.frame_bounds(g, grid)
     assert abs(report.lower_bound - evals[0]) <= 1e-12 * top
@@ -477,15 +478,15 @@ def test_block_local_tight_window_property(lattice, seed, perturb):
         trial[:] = g
         trial[idx] = 0.0
     blocks = np.arange(idx % period, grid.n_freq, period)
-    spectrum = wh._walnut_blocks(g, grid, wh._walnut_index(grid))[0]
+    spectrum = wh._walnut_blocks(g, grid, wh._walnut_orbits(grid))[0]
     try:
         full = wh.tight_window(trial, grid).samples
     except wh.NotAFrameError:
         full = None
-    solved = wh._walnut_blocks(trial, grid, wh._walnut_index(grid, blocks))
+    solved = wh._walnut_blocks(trial, grid, wh._walnut_orbits(grid, blocks))
     spectrum[blocks] = solved[0]
     try:
-        values = wh._block_power(grid, solved, spectrum, -0.5, None, blocks)
+        values = wh._block_power(grid, solved, spectrum, -0.5)
     except wh.NotAFrameError:
         values = None
     assert (full is None) == (values is None)
@@ -502,3 +503,78 @@ def test_block_local_tight_window_property(lattice, seed, perturb):
         return
     local[samples] = values
     assert np.abs(local - full).max() <= 1e-13 * scale
+
+
+# ---------------------------------------------------------------------------
+# property: one eigensolve per orbit of the lattice shift D^a against per-block
+# solves and the dense eigensolve
+
+
+def block_matrices(g, grid):
+    """Every Walnut block (N/b) G_r G_r^H of the frame operator, each built on its own."""
+    m = grid.n_freq
+    r, p, n = np.ogrid[:m, :grid.freq_step, :grid.n_time]
+    stack = g[(r + p * m - n * grid.time_step) % grid.n_dim]
+    return m * stack @ stack.conj().transpose(0, 2, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lattices(), st.integers(min_value=0, max_value=2 ** 31), st.booleans(), st.data())
+@example((512, 16, 16), 0, False, None)  # 32 blocks in 16 orbits of 2
+@example((96, 8, 8), 1, False, None)  # the adjoint of pulse-design-n96: 4 orbits of 3
+@example((24, 4, 6), 2, False, None)  # a*b = N: the rank-tolerant path
+@example((16, 8, 4), 3, True, None)  # a*b > N: never a frame
+@example((48, 12, 4), 4, True, None)
+def test_orbit_solve_matches_per_block_solves_property(lattice, seed, sparse, data):
+    """Blocks of a union of orbits, in any order, read off one solve per orbit the
+    spectrum and eigenvectors of their own solves, and S^p g reads the dense one."""
+    n, a, b = lattice
+    grid = wh.WHGrid(n, a, b)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if sparse:  # often not a frame
+        g[rng.random(n) < 0.3] = 0.0
+    assume(np.linalg.norm(g) > 0.0)
+    m, period = grid.n_freq, math.gcd(grid.n_freq, a)
+    residues = range(period) if data is None else \
+        sorted(data.draw(st.sets(st.integers(0, period - 1), min_size=1), label="orbits"))
+    blocks = rng.permutation(np.flatnonzero(np.isin(np.arange(m) % period, residues)))
+    mats = block_matrices(g, grid)[blocks]
+    own = np.linalg.eigvalsh(mats)
+    top = own.max()
+    evals, evecs, g_blocks = wh._walnut_blocks(g, grid, wh._walnut_orbits(grid, blocks))
+    assert np.abs(evals - np.maximum(own, 0.0)).max() <= 1e-12 * top
+    assert np.abs(evecs.conj().transpose(0, 2, 1) @ evecs - np.eye(b)).max() <= 1e-12
+    assert np.abs((evecs * evals[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
+                  - mats).max() <= 1e-12 * top
+    assert np.array_equal(g_blocks, g[blocks[:, None] + m * np.arange(b)])
+
+    spectrum = wh._walnut_blocks(g, grid, wh._walnut_orbits(grid))[0]
+    for power in (-1.0, -0.5):
+        for rank_rtol in (None, 1e-10):
+            try:
+                dense_evals, dense = dense_frame_power(g, grid, power, rank_rtol)
+            except wh.NotAFrameError:
+                with pytest.raises(wh.NotAFrameError):
+                    wh.frame_power(g, grid, power, rank_rtol)
+                with pytest.raises(wh.NotAFrameError):
+                    wh._block_power(grid, (evals, evecs, g_blocks), spectrum, power)
+                continue
+            kept = dense_evals[dense_evals > 1e-10 * dense_evals[-1]]
+            # as in test_blocked_engine_matches_dense_property
+            scale = dense_evals[-1] * kept.min() ** (power - 1.0) * np.linalg.norm(g)
+            fast = wh.frame_power(g, grid, power, rank_rtol).samples
+            assert np.abs(fast - dense).max() <= 1e-12 * scale
+            values = wh._block_power(grid, (evals, evecs, g_blocks), spectrum, power, rank_rtol)
+            samples = blocks[:, None] + m * np.arange(b)
+            assert np.abs(values - dense[samples]).max() <= 1e-12 * scale
+
+
+def test_frame_analysis_solves_one_block_per_orbit(monkeypatch):
+    """At (512, 16, 16) the 32 Walnut blocks form 16 orbits of 2: frame-analyze runs
+    one eigh of 16 matrices, where a solve per block would take 32."""
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: shapes.append(h.shape) or eigh(h))
+    n = 512
+    wh._frame_analysis(wh.gaussian_pulse(n, 16, 16), wh.WHGrid(n, 16, 16))
+    assert shapes == [(16, 16, 16)]
