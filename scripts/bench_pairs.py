@@ -2,19 +2,21 @@
 """Alternating parent/change tfbench pairs, summarised in one JSON file.
 
     python3 scripts/bench_pairs.py PARENT_CHECKOUT --workload W [--workload W ...] \\
-        --pairs P --seconds S --out BENCH_<n>.json [--seed FIRST]
+        --pairs P --out BENCH_<n>.json [--seconds S] [--seed FIRST]
 
 Pair j of each workload runs ``tfbench/run.py --workload W --seed FIRST+j
---seconds S`` once for each side.  The parent runs first in even pairs and
-second in odd ones, so neither side always gets the warmer machine.  Right
-before each run, that side's ``src/`` and ``tfbench/`` (PARENT_CHECKOUT's or
-this checkout's) are copied, without ``__pycache__``, into the directory
-``parent`` or ``change`` of a temporary directory made afresh for the pair,
-and the run uses the copy.  Both sides thus import from directories made
-the same way and equally recently: where a checkout lives, what it has
-compiled before and which copy was made first move ``setup_s`` by several
-percent.  Every run's end-to-end metrics are read from the JSON object on
-the last line of its standard output.
+--seconds S`` once for each side.  ``--seconds`` defaults to BENCHMARK.json's
+``run_seconds``, the run length of the benchmark itself; claim a performance
+gain at that default, since shorter runs cannot hold a pair's order.  The
+parent runs first in even pairs and second in odd ones, so neither side
+always gets the warmer machine.  Right before each run, that side's ``src/``
+and ``tfbench/`` (PARENT_CHECKOUT's or this checkout's) are copied, without
+``__pycache__``, into the directory ``parent`` or ``change`` of a temporary
+directory made afresh for the pair, and the run uses the copy.  Both sides
+thus import from directories made the same way and equally recently: where
+a checkout lives, what it has compiled before and which copy was made first
+move ``setup_s`` by several percent.  Every run's end-to-end metrics are read
+from the JSON object on the last line of its standard output.
 
 The output file holds tfbench's environment line (Python, numpy, BLAS and
 CPU count) from the first run; in its protocol block, each checkout's
@@ -103,18 +105,19 @@ def summary(parent: list[float], change: list[float], better: str) -> dict:
 
 
 def main() -> int:
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="root of the parent checkout")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seconds", type=float, default=declared["run_seconds"],
+                        help="seconds per run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     directions = {m["name"]: m["better"] for m in declared["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": ROOT}
     report = {"protocol": {"pairs": args.pairs, "seconds": args.seconds,

@@ -266,8 +266,8 @@ def jakes_doppler_masses(max_doppler: int) -> np.ndarray:
 
 def _place_centered(n_dim: int, delays, delay_weights, dopplers, doppler_weights,
                     total_gain: float) -> ScatteringProfile:
-    rows = np.array([_check_on_grid(m, "delay", n_dim) % n_dim for m in delays], dtype=int)
-    cols = np.array([_check_on_grid(l, "doppler", n_dim) % n_dim for l in dopplers], dtype=int)
+    rows = np.array(delays, dtype=int) % n_dim  # the builders checked the extents
+    cols = np.array(dopplers, dtype=int) % n_dim
     return ScatteringProfile._from_cells(
         n_dim, np.repeat(rows, cols.size), np.tile(cols, rows.size),
         np.outer(delay_weights, doppler_weights).ravel()).scaled(total_gain)
@@ -279,9 +279,10 @@ def flat_rect_profile(n_dim: int, max_delay: int, max_doppler: int,
     """Uniform mass on a delay-Doppler rectangle, centered by default."""
     max_delay = _check_on_grid(max_delay, "max_delay", n_dim)
     max_doppler = _check_on_grid(max_doppler, "max_doppler", n_dim)
-    min_delay = _check_on_grid(-max_delay if min_delay is None else min_delay, "min_delay", n_dim)
+    min_delay = _check_on_grid(-max_delay if min_delay is None else min_delay,
+                               "-max_delay" if min_delay is None else "min_delay", n_dim)
     min_doppler = _check_on_grid(-max_doppler if min_doppler is None else min_doppler,
-                                 "min_doppler", n_dim)
+                                 "-max_doppler" if min_doppler is None else "min_doppler", n_dim)
     if min_delay > max_delay or min_doppler > max_doppler:
         raise ValueError("empty support rectangle")
     delays = range(min_delay, max_delay + 1)
@@ -305,6 +306,7 @@ def exponential_jakes_profile(n_dim: int, delay_decay: float, max_doppler: int,
         max_delay = min((n_dim - 1) // 2, max(1.0, np.ceil(6.0 * delay_decay)))
     max_delay = _check_on_grid(max_delay, "max_delay", n_dim)
     max_doppler = _check_on_grid(max_doppler, "max_doppler", n_dim)
+    _check_on_grid(-max_doppler, "-max_doppler", n_dim)
     delays = range(0, max_delay + 1)
     delay_weights = np.exp(-np.arange(len(delays)) / delay_decay)
     dopplers = range(-max_doppler, max_doppler + 1)
@@ -331,11 +333,12 @@ def drm_like_profile(n_dim: int, tap_delays=(0, 1, 2, 3), tap_gains=DRM_TAP_GAIN
     for delay, gain, halfwidth in zip(tap_delays, tap_gains, doppler_halfwidths):
         if gain < 0:
             raise ValueError("tap gains must be nonnegative")
-        row = _check_on_grid(delay, "tap delay", n_dim) % n_dim
+        row = _check_on_grid(delay, "tap_delays", n_dim) % n_dim
         halfwidth = _check_on_grid(halfwidth, "doppler_halfwidths", n_dim)
+        _check_on_grid(-halfwidth, "-doppler_halfwidths", n_dim)
         masses = gain * jakes_doppler_masses(halfwidth)
         for offset, mass in zip(range(-halfwidth, halfwidth + 1), masses):
-            cells.append((row, _check_on_grid(offset, "doppler", n_dim) % n_dim, mass))
+            cells.append((row, offset % n_dim, mass))
     return ScatteringProfile._from_cells(n_dim, *np.reshape(cells, (-1, 3)).T).scaled(total_gain)
 
 
@@ -348,8 +351,6 @@ _PRESETS = {
 
 def preset_profile(kind: str, n_dim: int, **params) -> ScatteringProfile:
     """Dispatch to a named profile builder; unknown kinds or keys are rejected."""
-    try:
-        builder = _PRESETS[kind]
-    except KeyError:
-        raise ValueError(f"unknown profile kind {kind!r}; expected one of {sorted(_PRESETS)}") from None
-    return builder(n_dim, **params)
+    if kind not in _PRESETS:
+        raise ValueError(f"unknown profile kind {kind!r}; expected one of {sorted(_PRESETS)}")
+    return _PRESETS[kind](n_dim, **params)

@@ -12,14 +12,14 @@ library (not a frame, not identifiable, a failed eigensolver or demodulator
 split, a non-finite result) and refused allocations (out of memory).
 
 One table, ``_RUNNERS``, maps each kind to its runner, its report file and
-its own config keys.  ``run_experiment`` does the shared work once: it
-rejects non-finite numbers anywhere in the config, validates
-``[kind, n_dim, <kind keys>, seed]``, calls the runner (which writes its
-CSVs and returns its report), writes the report with ``n_dim`` added, and
-lists every staged file in the manifest.  Every exit-2 message about a
-config value starts with its location: ``_located`` is the one place where a
-library ValueError/TypeError becomes a ConfigError, at the dotted key a
-builder or library call reads, else at ``config`` around the whole runner.
+its own config keys; a key that holds an object declares its key list, or a
+``_Variants`` table of key lists by the object's ``kind``.  ``run_experiment``
+rejects non-finite numbers anywhere in the config and checks the whole config
+at every depth before it calls the runner, which builds its descriptors from
+the checked config, writes its CSVs and returns its report.  Every exit-2
+message about a config value starts with its location: a table check's dotted
+key, or the key at which ``_located`` makes a library ValueError/TypeError (a
+check that needs N) a ConfigError, else ``config`` around the whole runner.
 
 All randomness is derived from the single run seed through generators of
 fixed lists: [seed, 0] for a spread-analyze WSSUS draw and the identify
@@ -39,6 +39,7 @@ import shutil
 import sys
 import tempfile
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -88,7 +89,9 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # schema helpers
 
-_MISSING = object()
+_MISSING = object()  # the default of a required key
+_ABSENT = object()  # the default of a key that, when not given, stays out of the checked object
+_Variants = namedtuple("_Variants", "noun kinds")  # key lists by "kind"; noun names the kind
 
 
 @dataclass(frozen=True)
@@ -96,12 +99,15 @@ class _Key:
     name: str
     types: tuple
     default: object = _MISSING
-    # a given value must satisfy lo <= value (lo < value if open_lo) <= hi; None is no bound
+    # a given value must satisfy lo <= value, gt < value and value <= hi; None is no bound
+    # and a str hi names a key of the checked top level (hi="n_dim")
     lo: float | None = None
-    hi: float | None = None
-    open_lo: bool = False
+    gt: float | None = None
+    hi: float | str | None = None
     # forms a given list's entries may take: () a number, (name, ...) a list of numbers
     entries: tuple = ()
+    # a given object's keys: a key list, or a _Variants table chosen by the object's "kind"
+    schema: list | _Variants | None = None
 
 
 def _fits(item, form: tuple) -> bool:
@@ -111,40 +117,50 @@ def _fits(item, form: tuple) -> bool:
     return isinstance(item, list) and len(item) == len(form) and all(_fits(v, ()) for v in item)
 
 
-def _validate(obj, keys: list[_Key], where: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(obj).__name__}")
+def _validate(obj, keys: list[_Key], where: str, top: dict | None = None) -> dict:
+    """``obj`` checked against ``keys`` in table order at every depth, defaults filled in;
+    ``top`` is the checked top level, whose keys a bound named by a str reads."""
     known = {k.name for k in keys}
     unknown = sorted(set(obj) - known)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}; allowed {sorted(known)}")
     out = {}
+    top = out if top is None else top
     for key in keys:
+        at = f"{where}.{key.name}"
         if key.name in obj:
             val = obj[key.name]
             if float in key.types and isinstance(val, int) and not isinstance(val, bool):
-                _check_float_range(val, f"{where}.{key.name}")
+                _check_float_range(val, at)
                 val = float(val)
             if key.entries and isinstance(val, list):
-                _check_float_range(val, f"{where}.{key.name}")
+                _check_float_range(val, at)
             if not isinstance(val, key.types) or isinstance(val, bool) and bool not in key.types:
                 names = "/".join(t.__name__ for t in key.types)
-                raise ConfigError(f"{where}.{key.name}: expected {names}, "
-                                  f"got {type(val).__name__}")
-            below = key.lo is not None and (val <= key.lo if key.open_lo else val < key.lo)
-            if below or key.hi is not None and val > key.hi:
-                lo = "" if key.lo is None else f"{key.lo} {'<' if key.open_lo else '<='} "
-                hi = "" if key.hi is None else f" <= {key.hi}"
-                raise ConfigError(f"{where}.{key.name}: expected {lo}{key.name}{hi}, got {val!r}")
+                raise ConfigError(f"{at}: expected {names}, got {type(val).__name__}")
+            hi = top[key.hi] if isinstance(key.hi, str) else key.hi
+            if (key.lo is not None and val < key.lo or key.gt is not None and val <= key.gt
+                    or hi is not None and val > hi):
+                lo = "" if key.lo is None else f"{key.lo} <= "
+                lo = lo if key.gt is None else f"{key.gt} < "
+                hi = "" if hi is None else f" <= {hi}"
+                raise ConfigError(f"{at}: expected {lo}{key.name}{hi}, got {val!r}")
             for j, item in enumerate(val if key.entries and isinstance(val, list) else []):
                 if not any(_fits(item, form) for form in key.entries):
                     names = " or ".join(f"[{', '.join(f)}]" if f else "a number"
                                         for f in key.entries)
-                    raise ConfigError(f"{where}.{key.name}[{j}]: expected {names}")
-            out[key.name] = val
+                    raise ConfigError(f"{at}[{j}]: expected {names}")
+            schema = key.schema if isinstance(val, dict) else None
+            if isinstance(schema, _Variants):
+                if "kind" not in val:
+                    raise ConfigError(f"{at}: expected an object with a 'kind' key")
+                if not (isinstance(val["kind"], str) and val["kind"] in schema.kinds):
+                    raise ConfigError(f"{at}.kind: unknown {schema.noun} kind {val['kind']!r}")
+                schema = [_Key("kind", (str,)), *schema.kinds[val["kind"]]]
+            out[key.name] = val if schema is None else _validate(val, schema, at, top)
         elif key.default is _MISSING:
             raise ConfigError(f"{where}: missing required key {key.name!r}")
-        else:
+        elif key.default is not _ABSENT:
             out[key.name] = key.default
     return out
 
@@ -173,13 +189,6 @@ def _leaves(value, where: str):
             yield where, value
 
 
-def _check_finite(cfg: dict) -> None:
-    """Reject inf and nan anywhere in the config (JSON reads 1e400 as inf)."""
-    for where, value in _leaves(cfg, "config"):
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{where}: non-finite number {value!r} is not allowed")
-
-
 def _check_float_range(value, where: str) -> None:
     """Reject an int past float range in a value that becomes float or complex.
 
@@ -194,48 +203,44 @@ def _check_float_range(value, where: str) -> None:
 # descriptor builders (profiles, pulses, channels, systems)
 
 
-# each variant's keys besides "kind"; pulse-design configs and "designed"
-# systems share _DESIGN_KEYS; the descent perturbs a unit-norm seed window, so a step
-# above 1 would swamp it
-_DESIGN_KEYS = [_Key("time_step", (int,)), _Key("freq_step", (int,)), _Key("profile", (dict,)),
+# each variant's keys besides "kind"; a profile key left out takes its builder's default;
+# pulse-design configs and "designed" systems share _DESIGN_KEYS; the descent perturbs a
+# unit-norm seed window, so a step above 1 would swamp it
+_TOTAL_GAIN = _Key("total_gain", (float,), _ABSENT, lo=0)
+_PROFILES = _Variants("profile", {
+    "flat_rect": [_Key("max_delay", (int,)), _Key("max_doppler", (int,)), *(
+        _Key(name, (int,), _ABSENT) for name in ("min_delay", "min_doppler")), _TOTAL_GAIN],
+    "exponential_jakes": [_Key("delay_decay", (float,), gt=0), _Key("max_doppler", (int,), lo=0),
+                          _Key("max_delay", (int,), _ABSENT, lo=0), _TOTAL_GAIN],
+    "drm_like": [*(_Key(name, (list,), _ABSENT, entries=((),))
+                   for name in ("tap_delays", "tap_gains", "doppler_halfwidths")), _TOTAL_GAIN]})
+_STEPS = [_Key("time_step", (int,), lo=1), _Key("freq_step", (int,), lo=1)]
+_DESIGN_KEYS = [*_STEPS, _Key("profile", (dict,), schema=_PROFILES),
                 _Key("method", (str,), "matched_gaussian_tight"), _Key("n_sweeps", (int,), 1, lo=0),
-                _Key("step", (float,), 0.02, lo=0, hi=1, open_lo=True)]
-_PULSES = {"gaussian": [_Key("sigma", (float,), None, lo=0, open_lo=True)],
-           "rect": [_Key("length", (int,)), _Key("offset", (int,), 0)],
-           "csv": [_Key("path", (str,))]}
-_CHANNELS = {"specular": [_Key("paths", (list,), entries=(("delay", "doppler", "re", "im"),))],
-             "time_invariant": [_Key("gains", (list,), entries=((), ("re", "im")))],
-             "wssus": [_Key("profile", (dict,))]}
-_SYSTEMS = {"cp_ofdm": [_Key("n_subcarriers", (int,)), _Key("cp_len", (int,))],
-            "designed": _DESIGN_KEYS,
-            "pulse_pair": [_Key("time_step", (int,)), _Key("freq_step", (int,)),
-                           _Key("tx", (dict,)), _Key("rx", (dict,))]}
+                _Key("step", (float,), 0.02, gt=0, hi=1)]
+_PULSES = _Variants("pulse", {"gaussian": [_Key("sigma", (float,), None, gt=0)],
+                              "rect": [_Key("length", (int,)), _Key("offset", (int,), 0)],
+                              "csv": [_Key("path", (str,))]})
+_CHANNELS = _Variants("channel", {
+    "specular": [_Key("paths", (list,), entries=(("delay", "doppler", "re", "im"),))],
+    "time_invariant": [_Key("gains", (list,), entries=((), ("re", "im")))],
+    "wssus": [_Key("profile", (dict,), schema=_PROFILES)]})
+_CP_OFDM_KEYS = [_Key("n_subcarriers", (int,), lo=1), _Key("cp_len", (int,), lo=0)]
+_SYSTEMS = _Variants("system", {"cp_ofdm": _CP_OFDM_KEYS, "designed": _DESIGN_KEYS, "pulse_pair": [
+    *_STEPS, _Key("tx", (dict,), schema=_PULSES), _Key("rx", (dict,), schema=_PULSES)]})
 
 
-def _tagged(desc: dict, where: str, noun: str, variants: dict) -> tuple[str, dict]:
-    """The kind of a {"kind": ...} descriptor and its keys, checked against ``variants``."""
-    if "kind" not in desc:
-        raise ConfigError(f"{where}: expected an object with a 'kind' key")
-    kind = desc["kind"]
-    if not (isinstance(kind, str) and kind in variants):
-        raise ConfigError(f"{where}.kind: unknown {noun} kind {kind!r}")
-    return kind, _validate(desc, [_Key("kind", (str,)), *variants[kind]], where)
-
-
-def _build_profile(desc: dict, n_dim: int, where: str) -> ScatteringProfile:
-    """A preset profile; ``preset_profile`` checks the kind and its parameters."""
-    params = {k: v for k, v in desc.items() if k != "kind"}
-    _check_float_range(params, where)  # parameters are numbers the builders may read as floats
+def _build_profile(spec: dict, n_dim: int, where: str) -> ScatteringProfile:
+    """A preset profile; ``preset_profile`` checks the parameters against N."""
     with _located(where):
-        return preset_profile(desc.get("kind"), n_dim, **params)
+        return preset_profile(n_dim=n_dim, **spec)
 
 
-def _build_pulse(desc: dict, n_dim: int, where: str, base_dir: Path, grid: WHGrid) -> Pulse:
-    kind, spec = _tagged(desc, where, "pulse", _PULSES)
+def _build_pulse(spec: dict, n_dim: int, where: str, base_dir: Path, grid: WHGrid) -> Pulse:
     with _located(where):
-        if kind == "gaussian":
+        if spec["kind"] == "gaussian":
             return gaussian_pulse(n_dim, grid.time_step, grid.freq_step, spec["sigma"])
-        if kind == "rect":
+        if spec["kind"] == "rect":
             return rect_pulse(n_dim, spec["length"], spec["offset"])
         try:
             pulse = read_pulse_csv(base_dir / spec["path"])
@@ -246,12 +251,11 @@ def _build_pulse(desc: dict, n_dim: int, where: str, base_dir: Path, grid: WHGri
     return pulse
 
 
-def _build_channel(desc: dict, n_dim: int, where: str) -> SpreadingFunction | ScatteringProfile:
+def _build_channel(spec: dict, n_dim: int, where: str) -> SpreadingFunction | ScatteringProfile:
     """A deterministic channel's SpreadingFunction, or a WSSUS channel's profile."""
-    kind, spec = _tagged(desc, where, "channel", _CHANNELS)
-    if kind == "wssus":
+    if spec["kind"] == "wssus":
         return _build_profile(spec["profile"], n_dim, f"{where}.profile")
-    if kind == "specular":
+    if spec["kind"] == "specular":
         with _located(f"{where}.paths"):
             return from_specular([(m, l, complex(re, im)) for m, l, re, im in spec["paths"]],
                                  n_dim)
@@ -280,12 +284,11 @@ def _design(spec: dict, n_dim: int, where: str
     return profile, OFDMConfig(grid, tx, rx), powers[-1], descent
 
 
-def _build_system(desc: dict, n_dim: int, where: str, base_dir: Path) -> OFDMConfig:
-    kind, spec = _tagged(desc, where, "system", _SYSTEMS)
+def _build_system(spec: dict, n_dim: int, where: str, base_dir: Path) -> OFDMConfig:
     with _located(where):
-        if kind == "cp_ofdm":
+        if spec["kind"] == "cp_ofdm":
             return cp_ofdm_config(n_dim, spec["n_subcarriers"], spec["cp_len"])
-        if kind == "designed":
+        if spec["kind"] == "designed":
             return _design(spec, n_dim, where)[1]
         grid = WHGrid(n_dim, spec["time_step"], spec["freq_step"])
         tx = _build_pulse(spec["tx"], n_dim, f"{where}.tx", base_dir, grid)
@@ -424,9 +427,8 @@ def _run_frame_analyze(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
 
 def _run_pulse_design(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
     if spec["baseline"] is not None:  # before the descent
-        base = _validate(spec["baseline"], _SYSTEMS["cp_ofdm"], "config.baseline")
         with _located("config.baseline"):
-            baseline = cp_ofdm_config(n, **base)
+            baseline = cp_ofdm_config(n, **spec["baseline"])
     profile, system, power, descent = _design(spec, n, "config")
     report = {
         "method": spec["method"],
@@ -439,7 +441,7 @@ def _run_pulse_design(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
     }
     if spec["baseline"] is not None:
         report["baseline"] = {
-            **base,
+            **spec["baseline"],
             "tf_product": baseline.grid.tf_product,
             "interference_power": interference_power(profile, baseline),
         }
@@ -474,9 +476,7 @@ def _run_ofdm_sim(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
 
 
 def _run_identify(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
-    rect = isinstance(spec["support"], dict) and _validate(
-        spec["support"], [_Key("n_delay", (int,), lo=1, hi=n),
-                          _Key("n_doppler", (int,), lo=1, hi=n)], "config.support")
+    rect = isinstance(spec["support"], dict) and spec["support"]
     with _located("config.period"):
         probe = dirac_train(n, spec["period"])
     # from the counts, before any cell is enumerated
@@ -516,6 +516,14 @@ def _run_capacity(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
     sweep_requested = spec["power_budget"] is not None or spec["bandwidths"] is not None
     if spec["snr"] is None and not sweep_requested:
         raise ConfigError("config: need 'snr' and/or 'power_budget' with 'bandwidths'")
+    if sweep_requested and (spec["power_budget"] is None or spec["bandwidths"] is None):
+        raise ConfigError("config: bandwidth sweeps need both 'power_budget' and 'bandwidths'")
+    grid = spec["bandwidths"]
+    if isinstance(grid, dict):
+        spacing = {"log": np.geomspace, "linear": np.linspace}.get(grid["spacing"])
+        if spacing is None:
+            raise ConfigError("config.bandwidths.spacing: expected 'log' or 'linear'")
+        grid = spacing(grid["min"], grid["max"], grid["count"])
     report: dict = {"delay_cell": spec["delay_cell"]}
     if spec["snr"] is not None:
         query = CapacityQuery(profile, spec["snr"], spec["delay_cell"], spec["doppler_cell"])
@@ -528,20 +536,6 @@ def _run_capacity(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
             "support_area": query.support_area,
         }
     if sweep_requested:
-        if spec["power_budget"] is None or spec["bandwidths"] is None:
-            raise ConfigError("config: bandwidth sweeps need both 'power_budget' and "
-                              "'bandwidths'")
-        if isinstance(spec["bandwidths"], dict):
-            gspec = _validate(spec["bandwidths"], [
-                _Key("min", (float,), lo=0, open_lo=True), _Key("max", (float,)),
-                _Key("count", (int,), lo=2, hi=_MAX_COUNT), _Key("spacing", (str,), "log")],
-                "config.bandwidths")
-            spacing = {"log": np.geomspace, "linear": np.linspace}.get(gspec["spacing"])
-            if spacing is None:
-                raise ConfigError("config.bandwidths.spacing: expected 'log' or 'linear'")
-            grid = spacing(gspec["min"], gspec["max"], gspec["count"])
-        else:
-            grid = spec["bandwidths"]
         CapacityQuery(profile, spec["power_budget"], spec["delay_cell"], spec["doppler_cell"])
         with _located("config.bandwidths"):  # the query above checked the cells, not a bandwidth
             sweep = bandwidth_sweep(profile, spec["power_budget"], grid,
@@ -562,24 +556,27 @@ def _run_capacity(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
 # kind -> (runner, report file, config keys between "n_dim" and "seed")
 _RUNNERS = {
     "spread-analyze": (_run_spread_analyze, "spread_report.json", [
-        _Key("channel", (dict,)), _Key("sample_rate", (float,), None, lo=0, open_lo=True)]),
+        _Key("channel", (dict,), schema=_CHANNELS), _Key("sample_rate", (float,), None, gt=0)]),
     "frame-analyze": (_run_frame_analyze, "frame_report.json", [
-        _Key("time_step", (int,)), _Key("freq_step", (int,)), _Key("pulse", (dict,))]),
+        *_STEPS, _Key("pulse", (dict,), schema=_PULSES)]),
     "pulse-design": (_run_pulse_design, "design_report.json", [
-        *_DESIGN_KEYS, _Key("baseline", (dict,), None)]),
+        _Key("baseline", (dict,), None, schema=_CP_OFDM_KEYS), *_DESIGN_KEYS]),
     "ofdm-sim": (_run_ofdm_sim, "sim_report.json", [
-        _Key("system", (dict,)), _Key("channel", (dict,)),
+        _Key("channel", (dict,), schema=_CHANNELS), _Key("system", (dict,), schema=_SYSTEMS),
         _Key("n_frames", (int,), 1, lo=1, hi=_MAX_COUNT), _Key("noise_psd", (float,), 0.0, lo=0),
         _Key("constellation", (str,), "qpsk")]),
     "identify": (_run_identify, "identify_report.json", [
-        _Key("period", (int,)), _Key("support", (dict, list), entries=(("delay", "doppler"),)),
+        _Key("period", (int,)), _Key("support", (dict, list), entries=(("delay", "doppler"),),
+                                     schema=[_Key(name, (int,), lo=1, hi="n_dim")
+                                             for name in ("n_delay", "n_doppler")]),
         _Key("noise_psd", (float,), 0.0, lo=0)]),
     "capacity": (_run_capacity, "capacity_report.json", [
-        _Key("profile", (dict,)), _Key("snr", (float,), None, lo=0, open_lo=True),
-        _Key("power_budget", (float,), None, lo=0, open_lo=True),
-        _Key("bandwidths", (list, dict), None, entries=((),)),
-        _Key("delay_cell", (float,), 1.0, lo=0, open_lo=True),
-        _Key("doppler_cell", (float,), None, lo=0, open_lo=True)]),
+        _Key("profile", (dict,), schema=_PROFILES), _Key("snr", (float,), None, gt=0),
+        _Key("power_budget", (float,), None, gt=0),
+        _Key("bandwidths", (list, dict), None, entries=((),), schema=[
+            _Key("min", (float,), gt=0), _Key("max", (float,)),
+            _Key("count", (int,), lo=2, hi=_MAX_COUNT), _Key("spacing", (str,), "log")]),
+        _Key("delay_cell", (float,), 1.0, gt=0), _Key("doppler_cell", (float,), None, gt=0)]),
 }
 
 KINDS = tuple(sorted(_RUNNERS))
@@ -635,7 +632,9 @@ def run_experiment(kind: str, config: dict, out_dir, seed=None,
         raise ConfigError(f"config.kind: declared {declared!r} but {kind!r} was requested")
     if seed is not None:
         cfg["seed"] = int(seed)
-    _check_finite(cfg)
+    for where, value in _leaves(cfg, "config"):  # JSON reads 1e400 as inf
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where}: non-finite number {value!r} is not allowed")
     runner, report_name, keys = _RUNNERS[kind]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

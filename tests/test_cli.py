@@ -650,10 +650,22 @@ def specular(*paths):
      "config.channel.gains[1]: expected a number or [re, im]"),
     ("ofdm-sim", dict(SIM_CFG, channel={"kind": "time_invariant", "gains": ["1"]}),
      "config.channel.gains[0]: expected a number or [re, im]"),
+    # an extent of 24 at N = 48 is in [-23, 24], but the cells down to -24 are not; these
+    # used to name min_doppler, min_delay or doppler, which the config never set
+    ("ofdm-sim", wssus_sim({"kind": "flat_rect", "max_delay": 1, "max_doppler": 24}),
+     "config.channel.profile: -max_doppler -24 outside centered range [-23, 24] for N = 48"),
+    ("ofdm-sim", wssus_sim({"kind": "flat_rect", "max_delay": 24, "max_doppler": 1}),
+     "config.channel.profile: -max_delay -24 outside centered range [-23, 24] for N = 48"),
+    ("ofdm-sim", wssus_sim({"kind": "exponential_jakes", "delay_decay": 1.0, "max_doppler": 24}),
+     "config.channel.profile: -max_doppler -24 outside centered range [-23, 24] for N = 48"),
+    ("ofdm-sim", wssus_sim({"kind": "drm_like", "doppler_halfwidths": [0, 1, 1, 24]}),
+     "config.channel.profile: -doppler_halfwidths -24 outside centered range [-23, 24] "
+     "for N = 48"),
 ], ids=["period", "paths", "method", "system-method", "constellation", "pulse", "time_step",
         "system", "system-tx", "gains", "support-duplicates", "support-duplicates-over-n",
         "support-range", "bandwidths", "support-bool", "support-short", "paths-bool", "paths-str",
-        "bandwidths-bool", "bandwidths-str", "gains-bool", "gains-str"])
+        "bandwidths-bool", "bandwidths-str", "gains-bool", "gains-str", "flat_rect-doppler-extent",
+        "flat_rect-delay-extent", "jakes-doppler-extent", "drm_like-doppler-extent"])
 def test_config_errors_name_their_location(tmp_path, capsys, kind, cfg, message):
     path = write_config(tmp_path, "located.json", cfg)
     out = tmp_path / "out"
@@ -913,6 +925,24 @@ def test_capacity_cell_area_out_of_range_exits_2(tmp_path, capsys, cell):
     err = capsys.readouterr().err
     assert err.startswith("tfcomm: config error: config: grid cell area") and err.count("\n") == 1
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (dict(CAPACITY_CFG, power_budget=1.0),
+     "config: bandwidth sweeps need both 'power_budget' and 'bandwidths'"),
+    (dict(SWEEP_CFG, bandwidths=dict(SWEEP_CFG["bandwidths"], spacing="cubic")),
+     "config.bandwidths.spacing: expected 'log' or 'linear'"),
+], ids=["no-bandwidths", "spacing"])
+def test_capacity_sweep_keys_refused_before_the_point_query(tmp_path, capsys, monkeypatch, cfg,
+                                                            message):
+    # these used to be found only after the point query had run
+    calls = []
+    monkeypatch.setattr(cli, "capacity_low_snr", lambda *args: calls.append(args))
+    path = write_config(tmp_path, "sweep.json", cfg)
+    out = tmp_path / "out"
+    assert cli.run(["capacity", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"tfcomm: config error: {message}\n"
+    assert calls == [] and list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("overrides, message", [
