@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Compare the artifacts of two tfcomm checkouts on every shipped config.
+"""Compare the artifacts of two tfcomm checkouts on the shipped and the tfbench configs.
 
     python3 scripts/compare_artifacts.py OTHER_CHECKOUT OUT_OTHER OUT_THIS
 
 Runs ``scripts/run_all.py`` of OTHER_CHECKOUT (against its own ``src/``)
 into OUT_OTHER and this checkout's into OUT_THIS, so every config in
-``scripts/configs/`` goes through ``run_experiment`` once per side.  It then
-diffs the sha256 digests in each kind's manifest ``outputs``.  For a CSV or
-JSON artifact whose digest differs it also names the fields present on only
-one side (JSON keys, CSV row:column positions) and prints how many of the
-common values differ and the largest relative and absolute difference.
-Exits 0 when every digest matches, 1 otherwise.
-Uses the standard library only.
+``scripts/configs/`` goes through ``run_experiment`` once per side, each
+into ``OUT/<kind>/``.  Each side's ``run_experiment`` then also runs every
+operation of every tfbench workload, as ``tfbench/workloads.operations``
+of this checkout generates them for seeds 1-3, each into
+``OUT/<workload>-s<seed>-<j>-<kind>/``.  It then diffs the sha256 digests
+in every run's manifest ``outputs``.  For a CSV or JSON artifact whose
+digest differs it also names the fields present on only one side (JSON
+keys, CSV row:column positions) and prints how many of the common values
+differ and the largest relative and absolute difference.  Exits 0 when
+every digest matches, 1 otherwise.  Uses the standard library only.
 """
 
 import argparse
@@ -23,12 +26,29 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+WORKLOAD_SEEDS = (1, 2, 3)
+# argv: tfbench directory, artifact root, seeds; tfcomm comes from PYTHONPATH
+RUN_WORKLOADS = """
+import sys
+from pathlib import Path
+sys.dont_write_bytecode = True  # no __pycache__ under tfbench/
+sys.path.insert(0, sys.argv[1])
+import workloads
+from tfcomm.cli import run_experiment
+for name in workloads.WORKLOADS:
+    for seed in map(int, sys.argv[3:]):
+        for j, (kind, cfg) in enumerate(workloads.operations(name, seed)):
+            run_experiment(kind, cfg, Path(sys.argv[2]) / f"{name}-s{seed}-{j}-{kind}")
+"""
 
 
 def run_all(checkout: Path, out: Path) -> None:
+    """The shipped configs and the tfbench operations through ``checkout``'s ``src/``."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     subprocess.run([sys.executable, str(checkout / "scripts" / "run_all.py"), "--out", str(out)],
                    env=env, check=True, stdout=subprocess.DEVNULL)
+    subprocess.run([sys.executable, "-c", RUN_WORKLOADS, str(HERE.parent / "tfbench"), str(out),
+                    *map(str, WORKLOAD_SEEDS)], env=env, check=True)
 
 
 def outputs(root: Path) -> dict[tuple[str, str], str]:

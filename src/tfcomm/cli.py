@@ -13,13 +13,13 @@ split, a non-finite result) and refused allocations (out of memory).
 
 One table, ``_RUNNERS``, maps each kind to its runner, its report file and
 its own config keys; a key that holds an object declares its key list, or a
-``_Variants`` table of key lists by the object's ``kind``.  ``run_experiment``
-rejects non-finite numbers anywhere in the config and checks the whole config
-at every depth before it calls the runner, which builds its descriptors from
-the checked config, writes its CSVs and returns its report.  Every exit-2
-message about a config value starts with its location: a table check's dotted
-key, or the key at which ``_located`` makes a library ValueError/TypeError (a
-check that needs N) a ConfigError, else ``config`` around the whole runner.
+``_Variants`` table of key lists by the object's ``kind``, and a str key its
+choices.  ``run_experiment`` checks the whole config at every depth in one
+pass (``_validate``), then creates the output directory, then calls the runner,
+which builds its descriptors from the checked config, writes its CSVs and
+returns its report.  Every exit-2 message about a config value starts with its
+location: a table check's dotted key, or the key at which ``_located`` makes a
+library ValueError/TypeError a ConfigError, else ``config`` around the runner.
 
 All randomness is derived from the single run seed through generators of
 fixed lists: [seed, 0] for a spread-analyze WSSUS draw and the identify
@@ -35,6 +35,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import reprlib
 import shutil
 import sys
 import tempfile
@@ -51,7 +53,7 @@ from .channel_models import ScatteringProfile, from_specular, preset_profile, \
     time_invariant, wssus_sample
 from .identification import IdentifiabilityError, _canonical_support, \
     centered_rect_support, dirac_train, identify, offgrid_ambiguity, refuse_overspread
-from .ofdm import OFDMConfig, _check_constellation, cp_ofdm_config, interference_descent, \
+from .ofdm import _CONSTELLATIONS, OFDMConfig, cp_ofdm_config, interference_descent, \
     interference_power, simulate_frames
 from .tf_core import SpreadingFunction, _cell_filter, centered_index, cross_ambiguity, \
     spread_metrics, tf_transfer
@@ -108,6 +110,7 @@ class _Key:
     entries: tuple = ()
     # a given object's keys: a key list, or a _Variants table chosen by the object's "kind"
     schema: list | _Variants | None = None
+    choices: tuple = ()  # the values a given str may take; () takes any
 
 
 def _fits(item, form: tuple) -> bool:
@@ -117,9 +120,23 @@ def _fits(item, form: tuple) -> bool:
     return isinstance(item, list) and len(item) == len(form) and all(_fits(v, ()) for v in item)
 
 
+def _check_numbers(value, where: str, ranged: bool, entries_ranged: bool) -> None:
+    """Reject a non-finite float in ``value`` or its list entries at any depth, and an int past
+    float range in ``value`` if ``ranged`` or in an entry if ``entries_ranged``."""
+    stack = [(where, value, ranged)]
+    while stack:
+        where, value, ranged = stack.pop()
+        if isinstance(value, list):
+            stack += reversed([(f"{where}[{j}]", v, entries_ranged) for j, v in enumerate(value)])
+        elif isinstance(value, float) and not math.isfinite(value):  # JSON reads 1e400 as inf
+            raise ConfigError(f"{where}: non-finite number {value!r} is not allowed")
+        elif ranged and isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ConfigError(f"{where}: integer beyond float range is not allowed")
+
+
 def _validate(obj, keys: list[_Key], where: str, top: dict | None = None) -> dict:
-    """``obj`` checked against ``keys`` in table order at every depth, defaults filled in;
-    ``top`` is the checked top level, whose keys a bound named by a str reads."""
+    """The one pass over a config: ``obj`` checked against ``keys`` in table order at every
+    depth, defaults filled in; ``top`` is the checked top level, which a str bound reads."""
     known = {k.name for k in keys}
     unknown = sorted(set(obj) - known)
     if unknown:
@@ -130,11 +147,9 @@ def _validate(obj, keys: list[_Key], where: str, top: dict | None = None) -> dic
         at = f"{where}.{key.name}"
         if key.name in obj:
             val = obj[key.name]
+            _check_numbers(val, at, float in key.types, bool(key.entries))
             if float in key.types and isinstance(val, int) and not isinstance(val, bool):
-                _check_float_range(val, at)
                 val = float(val)
-            if key.entries and isinstance(val, list):
-                _check_float_range(val, at)
             if not isinstance(val, key.types) or isinstance(val, bool) and bool not in key.types:
                 names = "/".join(t.__name__ for t in key.types)
                 raise ConfigError(f"{at}: expected {names}, got {type(val).__name__}")
@@ -144,7 +159,9 @@ def _validate(obj, keys: list[_Key], where: str, top: dict | None = None) -> dic
                 lo = "" if key.lo is None else f"{key.lo} <= "
                 lo = lo if key.gt is None else f"{key.gt} < "
                 hi = "" if hi is None else f" <= {hi}"
-                raise ConfigError(f"{at}: expected {lo}{key.name}{hi}, got {val!r}")
+                raise ConfigError(f"{at}: expected {lo}{key.name}{hi}, got {reprlib.repr(val)}")
+            if key.choices and val not in key.choices:
+                raise ConfigError(f"{at}: unknown {key.name} {val!r}")
             for j, item in enumerate(val if key.entries and isinstance(val, list) else []):
                 if not any(_fits(item, form) for form in key.entries):
                     names = " or ".join(f"[{', '.join(f)}]" if f else "a number"
@@ -167,36 +184,14 @@ def _validate(obj, keys: list[_Key], where: str, top: dict | None = None) -> dic
 
 @contextlib.contextmanager
 def _located(where: str):
-    """Re-raise a library ValueError/TypeError, not LinAlgError, as a ConfigError at ``where``."""
+    """Re-raise a library ValueError/TypeError, not LinAlgError, as a ConfigError at ``where``,
+    a run of over 40 digits in its message shortened as ``reprlib.repr`` shortens an int."""
     try:
         yield
     except np.linalg.LinAlgError:
         raise
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _leaves(value, where: str):
-    """Yield (location, scalar) for every scalar in nested dicts and lists."""
-    stack = [(where, value)]
-    while stack:
-        where, value = stack.pop()
-        if isinstance(value, dict):
-            stack += [(f"{where}.{key}", item) for key, item in value.items()]
-        elif isinstance(value, list):
-            stack += [(f"{where}[{j}]", item) for j, item in enumerate(value)]
-        else:
-            yield where, value
-
-
-def _check_float_range(value, where: str) -> None:
-    """Reject an int past float range in a value that becomes float or complex.
-
-    Only such values are checked: an int key (``seed``) takes any size.
-    """
-    for where, item in _leaves(value, where):
-        if isinstance(item, int) and abs(item) > sys.float_info.max:
-            raise ConfigError(f"{where}: integer beyond float range is not allowed")
+        raise ConfigError(re.sub(r"(\d{18})\d{4,}(\d{19})", r"\1...\2", f"{where}: {exc}")) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +210,9 @@ _PROFILES = _Variants("profile", {
     "drm_like": [*(_Key(name, (list,), _ABSENT, entries=((),))
                    for name in ("tap_delays", "tap_gains", "doppler_halfwidths")), _TOTAL_GAIN]})
 _STEPS = [_Key("time_step", (int,), lo=1), _Key("freq_step", (int,), lo=1)]
-_DESIGN_KEYS = [*_STEPS, _Key("profile", (dict,), schema=_PROFILES),
-                _Key("method", (str,), "matched_gaussian_tight"), _Key("n_sweeps", (int,), 1, lo=0),
-                _Key("step", (float,), 0.02, gt=0, hi=1)]
+_DESIGN_KEYS = [*_STEPS, _Key("profile", (dict,), schema=_PROFILES), _Key("method", (str,),
+                "matched_gaussian_tight", choices=("matched_gaussian_tight", "local_search")),
+                _Key("n_sweeps", (int,), 1, lo=0), _Key("step", (float,), 0.02, gt=0, hi=1)]
 _PULSES = _Variants("pulse", {"gaussian": [_Key("sigma", (float,), None, gt=0)],
                               "rect": [_Key("length", (int,)), _Key("offset", (int,), 0)],
                               "csv": [_Key("path", (str,))]})
@@ -270,14 +265,12 @@ def _design(spec: dict, n_dim: int, where: str
             ) -> tuple[ScatteringProfile, OFDMConfig, float, dict]:
     """The profile, the designed system, its interference power and its report's descent fields.
 
-    The one place that knows the method names: both run ``interference_descent``,
+    Both methods (``_DESIGN_KEYS`` declares them) run ``interference_descent``:
     ``matched_gaussian_tight`` with no sweeps, ``local_search`` with ``n_sweeps``.
     """
     grid = WHGrid(n_dim, spec["time_step"], spec["freq_step"])
     profile = _build_profile(spec["profile"], n_dim, f"{where}.profile")
-    sweeps = {"matched_gaussian_tight": 0, "local_search": spec["n_sweeps"]}.get(spec["method"])
-    if sweeps is None:
-        raise ConfigError(f"{where}: unknown method {spec['method']!r}")
+    sweeps = spec["n_sweeps"] if spec["method"] == "local_search" else 0
     tx, rx, powers, accepted = interference_descent(profile, grid, sweeps, spec["step"])
     descent = {"descent_powers": powers, "descent_accepted_trials": accepted} \
         if spec["method"] == "local_search" else {}
@@ -453,9 +446,7 @@ def _run_pulse_design(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
 
 
 def _run_ofdm_sim(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
-    with _located("config.constellation"):  # before a designed system is optimised
-        _check_constellation(spec["constellation"])
-    channel = _build_channel(spec["channel"], n, "config.channel")  # likewise
+    channel = _build_channel(spec["channel"], n, "config.channel")  # before any design
     system = _build_system(spec["system"], n, "config.system", base_dir)
     energies = simulate_frames(system, channel, spec["n_frames"], spec["seed"],
                                spec["noise_psd"], spec["constellation"])
@@ -520,10 +511,7 @@ def _run_capacity(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
         raise ConfigError("config: bandwidth sweeps need both 'power_budget' and 'bandwidths'")
     grid = spec["bandwidths"]
     if isinstance(grid, dict):
-        spacing = {"log": np.geomspace, "linear": np.linspace}.get(grid["spacing"])
-        if spacing is None:
-            raise ConfigError("config.bandwidths.spacing: expected 'log' or 'linear'")
-        grid = spacing(grid["min"], grid["max"], grid["count"])
+        grid = _SPACINGS[grid["spacing"]](grid["min"], grid["max"], grid["count"])
     report: dict = {"delay_cell": spec["delay_cell"]}
     if spec["snr"] is not None:
         query = CapacityQuery(profile, spec["snr"], spec["delay_cell"], spec["doppler_cell"])
@@ -553,6 +541,7 @@ def _run_capacity(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
     return report
 
 
+_SPACINGS = {"log": np.geomspace, "linear": np.linspace}  # a bandwidth grid's spacings
 # kind -> (runner, report file, config keys between "n_dim" and "seed")
 _RUNNERS = {
     "spread-analyze": (_run_spread_analyze, "spread_report.json", [
@@ -564,7 +553,7 @@ _RUNNERS = {
     "ofdm-sim": (_run_ofdm_sim, "sim_report.json", [
         _Key("channel", (dict,), schema=_CHANNELS), _Key("system", (dict,), schema=_SYSTEMS),
         _Key("n_frames", (int,), 1, lo=1, hi=_MAX_COUNT), _Key("noise_psd", (float,), 0.0, lo=0),
-        _Key("constellation", (str,), "qpsk")]),
+        _Key("constellation", (str,), "qpsk", choices=_CONSTELLATIONS)]),
     "identify": (_run_identify, "identify_report.json", [
         _Key("period", (int,)), _Key("support", (dict, list), entries=(("delay", "doppler"),),
                                      schema=[_Key(name, (int,), lo=1, hi="n_dim")
@@ -575,7 +564,8 @@ _RUNNERS = {
         _Key("power_budget", (float,), None, gt=0),
         _Key("bandwidths", (list, dict), None, entries=((),), schema=[
             _Key("min", (float,), gt=0), _Key("max", (float,)),
-            _Key("count", (int,), lo=2, hi=_MAX_COUNT), _Key("spacing", (str,), "log")]),
+            _Key("count", (int,), lo=2, hi=_MAX_COUNT),
+            _Key("spacing", (str,), "log", choices=tuple(_SPACINGS))]),
         _Key("delay_cell", (float,), 1.0, gt=0), _Key("doppler_cell", (float,), None, gt=0)]),
 }
 
@@ -619,10 +609,10 @@ def run_experiment(kind: str, config: dict, out_dir, seed=None,
                    base_dir=None) -> dict:
     """Validate, execute, and write artifacts plus manifest; returns the manifest.
 
-    ``seed`` overrides the config seed; ``base_dir`` anchors relative paths
-    referenced by the config (defaults to the working directory).  Files are
-    staged and moved into ``out_dir`` only when the whole run succeeds; numpy
-    warnings are silenced, as non-finite results raise ArithmeticError.
+    The whole config is checked before ``out_dir`` is created.  ``seed`` overrides the
+    config seed; ``base_dir`` anchors relative paths referenced by the config (defaults to
+    the working directory).  Files are staged and moved into ``out_dir`` only when the whole
+    run succeeds; numpy warnings are silenced, as non-finite results raise ArithmeticError.
     """
     if kind not in _RUNNERS:
         raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {list(KINDS)}")
@@ -632,20 +622,18 @@ def run_experiment(kind: str, config: dict, out_dir, seed=None,
         raise ConfigError(f"config.kind: declared {declared!r} but {kind!r} was requested")
     if seed is not None:
         cfg["seed"] = int(seed)
-    for where, value in _leaves(cfg, "config"):  # JSON reads 1e400 as inf
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{where}: non-finite number {value!r} is not allowed")
     runner, report_name, keys = _RUNNERS[kind]
+    started = time.monotonic()
+    with _located("config"):  # the whole config, before anything is created
+        spec = _validate(cfg, [_Key("kind", (str,), kind),
+                               _Key("n_dim", (int,), lo=1, hi=_MAX_N_DIM), *keys,
+                               _Key("seed", (int,), 0, lo=0)], "config")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     base = Path(base_dir) if base_dir is not None else Path.cwd()
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
     try:
-        started = time.monotonic()
         with np.errstate(all="ignore"), _located("config"):
-            spec = _validate(cfg, [_Key("kind", (str,), kind),
-                                   _Key("n_dim", (int,), lo=1, hi=_MAX_N_DIM), *keys,
-                                   _Key("seed", (int,), 0, lo=0)], "config")
             report = runner(spec, spec["n_dim"], staging, base)
             _write_json(staging / report_name, {"n_dim": spec["n_dim"], **report})
         outputs = {path.name: _sha256(path) for path in sorted(staging.iterdir())}

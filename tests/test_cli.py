@@ -45,6 +45,15 @@ def digest_tree(directory, skip=("manifest.json",)):
     return out
 
 
+class FromRunner(str):
+    """An exit-2 message of a check the runner makes (one that needs N or the library)."""
+
+
+def assert_nothing_created(out, message):
+    """A refusal by the key tables creates no ``out``; one from the runner leaves it empty."""
+    assert list(out.iterdir()) == [] if isinstance(message, FromRunner) else not out.exists()
+
+
 SPREAD_CFG = {
     "kind": "spread-analyze",
     "n_dim": 16,
@@ -404,7 +413,7 @@ def test_bad_descriptors_exit_2(tmp_path, capsys, kind, cfg, key, desc, message)
     out = tmp_path / "out"
     assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"tfcomm: config error: {message.format(key=key)}\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 BIG = "<1e400>"  # stands for the JSON number 1e400, which parses to inf
@@ -463,7 +472,7 @@ def test_integers_past_float_range_exit_2(tmp_path, capsys, kind, cfg, where):
     assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == \
         f"tfcomm: config error: {where}: integer beyond float range is not allowed\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["seed", "n_sweeps"])
@@ -472,6 +481,27 @@ def test_integer_keys_take_integers_past_float_range(tmp_path, key):
     path = write_long_int_config(tmp_path, dict(DESIGN_CFG, **{key: LONG_INT}))
     assert cli.run(["pulse-design", "--config", str(path),
                     "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("kind, cfg, key", [
+    ("spread-analyze", dict(SPREAD_CFG, n_dim=LONG_INT), "n_dim"),
+    ("identify", dict(IDENTIFY_CFG, period=LONG_INT), "period"),
+    ("capacity", dict(CAPACITY_CFG, profile={"kind": "flat_rect", "max_delay": LONG_INT,
+                                             "max_doppler": 1}), "max_delay"),
+    ("frame-analyze", dict(FRAME_CFG, time_step=LONG_INT), "time_step"),
+    ("spread-analyze", dict(SPREAD_CFG, channel={"kind": "specular",
+                                                 "paths": [[LONG_INT, 0, 1.0, 0.0]]}), "paths"),
+    ("capacity", dict(CAPACITY_CFG, profile={"kind": "drm_like", "tap_delays": [0, LONG_INT]}),
+     "tap_delays"),
+], ids=["n_dim", "period", "max_delay", "time_step", "path-delay", "tap_delays"])
+def test_huge_integers_are_echoed_short(tmp_path, capsys, kind, cfg, key):
+    # the first four used to print all 401 digits of the value
+    path = write_long_int_config(tmp_path, cfg)
+    assert cli.run([kind, "--config", str(path),
+                    "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("tfcomm: config error: config") and err.count("\n") == 1
+    assert key in err and len(err) < 200, err
 
 
 @pytest.mark.parametrize("kind, cfg", [
@@ -487,7 +517,7 @@ def test_n_dim_above_cap_exits_2(tmp_path, capsys, kind, cfg):
     assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == "tfcomm: config error: config.n_dim: " \
         f"expected 1 <= n_dim <= {cli._MAX_N_DIM}, got {2**40}\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 HUGE = 10**12
@@ -514,21 +544,24 @@ def wssus_sim(profile):
      "config.support.n_doppler: expected 1 <= n_doppler <= 32, got 33"),
     ("pulse-design", dict(DESIGN_CFG, profile={"kind": "flat_rect", "max_delay": HUGE,
                                                "max_doppler": 1}),
-     f"config.profile: max_delay {HUGE} outside centered range [-11, 12] for N = 24"),
+     FromRunner(f"config.profile: max_delay {HUGE} outside centered range [-11, 12] for N = 24")),
     ("ofdm-sim", wssus_sim({"kind": "flat_rect", "max_delay": 1, "max_doppler": HUGE}),
-     f"config.channel.profile: max_doppler {HUGE} outside centered range [-23, 24] for N = 48"),
+     FromRunner(f"config.channel.profile: max_doppler {HUGE} "
+                "outside centered range [-23, 24] for N = 48")),
     ("capacity", dict(CAPACITY_CFG, profile={"kind": "flat_rect", "max_delay": HUGE,
                                              "max_doppler": 1}),
-     f"config.profile: max_delay {HUGE} outside centered range [-31, 32] for N = 64"),
+     FromRunner(f"config.profile: max_delay {HUGE} outside centered range [-31, 32] for N = 64")),
     ("ofdm-sim", wssus_sim({"kind": "exponential_jakes", "delay_decay": 1.0,
                             "max_doppler": HUGE}),
-     f"config.channel.profile: max_doppler {HUGE} outside centered range [-23, 24] for N = 48"),
+     FromRunner(f"config.channel.profile: max_doppler {HUGE} "
+                "outside centered range [-23, 24] for N = 48")),
     ("capacity", dict(CAPACITY_CFG, profile={"kind": "exponential_jakes", "delay_decay": 1.0,
                                              "max_doppler": 1, "max_delay": HUGE}),
-     f"config.profile: max_delay {HUGE} outside centered range [-31, 32] for N = 64"),
+     FromRunner(f"config.profile: max_delay {HUGE} outside centered range [-31, 32] for N = 64")),
     ("capacity", dict(CAPACITY_CFG, profile={"kind": "drm_like",
                                              "doppler_halfwidths": [0, 1, 1, HUGE]}),
-     f"config.profile: doppler_halfwidths {HUGE} outside centered range [-31, 32] for N = 64"),
+     FromRunner(f"config.profile: doppler_halfwidths {HUGE} "
+                "outside centered range [-31, 32] for N = 64")),
 ], ids=["n_frames", "count-2**63", "count", "n_delay", "n_doppler", "flat_rect-design",
         "flat_rect-sim", "flat_rect-capacity", "jakes-doppler", "jakes-delay", "drm_like"])
 def test_unbounded_sizes_exit_2(tmp_path, capsys, kind, cfg, message):
@@ -536,7 +569,7 @@ def test_unbounded_sizes_exit_2(tmp_path, capsys, kind, cfg, message):
     out = tmp_path / "out"
     assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"tfcomm: config error: {message}\n"
-    assert list(out.iterdir()) == []
+    assert_nothing_created(out, message)
 
 
 @pytest.mark.parametrize("kind, cfg, message", [
@@ -550,7 +583,7 @@ def test_unbounded_sizes_exit_2(tmp_path, capsys, kind, cfg, message):
     ("capacity", dict(SWEEP_CFG, bandwidths=dict(SWEEP_CFG["bandwidths"], count=1)),
      f"config.bandwidths.count: expected 2 <= count <= {4096**2}, got 1"),
     ("capacity", dict(SWEEP_CFG, bandwidths=dict(SWEEP_CFG["bandwidths"], max=0.05)),
-     "config.bandwidths: bandwidth grid must be strictly increasing"),
+     FromRunner("config.bandwidths: bandwidth grid must be strictly increasing")),
     ("spread-analyze", dict(SPREAD_CFG, n_dim=0), "config.n_dim: expected 1 <= n_dim <= 4096, got 0"),
     # seed used to reach numpy, which printed a bare "expected non-negative integer"
     ("identify", dict(IDENTIFY_CFG, seed=-1), "config.seed: expected 0 <= seed, got -1"),
@@ -585,7 +618,25 @@ def test_declared_bounds_name_the_key(tmp_path, capsys, kind, cfg, message):
     out = tmp_path / "out"
     assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"tfcomm: config error: {message}\n"
-    assert list(out.iterdir()) == []
+    assert_nothing_created(out, message)
+
+
+@pytest.mark.parametrize("kind, cfg, created", [
+    ("capacity", dict(CAPACITY_CFG, snr=float("inf")), False),
+    ("identify", dict(IDENTIFY_CFG, period="4"), False),
+    ("ofdm-sim", dict(SIM_CFG, n_frames=0), False),
+    ("frame-analyze", dict(FRAME_CFG, extra=1), False),
+    ("identify", {k: v for k, v in IDENTIFY_CFG.items() if k != "period"}, False),
+    ("ofdm-sim", dict(SIM_CFG, constellation="qam1024"), False),
+    # n_subcarriers 5 does not divide N = 48: a check that needs N, made by the runner
+    ("ofdm-sim", dict(SIM_CFG, system={"kind": "cp_ofdm", "n_subcarriers": 5, "cp_len": 4}),
+     True),
+], ids=["non-finite", "type", "bound", "unknown-key", "missing-key", "choice", "runner"])
+def test_only_a_runner_refusal_creates_the_output_directory(tmp_path, kind, cfg, created):
+    path = write_config(tmp_path, "refused.json", cfg)
+    out = tmp_path / "a" / "b" / "out"
+    assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert list(out.iterdir()) == [] if created else not (tmp_path / "a").exists()
 
 
 def test_bounds_are_inclusive(tmp_path):
@@ -604,35 +655,38 @@ def specular(*paths):
 @pytest.mark.parametrize("kind, cfg, message", [
     # each of these library messages used to reach the user without its config location
     ("identify", dict(IDENTIFY_CFG, period=-1),
-     "config.period: period must divide N = 32, got -1"),
+     FromRunner("config.period: period must divide N = 32, got -1")),
     ("spread-analyze", specular([99999, 0, 1.0, 0.0]),
-     "config.channel.paths: path delay 99999 outside centered range [-7, 8] for N = 16"),
-    ("pulse-design", dict(DESIGN_CFG, method="foo"), "config: unknown method 'foo'"),
+     FromRunner("config.channel.paths: path delay 99999 "
+                "outside centered range [-7, 8] for N = 16")),
+    ("pulse-design", dict(DESIGN_CFG, method="foo"), "config.method: unknown method 'foo'"),
     ("ofdm-sim", dict(SIM_CFG, n_dim=24, system={
         "kind": "designed", "time_step": 4, "freq_step": 8, "profile": DESIGN_CFG["profile"],
-        "method": "foo"}), "config.system: unknown method 'foo'"),
+        "method": "foo"}), "config.system.method: unknown method 'foo'"),
     ("ofdm-sim", dict(SIM_CFG, constellation="qam1024"),
      "config.constellation: unknown constellation 'qam1024'"),
     ("frame-analyze", dict(FRAME_CFG, pulse={"kind": "rect", "length": 99}),
-     "config.pulse: length must be in [1, 24], got 99"),
-    ("frame-analyze", dict(FRAME_CFG, time_step=5), "config: time_step 5 does not divide N = 24"),
+     FromRunner("config.pulse: length must be in [1, 24], got 99")),
+    ("frame-analyze", dict(FRAME_CFG, time_step=5),
+     FromRunner("config: time_step 5 does not divide N = 24")),
     ("ofdm-sim", dict(SIM_CFG, system={"kind": "cp_ofdm", "n_subcarriers": 5, "cp_len": 4}),
-     "config.system: n_subcarriers 5 must divide N = 48"),
+     FromRunner("config.system: n_subcarriers 5 must divide N = 48")),
     ("ofdm-sim", dict(SIM_CFG, system={"kind": "pulse_pair", "time_step": 4, "freq_step": 4,
                                        "tx": {"kind": "rect", "length": 99},
                                        "rx": {"kind": "gaussian"}}),
-     "config.system.tx: length must be in [1, 48], got 99"),
+     FromRunner("config.system.tx: length must be in [1, 48], got 99")),
     ("ofdm-sim", dict(SIM_CFG, channel={"kind": "time_invariant", "gains": [1.0] * 30}),
-     "config.channel.gains: path delay 25 outside centered range [-23, 24] for N = 48"),
+     FromRunner("config.channel.gains: path delay 25 "
+                "outside centered range [-23, 24] for N = 48")),
     ("identify", dict(IDENTIFY_CFG, support=[[0, 0], [0, 0]]),
-     "config.support: support contains duplicate cells"),
+     FromRunner("config.support: support contains duplicate cells")),
     # N + 1 entries but N distinct cells: a duplicate, not an overspread support
     ("identify", dict(IDENTIFY_CFG, support=[[m, 0] for m in range(-15, 17)] + [[0, 0]]),
-     "config.support: support contains duplicate cells"),
+     FromRunner("config.support: support contains duplicate cells")),
     ("identify", dict(IDENTIFY_CFG, support=[[0, 99]]),
-     "config.support: support cell (0, 99) outside centered range [-15, 16]"),
+     FromRunner("config.support: support cell (0, 99) outside centered range [-15, 16]")),
     ("capacity", dict(SWEEP_CFG, bandwidths=[2.0, 1.0]),
-     "config.bandwidths: bandwidth grid must be strictly increasing"),
+     FromRunner("config.bandwidths: bandwidth grid must be strictly increasing")),
     # booleans and strings inside list-valued keys used to run (exit 0)
     ("identify", dict(IDENTIFY_CFG, support=[[True, 0]]),
      "config.support[0]: expected [delay, doppler]"),
@@ -653,14 +707,17 @@ def specular(*paths):
     # an extent of 24 at N = 48 is in [-23, 24], but the cells down to -24 are not; these
     # used to name min_doppler, min_delay or doppler, which the config never set
     ("ofdm-sim", wssus_sim({"kind": "flat_rect", "max_delay": 1, "max_doppler": 24}),
-     "config.channel.profile: -max_doppler -24 outside centered range [-23, 24] for N = 48"),
+     FromRunner("config.channel.profile: -max_doppler -24 "
+                "outside centered range [-23, 24] for N = 48")),
     ("ofdm-sim", wssus_sim({"kind": "flat_rect", "max_delay": 24, "max_doppler": 1}),
-     "config.channel.profile: -max_delay -24 outside centered range [-23, 24] for N = 48"),
+     FromRunner("config.channel.profile: -max_delay -24 "
+                "outside centered range [-23, 24] for N = 48")),
     ("ofdm-sim", wssus_sim({"kind": "exponential_jakes", "delay_decay": 1.0, "max_doppler": 24}),
-     "config.channel.profile: -max_doppler -24 outside centered range [-23, 24] for N = 48"),
+     FromRunner("config.channel.profile: -max_doppler -24 "
+                "outside centered range [-23, 24] for N = 48")),
     ("ofdm-sim", wssus_sim({"kind": "drm_like", "doppler_halfwidths": [0, 1, 1, 24]}),
-     "config.channel.profile: -doppler_halfwidths -24 outside centered range [-23, 24] "
-     "for N = 48"),
+     FromRunner("config.channel.profile: -doppler_halfwidths -24 outside centered range "
+                "[-23, 24] for N = 48")),
 ], ids=["period", "paths", "method", "system-method", "constellation", "pulse", "time_step",
         "system", "system-tx", "gains", "support-duplicates", "support-duplicates-over-n",
         "support-range", "bandwidths", "support-bool", "support-short", "paths-bool", "paths-str",
@@ -671,7 +728,7 @@ def test_config_errors_name_their_location(tmp_path, capsys, kind, cfg, message)
     out = tmp_path / "out"
     assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"tfcomm: config error: {message}\n"
-    assert list(out.iterdir()) == []
+    assert_nothing_created(out, message)
 
 
 def test_unknown_constellation_refused_before_design(tmp_path, capsys, monkeypatch):
@@ -702,13 +759,14 @@ DESIGNED_SIM_CFG = dict(SIM_CFG, n_dim=24, system={
 @pytest.mark.parametrize("kind, cfg, message", [
     ("pulse-design", dict(DESIGN_CFG, method="local_search",
                           baseline={"n_subcarriers": 4, "cp_len": 3}),
-     "config.baseline: symbol length 7 must divide N = 24"),
+     FromRunner("config.baseline: symbol length 7 must divide N = 24")),
     ("pulse-design", dict(DESIGN_CFG, method="local_search",
                           baseline={"n_subcarriers": 4, "cp": 3}),
      "config.baseline: unknown keys ['cp']; allowed ['cp_len', 'n_subcarriers']"),
     ("ofdm-sim", dict(DESIGNED_SIM_CFG, channel={"kind": "wssus", "profile": {
         "kind": "flat_rect", "max_delay": 1, "max_doppler": 99}}),
-     "config.channel.profile: max_doppler 99 outside centered range [-11, 12] for N = 24"),
+     FromRunner("config.channel.profile: max_doppler 99 "
+                "outside centered range [-11, 12] for N = 24")),
     ("ofdm-sim", dict(DESIGNED_SIM_CFG, channel={"kind": "specular", "paths": [[0, 0, 1.0]]}),
      "config.channel.paths[0]: expected [delay, doppler, re, im]"),
 ], ids=["baseline-symbol", "baseline-key", "channel-doppler", "channel-path"])
@@ -721,7 +779,8 @@ def test_config_errors_refused_before_design(tmp_path, capsys, monkeypatch, kind
     out = tmp_path / "out"
     assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"tfcomm: config error: {message}\n"
-    assert calls == [] and list(out.iterdir()) == []
+    assert calls == []
+    assert_nothing_created(out, message)
 
 
 @pytest.mark.parametrize("n_dim, period, support, n_unknowns", [
@@ -799,7 +858,7 @@ def test_design_step_out_of_range_exits_2(tmp_path, capsys, step, kind, where):
     assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == \
         f"tfcomm: config error: {where}.step: expected 0 < step <= 1, got {step!r}\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_design_step_of_one_is_accepted(tmp_path):
@@ -929,9 +988,9 @@ def test_capacity_cell_area_out_of_range_exits_2(tmp_path, capsys, cell):
 
 @pytest.mark.parametrize("cfg, message", [
     (dict(CAPACITY_CFG, power_budget=1.0),
-     "config: bandwidth sweeps need both 'power_budget' and 'bandwidths'"),
+     FromRunner("config: bandwidth sweeps need both 'power_budget' and 'bandwidths'")),
     (dict(SWEEP_CFG, bandwidths=dict(SWEEP_CFG["bandwidths"], spacing="cubic")),
-     "config.bandwidths.spacing: expected 'log' or 'linear'"),
+     "config.bandwidths.spacing: unknown spacing 'cubic'"),
 ], ids=["no-bandwidths", "spacing"])
 def test_capacity_sweep_keys_refused_before_the_point_query(tmp_path, capsys, monkeypatch, cfg,
                                                             message):
@@ -942,7 +1001,8 @@ def test_capacity_sweep_keys_refused_before_the_point_query(tmp_path, capsys, mo
     out = tmp_path / "out"
     assert cli.run(["capacity", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"tfcomm: config error: {message}\n"
-    assert calls == [] and list(out.iterdir()) == []
+    assert calls == []
+    assert_nothing_created(out, message)
 
 
 @pytest.mark.parametrize("overrides, message", [

@@ -1,5 +1,6 @@
 """The config schema: every key at every depth is declared in the key tables, and a wrongly
-typed or out-of-range value is refused at its own location before anything is computed."""
+typed, out-of-range or undeclared-choice value is refused at its own location before anything
+is computed or created."""
 
 import copy
 import json
@@ -72,8 +73,11 @@ def declared_keys(cfg):
 
 
 def bad_values(cfg, key):
-    """One wrongly typed value, and one value past each bound the key declares."""
+    """One wrongly typed value, one value past each bound the key declares, and a string
+    outside its choices."""
     yield "type", 5 if str in key.types else "x"
+    if key.choices:
+        yield "choice", "x"
     if key.lo is not None:
         yield "lo", key.lo - 1
     if key.gt is not None:
@@ -100,6 +104,8 @@ def test_cases_cover_every_nested_object_and_profile_kind():
             "bandwidths"} <= {path[-1] for _, path in paths}
     assert {at(cfg, path)["kind"] for cfg, path in paths if path[-1] == "profile"} \
         == set(cli._PROFILES.kinds)
+    assert {path[-1] for cfg in BASES.values() for path, key in declared_keys(cfg)
+            if key.choices} == {"method", "constellation", "spacing"}
 
 
 def test_bases_run(tmp_path):
@@ -125,5 +131,5 @@ def test_every_key_refused_at_its_location_before_compute(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.startswith(f"tfcomm: config error: config.{'.'.join(path)}: "), err
     assert err.count("\n") == 1
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
     assert calls == []

@@ -13,7 +13,9 @@ REPO = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("script, args", [
     ("tf_tradeoff.py", []),
     ("run_all.py", ["--out", "{tmp}"]),
-], ids=["tf_tradeoff", "run_all"])
+    # this checkout against itself: the shipped and the tfbench configs, every digest the same
+    ("compare_artifacts.py", [str(REPO), "{tmp}/other", "{tmp}/this"]),
+], ids=["tf_tradeoff", "run_all", "compare_artifacts"])
 def test_script_exits_0(tmp_path, script, args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
