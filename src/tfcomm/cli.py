@@ -7,8 +7,8 @@ digests into the output directory.  Identical config and seed give
 byte-identical artifacts; the manifest's wall-time field is the one value
 outside that guarantee.  Tables are written column-wise and heatmaps by grid
 row, numbers as their ``repr`` and rows ending in \\r\\n.  Exit codes: 0
-success, 2 config/validation problems, 3 numerical failures surfaced from the
-library (not a frame, not identifiable, a failed eigensolver or demodulator
+success, 2 config/validation or ``--out`` problems, 3 numerical failures from
+the library (not a frame, not identifiable, a failed eigensolver or demodulator
 split, a non-finite result) and refused allocations (out of memory).
 
 One table, ``_RUNNERS``, maps each kind to its runner, its report file and
@@ -17,9 +17,10 @@ its own config keys; a key that holds an object declares its key list, or a
 choices.  ``run_experiment`` checks the whole config at every depth in one
 pass (``_validate``), then creates the output directory, then calls the runner,
 which builds its descriptors from the checked config, writes its CSVs and
-returns its report.  Every exit-2 message about a config value starts with its
-location: a table check's dotted key, or the key at which ``_located`` makes a
-library ValueError/TypeError a ConfigError, else ``config`` around the runner.
+returns its report.  A run that exits 2 or 3 leaves no directory it created.
+Every exit-2 message about a config value starts with its location: a table
+check's dotted key, or the key at which ``_located`` makes a library
+ValueError/TypeError a ConfigError, else ``config`` around the runner.
 
 All randomness is derived from the single run seed through generators of
 fixed lists: [seed, 0] for a spread-analyze WSSUS draw and the identify
@@ -611,8 +612,9 @@ def run_experiment(kind: str, config: dict, out_dir, seed=None,
 
     The whole config is checked before ``out_dir`` is created.  ``seed`` overrides the
     config seed; ``base_dir`` anchors relative paths referenced by the config (defaults to
-    the working directory).  Files are staged and moved into ``out_dir`` only when the whole
-    run succeeds; numpy warnings are silenced, as non-finite results raise ArithmeticError.
+    the working directory).  Files are staged in ``out_dir`` and moved into it only when the
+    whole run succeeds; a failed run removes each directory it created that stays empty.
+    Numpy warnings are silenced, as non-finite results raise ArithmeticError.
     """
     if kind not in _RUNNERS:
         raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {list(KINDS)}")
@@ -629,10 +631,15 @@ def run_experiment(kind: str, config: dict, out_dir, seed=None,
                                _Key("n_dim", (int,), lo=1, hi=_MAX_N_DIM), *keys,
                                _Key("seed", (int,), 0, lo=0)], "config")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    created = [d for d in (out, *out.parents) if not os.path.lexists(d)]  # deepest first
     base = Path(base_dir) if base_dir is not None else Path.cwd()
-    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    staging = manifest = None
     try:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot create the output directory: {exc}") from exc
         with np.errstate(all="ignore"), _located("config"):
             report = runner(spec, spec["n_dim"], staging, base)
             _write_json(staging / report_name, {"n_dim": spec["n_dim"], **report})
@@ -649,7 +656,11 @@ def run_experiment(kind: str, config: dict, out_dir, seed=None,
         for name in [*outputs, "manifest.json"]:
             os.replace(staging / name, out / name)
     finally:
-        shutil.rmtree(staging, ignore_errors=True)
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
+        for directory in created if manifest is None else []:
+            with contextlib.suppress(OSError):  # one that something else wrote into stays
+                directory.rmdir()
     return manifest
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tf_core import _ambiguity_rows, _centered_range, tf_shift
+from .tf_core import _ambiguity_rows, _centered_range, as_samples, tf_shift
 
 __all__ = [
     "IdentifiabilityError",
@@ -106,7 +106,7 @@ def dirac_train(n_dim: int, period: int, weights=None) -> np.ndarray:
         w = np.asarray(weights, dtype=complex).ravel()
         if w.size != n_impulses:
             raise ValueError(f"need {n_impulses} weights, got {w.size}")
-        if np.abs(np.abs(w) - 1.0).max() > 1e-9:
+        if not np.abs(np.abs(w) - 1.0).max() <= 1e-9:  # a nan weight fails too
             raise ValueError("weights must be unit modulus")
     x = np.zeros(n, dtype=complex)
     x[::p] = w / np.sqrt(n_impulses)
@@ -188,9 +188,9 @@ def identify(observation, sounding, support) -> IdentificationResult:
     |S| > N and ill-chosen probes.  X is never formed: each residue class
     of the probe comb is solved on its own block (see the module notes).
     """
-    y = np.asarray(observation, dtype=complex).ravel()
+    y = as_samples(observation)
     n = y.size
-    x = np.asarray(sounding, dtype=complex).ravel()
+    x = as_samples(sounding)
     if x.size != n:
         raise ValueError(f"sounding length {x.size} does not match observation length {n}")
     cells = _canonical_support(support, n)
@@ -218,7 +218,7 @@ def offgrid_ambiguity(sounding, support) -> float:
     Small values mean nearly orthogonal sounding columns.  Only the rows of
     A at the support's delay differences are computed.
     """
-    x = np.asarray(sounding, dtype=complex).ravel()
+    x = as_samples(sounding)
     n = x.size
     cells = _canonical_support(support, n)
     delays, dopplers = np.array(cells).T

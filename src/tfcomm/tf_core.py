@@ -419,8 +419,8 @@ def spread_metrics(spreading: SpreadingFunction,
     unit fs/N Hz; without it fs = 1 (samples and cycles per sample).  The
     box spread 4*tau_max*nu_max is invariant to this calibration.
     """
-    if sample_rate is not None and sample_rate <= 0:
-        raise ValueError("sample_rate must be positive")
+    if sample_rate is not None and not 0 < sample_rate < np.inf:
+        raise ValueError("sample_rate must be positive and finite")
     fs = 1.0 if sample_rate is None else float(sample_rate)
     n = spreading.n_dim
     rows, cols, _ = spreading.support_cells

@@ -318,7 +318,7 @@ def gaussian_pulse(n_dim: int, time_step: int | None = None,
             sigma = np.sqrt(time_step * n / freq_step)
         else:
             sigma = np.sqrt(n)
-    if sigma <= 0:
+    if not sigma > 0:  # nan fails too
         raise ValueError("sigma must be positive")
     if sigma >= 4 * n:  # by Poisson summation flat to within exp(-16*pi) ~ 1.5e-22
         return Pulse(np.full(n, 1.0 / np.sqrt(n)))

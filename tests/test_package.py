@@ -1,5 +1,5 @@
-"""The package: every module's public names re-exported once, its source size, and
-how its array-holding records compare."""
+"""The package: every module's public names re-exported once, its source size, how its
+array-holding records compare, and how its scalar checks treat nan."""
 
 from pathlib import Path
 
@@ -19,6 +19,22 @@ def test_module_exports_resolve_at_top_level():
         for name in mod.__all__:
             assert getattr(tfcomm, name) is getattr(mod, name), f"{mod.__name__}.{name}"
     assert sorted(tfcomm.__all__) == sorted(["__version__", *names])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call, message", [
+    # nan used to pass each of these checks: nan spreads with underspread True, a nan box
+    # spread at inf, numpy's "cannot convert float NaN to integer", a nan sounding
+    (lambda: tf_core.spread_metrics(channel_models.from_specular([(1, 1, 1.0)], 8), np.nan),
+     "sample_rate must be positive and finite"),
+    (lambda: tf_core.spread_metrics(channel_models.from_specular([(1, 1, 1.0)], 8), np.inf),
+     "sample_rate must be positive and finite"),
+    (lambda: wh_frames.gaussian_pulse(8, sigma=np.nan), "sigma must be positive"),
+    (lambda: identification.dirac_train(8, 2, [1, np.nan, 1, 1]), "weights must be unit modulus"),
+], ids=["sample_rate-nan", "sample_rate-inf", "sigma-nan", "weight-nan"])
+def test_scalar_checks_refuse_nan(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 SRC_LINE_BUDGET = 2850

@@ -234,7 +234,8 @@ def test_gaussian_pulse_underflowing_sigma_is_named():
 
 def test_gaussian_pulse_wide_sigma_is_flat():
     # the periodization loop would sum 2*ceil(6*sigma/N)+1 copies
-    assert np.array_equal(wh.gaussian_pulse(16, sigma=1e10).samples, np.full(16, 0.25))
+    for sigma in (1e10, np.inf):  # inf is the documented flat window
+        assert np.array_equal(wh.gaussian_pulse(16, sigma=sigma).samples, np.full(16, 0.25))
     for n in (2, 7, 16, 96, 512):
         below = wh.gaussian_pulse(n, sigma=np.nextafter(4.0 * n, 0.0)).samples
         at = wh.gaussian_pulse(n, sigma=4.0 * n).samples
