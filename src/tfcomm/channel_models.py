@@ -202,16 +202,20 @@ def oscillator_impairment(freq_offset: int, timing_offset: int,
     return SpreadingFunction(coeffs)
 
 
+def _complex_normals(rng: np.random.Generator, lead: tuple, shape: tuple) -> np.ndarray:
+    """re + 1j*im of shape ``lead`` + ``shape`` from one ``lead`` + (2,) + ``shape`` draw: per
+    lead index the stream holds all the real parts, then all the imaginary parts."""
+    re, im = np.moveaxis(rng.standard_normal((*lead, 2, *shape)), len(lead), 0)
+    return re + 1j * im
+
+
 def _support_draw(amplitudes: np.ndarray, rng: np.random.Generator, lead=()) -> np.ndarray:
     """CN(0, C) coefficients on K support cells, given their ``amplitudes`` sqrt(C).
 
-    Draws ``lead`` + (2K,) standard normals in one call (per draw K real,
-    then K imaginary parts), as that many one-draw calls would.  Callers
-    take the square roots once per profile, not once per draw.
+    One ``_complex_normals`` draw of ``lead`` + (K,) (its stream layout).
+    Callers take the square roots once per profile, not once per draw.
     """
-    k = amplitudes.size
-    normals = rng.standard_normal((*lead, 2 * k))
-    return amplitudes * (normals[..., :k] + 1j * normals[..., k:]) / np.sqrt(2.0)
+    return amplitudes * _complex_normals(rng, lead, (amplitudes.size,)) / np.sqrt(2.0)
 
 
 def wssus_sample(profile: ScatteringProfile, seed) -> SpreadingFunction:

@@ -5,8 +5,9 @@ identify, capacity) each read a strict JSON config, run a thin composition
 of library calls, and write CSV/JSON artifacts plus a manifest with sha256
 digests into the output directory.  Identical config and seed give
 byte-identical artifacts; the manifest's wall-time field is the one value
-outside that guarantee.  Tables are written column-wise and heatmaps by grid
-row, numbers as their ``repr`` and rows ending in \\r\\n.  Exit codes: 0
+outside that guarantee.  Tables go column-wise through ``wh_frames._write_csv``
+and heatmaps by grid row through ``emit_plotdata``, numbers as their ``repr``
+and rows ending in \\r\\n.  Exit codes: 0
 success, 2 config/validation or ``--out`` problems, 3 numerical failures from
 the library (not a frame, not identifiable, a failed eigensolver or demodulator
 split, a non-finite result) and refused allocations (out of memory).
@@ -50,8 +51,8 @@ import numpy as np
 
 from . import __version__
 from .capacity import CapacityQuery, bandwidth_sweep, capacity_low_snr
-from .channel_models import ScatteringProfile, from_specular, preset_profile, \
-    time_invariant, wssus_sample
+from .channel_models import ScatteringProfile, _complex_normals, from_specular, \
+    preset_profile, time_invariant, wssus_sample
 from .identification import IdentifiabilityError, _canonical_support, \
     centered_rect_support, dirac_train, identify, offgrid_ambiguity, refuse_overspread
 from .ofdm import _CONSTELLATIONS, OFDMConfig, cp_ofdm_config, interference_descent, \
@@ -59,7 +60,7 @@ from .ofdm import _CONSTELLATIONS, OFDMConfig, cp_ofdm_config, interference_desc
 from .tf_core import SpreadingFunction, _cell_filter, centered_index, cross_ambiguity, \
     spread_metrics, tf_transfer
 from .wh_frames import NotAFrameError, Pulse, WHGrid, _frame_analysis, check_wexler_raz, \
-    gaussian_pulse, localization_metrics, read_pulse_csv, rect_pulse, write_pulse_csv
+    _write_csv, gaussian_pulse, localization_metrics, read_pulse_csv, rect_pulse, write_pulse_csv
 
 __all__ = [
     "ConfigError",
@@ -294,25 +295,8 @@ def _build_system(spec: dict, n_dim: int, where: str, base_dir: Path) -> OFDMCon
 # artifact writers
 
 
-_CSV_BLOCK_ROWS = 8192
 # grid rows per block of a heatmap's two passes
 _HEATMAP_BLOCK_ROWS = 64
-
-
-def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write equal-length 1-D numpy arrays as the columns of a table.
-
-    Numbers are written as their ``repr``, rows end in \\r\\n and go out in
-    blocks of ``_CSV_BLOCK_ROWS``.  A non-finite value raises ArithmeticError
-    before the file is opened.
-    """
-    if any(not np.isfinite(col).all() for col in columns):
-        raise ArithmeticError(f"non-finite value in the CSV artifact {path.name}")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            block = [map(repr, col[start:start + _CSV_BLOCK_ROWS].tolist()) for col in columns]
-            fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -336,7 +320,7 @@ def _grid_db(values: np.ndarray, peak=None) -> np.ndarray:
 
 
 def emit_plotdata(kind: str, source, path) -> None:
-    """Write long-format (x, y, value_db) CSV for heatmaps and curves.
+    """Write a heatmap as long-format (x, y, value_db) CSV.
 
     Magnitudes are normalized to the grid peak and clamped at ``DB_FLOOR``
     (40 dB of dynamic range).  Spreading and ambiguity grids use centered
@@ -344,18 +328,11 @@ def emit_plotdata(kind: str, source, path) -> None:
     heatmap takes two passes over blocks of ``_HEATMAP_BLOCK_ROWS`` rows:
     one finds the peak, one scales each block as ``_grid_db`` scales the
     whole grid and writes each row through one line template (a row wholly
-    at the floor is one formatted floor row).  For capacity-curve the
-    columns are (bandwidth, rate, rate relative to the peak in dB), written
-    column-wise.  Floats are written as their ``repr``, rows end in \\r\\n;
-    a non-finite value raises ArithmeticError and writes nothing.
+    at the floor is one formatted floor row).  Floats are written as their
+    ``repr``, rows end in \\r\\n; a non-finite value raises ArithmeticError
+    and writes nothing.
     """
     path = Path(path)
-    if kind == "capacity-curve":
-        rates = np.asarray(source.rates, dtype=float)
-        _write_csv(path, ["x", "y", "value_db"],  # rates <= 0 sit on the floor
-                   [np.asarray(source.bandwidths, dtype=float), rates,
-                    _grid_db(np.maximum(rates, 0.0))])
-        return
     if kind not in ("spreading-heatmap", "ambiguity-heatmap", "transfer-heatmap"):
         raise ConfigError(f"unknown plotdata kind {kind!r}")
     grid = np.asarray(source)
@@ -478,13 +455,12 @@ def _run_identify(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
         support = _canonical_support(centered_rect_support(rect["n_delay"], rect["n_doppler"])
                                      if rect else tuple(map(tuple, spec["support"])), n)
     rng = np.random.default_rng([spec["seed"], 0])
-    truth = (rng.standard_normal(len(support))
-             + 1j * rng.standard_normal(len(support))) / np.sqrt(2.0)
+    truth = _complex_normals(rng, (), (len(support),)) / np.sqrt(2.0)
     observation = _cell_filter(*np.array(support).T, n)(probe, truth)  # X truth, X never formed
     if spec["noise_psd"] > 0.0:
         noise_rng = np.random.default_rng([spec["seed"], 1])
-        observation = observation + np.sqrt(spec["noise_psd"] / 2.0) * (
-            noise_rng.standard_normal(n) + 1j * noise_rng.standard_normal(n))
+        observation = observation + np.sqrt(spec["noise_psd"] / 2.0) * _complex_normals(
+            noise_rng, (), (n,))
     result = identify(observation, probe, support)
     _write_csv(out / "estimate.csv", ["m", "l", "re", "im", "true_re", "true_im"],
                [*np.array(result.support).T, result.estimate.real, result.estimate.imag,
@@ -532,7 +508,8 @@ def _run_capacity(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
         _write_csv(out / "sweep.csv", ["bandwidth", "snr", "capacity", "penalty", "rate"],
                    [sweep.bandwidths, sweep.snrs, sweep.capacities, sweep.penalties,
                     sweep.rates])
-        emit_plotdata("capacity-curve", sweep, out / "capacity_curve_db.csv")
+        _write_csv(out / "capacity_curve_db.csv", ["x", "y", "value_db"],  # rates <= 0: floor
+                   [sweep.bandwidths, sweep.rates, _grid_db(np.maximum(sweep.rates, 0.0))])
         report["sweep"] = {
             "power_budget": spec["power_budget"],
             "best_bandwidth": sweep.best_bandwidth,

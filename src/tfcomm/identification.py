@@ -103,10 +103,10 @@ def dirac_train(n_dim: int, period: int, weights=None) -> np.ndarray:
     if weights is None:
         w = np.ones(n_impulses, dtype=complex)
     else:
-        w = np.asarray(weights, dtype=complex).ravel()
+        w = as_samples(np.ravel(weights), "weights")
         if w.size != n_impulses:
             raise ValueError(f"need {n_impulses} weights, got {w.size}")
-        if not np.abs(np.abs(w) - 1.0).max() <= 1e-9:  # a nan weight fails too
+        if np.abs(np.abs(w) - 1.0).max() > 1e-9:
             raise ValueError("weights must be unit modulus")
     x = np.zeros(n, dtype=complex)
     x[::p] = w / np.sqrt(n_impulses)
@@ -188,9 +188,9 @@ def identify(observation, sounding, support) -> IdentificationResult:
     |S| > N and ill-chosen probes.  X is never formed: each residue class
     of the probe comb is solved on its own block (see the module notes).
     """
-    y = as_samples(observation)
+    y = as_samples(observation, "observation")
     n = y.size
-    x = as_samples(sounding)
+    x = as_samples(sounding, "sounding")
     if x.size != n:
         raise ValueError(f"sounding length {x.size} does not match observation length {n}")
     cells = _canonical_support(support, n)
@@ -218,7 +218,7 @@ def offgrid_ambiguity(sounding, support) -> float:
     Small values mean nearly orthogonal sounding columns.  Only the rows of
     A at the support's delay differences are computed.
     """
-    x = as_samples(sounding)
+    x = as_samples(sounding, "sounding")
     n = x.size
     cells = _canonical_support(support, n)
     delays, dopplers = np.array(cells).T

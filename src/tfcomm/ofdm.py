@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel_models import ScatteringProfile, _support_draw
+from .channel_models import ScatteringProfile, _complex_normals, _support_draw
 from .tf_core import SpreadingFunction, _ambiguity_rows, _cell_filter, as_matrix, \
     spreading_function, tf_transfer
 from .wh_frames import Pulse, WHGrid, _block_power, _gram_defect, _walnut_blocks, \
@@ -202,8 +202,7 @@ def _draw_symbols(rng: np.random.Generator, shape: tuple, constellation: str) ->
     _check_constellation(constellation)
     if constellation == "qpsk":
         return _QPSK[rng.integers(0, 4, size=shape)]
-    parts = rng.standard_normal((*shape[:-2], 2, *shape[-2:]))
-    return (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / np.sqrt(2.0)
+    return _complex_normals(rng, shape[:-2], shape[-2:]) / np.sqrt(2.0)
 
 
 def _check_constellation(constellation: str) -> None:
@@ -273,8 +272,7 @@ def _projected_noise(cfg: OFDMConfig, noise_psd: float, rng: np.random.Generator
     """Projections of ``lead`` white CN(0, noise_psd) vectors (one draw; none at psd 0)."""
     if not noise_psd > 0.0:
         return np.zeros((*lead, cfg.n_slots, cfg.n_subcarriers), dtype=complex)
-    parts = rng.standard_normal((*lead, 2, cfg.n_dim))
-    return _project(cfg, np.sqrt(noise_psd / 2.0) * (parts[..., 0, :] + 1j * parts[..., 1, :]))
+    return _project(cfg, np.sqrt(noise_psd / 2.0) * _complex_normals(rng, lead, (cfg.n_dim,)))
 
 
 def _checked(estimates: np.ndarray, recon: np.ndarray) -> None:

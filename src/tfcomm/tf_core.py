@@ -68,15 +68,15 @@ def _check_dim(n_dim: int) -> int:
     return n
 
 
-def as_samples(pulse) -> np.ndarray:
-    """Samples of a pulse, validated when it was built, or a nonempty finite vector."""
+def as_samples(pulse, name: str = "samples") -> np.ndarray:
+    """Samples of a pulse, validated when built, or a nonempty finite vector named ``name``."""
     if hasattr(pulse, "samples"):
         return pulse.samples
     x = np.asarray(pulse, dtype=complex)
     if x.ndim != 1 or x.size == 0:
-        raise ValueError(f"samples must be a nonempty vector, got shape {x.shape}")
+        raise ValueError(f"{name} must be a nonempty vector, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
-        raise ValueError("samples contain non-finite entries")
+        raise ValueError(f"non-finite entries in {name}")
     return x
 
 

@@ -711,6 +711,8 @@ def specular(*paths):
      "config.system.tx: length must be in [1, 48], got 99"),
     ("ofdm-sim", dict(SIM_CFG, channel={"kind": "time_invariant", "gains": [1.0] * 30}),
      "config.channel.gains: path delay 25 outside centered range [-23, 24] for N = 48"),
+    ("ofdm-sim", dict(SIM_CFG, channel={"kind": "time_invariant", "gains": []}),
+     "config.channel.gains: expected a nonempty list"),
     ("identify", dict(IDENTIFY_CFG, support=[[0, 0], [0, 0]]),
      "config.support: support contains duplicate cells"),
     # N + 1 entries but N distinct cells: a duplicate, not an overspread support
@@ -749,10 +751,11 @@ def specular(*paths):
      "config.channel.profile: -doppler_halfwidths -24 outside centered range "
      "[-23, 24] for N = 48"),
 ], ids=["period", "paths", "method", "system-method", "constellation", "pulse", "time_step",
-        "system", "system-tx", "gains", "support-duplicates", "support-duplicates-over-n",
-        "support-range", "bandwidths", "support-bool", "support-short", "paths-bool", "paths-str",
-        "bandwidths-bool", "bandwidths-str", "gains-bool", "gains-str", "flat_rect-doppler-extent",
-        "flat_rect-delay-extent", "jakes-doppler-extent", "drm_like-doppler-extent"])
+        "system", "system-tx", "gains", "gains-empty", "support-duplicates",
+        "support-duplicates-over-n", "support-range", "bandwidths", "support-bool",
+        "support-short", "paths-bool", "paths-str", "bandwidths-bool", "bandwidths-str",
+        "gains-bool", "gains-str", "flat_rect-doppler-extent", "flat_rect-delay-extent",
+        "jakes-doppler-extent", "drm_like-doppler-extent"])
 def test_config_errors_name_their_location(tmp_path, capsys, kind, cfg, message):
     path = write_config(tmp_path, "located.json", cfg)
     out = tmp_path / "out"
@@ -919,16 +922,37 @@ def test_missing_pulse_file_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_pulse_file_with_repeated_index_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("n_dim, name, indices, message", [
     # indices 0, 1, 2, 3, 3 used to run as a length-4 pulse whose last sample was the second 3
-    (tmp_path / "repeat.csv").write_text("index,re,im\n0,1,0\n1,0,0\n2,0,0\n3,0.5,0\n3,2,0\n")
-    path = write_config(tmp_path, "csv.json", dict(FRAME_CFG, n_dim=4, time_step=2, freq_step=2,
-                                                   pulse={"kind": "csv", "path": "repeat.csv"}))
+    (4, "repeat.csv", [0, 1, 2, 3, 3], "repeat.csv: index 3 is repeated"),
+    (16, "short.csv", range(8), "pulse file has length 8, expected 16"),
+    (4, "gap.csv", [0, 2], "gap.csv: indices must cover 0..N-1"),
+], ids=["repeated", "length", "gap"])
+def test_bad_pulse_files_exit_2(tmp_path, capsys, n_dim, name, indices, message):
+    (tmp_path / name).write_text("index,re,im\n" + "".join(f"{i},0.5,0\n" for i in indices))
+    cfg = dict(FRAME_CFG, n_dim=n_dim, time_step=2, freq_step=2,
+               pulse={"kind": "csv", "path": name})
+    path = write_config(tmp_path, "csv.json", cfg)
     out = tmp_path / "out"
     assert cli.run(["frame-analyze", "--config", str(path), "--out", str(out)]) == \
         cli.EXIT_CONFIG
-    assert capsys.readouterr().err == \
-        "tfcomm: config error: config.pulse: repeat.csv: index 3 is repeated\n"
+    assert capsys.readouterr().err == f"tfcomm: config error: config.pulse: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("assignment, message", [
+    ("oops", "--set expects key=value, got 'oops'"),
+    ("a..b=1", "--set: bad key path 'a..b'"),
+    # the override builds {"x": {"y": 1}}, which the key tables then refuse
+    ("x.y=1", "config: unknown keys ['x']; allowed ['kind', 'n_dim', 'noise_psd', 'period', "
+              "'seed', 'support']"),
+], ids=["no-value", "empty-key", "unknown-key"])
+def test_bad_set_overrides_exit_2(tmp_path, capsys, assignment, message):
+    path = write_config(tmp_path, "plain.json", IDENTIFY_CFG)
+    out = tmp_path / "out"
+    assert cli.run(["identify", "--config", str(path), "--set", assignment,
+                    "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"tfcomm: config error: {message}\n"
     assert not out.exists()
 
 
@@ -1125,24 +1149,31 @@ def test_identify_run_never_forms_the_sounding_matrix(tmp_path):
     assert report["numerical_rank"] == 1024 and report["relative_error"] < 1e-12
 
 
-@pytest.mark.parametrize("kind, cfg", [
+@pytest.mark.parametrize("kind, cfg, message", [
     # the demodulator output overflows: the decomposition check fails
-    ("ofdm-sim", dict(SIM_CFG, channel={"kind": "time_invariant", "gains": [1e308, 1e308]})),
+    ("ofdm-sim", dict(SIM_CFG, channel={"kind": "time_invariant", "gains": [1e308, 1e308]}),
+     "demodulator decomposition failed: non-finite output"),
     # finite estimates whose energies overflow
-    ("ofdm-sim", dict(SIM_CFG, channel={"kind": "time_invariant", "gains": [1e160]})),
-    # a finite run whose report holds an overflowed norm
+    ("ofdm-sim", dict(SIM_CFG, channel={"kind": "time_invariant", "gains": [1e160]}),
+     "frame energies overflowed to non-finite values"),
+    # a finite run whose transfer grid overflows
     ("spread-analyze", dict(SPREAD_CFG, channel={
-        "kind": "specular", "paths": [[0, 0, 1e308, 0.0], [1, 0, 1e308, 0.0]]})),
-], ids=["demodulator", "energies", "report"])
-def test_non_finite_results_exit_3(tmp_path, capsys, kind, cfg):
+        "kind": "specular", "paths": [[0, 0, 1e308, 0.0], [1, 0, 1e308, 0.0]]}),
+     "non-finite value in the CSV artifact transfer_db.csv"),
+    # a delay spread of 2 samples at sample_rate 1e-308 is inf seconds: refused by the
+    # report writer, not by a check of its own
+    ("spread-analyze", dict(SPREAD_CFG, sample_rate=1e-308, channel={
+        "kind": "specular", "paths": [[2, 0, 1.0, 0.0]]}),
+     "spread_report.json: non-finite value in the report"),
+], ids=["demodulator", "energies", "csv", "report"])
+def test_non_finite_results_exit_3(tmp_path, capsys, kind, cfg, message):
     path = write_config(tmp_path, "huge.json", cfg)
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert cli.run([kind, "--config", str(path), "--out", str(out)]) == cli.EXIT_NUMERICAL
     assert [str(w.message) for w in caught] == []
-    err = capsys.readouterr().err
-    assert "numerical failure" in err and "Traceback" not in err
+    assert capsys.readouterr().err == f"tfcomm: numerical failure: {message}\n"
     assert not out.exists()
 
 
@@ -1175,9 +1206,10 @@ def test_plotdata_transfer_axes_uncentered(tmp_path):
     assert xs == {0, 1, 2}
 
 
-def test_plotdata_unknown_kind(tmp_path):
-    with pytest.raises(cli.ConfigError):
-        cli.emit_plotdata("pie-chart", np.ones((2, 2)), tmp_path / "x.csv")
+@pytest.mark.parametrize("kind", ["pie-chart", "capacity-curve"])
+def test_plotdata_unknown_kind(tmp_path, kind):
+    with pytest.raises(cli.ConfigError, match=f"unknown plotdata kind '{kind}'"):
+        cli.emit_plotdata(kind, np.ones((2, 2)), tmp_path / "x.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -1224,9 +1256,23 @@ def test_column_writer_matches_row_oracle(tmp_path_factory, data):
             columns.append(np.array(cells, dtype=np.int64))
         rows_by_col.append(cells)
     header = [f"c{j}" for j in range(len(columns))]
-    with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block):
-        cli._write_csv(tmp / "new.csv", header, columns)
+    with mock.patch.object(wh, "_CSV_BLOCK_ROWS", block):
+        wh._write_csv(tmp / "new.csv", header, columns)
     write_rows_oracle(tmp / "old.csv", header, list(zip(*rows_by_col)))
+    assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(FLOAT_CELLS, FLOAT_CELLS), min_size=1, max_size=20))
+@example([(-0.0, 5e-324), (1e16, -0.0), (-2.2250738585072014e-308, -1e16), (0.1, 1e22)])
+def test_pulse_writer_matches_row_oracle(tmp_path_factory, samples):
+    """``write_pulse_csv``, now one table write, matches the csv.writer loop it replaced."""
+    tmp = tmp_path_factory.mktemp("pulse")
+    g = np.empty(len(samples), dtype=complex)
+    g.real, g.imag = np.array(samples).T
+    write_pulse_csv(tmp / "new.csv", g)
+    write_rows_oracle(tmp / "old.csv", ["index", "re", "im"],
+                      [(i, re, im) for i, (re, im) in enumerate(samples)])
     assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
 
@@ -1314,22 +1360,27 @@ RATE_CELLS = FLOAT_CELLS | st.sampled_from([0.0, -1.0, 1e-300, -1e-300, 1e300, -
 @example([1e-300, 1e300, 0.0, -2.0], False)
 @example([1e-12, -1.797693134862316e+296], False)  # -inf from the inline division
 def test_capacity_curve_db_matches_inline_oracle(tmp_path_factory, rates, nonpositive):
-    """The curve's dB column, now the heatmaps' scale on rates clamped at 0, matches
-    the inline formula it replaced, zero and negative rates included."""
+    """The capacity run's curve, its dB column the heatmaps' scale on rates clamped at 0,
+    matches the inline formula it replaced, zero and negative rates included."""
     tmp = tmp_path_factory.mktemp("curve")
     rates = -np.abs(rates) if nonpositive else np.array(rates)
-    sweep = SimpleNamespace(bandwidths=np.arange(1.0, rates.size + 1.0), rates=rates)
-    cli.emit_plotdata("capacity-curve", sweep, tmp / "new.csv")
+    bandwidths = np.arange(1.0, rates.size + 1.0)
+    sweep = SimpleNamespace(bandwidths=bandwidths, snrs=bandwidths, capacities=rates,
+                            penalties=rates, rates=rates, best_index=0, best_bandwidth=1.0,
+                            has_interior_maximum=False)
+    with mock.patch.object(cli, "bandwidth_sweep", return_value=sweep):
+        cli.run_experiment("capacity", SWEEP_CFG, tmp / "run")
     capacity_curve_oracle(sweep, tmp / "old.csv")
-    assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+    assert (tmp / "run" / "capacity_curve_db.csv").read_bytes() == \
+        (tmp / "old.csv").read_bytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_column_writer_rejects_non_finite_floats(tmp_path, bad):
     path = tmp_path / "x.csv"
     with pytest.raises(ArithmeticError):
-        cli._write_csv(path, ["i", "a", "b"],
-                       [np.arange(3), np.array([1.0, 2.0, 3.0]), np.array([0.5, bad, 0.5])])
+        wh._write_csv(path, ["i", "a", "b"],
+                      [np.arange(3), np.array([1.0, 2.0, 3.0]), np.array([0.5, bad, 0.5])])
     assert not path.exists()
 
 

@@ -156,17 +156,17 @@ def test_identify_validates_lengths():
         ident.identify(np.zeros(8), np.ones(6), [(0, 0)])
 
 
-@pytest.mark.parametrize("solve", [
-    lambda y, x, support: ident.identify(y, x, support),  # observation
-    lambda y, x, support: ident.identify(x, y, support),  # sounding
-    lambda y, x, support: ident.offgrid_ambiguity(y, support),  # sounding
+@pytest.mark.parametrize("solve, name", [
+    (lambda y, x, support: ident.identify(y, x, support), "observation"),
+    (lambda y, x, support: ident.identify(x, y, support), "sounding"),
+    (lambda y, x, support: ident.offgrid_ambiguity(y, support), "sounding"),
 ], ids=["identify-observation", "identify-sounding", "offgrid-sounding"])
-def test_a_nan_sample_is_refused(solve):
+def test_a_nan_sample_is_refused(solve, name):
     # these used to return a nan residual, and an offgrid ambiguity of 0.0
     x = ident.dirac_train(16, 4)
     y = x.copy()
     y[5] = np.nan
-    with pytest.raises(ValueError, match="samples contain non-finite entries"):
+    with pytest.raises(ValueError, match=f"non-finite entries in {name}"):
         solve(y, x, ident.centered_rect_support(2, 2))
 
 

@@ -30,7 +30,7 @@ def test_module_exports_resolve_at_top_level():
     (lambda: tf_core.spread_metrics(channel_models.from_specular([(1, 1, 1.0)], 8), np.inf),
      "sample_rate must be positive and finite"),
     (lambda: wh_frames.gaussian_pulse(8, sigma=np.nan), "sigma must be positive"),
-    (lambda: identification.dirac_train(8, 2, [1, np.nan, 1, 1]), "weights must be unit modulus"),
+    (lambda: identification.dirac_train(8, 2, [1, np.nan, 1, 1]), "non-finite entries in weights"),
 ], ids=["sample_rate-nan", "sample_rate-inf", "sigma-nan", "weight-nan"])
 def test_scalar_checks_refuse_nan(call, message):
     with pytest.raises(ValueError, match=message):
