@@ -21,10 +21,7 @@ import numpy as np
 from .channel_models import ScatteringProfile
 
 __all__ = [
-    "CapacityQuery",
-    "BandwidthSweepResult",
-    "capacity_low_snr",
-    "bandwidth_sweep",
+    "CapacityQuery", "BandwidthSweepResult", "capacity_low_snr", "bandwidth_sweep",
 ]
 
 _SWEEP_BLOCK_CELLS = 1 << 20  # bounds the (bandwidths x support cells) temporaries

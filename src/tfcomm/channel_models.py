@@ -9,8 +9,9 @@ Gaussian coefficient whose variance is read off the profile, which makes the
 wide-sense stationarity of the induced time-frequency transfer exact rather
 than asymptotic.  Cells outside the support carry no mass and draw nothing,
 so a draw costs O(K) normals for K support cells, not O(N^2).  A scattering
-profile is its K support cells (delay, Doppler, mass C > 0); the presets
-emit cells, never an N x N grid.  Its 2-D Fourier dual is the
+profile is its K support cells (delay, Doppler, mass C > 0) and a spreading
+function its nonzero cells; the presets, the builders and the draws emit
+cells, never an N x N grid.  The profile's 2-D Fourier dual is the
 time-frequency correlation grid of the second-order statistics.
 """
 
@@ -21,24 +22,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .tf_core import SpreadingFunction, _centered_range, _check_dim, centered_index, \
-    dd_to_tf_grid, tf_to_dd_grid
+from .tf_core import SpreadingFunction, _cell_store, _centered_range, _check_dim, _frozen, \
+    _grid_rows, centered_index, dd_to_tf_grid, tf_to_dd_grid
 
 __all__ = [
-    "ScatteringProfile",
-    "TFCorrelation",
-    "from_specular",
-    "time_invariant",
-    "frequency_dispersive",
-    "oscillator_impairment",
-    "wssus_sample",
-    "tf_correlation",
-    "scattering_from_correlation",
-    "preset_profile",
-    "flat_rect_profile",
-    "exponential_jakes_profile",
-    "drm_like_profile",
-    "jakes_doppler_masses",
+    "ScatteringProfile", "TFCorrelation", "from_specular", "time_invariant",
+    "frequency_dispersive", "oscillator_impairment", "wssus_sample", "tf_correlation",
+    "scattering_from_correlation", "preset_profile", "flat_rect_profile",
+    "exponential_jakes_profile", "drm_like_profile", "jakes_doppler_masses",
 ]
 
 
@@ -66,38 +57,25 @@ class ScatteringProfile:
     support_cells: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def __init__(self, n_dim: int, intensities):
-        n = _check_dim(n_dim)
-        c = np.asarray(intensities, dtype=float)
+        n, c = _check_dim(n_dim), np.asarray(intensities, dtype=float)
         if c.shape != (n, n):
             raise ValueError(f"intensity grid must be {n}x{n}, got shape {c.shape}")
-        rows, cols = np.nonzero(c)
-        self.__dict__.update(vars(self._from_cells(n, rows, cols, c[rows, cols])))
+        self.__dict__.update(vars(self._from_cells(n, *np.nonzero(c), c[c != 0])))
 
     @classmethod
     def _from_cells(cls, n_dim: int, delays, dopplers, masses) -> "ScatteringProfile":
-        """Validate the masses, add repeated cells in order, drop zeros, sort row-major."""
-        n, masses = _check_dim(n_dim), np.asarray(masses, dtype=float)
-        if not np.all(np.isfinite(masses)):
-            raise ValueError("intensity grid contains non-finite entries")
-        if masses.min(initial=0.0) < 0:
+        """Nonnegative masses at grid indices in [0, N), repeated cells added in order."""
+        if np.min(masses, initial=0.0) < 0:
             raise ValueError("intensities must be nonnegative")
-        keys = np.asarray(delays, dtype=int) * n + np.asarray(dopplers, dtype=int)
-        keys, cell_of_entry = np.unique(keys, return_inverse=True)
-        summed = np.bincount(cell_of_entry, weights=masses)  # adds in entry order
-        keys, summed = keys[summed > 0], summed[summed > 0]
         profile = object.__new__(cls)
-        profile.__dict__.update(n_dim=n, support_cells=(keys // n, keys % n, summed))
-        for array in profile.support_cells:
-            array.flags.writeable = False
+        profile.__dict__.update(n_dim=_check_dim(n_dim), support_cells=_cell_store(
+            n_dim, delays, dopplers, masses, float, "intensities"))
         return profile
 
     @cached_property
     def intensities(self) -> np.ndarray:
         """The dense N x N grid, built on first read; read-only."""
-        grid = np.zeros((self.n_dim, self.n_dim))
-        grid[self.support_cells[:2]] = self.support_cells[2]
-        grid.flags.writeable = False
-        return grid
+        return _frozen(_grid_rows(self.n_dim, self.support_cells, 0, self.n_dim))[0]
 
     @property
     def total_gain(self) -> float:
@@ -148,12 +126,12 @@ def from_specular(paths, n_dim: int) -> SpreadingFunction:
     Dopplers must be integers inside the centered grid.  Each validated
     gain is added into its cell, so coinciding paths add coherently.
     """
-    coeffs = np.zeros((n_dim, n_dim), dtype=complex)
+    delays, dopplers, gains = [], [], []
     for delay, doppler, gain in paths:
-        m = _check_on_grid(delay, "path delay", n_dim)
-        l = _check_on_grid(doppler, "path doppler", n_dim)
-        coeffs[m % n_dim, l % n_dim] += complex(gain)
-    return SpreadingFunction(coeffs)
+        delays.append(_check_on_grid(delay, "path delay", n_dim) % n_dim)
+        dopplers.append(_check_on_grid(doppler, "path doppler", n_dim) % n_dim)
+        gains.append(complex(gain))
+    return SpreadingFunction.from_cells(n_dim, delays, dopplers, gains)
 
 
 def time_invariant(gains, n_dim: int, delays=None) -> SpreadingFunction:
@@ -176,9 +154,7 @@ def frequency_dispersive(mod_signal) -> SpreadingFunction:
     n = m.size
     if n == 0:
         raise ValueError("modulating signal must be nonempty")
-    coeffs = np.zeros((n, n), dtype=complex)
-    coeffs[0, :] = np.fft.ifft(m)
-    return SpreadingFunction(coeffs)
+    return SpreadingFunction.from_cells(n, np.zeros(n), np.arange(n), np.fft.ifft(m))
 
 
 def oscillator_impairment(freq_offset: int, timing_offset: int,
@@ -197,9 +173,8 @@ def oscillator_impairment(freq_offset: int, timing_offset: int,
         raise ValueError(f"spectrum length {psi.size} does not match N = {n_dim}")
     m = _check_on_grid(timing_offset, "timing offset", n_dim)
     f = _check_on_grid(freq_offset, "frequency offset", n_dim)
-    coeffs = np.zeros((n_dim, n_dim), dtype=complex)
-    coeffs[m % n_dim, :] = psi[(f - np.arange(n_dim)) % n_dim]
-    return SpreadingFunction(coeffs)
+    return SpreadingFunction.from_cells(n_dim, np.full(n_dim, m % n_dim), np.arange(n_dim),
+                                        psi[(f - np.arange(n_dim)) % n_dim])
 
 
 def _complex_normals(rng: np.random.Generator, lead: tuple, shape: tuple) -> np.ndarray:
@@ -229,9 +204,8 @@ def wssus_sample(profile: ScatteringProfile, seed) -> SpreadingFunction:
     stream.
     """
     rows, cols, masses = profile.support_cells
-    coeffs = np.zeros((profile.n_dim, profile.n_dim), dtype=complex)
-    coeffs[rows, cols] = _support_draw(np.sqrt(masses), np.random.default_rng(seed))
-    return SpreadingFunction(coeffs)
+    return SpreadingFunction.from_cells(profile.n_dim, rows, cols,
+                                        _support_draw(np.sqrt(masses), np.random.default_rng(seed)))
 
 
 def tf_correlation(profile: ScatteringProfile) -> TFCorrelation:

@@ -7,7 +7,8 @@ digests into the output directory.  Identical config and seed give
 byte-identical artifacts; the manifest's wall-time field is the one value
 outside that guarantee.  Tables go column-wise through ``wh_frames._write_csv``
 and heatmaps by grid row through ``emit_plotdata``, numbers as their ``repr``
-and rows ending in \\r\\n.  Exit codes: 0
+and rows ending in \\r\\n; a heatmap's rows are computed block by block
+(``_RowSource``), so no run holds an N x N grid it writes.  Exit codes: 0
 success, 2 config/validation or ``--out`` problems, 3 numerical failures from
 the library (not a frame, not identifiable, a failed eigensolver or demodulator
 split, a non-finite result) and refused allocations (out of memory).
@@ -57,21 +58,14 @@ from .identification import IdentifiabilityError, _canonical_support, \
     centered_rect_support, dirac_train, identify, offgrid_ambiguity, refuse_overspread
 from .ofdm import _CONSTELLATIONS, OFDMConfig, cp_ofdm_config, interference_descent, \
     interference_power, simulate_frames
-from .tf_core import SpreadingFunction, _cell_filter, centered_index, cross_ambiguity, \
-    spread_metrics, tf_transfer
+from .tf_core import SpreadingFunction, _ambiguity_rows, _cell_filter, _grid_rows, \
+    _transfer_rows, centered_index, spread_metrics
 from .wh_frames import NotAFrameError, Pulse, WHGrid, _frame_analysis, check_wexler_raz, \
     _write_csv, gaussian_pulse, localization_metrics, read_pulse_csv, rect_pulse, write_pulse_csv
 
 __all__ = [
-    "ConfigError",
-    "EXIT_OK",
-    "EXIT_CONFIG",
-    "EXIT_NUMERICAL",
-    "KINDS",
-    "run_experiment",
-    "emit_plotdata",
-    "run",
-    "entry",
+    "ConfigError", "EXIT_OK", "EXIT_CONFIG", "EXIT_NUMERICAL", "KINDS", "run_experiment",
+    "emit_plotdata", "run", "entry",
 ]
 
 EXIT_OK = 0
@@ -313,32 +307,44 @@ def _grid_db(values: np.ndarray, peak=None) -> np.ndarray:
     mags = np.abs(values)
     peak = mags.max() if peak is None else peak
     if peak == 0.0:
-        return np.full(values.shape, DB_FLOOR)
+        return np.full(mags.shape, DB_FLOOR)
     with np.errstate(divide="ignore"):
         db = 20.0 * np.log10(mags / peak)
     return np.maximum(db, DB_FLOOR)
 
 
+class _RowSource:
+    """Grid rows on request: ``len`` is N and ``[start:stop]`` is ``rows(start, stop)``."""
+
+    def __init__(self, n_dim: int, rows):
+        self.n_dim, self.rows = n_dim, rows
+
+    def __len__(self) -> int:
+        return self.n_dim
+
+    def __getitem__(self, span: slice) -> np.ndarray:
+        return self.rows(span.start, min(span.stop, self.n_dim))
+
+
 def emit_plotdata(kind: str, source, path) -> None:
     """Write a heatmap as long-format (x, y, value_db) CSV.
 
-    Magnitudes are normalized to the grid peak and clamped at ``DB_FLOOR``
-    (40 dB of dynamic range).  Spreading and ambiguity grids use centered
-    axes, transfer grids raw (n, k); x labels a grid row, y a column.  A
-    heatmap takes two passes over blocks of ``_HEATMAP_BLOCK_ROWS`` rows:
-    one finds the peak, one scales each block as ``_grid_db`` scales the
-    whole grid and writes each row through one line template (a row wholly
-    at the floor is one formatted floor row).  Floats are written as their
-    ``repr``, rows end in \\r\\n; a non-finite value raises ArithmeticError
-    and writes nothing.
+    ``source`` is a square grid or a row source (``len`` and ``[start:stop]``
+    give its rows).  Magnitudes are normalized to the grid peak and clamped at
+    ``DB_FLOOR`` (40 dB of dynamic range).  Spreading and ambiguity grids use
+    centered axes, transfer grids raw (n, k); x labels a grid row, y a column.
+    Two passes over blocks of ``_HEATMAP_BLOCK_ROWS`` rows: one finds the peak,
+    one scales each block as ``_grid_db`` scales the whole grid and writes each
+    row through one line template (a row wholly at the floor is one formatted
+    floor row).  Floats are written as their ``repr``, rows end in \\r\\n; a
+    non-finite value raises ArithmeticError and writes nothing.
     """
     path = Path(path)
     if kind not in ("spreading-heatmap", "ambiguity-heatmap", "transfer-heatmap"):
         raise ConfigError(f"unknown plotdata kind {kind!r}")
-    grid = np.asarray(source)
-    n = grid.shape[0]
+    n = len(source)
     starts = range(0, n, _HEATMAP_BLOCK_ROWS)
-    peak = np.max([np.abs(grid[start:start + _HEATMAP_BLOCK_ROWS]).max() for start in starts],
+    peak = np.max([np.abs(source[start:start + _HEATMAP_BLOCK_ROWS]).max() for start in starts],
                   initial=0.0)  # a nan block peak makes it nan
     if not np.isfinite(peak):
         raise ArithmeticError(f"non-finite value in the CSV artifact {path.name}")
@@ -349,7 +355,7 @@ def emit_plotdata(kind: str, source, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("x,y,value_db\r\n")
         for start in starts:
-            db = _grid_db(grid[start:start + _HEATMAP_BLOCK_ROWS], peak)
+            db = _grid_db(source[start:start + _HEATMAP_BLOCK_ROWS], peak)
             on_floor = (db == DB_FLOOR).all(axis=1).tolist()
             for x, row, floor in zip(labels[start:start + _HEATMAP_BLOCK_ROWS], db, on_floor):
                 fh.write(x.join(floor_line) if floor else x.join(line) % tuple(row.tolist()))
@@ -365,15 +371,16 @@ def _run_spread_analyze(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
     if isinstance(spreading, ScatteringProfile):
         spreading = wssus_sample(spreading, [spec["seed"], 0])
     metrics = spread_metrics(spreading, spec["sample_rate"])
-    transfer = tf_transfer(spreading)
     m_raw, l_raw, vals = spreading.support_cells
     _write_csv(out / "spreading.csv", ["m", "l", "re", "im"],
                [centered_index(m_raw, n), centered_index(l_raw, n), vals.real, vals.imag])
-    emit_plotdata("spreading-heatmap", spreading.coeffs, out / "spreading_db.csv")
-    emit_plotdata("transfer-heatmap", transfer.values, out / "transfer_db.csv")
+    emit_plotdata("spreading-heatmap", _RowSource(n, lambda start, stop: _grid_rows(
+        n, spreading.cells, start, stop)), out / "spreading_db.csv")
+    emit_plotdata("transfer-heatmap", _RowSource(n, _transfer_rows(spreading)),
+                  out / "transfer_db.csv")
     # ||H||_F = sqrt(N) ||S||_F (Parseval in the orthonormal basis M^l D^m / sqrt(N))
     return {**asdict(metrics),
-            "channel_frobenius_norm": float(np.sqrt(n) * np.linalg.norm(spreading.coeffs))}
+            "channel_frobenius_norm": float(np.sqrt(n) * np.linalg.norm(spreading.cells[2]))}
 
 
 def _run_frame_analyze(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
@@ -418,8 +425,9 @@ def _run_pulse_design(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
         }
     write_pulse_csv(out / "tx_pulse.csv", system.tx_pulse)
     write_pulse_csv(out / "rx_pulse.csv", system.rx_pulse)
-    emit_plotdata("ambiguity-heatmap", cross_ambiguity(system.tx_pulse, system.rx_pulse),
-                  out / "ambiguity_db.csv")
+    g, gamma = system.tx_pulse.samples, system.rx_pulse.samples
+    emit_plotdata("ambiguity-heatmap", _RowSource(n, lambda start, stop: _ambiguity_rows(
+        g, gamma, np.arange(start, stop))), out / "ambiguity_db.csv")
     return report
 
 

@@ -30,14 +30,8 @@ import numpy as np
 from .tf_core import _ambiguity_rows, _centered_range, as_samples, tf_shift
 
 __all__ = [
-    "IdentifiabilityError",
-    "IdentificationResult",
-    "RANK_RTOL",
-    "dirac_train",
-    "centered_rect_support",
-    "build_sounding_matrix",
-    "refuse_overspread",
-    "identify",
+    "IdentifiabilityError", "IdentificationResult", "RANK_RTOL", "dirac_train",
+    "centered_rect_support", "build_sounding_matrix", "refuse_overspread", "identify",
     "offgrid_ambiguity",
 ]
 

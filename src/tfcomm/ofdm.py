@@ -48,20 +48,9 @@ from .wh_frames import Pulse, WHGrid, _block_power, _gram_defect, _walnut_blocks
     _walnut_orbits, gaussian_pulse, lattice_matrix, rect_pulse
 
 __all__ = [
-    "OFDMConfig",
-    "SymbolFrame",
-    "DemodResult",
-    "cp_ofdm_config",
-    "random_symbols",
-    "modulate",
-    "demodulate",
-    "transmit_through",
-    "simulate_frames",
-    "interference_power",
-    "gain_transfer_agreement",
-    "design_pulses",
-    "interference_descent",
-    "matched_sigma",
+    "OFDMConfig", "SymbolFrame", "DemodResult", "cp_ofdm_config", "random_symbols", "modulate",
+    "demodulate", "transmit_through", "simulate_frames", "interference_power",
+    "gain_transfer_agreement", "design_pulses", "interference_descent", "matched_sigma",
 ]
 
 

@@ -6,39 +6,27 @@ the cyclic delay D (ones on the subdiagonal and in the top-right corner) and
 the modulation M (diagonal with entries exp(-2j*pi*i/N)).  The N^2 products
 M^l D^m, scaled by 1/sqrt(N), are an orthonormal basis of the matrix space
 under <A, B> = trace(B^H A); the basis coefficients of a channel are its
-delay-Doppler spreading function, and their 2-D Fourier transform is the
-time-frequency transfer function.  ``tf_shift`` builds every shifted copy
-M^l D^m x in the package: operator matrices, lattice translates, sounding
-columns and the rows of the cross-ambiguity function.  ``_cell_filter``
-applies a channel given by its support cells to signals, never forming H.
+delay-Doppler spreading function, stored as its nonzero cells, and their 2-D
+Fourier transform is the time-frequency transfer function, which
+``_transfer_rows`` computes by row blocks from the support-delay rows alone.
+``tf_shift`` builds every shifted copy M^l D^m x in the package: operator
+matrices, lattice translates, sounding columns and the rows of the
+cross-ambiguity function.  ``_cell_filter`` applies a channel given by its
+support cells to signals, never forming H.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
-    "DiscreteChannel",
-    "SpreadingFunction",
-    "TransferFunction",
-    "SpreadMetrics",
-    "as_matrix",
-    "as_samples",
-    "centered_index",
-    "tf_shift",
-    "tf_shift_op",
-    "cross_ambiguity",
-    "spreading_function",
-    "synthesize_channel",
-    "tf_transfer",
-    "dd_to_tf_grid",
-    "tf_to_dd_grid",
-    "commutation_defect",
-    "spreading_of_product",
-    "approx_eigen_defect",
-    "spread_metrics",
+    "DiscreteChannel", "SpreadingFunction", "TransferFunction", "SpreadMetrics", "as_matrix",
+    "as_samples", "centered_index", "tf_shift", "tf_shift_op", "cross_ambiguity",
+    "spreading_function", "synthesize_channel", "tf_transfer", "dd_to_tf_grid", "tf_to_dd_grid",
+    "commutation_defect", "spreading_of_product", "approx_eigen_defect", "spread_metrics",
     "box_spread",
 ]
 
@@ -111,30 +99,83 @@ def as_matrix(channel) -> np.ndarray:
     return DiscreteChannel(np.asarray(channel)).matrix
 
 
-@dataclass(frozen=True, eq=False)
-class SpreadingFunction:
-    """Delay-Doppler coefficients S[m, l] of a channel.
+def _frozen(*arrays: np.ndarray) -> tuple:
+    """``arrays``, each made read-only."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
-    coeffs[m, l] is the coefficient of M^l D^m.  Every reader of the channel
-    support (Monte Carlo frames, spread metrics and the spreading CSV) reads
-    ``support_cells``: the cells with |S| > SUPPORT_RTOL * max |S|.
+
+def _cell_store(n_dim: int, delays, dopplers, values, dtype, name: str = "values") -> tuple:
+    """(delays, Dopplers, values) of the nonzero cells at grid indices in [0, N), row-major
+    and read-only, repeated cells added in input order; a ValueError names a bad input."""
+    n, values = _check_dim(n_dim), np.asarray(values, dtype=dtype)
+    for axis, index in (("delays", delays), ("dopplers", dopplers)):
+        index = np.asarray(index, dtype=float)
+        if values.ndim != 1 or index.shape != values.shape:
+            raise ValueError(f"{axis} and {name} must be vectors of one length")
+        if not np.all((index == np.floor(index)) & (index >= 0) & (index < n)):
+            raise ValueError(f"{axis} must be integer grid indices in [0, {n})")
+    keys, cell_of_entry = np.unique(np.asarray(delays, dtype=int) * n
+                                    + np.asarray(dopplers, dtype=int), return_inverse=True)
+    summed = np.zeros(keys.size, dtype=values.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed sum raises below
+        np.add.at(summed, cell_of_entry, values)  # in entry order, as += into a grid adds
+    if not np.all(np.isfinite(summed)):
+        raise ValueError(f"non-finite entries in {name}")
+    keys, summed = keys[summed != 0], summed[summed != 0]
+    return _frozen(keys // n, keys % n, summed)
+
+
+def _grid_rows(n_dim: int, cells: tuple, start: int, stop: int) -> np.ndarray:
+    """Rows [start, stop) of the N x N grid holding row-major ``cells``, zero elsewhere."""
+    delays, dopplers, values = cells
+    lo, hi = np.searchsorted(delays, [start, stop])
+    rows = np.zeros((stop - start, n_dim), dtype=values.dtype)
+    rows[delays[lo:hi] - start, dopplers[lo:hi]] = values[lo:hi]
+    return rows
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class SpreadingFunction:
+    """Delay-Doppler coefficients S[m, l] (of M^l D^m) of a channel, stored as its cells.
+
+    ``cells`` is (delays, Dopplers, S) of every nonzero S, row-major and read-only; ``coeffs``,
+    the N x N grid, is a read-only copy of the one given to the dense adapter
+    ``SpreadingFunction(grid)``, else built on first read.  Monte Carlo frames, spread metrics
+    and the spreading CSV read ``support_cells``, the cells with |S| > SUPPORT_RTOL * max |S|.
     """
 
-    coeffs: np.ndarray
+    n_dim: int
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _square_grid(self.coeffs, "coefficient grid"))
+    def __init__(self, coeffs):  # the copy keeps cells and grid in step
+        grid = _square_grid(np.array(coeffs, dtype=complex), "coefficient grid")
+        rows, cols = np.nonzero(grid)
+        self.__dict__.update(n_dim=grid.shape[0], cells=_frozen(rows, cols, grid[rows, cols]),
+                             coeffs=_frozen(grid)[0])
 
-    @property
-    def n_dim(self) -> int:
-        return self.coeffs.shape[0]
+    @classmethod
+    def from_cells(cls, n_dim: int, delays, dopplers, values) -> "SpreadingFunction":
+        """S with ``values`` at grid indices (delays, Dopplers) in [0, N), repeated cells added
+        in input order; NaN or inf values (or sums), off-grid or out-of-range indices and
+        length mismatches raise a ValueError that names the input."""
+        spreading = object.__new__(cls)
+        spreading.__dict__.update(n_dim=_check_dim(n_dim),
+                                  cells=_cell_store(n_dim, delays, dopplers, values, complex))
+        return spreading
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """The dense N x N grid; read-only."""
+        return _frozen(_grid_rows(self.n_dim, self.cells, 0, self.n_dim))[0]
 
     @property
     def support_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(delays, Dopplers, S) of the K support cells, row-major."""
-        magnitude = np.abs(self.coeffs)
-        rows, cols = np.nonzero(magnitude > SUPPORT_RTOL * float(magnitude.max(initial=0.0)))
-        return rows, cols, self.coeffs[rows, cols]
+        magnitude = np.abs(self.cells[2])
+        keep = magnitude > SUPPORT_RTOL * float(magnitude.max(initial=0.0))
+        return tuple(array[keep] for array in self.cells)
 
     @property
     def support_count(self) -> int:
@@ -297,12 +338,12 @@ def synthesize_channel(spreading: SpreadingFunction) -> DiscreteChannel:
     Delay m fills the m-th cyclic subdiagonal with the DFT of row m of S, so
     only the delays with a nonzero coefficient are transformed and scattered.
     """
-    coeffs = spreading.coeffs
-    n = coeffs.shape[0]
-    delays = np.flatnonzero(np.any(coeffs, axis=1))
+    n, (delays, dopplers, values) = spreading.n_dim, spreading.cells
+    taps, tap_of_cell = np.unique(delays, return_inverse=True)  # tap_of_cell is sorted
+    rows = _grid_rows(n, (tap_of_cell, dopplers, values), 0, taps.size)
     i = np.arange(n)
     mat = np.zeros((n, n), dtype=complex)
-    mat[i[None, :], (i[None, :] - delays[:, None]) % n] = np.fft.fft(coeffs[delays], axis=1)
+    mat[i, (i - taps[:, None]) % n] = np.fft.fft(rows, axis=1)
     return DiscreteChannel(mat)
 
 
@@ -325,7 +366,22 @@ def tf_to_dd_grid(grid: np.ndarray) -> np.ndarray:
 
 def tf_transfer(spreading: SpreadingFunction) -> TransferFunction:
     """Time-frequency transfer function, the 2-D DFT of the spreading grid."""
-    return TransferFunction(dd_to_tf_grid(spreading.coeffs))
+    return TransferFunction(_transfer_rows(spreading)(0, spreading.n_dim))
+
+
+def _transfer_rows(spreading: SpreadingFunction):
+    """start, stop -> rows [start, stop) of ``tf_transfer(spreading).values``: the FFT over m
+    of columns [start, stop) of N ifft_l(S), which is zero off the support delays."""
+    n, (delays, dopplers, values) = spreading.n_dim, spreading.cells
+    taps, tap_of_cell = np.unique(delays, return_inverse=True)
+    dual = np.fft.ifft(_grid_rows(n, (tap_of_cell, dopplers, values), 0, taps.size), axis=1) * n
+
+    def block(start: int, stop: int) -> np.ndarray:
+        cols = np.zeros((n, stop - start), dtype=complex)
+        cols[taps] = dual[:, start:stop]
+        return np.fft.fft(cols, axis=0).T
+
+    return block
 
 
 def _root_gap(k: int, n: int) -> float:

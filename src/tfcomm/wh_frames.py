@@ -35,22 +35,9 @@ from .tf_core import DiscreteChannel, _ambiguity_rows, _check_dim, as_samples, c
     tf_shift
 
 __all__ = [
-    "NotAFrameError",
-    "WHGrid",
-    "Pulse",
-    "FrameReport",
-    "lattice_matrix",
-    "frame_operator",
-    "frame_power",
-    "frame_bounds",
-    "dual_window",
-    "tight_window",
-    "check_wexler_raz",
-    "localization_metrics",
-    "gaussian_pulse",
-    "rect_pulse",
-    "write_pulse_csv",
-    "read_pulse_csv",
+    "NotAFrameError", "WHGrid", "Pulse", "FrameReport", "lattice_matrix", "frame_operator",
+    "frame_power", "frame_bounds", "dual_window", "tight_window", "check_wexler_raz",
+    "localization_metrics", "gaussian_pulse", "rect_pulse", "write_pulse_csv", "read_pulse_csv",
 ]
 
 
@@ -376,7 +363,7 @@ def read_pulse_csv(path) -> Pulse:
     rows = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["index", "re", "im"]:
+        if reader.fieldnames != ["index", "re", "im"]:  # as write_pulse_csv writes it
             raise ValueError(f"{Path(path).name}: expected header index,re,im")
         for row in reader:
             idx = int(row["index"])

@@ -328,6 +328,18 @@ def test_flat_profile_allocates_only_its_cells():
     assert peak < 1024 * 1024
 
 
+def test_specular_channel_allocates_only_its_cells():
+    # the dense 1024 x 1024 coefficient grid alone would take 16 MiB
+    tracemalloc.start()
+    try:
+        s = cm.from_specular([(0, 0, 1.0), (2, -1, 0.5 + 0.25j), (5, 2, 0.25 - 0.1j)], 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+    assert [cells.tolist() for cells in s.cells[:2]] == [[0, 2, 5], [0, 1023, 2]]
+
+
 def test_profile_adds_repeated_cells_and_drops_zeros():
     p = cm.drm_like_profile(16, tap_delays=(-1, 0, -1), tap_gains=(1.0, 0.0, 3.0),
                             doppler_halfwidths=(0, 2, 0), total_gain=2.0)

@@ -922,14 +922,16 @@ def test_missing_pulse_file_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("n_dim, name, indices, message", [
+@pytest.mark.parametrize("n_dim, name, header, indices, message", [
     # indices 0, 1, 2, 3, 3 used to run as a length-4 pulse whose last sample was the second 3
-    (4, "repeat.csv", [0, 1, 2, 3, 3], "repeat.csv: index 3 is repeated"),
-    (16, "short.csv", range(8), "pulse file has length 8, expected 16"),
-    (4, "gap.csv", [0, 2], "gap.csv: indices must cover 0..N-1"),
-], ids=["repeated", "length", "gap"])
-def test_bad_pulse_files_exit_2(tmp_path, capsys, n_dim, name, indices, message):
-    (tmp_path / name).write_text("index,re,im\n" + "".join(f"{i},0.5,0\n" for i in indices))
+    (4, "repeat.csv", "index,re,im", [0, 1, 2, 3, 3], "repeat.csv: index 3 is repeated"),
+    (16, "short.csv", "index,re,im", range(8), "pulse file has length 8, expected 16"),
+    (4, "gap.csv", "index,re,im", [0, 2], "gap.csv: indices must cover 0..N-1"),
+    # spaced names used to pass the header check and end in a KeyError traceback
+    (4, "spaced.csv", "index, re, im", range(4), "spaced.csv: expected header index,re,im"),
+], ids=["repeated", "length", "gap", "spaced-header"])
+def test_bad_pulse_files_exit_2(tmp_path, capsys, n_dim, name, header, indices, message):
+    (tmp_path / name).write_text(header + "\n" + "".join(f"{i},0.5,0\n" for i in indices))
     cfg = dict(FRAME_CFG, n_dim=n_dim, time_step=2, freq_step=2,
                pulse={"kind": "csv", "path": name})
     path = write_config(tmp_path, "csv.json", cfg)
@@ -1338,6 +1340,21 @@ def test_heatmap_memory_is_bounded_by_a_row_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1024 * 1024 * 4
+
+
+def test_spread_analyze_memory_is_bounded_by_a_row_block(tmp_path):
+    # a dense run held the coefficient grid, the transfer grid and its inverse FFT:
+    # about 3 x 16 MiB here
+    cfg = dict(SPREAD_CFG, n_dim=1024)
+    tracemalloc.start()
+    try:
+        cli.run_experiment("spread-analyze", cfg, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024 * 4
+    report = json.loads((tmp_path / "spread_report.json").read_text())
+    assert report["support_count"] == len(SPREAD_CFG["channel"]["paths"])
 
 
 def capacity_curve_oracle(sweep, path):

@@ -423,7 +423,7 @@ def test_config_and_interference_power_build_no_lattice_matrix(monkeypatch):
     assert calls == []
 
 
-def test_only_the_heatmap_builds_the_full_ambiguity_grid(monkeypatch, tmp_path):
+def test_no_run_builds_the_full_ambiguity_grid(monkeypatch, tmp_path):
     calls = []
     full = tf_core.cross_ambiguity
 
@@ -447,7 +447,7 @@ def test_only_the_heatmap_builds_the_full_ambiguity_grid(monkeypatch, tmp_path):
               "profile": {"kind": "flat_rect", "max_delay": 1, "max_doppler": 1},
               "method": "local_search", "baseline": {"n_subcarriers": 6, "cp_len": 2}}
     cli.run_experiment("pulse-design", design, tmp_path)
-    assert len(calls) == 1  # the ambiguity heatmap
+    assert calls == []  # the ambiguity heatmap computes its rows block by block
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,72 @@ def test_synthesis_matches_full_grid_oracle_property(coeffs):
 
 
 @st.composite
+def cell_lists(draw):
+    """(n, delays, dopplers, values): grid-index cells with repeats and cancelling pairs, and
+    parts over many scales, so that some cells sum to zero or fall under SUPPORT_RTOL."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    index = st.integers(min_value=0, max_value=n - 1)
+    parts = st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0, 1e-300, 1e-14, -3.5, 1e150])
+    cells = [(m, l, complex(draw(parts), draw(parts)))
+             for m, l in draw(st.lists(st.tuples(index, index), max_size=12))]
+    if cells:
+        cells += draw(st.lists(st.sampled_from(cells), max_size=3))  # repeated cells
+        m, l, value = draw(st.sampled_from(cells))
+        cells += draw(st.sampled_from([[], [(m, l, -value)]]))  # a cell that may cancel
+    delays, dopplers, values = zip(*cells) if cells else ((), (), ())
+    return n, list(delays), list(dopplers), list(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell_lists(), st.integers(min_value=1, max_value=5))
+def test_cell_built_spreading_equals_dense_grid_property(cells, block):
+    """Cells added into a grid in input order give the dense adapter's coeffs, support,
+    transfer grid (also by row blocks) and channel bit for bit; the channel also matches
+    the sum of shift matrices within 1e-12 relative."""
+    n, delays, dopplers, values = cells
+    grid = np.zeros((n, n), dtype=complex)
+    for m, l, value in zip(delays, dopplers, values):
+        grid[m, l] += value
+    built = core.SpreadingFunction.from_cells(n, delays, dopplers, values)
+    dense = core.SpreadingFunction(grid)
+    assert built.n_dim == dense.n_dim == n
+    assert built.coeffs.tobytes() == grid.tobytes() == dense.coeffs.tobytes()
+    assert not built.coeffs.flags.writeable and not dense.coeffs.flags.writeable
+    assert not np.shares_memory(dense.coeffs, grid)  # the adapter's cells stay its grid's
+    for a, b in zip(built.support_cells, dense.support_cells):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    transfer = core.tf_transfer(built).values
+    assert np.array_equal(transfer, core.tf_transfer(dense).values)
+    assert np.array_equal(transfer, core.dd_to_tf_grid(grid))
+    rows = core._transfer_rows(built)
+    assert np.array_equal(np.vstack([rows(s, min(s + block, n)) for s in range(0, n, block)]),
+                          transfer)
+    mat = core.synthesize_channel(built).matrix
+    assert np.array_equal(mat, core.synthesize_channel(dense).matrix)
+    assert np.array_equal(mat, dense_synthesis_oracle(grid))
+    oracle = sum((grid[m, l] * shift_matrix_oracle(n, m, l)
+                  for m, l in zip(*np.nonzero(grid))), np.zeros((n, n), dtype=complex))
+    assert np.abs(mat - oracle).max() <= 1e-12 * max(np.abs(grid).max(), 1e-300) * n
+
+
+@pytest.mark.parametrize("delays, dopplers, values, name", [
+    ([0, 1], [0, 1], [1.0, np.nan], "values"),
+    ([0, 1], [0, 1], [1.0, np.inf], "values"),
+    ([0, 0], [0, 0], [1e308, 1e308], "values"),  # a finite pair whose sum overflows
+    ([0, 1.5], [0, 1], [1.0, 1.0], "delays"),
+    ([0, 1], [0, np.nan], [1.0, 1.0], "dopplers"),
+    ([0, 8], [0, 1], [1.0, 1.0], "delays"),
+    ([0, 1], [0, -1], [1.0, 1.0], "dopplers"),
+    ([0], [0, 1], [1.0, 1.0], "delays"),
+    ([0, 1], [0, 1, 2], [1.0, 1.0], "dopplers"),
+], ids=["nan", "inf", "sum-overflow", "off-grid", "nan-index", "delay-range", "doppler-range",
+        "delays-length", "dopplers-length"])
+def test_cell_constructor_rejects_bad_cells(delays, dopplers, values, name):
+    with pytest.raises(ValueError, match=name):
+        core.SpreadingFunction.from_cells(8, delays, dopplers, values)
+
+
+@st.composite
 def cell_channels(draw):
     """(x, delays, dopplers, coeffs): distinct centered cells, with or without frames."""
     n = draw(st.integers(min_value=1, max_value=64))
