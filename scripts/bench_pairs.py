@@ -26,9 +26,12 @@ root of a git work tree, and the line count of its ``src/**/*.py``
 (``src_lines``), and how the copies were staged (``staging``); and,
 per workload and metric, both sides' values in pair order, their medians
 and quartiles, and how many pairs the change won, judged by the metric's
-direction in BENCHMARK.json (ties count for neither side).  A run that
-exits non-zero stops the script with the tail of that run's standard
-error.  Uses the standard library only.
+direction in BENCHMARK.json (ties count for neither side).  Per workload,
+``timing_lines`` keeps each run's ``wall_s:`` and ``setup_s:`` summary lines
+from tfbench's standard output, per side in pair order: they give the
+minimum, maximum and tail percentile, so a slow outlier that leaves the
+median alone still shows.  A run that exits non-zero stops the script with
+the tail of that run's standard error.  Uses the standard library only.
 """
 
 import argparse
@@ -42,11 +45,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+TIMING_PREFIXES = ("wall_s:", "setup_s:")
 STDERR_TAIL_LINES = 20
 
 
-def tfbench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """End-to-end metrics and environment line of one tfbench run in ``checkout``."""
+def tfbench(checkout: Path, workload: str, seed: int, seconds: float
+            ) -> tuple[dict, dict, list[str]]:
+    """End-to-end metrics, environment line and timing summary lines of one tfbench run in
+    ``checkout``."""
     proc = subprocess.run(
         [sys.executable, "tfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
@@ -61,7 +67,9 @@ def tfbench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[d
         raise RuntimeError(f"{workload} seed {seed} in {checkout}: checks failed\n{proc.stderr}")
     environment = next(json.loads(line.partition(" ")[2]) for line in lines
                        if line.startswith("environment "))
-    return {name: metric["value"] for name, metric in result["metrics"].items()}, environment
+    timing = [line for line in lines if line.startswith(TIMING_PREFIXES)]
+    return ({name: metric["value"] for name, metric in result["metrics"].items()}, environment,
+            timing)
 
 
 def revision(checkout: Path) -> dict:
@@ -129,22 +137,24 @@ def main() -> int:
                                          for side, path in checkouts.items()}},
               "workloads": {}}
     for workload in args.workload:
-        runs = {side: [] for side in SIDES}
+        runs, timing = {side: [] for side in SIDES}, {side: [] for side in SIDES}
         for j in range(args.pairs):
             seed = args.seed + j
             with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
                 for side in SIDES if j % 2 == 0 else SIDES[::-1]:
                     copy = stage(checkouts[side], Path(tmp) / side)
-                    metrics, environment = tfbench(copy, workload, seed, args.seconds)
+                    metrics, environment, lines = tfbench(copy, workload, seed, args.seconds)
                     runs[side].append(metrics)
+                    timing[side].append(lines)
                     report.setdefault("environment", environment)
             print(f"{workload} pair {j + 1}/{args.pairs} (seed {seed}): "
                   + ", ".join(f"{side} wall_s {runs[side][-1]['wall_s']:.4f}"
                               for side in SIDES), flush=True)
         report["workloads"][workload] = {
-            name: summary([r[name] for r in runs["parent"]],
-                          [r[name] for r in runs["change"]], better)
-            for name, better in directions.items()}
+            **{name: summary([r[name] for r in runs["parent"]],
+                             [r[name] for r in runs["change"]], better)
+               for name, better in directions.items()},
+            "timing_lines": timing}
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
 

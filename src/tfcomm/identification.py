@@ -89,8 +89,7 @@ def dirac_train(n_dim: int, period: int, weights=None) -> np.ndarray:
     non-flat weight phases are a hook for shaping the ambiguity pattern
     without hurting column orthogonality.
     """
-    n = int(n_dim)
-    p = int(period)
+    n, p = int(n_dim), int(period)
     if p < 1 or n % p:
         raise ValueError(f"period must divide N = {n}, got {period}")
     n_impulses = n // p

@@ -29,8 +29,10 @@ Monte Carlo runs (``simulate_frames``) stay in the spreading domain: a
 channel is its K support cells S[m, l], the symbol gains are a (frames x K)
 @ (K x size) product with one table of phase-rotated ambiguity samples,
 and ``tf_core._cell_filter`` filters the signal on tone rows built once per
-run, O(K*size + K*N + N^2/a) per frame.  The dense ``transmit_through`` is
-the reference it agrees with to rounding.
+run, O(K*size + K*N + N^2/a) per frame.  The channel output and the noise
+are computed only on the receive support, the samples some receive window
+reads (a CP-OFDM receiver drops the prefix).  The dense ``transmit_through``
+is the reference it agrees with to rounding.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from functools import cached_property
 import numpy as np
 
 from .channel_models import ScatteringProfile, _complex_normals, _support_draw
-from .tf_core import SpreadingFunction, _ambiguity_rows, _cell_filter, as_matrix, \
-    spreading_function, tf_transfer
+from .tf_core import SpreadingFunction, _ambiguity_rows, _cell_filter, _frozen, as_matrix, \
+    as_samples, spreading_function, tf_transfer
 from .wh_frames import Pulse, WHGrid, _block_power, _gram_defect, _walnut_blocks, \
     _walnut_orbits, gaussian_pulse, lattice_matrix, rect_pulse
 
@@ -69,10 +71,11 @@ class OFDMConfig:
     dimension).  ``biorthogonality_defect``, the largest deviation of the
     lattice cross Gram from the identity (zero: perfect recovery through an
     identity channel), is read off the N/a lattice rows of the
-    cross-ambiguity at construction.  The Walnut stacks of the modem are
-    built read-only on first use and are all the config caches; the dense
-    references build the lattice matrices per call, and the gain table and
-    the interference power compute only the ambiguity rows they read.
+    cross-ambiguity at construction.  The Walnut stacks of the modem and the
+    receive support read off them are built read-only on first use and are
+    all the config caches; the dense references build the lattice matrices
+    per call, and the gain table and the interference power compute only the
+    ambiguity rows they read.
     """
 
     grid: WHGrid
@@ -109,6 +112,11 @@ class OFDMConfig:
         rx = np.ascontiguousarray(self.rx_pulse.samples.take(index).conj().swapaxes(1, 2))
         tx.flags.writeable = rx.flags.writeable = False
         return tx, rx
+
+    @cached_property
+    def _receive_support(self) -> np.ndarray:
+        """Sorted indices r + p*M of the samples where some receive translate is nonzero."""
+        return _frozen(np.flatnonzero(self._walnut_pair[1].any(axis=1).T))[0]
 
     @property
     def n_dim(self) -> int:
@@ -215,7 +223,7 @@ def modulate(frame: SymbolFrame, cfg: OFDMConfig) -> np.ndarray:
 
 def demodulate(signal, cfg: OFDMConfig) -> SymbolFrame:
     """Raw receive projections <y, gamma_{n,k}> on the config layout."""
-    y = np.asarray(signal, dtype=complex).ravel()
+    y = as_samples(np.ravel(signal), "signal")
     if y.size != cfg.n_dim:
         raise ValueError(f"signal length {y.size} does not match N = {cfg.n_dim}")
     return SymbolFrame(_project(cfg, y))
@@ -235,16 +243,20 @@ def _synthesize(cfg: OFDMConfig, symbols: np.ndarray) -> np.ndarray:
     return x.transpose(2, 1, 0).reshape(*symbols.shape[:-2], cfg.n_dim)
 
 
-def _project(cfg: OFDMConfig, signal: np.ndarray) -> np.ndarray:
+def _project(cfg: OFDMConfig, signal: np.ndarray, support=None) -> np.ndarray:
     """Receive projections rx^H signal on the (slot, subcarrier) layout.
 
-    ``signal`` is (..., N); each leading index is projected on its own.  The
-    mirror of ``_synthesize``: c[n, k] = DFT_M over r of
-    sum_p conj(gamma[r + p*M - n*a]) * y[r + p*M], one (N/a x b) @ (b x frames)
-    product per residue r, then one length-M FFT per slot.
+    ``signal`` is (..., N), or (..., |support|), its samples at the distinct
+    ``support`` of a signal that is zero elsewhere; each leading index is
+    projected on its own.  The mirror of ``_synthesize``: c[n, k] = DFT_M
+    over r of sum_p conj(gamma[r + p*M - n*a]) * y[r + p*M], one
+    (N/a x b) @ (b x frames) product per residue r, then one length-M FFT
+    per slot.
     """
-    frames = signal.reshape(-1, cfg.grid.freq_step, cfg.n_subcarriers).transpose(2, 1, 0)
-    z = cfg._walnut_pair[1] @ np.ascontiguousarray(frames)
+    m, support = cfg.n_subcarriers, np.arange(cfg.n_dim) if support is None else support
+    frames = np.zeros((m, cfg.grid.freq_step, signal[..., 0].size), dtype=complex)
+    frames[support % m, support // m] = signal.reshape(-1, support.size).T
+    z = cfg._walnut_pair[1] @ frames
     proj = np.fft.fft(z.transpose(2, 1, 0), axis=-1)
     return proj.reshape(*signal.shape[:-1], cfg.n_slots, cfg.n_subcarriers)
 
@@ -258,10 +270,12 @@ def _dense_gains(h: np.ndarray, cfg: OFDMConfig) -> tuple[np.ndarray, np.ndarray
 
 def _projected_noise(cfg: OFDMConfig, noise_psd: float, rng: np.random.Generator,
                      lead: tuple = ()) -> np.ndarray:
-    """Projections of ``lead`` white CN(0, noise_psd) vectors (one draw; none at psd 0)."""
+    """Projections of ``lead`` white CN(0, noise_psd) vectors, drawn (in one draw, none at
+    psd 0) on the receive support only: no projection reads the other samples."""
     if not noise_psd > 0.0:
         return np.zeros((*lead, cfg.n_slots, cfg.n_subcarriers), dtype=complex)
-    return _project(cfg, np.sqrt(noise_psd / 2.0) * _complex_normals(rng, lead, (cfg.n_dim,)))
+    noise = _complex_normals(rng, lead, cfg._receive_support.shape)
+    return _project(cfg, np.sqrt(noise_psd / 2.0) * noise, cfg._receive_support)
 
 
 def _checked(estimates: np.ndarray, recon: np.ndarray) -> None:
@@ -284,10 +298,10 @@ def transmit_through(frame: SymbolFrame, cfg: OFDMConfig, channel,
     Gains are the true per-symbol couplings <H g_{n,k}, gamma_{n,k}>;
     interference collects every cross coupling; noise terms come from
     projecting one injected white Gaussian vector (variance noise_psd per
-    sample), never from a separate draw, so the split reproduces the
-    demodulator output to rounding.  The dense reference of
-    ``simulate_frames``: the signal is modulated and projected with the
-    lattice matrices, not on the Walnut gather.
+    sample, drawn on the receive support), never from a separate draw, so
+    the split reproduces the demodulator output to rounding.  The dense
+    reference of ``simulate_frames``: the signal is modulated and projected
+    with the lattice matrices, not on the Walnut gather.
     """
     if not 0 <= noise_psd < np.inf:
         raise ValueError(f"noise_psd must be nonnegative and finite, got {noise_psd}")
@@ -295,8 +309,7 @@ def transmit_through(frame: SymbolFrame, cfg: OFDMConfig, channel,
     if h.shape[0] != cfg.n_dim:
         raise ValueError(f"channel dimension {h.shape[0]} does not match N = {cfg.n_dim}")
     gains, tx, rx = _dense_gains(h, cfg)
-    clean = ((h @ (tx @ frame.data.ravel())).conj() @ rx).conj()
-    clean = clean.reshape(frame.data.shape)
+    clean = ((h @ (tx @ frame.data.ravel())).conj() @ rx).conj().reshape(frame.data.shape)
     noise = _projected_noise(cfg, noise_psd, np.random.default_rng(seed))
     estimates, interference = clean + noise, clean - gains * frame.data
     _checked(estimates, gains * frame.data + interference + noise)
@@ -326,18 +339,19 @@ def _gain_table(cfg: OFDMConfig, delays: np.ndarray, dopplers: np.ndarray) -> np
 
 def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: float = 0.0,
                     constellation: str = "qpsk") -> np.ndarray:
-    """Per-frame energies of a Monte Carlo run, computed on the channel support.
+    """Per-frame energies of a Monte Carlo run, computed on the channel and receive supports.
 
     ``channel`` is a ScatteringProfile, drawn afresh for each frame exactly
     as ``wssus_sample`` draws it, or a SpreadingFunction used for every
-    frame on its ``support_cells``.  Each variate kind has one generator
-    per run, drawn frame after frame: channels from ``default_rng([seed,
-    0])`` (2K normals per frame, profiles only), symbols from [seed, 1] as
-    ``random_symbols`` draws them, noise from [seed, 2] as
-    ``transmit_through`` does (only when noise_psd > 0).  Frames run in
-    blocks of ``_FRAME_BLOCK``, one draw call per kind (consuming a stream
-    as per-frame calls would, so a shorter run is a prefix of a longer one)
-    and one matrix product per block; frame idx reproduces the dense
+    frame on its ``support_cells``.  Each variate kind has one generator per
+    run, drawn frame after frame: channels from ``default_rng([seed, 0])``
+    (2K normals per frame, profiles only), symbols from [seed, 1] as
+    ``random_symbols`` draws them, noise from [seed, 2] on the receive
+    support as ``transmit_through`` does (only when noise_psd > 0); the
+    channel output is filtered there only.  Frames run in blocks of
+    ``_FRAME_BLOCK``, one draw call per kind (consuming a stream as
+    per-frame calls would, so a shorter run is a prefix of a longer one) and
+    one matrix product per block; frame idx reproduces the dense
     ``transmit_through`` of the same draws to rounding and passes its
     decomposition check against its own largest estimate.  An unknown
     constellation raises ValueError before any table is built; non-finite
@@ -359,7 +373,7 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
         raise ValueError(f"noise_psd must be nonnegative and finite, got {noise_psd}")
     _check_constellation(constellation)
     table = _gain_table(cfg, delays, dopplers)
-    cell_filter = _cell_filter(delays, dopplers, n)
+    cell_filter = _cell_filter(delays, dopplers, n, cfg._receive_support)
     channel_rng, symbol_rng, noise_rng = (np.random.default_rng([seed, k]) for k in range(3))
     layout = (cfg.n_slots, cfg.n_subcarriers)
     energies = np.empty((n_frames, 4))
@@ -373,7 +387,7 @@ def simulate_frames(cfg: OFDMConfig, channel, n_frames: int, seed, noise_psd: fl
             symbols = _draw_symbols(symbol_rng, (*block, *layout), constellation)
             x = _synthesize(cfg, symbols)
             gains = (s @ table).reshape(symbols.shape)
-            clean = _project(cfg, cell_filter(x, s))
+            clean = _project(cfg, cell_filter(x, s), cfg._receive_support)
             noise = _projected_noise(cfg, noise_psd, noise_rng, block)
             estimates, interference = clean + noise, clean - gains * symbols
             _checked(estimates, gains * symbols + interference + noise)
@@ -448,7 +462,6 @@ def gain_transfer_agreement(channel, cfg: OFDMConfig) -> float:
     pointwise-multiplication picture degrades.
     """
     gains = _dense_gains(as_matrix(channel), cfg)[0]
-
     n = cfg.n_dim
     transfer = tf_transfer(spreading_function(channel)).values
     rows = (-np.arange(cfg.n_slots) * cfg.grid.time_step) % n

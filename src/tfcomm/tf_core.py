@@ -12,7 +12,7 @@ Fourier transform is the time-frequency transfer function, which
 ``tf_shift`` builds every shifted copy M^l D^m x in the package: operator
 matrices, lattice translates, sounding columns and the rows of the
 cross-ambiguity function.  ``_cell_filter`` applies a channel given by its
-support cells to signals, never forming H.
+support cells to signals, at the output samples a caller reads, never forming H.
 """
 
 from __future__ import annotations
@@ -242,26 +242,31 @@ def tf_shift(x, delay, doppler) -> np.ndarray:
     return delayed * tones[(l[..., None] * i) % n]
 
 
-def _cell_filter(delays, dopplers, n_dim: int):
-    """x, coeffs -> H x on the last axis for H = sum_c coeffs[..., c] M^dopplers[c] D^delays[c].
+def _cell_filter(delays, dopplers, n_dim: int, samples=None):
+    """x, coeffs -> H x on the last axis for H = sum_c coeffs[..., c] M^dopplers[c] D^delays[c],
+    at ``samples`` only (default all N, in order), with the bits of the output at all N.
 
     ``coeffs`` carries the leading (frame) axes of ``x``.  The tone of each
-    distinct Doppler is built once, here; a call weights the tones of delay
-    m's cells and multiplies by D^m x in place, so no array exceeds N x N.
+    distinct Doppler is built once, here, on the aligned 8-sample blocks
+    holding ``samples``, as BLAS kernels take a product's columns in aligned
+    groups (OpenBLAS's complex ones 4 at a time); a call weights the tones of
+    delay m's cells and multiplies by x gathered m samples back, in place.
     """
     taps, tap_of_cell = np.unique(delays, return_inverse=True)
     shifts, tone_of_cell = np.unique(dopplers, return_inverse=True)
-    tones = tf_shift(np.ones(n_dim), 0, shifts)
-    cells = [np.flatnonzero(tap_of_cell == u) for u in range(taps.size)]
+    rows = np.arange(n_dim) if samples is None else np.asarray(samples)
+    cols = np.flatnonzero(np.isin(np.arange(n_dim) // 8, rows // 8))
+    picks = None if np.array_equal(cols, rows) else cols.searchsorted(rows)
+    tones = tf_shift(np.ones(n_dim), 0, shifts).take(cols, axis=1)
+    cells = [(np.flatnonzero(tap_of_cell == u), (cols - m) % n_dim) for u, m in enumerate(taps)]
 
     def apply(x, coeffs) -> np.ndarray:
-        out = np.zeros(np.broadcast_shapes(x.shape[:-1], coeffs.shape[:-1]) + (n_dim,),
-                       dtype=complex)
-        for m, c in zip(taps, cells):
+        out = np.zeros(np.broadcast_shapes(x.shape[:-1], coeffs.shape[:-1]) + cols.shape, complex)
+        for c, index in cells:
             term = coeffs[..., c] @ tones[tone_of_cell[c]]
-            term *= np.roll(x, m, axis=-1)
+            term *= x.take(index, axis=-1)
             out += term
-        return out
+        return out if picks is None else out.take(picks, axis=-1)
 
     return apply
 
@@ -284,8 +289,7 @@ def cross_ambiguity(tx_pulse, rx_pulse) -> np.ndarray:
     biorthogonality of a transmission pair reads off as delta-delta samples
     on the lattice.
     """
-    g = as_samples(tx_pulse)
-    gam = as_samples(rx_pulse)
+    g, gam = as_samples(tx_pulse), as_samples(rx_pulse)
     if g.size != gam.size:
         raise ValueError("pulse lengths differ")
     return _ambiguity_rows(g, gam, np.arange(g.size))
@@ -302,13 +306,6 @@ def _ambiguity_rows(g: np.ndarray, gamma: np.ndarray, delays) -> np.ndarray:
     return np.fft.fft(g * tf_shift(gamma.conj(), delays, 0), axis=-1)
 
 
-def _delay_diagonals(mat: np.ndarray) -> np.ndarray:
-    """Stack the cyclic delay diagonals: out[m, i] = H[i, (i - m) mod N]."""
-    n = mat.shape[0]
-    i = np.arange(n)
-    return mat[i[None, :], (i[None, :] - i[:, None]) % n]
-
-
 def spreading_function(channel, method: str = "fast") -> SpreadingFunction:
     """Expand a channel in the delay-Doppler basis.
 
@@ -318,9 +315,9 @@ def spreading_function(channel, method: str = "fast") -> SpreadingFunction:
     O(N^4) and exists as an independent cross-check.
     """
     mat = as_matrix(channel)
-    n = mat.shape[0]
-    if method == "fast":
-        coeffs = np.fft.ifft(_delay_diagonals(mat), axis=1)
+    n, i = mat.shape[0], np.arange(mat.shape[0])
+    if method == "fast":  # row m of the stack is the delay diagonal H[i, (i - m) mod N]
+        coeffs = np.fft.ifft(mat[i, (i - i[:, None]) % n], axis=1)
     elif method == "naive":
         coeffs = np.empty((n, n), dtype=complex)
         for m in range(n):
@@ -483,12 +480,7 @@ def spread_metrics(spreading: SpreadingFunction,
     count = rows.size
     tau_max = int(np.abs(centered_index(rows, n)).max(initial=0)) / fs
     nu_max = int(np.abs(centered_index(cols, n)).max(initial=0)) * fs / n
-    return SpreadMetrics(
-        support_count=count,
-        normalized_spread=count / n,
-        box_spread=box_spread(tau_max, nu_max),
-        tau_max=tau_max,
-        nu_max=nu_max,
-        underspread=count <= n,
-        underspread_box=box_spread(tau_max, nu_max) <= 1.0,
-    )
+    box = box_spread(tau_max, nu_max)
+    return SpreadMetrics(support_count=count, normalized_spread=count / n, box_spread=box,
+                         tau_max=tau_max, nu_max=nu_max, underspread=count <= n,
+                         underspread_box=box <= 1.0)

@@ -275,9 +275,7 @@ def check_wexler_raz(pulse, dual, grid: WHGrid) -> tuple[bool, float]:
 
 
 def _circular_spread(weights: np.ndarray) -> float:
-    n = weights.size
-    total = weights.sum()
-    p = weights / total
+    n, p = weights.size, weights / weights.sum()
     mean_phasor = np.sum(p * np.exp(2j * np.pi * np.arange(n) / n))
     center = n * np.angle(mean_phasor) / (2 * np.pi) if np.abs(mean_phasor) > 1e-12 else 0.0
     dist = (np.arange(n) - center + n / 2) % n - n / 2
@@ -303,10 +301,7 @@ def gaussian_pulse(n_dim: int, time_step: int | None = None,
     """
     n = _check_dim(n_dim)
     if sigma is None:
-        if time_step is not None and freq_step is not None:
-            sigma = np.sqrt(time_step * n / freq_step)
-        else:
-            sigma = np.sqrt(n)
+        sigma = np.sqrt(n if time_step is None or freq_step is None else time_step * n / freq_step)
     if not sigma > 0:  # nan fails too
         raise ValueError("sigma must be positive")
     if sigma >= 4 * n:  # by Poisson summation flat to within exp(-16*pi) ~ 1.5e-22

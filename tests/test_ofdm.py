@@ -202,15 +202,26 @@ def test_random_symbols_bit_identical_to_former_body(seed, constellation):
 
 
 def test_projected_noise_bit_identical_to_former_body():
-    """Five noise vectors in one draw equal five one-vector draws of the former body."""
-    cfg = ofdm.cp_ofdm_config(48, 12, 4)
-    rng, ref = np.random.default_rng([9, 2]), np.random.default_rng([9, 2])
-    former = np.array([ref.standard_normal(48) + 1j * ref.standard_normal(48) for _ in range(5)])
-    expected = ofdm._project(cfg, np.sqrt(0.3 / 2.0) * former)
-    assert np.array_equal(ofdm._projected_noise(cfg, 0.3, rng, (5,)), expected)
-    assert rng.bit_generator.state == ref.bit_generator.state
-    assert np.array_equal(ofdm._projected_noise(cfg, 0.0, rng, (5,)), np.zeros_like(expected))
-    assert rng.bit_generator.state == ref.bit_generator.state  # no noise, no draw
+    """Five noise vectors in one draw equal five one-vector draws on the receive support.
+
+    CP-OFDM reads 36 of 48 samples: the reference draws 36 real then 36 imaginary parts per
+    vector and places them there.  A Gaussian pair reads every sample, so its reference is
+    the former body, which drew all 48.
+    """
+    g = wh.gaussian_pulse(48, sigma=4.0)
+    for cfg, support in ((ofdm.cp_ofdm_config(48, 12, 4), np.flatnonzero(np.arange(48) % 16 >= 4)),
+                         (ofdm.OFDMConfig(wh.WHGrid(48, 8, 8), g, g), np.arange(48))):
+        assert np.array_equal(cfg._receive_support, support)
+        rng, ref = np.random.default_rng([9, 2]), np.random.default_rng([9, 2])
+        former = np.zeros((5, 48), dtype=complex)
+        for row in former:
+            row[support] = ref.standard_normal(support.size) \
+                + 1j * ref.standard_normal(support.size)
+        expected = ofdm._project(cfg, np.sqrt(0.3 / 2.0) * former)
+        assert np.array_equal(ofdm._projected_noise(cfg, 0.3, rng, (5,)), expected)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(ofdm._projected_noise(cfg, 0.0, rng, (5,)), np.zeros_like(expected))
+        assert rng.bit_generator.state == ref.bit_generator.state  # no noise, no draw
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +311,58 @@ def test_walnut_modem_matches_lattice_matrices_property(case):
         for fast, ref in ((synthesized[frame], tx @ symbols[frame].ravel()),
                           (projected[frame].ravel(), rx.conj().T @ signal[frame])):
             assert np.linalg.norm(fast - ref) <= 1e-12 * max(1.0, float(np.linalg.norm(ref)))
+
+
+@st.composite
+def receive_systems(draw):
+    """(cfg, kind): CP-OFDM with and without a prefix, a Gaussian pair, or windows with exact
+    zeros, on random (N, a, b)."""
+    n = draw(st.sampled_from([8, 12, 16, 24, 32, 48, 64]))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    kind = draw(st.sampled_from(["cp_ofdm", "no_prefix", "gaussian", "zeros"]))
+    if kind == "no_prefix":
+        return ofdm.cp_ofdm_config(n, draw(st.sampled_from(divisors)), 0), kind
+    if kind == "cp_ofdm":  # symbol length a = n_subcarriers + cp_len, both dividing N
+        n_sub, a = draw(st.sampled_from([(k, a) for k in divisors for a in divisors if a > k]))
+        return ofdm.cp_ofdm_config(n, n_sub, a - n_sub), kind
+    a, b = draw(st.sampled_from([(a, b) for a in divisors for b in divisors if a * b >= n]))
+    if kind == "gaussian":
+        g = wh.gaussian_pulse(n, sigma=draw(st.floats(min_value=0.5, max_value=2.0 * n)))
+        return ofdm.OFDMConfig(wh.WHGrid(n, a, b), g, g), kind
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    tx, rx = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    rx[rng.random(n) < draw(st.floats(min_value=0.0, max_value=0.95))] = 0.0
+    rx[draw(st.integers(0, n - 1))] = 1.0  # a nonzero window
+    return ofdm.OFDMConfig(wh.WHGrid(n, a, b), tx, rx), kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(receive_systems(), st.sampled_from([1, 3, 64]), st.integers(1, 12),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_receive_support_filter_and_projection_property(system, n_frames, n_cells, seed):
+    """The support is where some receive translate is nonzero; the channel output computed
+    there is the full output's, bit for bit, and the projections read nothing else."""
+    cfg, kind = system
+    n, rng = cfg.n_dim, np.random.default_rng(seed)
+    support = cfg._receive_support
+    assert support is cfg._receive_support and not support.flags.writeable
+    rx = wh.lattice_matrix(cfg.rx_pulse, cfg.grid)
+    assert np.array_equal(support, np.flatnonzero((rx != 0).any(axis=1)))
+    if kind == "no_prefix" or cfg.rx_pulse.samples.all():  # a window with no zero sample
+        assert np.array_equal(support, np.arange(n))
+    delays, dopplers = rng.integers(0, n, (2, n_cells))
+    x = rng.standard_normal((n_frames, n)) + 1j * rng.standard_normal((n_frames, n))
+    coeffs = rng.standard_normal((n_frames, n_cells)) \
+        + 1j * rng.standard_normal((n_frames, n_cells))
+    full = tf_core._cell_filter(delays, dopplers, n)(x, coeffs)
+    on_support = tf_core._cell_filter(delays, dopplers, n, support)(x, coeffs)
+    assert np.array_equal(on_support, full[:, support])
+    expected = ofdm._project(cfg, full)
+    assert np.array_equal(ofdm._project(cfg, on_support, support), expected)
+    scrambled = full.copy()  # every sample off the support replaced by random values
+    off = np.setdiff1d(np.arange(n), support)
+    scrambled[:, off] = rng.standard_normal((n_frames, off.size)) * 1e3
+    assert np.array_equal(ofdm._project(cfg, scrambled), expected)
 
 
 def test_simulate_frames_forms_no_lattice_sized_array():

@@ -31,7 +31,13 @@ def test_module_exports_resolve_at_top_level():
      "sample_rate must be positive and finite"),
     (lambda: wh_frames.gaussian_pulse(8, sigma=np.nan), "sigma must be positive"),
     (lambda: identification.dirac_train(8, 2, [1, np.nan, 1, 1]), "non-finite entries in weights"),
-], ids=["sample_rate-nan", "sample_rate-inf", "sigma-nan", "weight-nan"])
+    # a nan signal sample used to fail later, in the symbol grid; an inf one warned in matmul
+    (lambda: ofdm.demodulate(np.r_[np.nan, np.ones(47)], ofdm.cp_ofdm_config(48, 12, 4)),
+     "non-finite entries in signal"),
+    (lambda: ofdm.demodulate(np.r_[np.ones(47), np.inf], ofdm.cp_ofdm_config(48, 12, 4)),
+     "non-finite entries in signal"),
+], ids=["sample_rate-nan", "sample_rate-inf", "sigma-nan", "weight-nan", "signal-nan",
+        "signal-inf"])
 def test_scalar_checks_refuse_nan(call, message):
     with pytest.raises(ValueError, match=message):
         call()
