@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Run every experiment kind once and print a one-screen summary.
 
+Each config in ``scripts/configs/`` runs as the kind its ``kind`` key names.
 Each run writes its artifacts plus a manifest under OUT/<kind>/ and is
 fully determined by its config; pass --seed to redirect every random
 stream at once and compare artifact digests across runs.
@@ -13,14 +14,6 @@ from pathlib import Path
 from tfcomm import cli
 
 CONFIG_DIR = Path(__file__).resolve().parent / "configs"
-CONFIGS = {
-    "spread-analyze": "spread_analyze.json",
-    "frame-analyze": "frame_analyze.json",
-    "pulse-design": "pulse_design.json",
-    "ofdm-sim": "ofdm_sim.json",
-    "identify": "identify.json",
-    "capacity": "capacity.json",
-}
 
 
 def scalar_items(report: dict):
@@ -37,9 +30,9 @@ def main() -> None:
     args = parser.parse_args()
 
     root = Path(args.out)
-    for kind, name in CONFIGS.items():
-        cfg_path = CONFIG_DIR / name
+    for cfg_path in sorted(CONFIG_DIR.glob("*.json")):
         cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
+        kind = cfg["kind"]
         out = root / kind
         manifest = cli.run_experiment(kind, cfg, out, seed=args.seed,
                                       base_dir=cfg_path.parent)

@@ -49,7 +49,7 @@ class CapacityQuery:
         if self.doppler_cell is None:
             object.__setattr__(self, "doppler_cell", 1.0 / self.profile.n_dim)
         if not (0 < self.delay_cell < np.inf and 0 < self.doppler_cell < np.inf):
-            raise ValueError("grid cell sizes must be positive and finite")
+            raise ValueError("delay_cell and doppler_cell must be positive and finite")
         if not 0 < self.cell_area < np.inf:  # the product can overflow or underflow
             raise ValueError(f"grid cell area delay_cell * doppler_cell must be positive and "
                              f"finite, got {self.cell_area}")

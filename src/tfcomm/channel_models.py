@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .tf_core import SpreadingFunction, _cell_store, _centered_range, _check_dim, _frozen, \
-    _grid_rows, centered_index, dd_to_tf_grid, tf_to_dd_grid
+    _grid_rows, as_samples, centered_index, dd_to_tf_grid, tf_to_dd_grid
 
 __all__ = [
     "ScatteringProfile", "TFCorrelation", "from_specular", "time_invariant",
@@ -95,6 +95,8 @@ class ScatteringProfile:
         current = self.total_gain
         if current == 0.0:
             raise ValueError("cannot rescale an all-zero profile")
+        if not 0 <= total_gain < np.inf:
+            raise ValueError(f"total_gain must be nonnegative and finite, got {total_gain}")
         rows, cols, masses = self.support_cells
         return self._from_cells(self.n_dim, rows, cols, masses * (total_gain / current))
 
@@ -131,6 +133,8 @@ def from_specular(paths, n_dim: int) -> SpreadingFunction:
         delays.append(_check_on_grid(delay, "path delay", n_dim) % n_dim)
         dopplers.append(_check_on_grid(doppler, "path doppler", n_dim) % n_dim)
         gains.append(complex(gain))
+    if not np.isfinite(gains).all():
+        raise ValueError("non-finite path gains")
     return SpreadingFunction.from_cells(n_dim, delays, dopplers, gains)
 
 
@@ -139,7 +143,7 @@ def time_invariant(gains, n_dim: int, delays=None) -> SpreadingFunction:
 
     Default tap placement is causal: gains[j] sits at delay j.
     """
-    g = np.asarray(gains, dtype=complex).ravel()
+    g = as_samples(np.ravel(gains), "gains")
     if delays is None:
         delays = np.arange(g.size)
     delays = np.asarray(delays)
@@ -150,11 +154,8 @@ def time_invariant(gains, n_dim: int, delays=None) -> SpreadingFunction:
 
 def frequency_dispersive(mod_signal) -> SpreadingFunction:
     """Multiplicative channel y[i] = m[i] x[i]; all mass at delay zero."""
-    m = np.asarray(mod_signal, dtype=complex).ravel()
-    n = m.size
-    if n == 0:
-        raise ValueError("modulating signal must be nonempty")
-    return SpreadingFunction.from_cells(n, np.zeros(n), np.arange(n), np.fft.ifft(m))
+    m = as_samples(np.ravel(mod_signal), "mod_signal")
+    return SpreadingFunction.from_cells(m.size, np.zeros(m.size), np.arange(m.size), np.fft.ifft(m))
 
 
 def oscillator_impairment(freq_offset: int, timing_offset: int,
@@ -168,7 +169,7 @@ def oscillator_impairment(freq_offset: int, timing_offset: int,
     psi[(freq_offset - l) mod N].  Any carrier phase constant is expected
     to be folded into the spectrum by the caller.
     """
-    psi = np.asarray(phase_noise_spectrum, dtype=complex).ravel()
+    psi = as_samples(np.ravel(phase_noise_spectrum), "phase_noise_spectrum")
     if psi.size != n_dim:
         raise ValueError(f"spectrum length {psi.size} does not match N = {n_dim}")
     m = _check_on_grid(timing_offset, "timing offset", n_dim)
@@ -278,8 +279,8 @@ def exponential_jakes_profile(n_dim: int, delay_decay: float, max_doppler: int,
     truncated at ``max_delay`` (default: six decay constants, capped at the
     centered-grid edge).
     """
-    if delay_decay <= 0:
-        raise ValueError("delay_decay must be positive")
+    if not 0 < delay_decay < np.inf:
+        raise ValueError("delay_decay must be positive and finite")
     if max_delay is None:
         max_delay = min((n_dim - 1) // 2, max(1.0, np.ceil(6.0 * delay_decay)))
     max_delay = _check_on_grid(max_delay, "max_delay", n_dim)
@@ -309,8 +310,8 @@ def drm_like_profile(n_dim: int, tap_delays=(0, 1, 2, 3), tap_gains=DRM_TAP_GAIN
         raise ValueError("tap parameter tuples must have equal lengths")
     cells = []  # (delay, Doppler, mass) rows, repeated taps added in order
     for delay, gain, halfwidth in zip(tap_delays, tap_gains, doppler_halfwidths):
-        if gain < 0:
-            raise ValueError("tap gains must be nonnegative")
+        if not 0 <= gain < np.inf:
+            raise ValueError("tap gains must be nonnegative and finite")
         row = _check_on_grid(delay, "tap_delays", n_dim) % n_dim
         halfwidth = _check_on_grid(halfwidth, "doppler_halfwidths", n_dim)
         _check_on_grid(-halfwidth, "-doppler_halfwidths", n_dim)

@@ -7,8 +7,8 @@ digests into the output directory.  Identical config and seed give
 byte-identical artifacts; the manifest's wall-time field is the one value
 outside that guarantee.  Tables go column-wise through ``wh_frames._write_csv``
 and heatmaps by grid row through ``emit_plotdata``, numbers as their ``repr``
-and rows ending in \\r\\n; a heatmap's rows are computed block by block
-(``_RowSource``), so no run holds an N x N grid it writes.  Exit codes: 0
+and rows ending in \\r\\n; ``emit_plotdata`` asks its row function for one
+block of rows at a time, so no run holds an N x N grid it writes.  Exit codes: 0
 success, 2 config/validation or ``--out`` problems, 3 numerical failures from
 the library (not a frame, not identifiable, a failed eigensolver or demodulator
 split, a non-finite result) and refused allocations (out of memory).
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -250,8 +251,6 @@ def _build_channel(spec: dict, n_dim: int, where: str) -> SpreadingFunction | Sc
         with _located(f"{where}.paths"):
             return from_specular([(m, l, complex(re, im)) for m, l, re, im in spec["paths"]],
                                  n_dim)
-    if not spec["gains"]:
-        raise ConfigError(f"{where}.gains: expected a nonempty list")
     with _located(f"{where}.gains"):
         return time_invariant([complex(*g) if isinstance(g, list) else complex(g)
                                for g in spec["gains"]], n_dim)
@@ -313,51 +312,36 @@ def _grid_db(values: np.ndarray, peak=None) -> np.ndarray:
     return np.maximum(db, DB_FLOOR)
 
 
-class _RowSource:
-    """Grid rows on request: ``len`` is N and ``[start:stop]`` is ``rows(start, stop)``."""
+def emit_plotdata(path, n_dim: int, rows, centered: bool) -> None:
+    """Write an N x N heatmap as long-format (x, y, value_db) CSV.
 
-    def __init__(self, n_dim: int, rows):
-        self.n_dim, self.rows = n_dim, rows
-
-    def __len__(self) -> int:
-        return self.n_dim
-
-    def __getitem__(self, span: slice) -> np.ndarray:
-        return self.rows(span.start, min(span.stop, self.n_dim))
-
-
-def emit_plotdata(kind: str, source, path) -> None:
-    """Write a heatmap as long-format (x, y, value_db) CSV.
-
-    ``source`` is a square grid or a row source (``len`` and ``[start:stop]``
-    give its rows).  Magnitudes are normalized to the grid peak and clamped at
-    ``DB_FLOOR`` (40 dB of dynamic range).  Spreading and ambiguity grids use
-    centered axes, transfer grids raw (n, k); x labels a grid row, y a column.
-    Two passes over blocks of ``_HEATMAP_BLOCK_ROWS`` rows: one finds the peak,
-    one scales each block as ``_grid_db`` scales the whole grid and writes each
-    row through one line template (a row wholly at the floor is one formatted
-    floor row).  Floats are written as their ``repr``, rows end in \\r\\n; a
-    non-finite value raises ArithmeticError and writes nothing.
+    ``rows(start, stop)`` returns the grid rows [start, stop).  Magnitudes are
+    normalized to the grid peak and clamped at ``DB_FLOOR`` (40 dB of dynamic
+    range).  Axes are ``centered`` (spreading and ambiguity grids) or raw (n, k)
+    (transfer grids); x labels a grid row, y a column.  Two passes over blocks
+    of ``_HEATMAP_BLOCK_ROWS`` rows: one finds the peak, one scales each block
+    as ``_grid_db`` scales the whole grid and writes each row through one line
+    template (a row wholly at the floor is one formatted floor row).  Floats
+    are written as their ``repr``, rows end in \\r\\n; a non-finite value raises
+    ArithmeticError and writes nothing.
     """
     path = Path(path)
-    if kind not in ("spreading-heatmap", "ambiguity-heatmap", "transfer-heatmap"):
-        raise ConfigError(f"unknown plotdata kind {kind!r}")
-    n = len(source)
-    starts = range(0, n, _HEATMAP_BLOCK_ROWS)
-    peak = np.max([np.abs(source[start:start + _HEATMAP_BLOCK_ROWS]).max() for start in starts],
+    blocks = [(start, min(start + _HEATMAP_BLOCK_ROWS, n_dim))
+              for start in range(0, n_dim, _HEATMAP_BLOCK_ROWS)]
+    peak = np.max([np.abs(rows(*block)).max() for block in blocks],
                   initial=0.0)  # a nan block peak makes it nan
     if not np.isfinite(peak):
         raise ArithmeticError(f"non-finite value in the CSV artifact {path.name}")
-    axis = np.arange(n) if kind == "transfer-heatmap" else centered_index(np.arange(n), n)
+    axis = centered_index(np.arange(n_dim), n_dim) if centered else np.arange(n_dim)
     labels = list(map(str, axis.tolist()))
     line = ["", *(f",{y},%r\r\n" for y in labels)]  # x.join(line): x,y0,v0 x,y1,v1 ...
     floor_line = ["", *(f",{y},{DB_FLOOR!r}\r\n" for y in labels)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("x,y,value_db\r\n")
-        for start in starts:
-            db = _grid_db(source[start:start + _HEATMAP_BLOCK_ROWS], peak)
+        for start, stop in blocks:
+            db = _grid_db(rows(start, stop), peak)
             on_floor = (db == DB_FLOOR).all(axis=1).tolist()
-            for x, row, floor in zip(labels[start:start + _HEATMAP_BLOCK_ROWS], db, on_floor):
+            for x, row, floor in zip(labels[start:stop], db, on_floor):
                 fh.write(x.join(floor_line) if floor else x.join(line) % tuple(row.tolist()))
 
 
@@ -374,10 +358,9 @@ def _run_spread_analyze(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
     m_raw, l_raw, vals = spreading.support_cells
     _write_csv(out / "spreading.csv", ["m", "l", "re", "im"],
                [centered_index(m_raw, n), centered_index(l_raw, n), vals.real, vals.imag])
-    emit_plotdata("spreading-heatmap", _RowSource(n, lambda start, stop: _grid_rows(
-        n, spreading.cells, start, stop)), out / "spreading_db.csv")
-    emit_plotdata("transfer-heatmap", _RowSource(n, _transfer_rows(spreading)),
-                  out / "transfer_db.csv")
+    emit_plotdata(out / "spreading_db.csv", n, functools.partial(_grid_rows, n, spreading.cells),
+                  True)
+    emit_plotdata(out / "transfer_db.csv", n, _transfer_rows(spreading), False)
     # ||H||_F = sqrt(N) ||S||_F (Parseval in the orthonormal basis M^l D^m / sqrt(N))
     return {**asdict(metrics),
             "channel_frobenius_norm": float(np.sqrt(n) * np.linalg.norm(spreading.cells[2]))}
@@ -426,8 +409,8 @@ def _run_pulse_design(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
     write_pulse_csv(out / "tx_pulse.csv", system.tx_pulse)
     write_pulse_csv(out / "rx_pulse.csv", system.rx_pulse)
     g, gamma = system.tx_pulse.samples, system.rx_pulse.samples
-    emit_plotdata("ambiguity-heatmap", _RowSource(n, lambda start, stop: _ambiguity_rows(
-        g, gamma, np.arange(start, stop))), out / "ambiguity_db.csv")
+    emit_plotdata(out / "ambiguity_db.csv", n,
+                  lambda start, stop: _ambiguity_rows(g, gamma, np.arange(start, stop)), True)
     return report
 
 

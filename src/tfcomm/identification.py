@@ -127,7 +127,7 @@ def refuse_overspread(n_unknowns: int, n_dim: int) -> None:
 
 def build_sounding_matrix(sounding, support, n_dim: int) -> np.ndarray:
     """Stack M^l D^m x as columns, one per support cell, in support order."""
-    x = np.asarray(sounding, dtype=complex).ravel()
+    x = as_samples(np.ravel(sounding), "sounding")
     if x.size != n_dim:
         raise ValueError(f"sounding length {x.size} does not match N = {n_dim}")
     delays, dopplers = np.array(_canonical_support(support, n_dim)).T

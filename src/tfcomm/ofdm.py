@@ -47,7 +47,7 @@ from .channel_models import ScatteringProfile, _complex_normals, _support_draw
 from .tf_core import SpreadingFunction, _ambiguity_rows, _cell_filter, _frozen, as_matrix, \
     as_samples, spreading_function, tf_transfer
 from .wh_frames import Pulse, WHGrid, _block_power, _gram_defect, _walnut_blocks, \
-    _walnut_orbits, gaussian_pulse, lattice_matrix, rect_pulse
+    _walnut_gather, _walnut_orbits, gaussian_pulse, lattice_matrix, rect_pulse
 
 __all__ = [
     "OFDMConfig", "SymbolFrame", "DemodResult", "cp_ofdm_config", "random_symbols", "modulate",
@@ -107,11 +107,10 @@ class OFDMConfig:
         window, and the (M, N/a, b) stack conj(gamma[r + p*M - n*a]) of the
         receive window, so block r of each is one residue's matrix.
         """
-        index = _walnut_orbits(self.grid).index
+        index = _walnut_gather(self.grid, np.arange(self.grid.n_freq))
         tx = self.tx_pulse.samples.take(index)
         rx = np.ascontiguousarray(self.rx_pulse.samples.take(index).conj().swapaxes(1, 2))
-        tx.flags.writeable = rx.flags.writeable = False
-        return tx, rx
+        return _frozen(tx, rx)
 
     @cached_property
     def _receive_support(self) -> np.ndarray:

@@ -228,16 +228,12 @@ def tf_shift(x, delay, doppler) -> np.ndarray:
     """
     x = np.asarray(x, dtype=complex)
     n = x.shape[-1]
-    m = np.asarray(delay) % n
-    l = np.asarray(doppler) % n
-    ndim = max(m.ndim, l.ndim)
-    m = m.reshape((1,) * (ndim - m.ndim) + m.shape)
-    l = l.reshape((1,) * (ndim - l.ndim) + l.shape)
+    m, l = np.broadcast_arrays(np.asarray(delay) % n, np.asarray(doppler) % n)
     i = np.arange(n)
     # i - m lies in (-N, N); negative indices wrap to (i - m) mod N
     delayed = np.take(x, i - m[..., None], axis=-1)
-    if l.size == 1 and not l.any():
-        return delayed  # a pure delay, already of the broadcast shape
+    if not l.any():
+        return delayed  # a pure delay
     tones = np.exp(-2j * np.pi * i / n)
     return delayed * tones[(l[..., None] * i) % n]
 
@@ -289,7 +285,7 @@ def cross_ambiguity(tx_pulse, rx_pulse) -> np.ndarray:
     biorthogonality of a transmission pair reads off as delta-delta samples
     on the lattice.
     """
-    g, gam = as_samples(tx_pulse), as_samples(rx_pulse)
+    g, gam = as_samples(tx_pulse, "tx_pulse"), as_samples(rx_pulse, "rx_pulse")
     if g.size != gam.size:
         raise ValueError("pulse lengths differ")
     return _ambiguity_rows(g, gam, np.arange(g.size))
@@ -441,7 +437,7 @@ def approx_eigen_defect(channel, pulse, time_slot: int, freq_bin: int) -> float:
     """
     mat = as_matrix(channel)
     n = mat.shape[0]
-    g = as_samples(pulse)
+    g = as_samples(pulse, "pulse")
     if g.shape != (n,):
         raise ValueError(f"pulse must have shape ({n},), got {g.shape}")
     nrm = np.linalg.norm(g)
@@ -457,9 +453,9 @@ def approx_eigen_defect(channel, pulse, time_slot: int, freq_bin: int) -> float:
 
 
 def box_spread(tau_max: float, nu_max: float) -> float:
-    """Dispersion product 4 * tau_max * nu_max of a circumscribing rectangle."""
-    if tau_max < 0 or nu_max < 0:
-        raise ValueError("maximal delay and Doppler must be nonnegative")
+    """Dispersion product 4 * tau_max * nu_max of a rectangle; an inf extent is unbounded."""
+    if not (tau_max >= 0 and nu_max >= 0):  # nan fails too
+        raise ValueError("tau_max and nu_max must be nonnegative")
     return 4.0 * float(tau_max) * float(nu_max)
 
 

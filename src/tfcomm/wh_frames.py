@@ -14,7 +14,7 @@ are read off it (``_block_power``), and frame-analyze solves it once for
 all three (``_frame_analysis``).  The dense ``frame_operator`` is a
 reference.  A window that differs from a solved one in sample i is
 re-solved on one block, of the orbit of i mod d.  The Wexler-Raz test
-reads duality on the lattice off the blocks of g with gamma, and
+reads duality on the lattice off the representatives' blocks of g with gamma, and
 biorthogonality on the adjoint lattice (time step N/b, frequency step N/a)
 off the N/b lattice rows of their cross-ambiguity.  ``_write_csv`` is the one
 table writer (pulse files and every CLI table); ``read_pulse_csv`` reads a
@@ -118,7 +118,7 @@ class FrameReport:
 
 def lattice_matrix(pulse, grid: WHGrid) -> np.ndarray:
     """All lattice translates M^(-k*b) D^(n*a) g as columns, column index n * (N/b) + k."""
-    g = as_samples(pulse)
+    g = as_samples(pulse, "pulse")
     if g.size != grid.n_dim:
         raise ValueError(f"pulse length {g.size} does not match grid N = {grid.n_dim}")
     slots = np.arange(grid.n_time)[:, None] * grid.time_step
@@ -132,25 +132,29 @@ def frame_operator(pulse, grid: WHGrid) -> DiscreteChannel:
     return DiscreteChannel(mat @ mat.conj().T)
 
 
-_Orbits = namedtuple("_Orbits", "index solved samples rep rows")
+_Orbits = namedtuple("_Orbits", "solved samples rep rows")
+
+
+def _walnut_gather(grid: WHGrid, blocks: np.ndarray) -> np.ndarray:
+    """The Walnut gather: r + p*M - n*a mod N (M = N/b) at [block r, row p, slot n]."""
+    return (blocks[:, None, None] + grid.n_freq * np.arange(grid.freq_step)[:, None]
+            - grid.time_step * np.arange(grid.n_time)) % grid.n_dim
 
 
 def _walnut_orbits(grid: WHGrid, blocks=slice(None)) -> _Orbits:
-    """The Walnut gather of the blocks ``blocks``, with one block to solve per orbit.
+    """The blocks ``blocks`` of the Walnut gather, with one block to solve per orbit.
 
-    ``index`` gathers r + p*M - n*a mod N (M = N/b) at [block r, row p, slot n] and
-    ``samples`` is its slot 0.  Block r + j*d, d = gcd(M, a) = u*M - v*a, gathers block
-    r's rows and slots rolled by j*u and j*v, so its matrix is block r's rolled by j*u.
-    ``solved`` gathers the orbits' r < d, and block k reads row rep[k] and eigenvector rows rows[k].
+    ``samples`` is the gather's slot 0, r + p*M at [block r, row p].  Block r + j*d,
+    d = gcd(M, a) = u*M - v*a, gathers block r's rows and slots rolled by j*u and j*v, so
+    its matrix is block r's rolled by j*u.  ``solved`` gathers the orbits' r < d, and block
+    k reads row rep[k] and eigenvector rows rows[k].
     """
     m, b, period = grid.n_freq, grid.freq_step, math.gcd(grid.n_freq, grid.time_step)
     blocks = np.arange(m)[blocks]
     reps, rep = np.unique(blocks % period, return_inverse=True)
-    index = (np.append(blocks, reps)[:, None, None] + m * np.arange(b)[None, :, None]
-             - grid.time_step * np.arange(grid.n_time)[None, None, :]) % grid.n_dim
     roll = pow(m // period, -1, grid.time_step // period) * (blocks // period)
     rows = b * rep[:, None] + (np.arange(b) + roll[:, None]) % b
-    return _Orbits(index[:blocks.size], index[blocks.size:], index[:blocks.size, :, 0], rep, rows)
+    return _Orbits(_walnut_gather(grid, reps), blocks[:, None] + m * np.arange(b), rep, rows)
 
 
 def _walnut_blocks(pulse, grid: WHGrid, orbits: _Orbits):
@@ -163,7 +167,7 @@ def _walnut_blocks(pulse, grid: WHGrid, orbits: _Orbits):
     read off one ``eigh`` per orbit; a stack of windows (T, N) is taken as
     given and solved in one ``eigh``.
     """
-    g = pulse if isinstance(pulse, np.ndarray) and pulse.ndim > 1 else as_samples(pulse)
+    g = pulse if isinstance(pulse, np.ndarray) and pulse.ndim > 1 else as_samples(pulse, "pulse")
     if g.shape[-1] != grid.n_dim:
         raise ValueError(f"pulse length {g.shape[-1]} does not match grid N = {grid.n_dim}")
     stack = g.take(orbits.solved, axis=-1)
@@ -224,6 +228,8 @@ def frame_power(pulse, grid: WHGrid, power: float, rank_rtol: float | None = Non
     NotAFrameError.  With it set, eigenvalues at or below rank_rtol times the
     largest are dropped: the pseudo-power on the range of S (as at a*b = N).
     """
+    if not (abs(power) < np.inf and (rank_rtol is None or 0 <= rank_rtol < np.inf)):
+        raise ValueError(f"need a finite power and 0 <= rank_rtol < inf, got {power}, {rank_rtol}")
     solved = _walnut_blocks(pulse, grid, _walnut_orbits(grid))
     return Pulse(_block_power(grid, solved, solved[0], power, rank_rtol).T.ravel())
 
@@ -260,16 +266,16 @@ def _gram_defect(g: np.ndarray, gamma: np.ndarray, grid: WHGrid, constant: float
 def check_wexler_raz(pulse, dual, grid: WHGrid) -> tuple[bool, float]:
     """Duality on the lattice against biorthogonality on the adjoint lattice.
 
-    Returns (dual_frames, biorthogonality_defect).  The first entry tests
-    sum_{n,k} <x, gamma_{n,k}> g_{n,k} == x as "every Walnut block is I_b" to 1e-10.
-    The second is the largest deviation of the adjoint-lattice cross Gram
-    from (a*b/N) times the identity; the two criteria agree (Wexler-Raz).
+    Returns (dual_frames, biorthogonality_defect).  The first entry tests sum_{n,k}
+    <x, gamma_{n,k}> g_{n,k} == x as "every Walnut block is I_b" to 1e-10 on the orbit
+    representatives (the sum commutes with D^a).  The second is the largest deviation of
+    the adjoint-lattice cross Gram from (a*b/N) I; the two criteria agree (Wexler-Raz).
     """
-    g, gam = as_samples(pulse), as_samples(dual)
+    g, gam = as_samples(pulse, "pulse"), as_samples(dual, "dual")
     if g.size != grid.n_dim or gam.size != grid.n_dim:
         raise ValueError(f"pulse lengths {g.size}, {gam.size} do not match grid N = {grid.n_dim}")
-    index = _walnut_orbits(grid).index
-    mixed = g.take(index) @ gam.take(index).conj().swapaxes(1, 2)
+    solved = _walnut_orbits(grid).solved
+    mixed = g.take(solved) @ gam.take(solved).conj().swapaxes(1, 2)
     is_dual = bool(np.abs(grid.n_freq * mixed - np.eye(grid.freq_step)).max() <= 1e-10)
     return is_dual, _gram_defect(g, gam, grid.adjoint(), grid.tf_product)
 
@@ -284,7 +290,7 @@ def _circular_spread(weights: np.ndarray) -> float:
 
 def localization_metrics(pulse) -> tuple[float, float]:
     """Circular second-moment spreads (time in samples, frequency in bins)."""
-    g = as_samples(pulse)
+    g = as_samples(pulse, "pulse")
     energy = np.abs(g) ** 2
     if energy.sum() == 0.0:
         raise ValueError("cannot localize a zero pulse")
@@ -349,7 +355,7 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 
 def write_pulse_csv(path, pulse) -> None:
     """Export window samples as rows (index, re, im) through the table writer ``_write_csv``."""
-    g = as_samples(pulse)
+    g = as_samples(pulse, "pulse")
     _write_csv(Path(path), ["index", "re", "im"], [np.arange(g.size), g.real, g.imag])
 
 

@@ -712,7 +712,7 @@ def specular(*paths):
     ("ofdm-sim", dict(SIM_CFG, channel={"kind": "time_invariant", "gains": [1.0] * 30}),
      "config.channel.gains: path delay 25 outside centered range [-23, 24] for N = 48"),
     ("ofdm-sim", dict(SIM_CFG, channel={"kind": "time_invariant", "gains": []}),
-     "config.channel.gains: expected a nonempty list"),
+     "config.channel.gains: gains must be a nonempty vector, got shape (0,)"),
     ("identify", dict(IDENTIFY_CFG, support=[[0, 0], [0, 0]]),
      "config.support: support contains duplicate cells"),
     # N + 1 entries but N distinct cells: a duplicate, not an overspread support
@@ -1189,7 +1189,7 @@ def test_plotdata_normalization_and_floor(tmp_path):
     grid[1, 1] = 0.2
     grid[2, 2] = 1e-9
     path = tmp_path / "heat.csv"
-    cli.emit_plotdata("spreading-heatmap", grid, path)
+    cli.emit_plotdata(path, 4, lambda start, stop: grid[start:stop], True)
     with open(path, newline="") as fh:
         rows = {(r["x"], r["y"]): float(r["value_db"]) for r in csv.DictReader(fh)}
     assert rows[("0", "0")] == pytest.approx(0.0)
@@ -1202,16 +1202,10 @@ def test_plotdata_normalization_and_floor(tmp_path):
 def test_plotdata_transfer_axes_uncentered(tmp_path):
     grid = np.eye(3, dtype=complex)
     path = tmp_path / "t.csv"
-    cli.emit_plotdata("transfer-heatmap", grid, path)
+    cli.emit_plotdata(path, 3, lambda start, stop: grid[start:stop], False)
     with open(path, newline="") as fh:
         xs = {int(r["x"]) for r in csv.DictReader(fh)}
     assert xs == {0, 1, 2}
-
-
-@pytest.mark.parametrize("kind", ["pie-chart", "capacity-curve"])
-def test_plotdata_unknown_kind(tmp_path, kind):
-    with pytest.raises(cli.ConfigError, match=f"unknown plotdata kind '{kind}'"):
-        cli.emit_plotdata(kind, np.ones((2, 2)), tmp_path / "x.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -1227,10 +1221,10 @@ def write_rows_oracle(path, header, rows):
                           for cell in row] for row in rows)
 
 
-def heatmap_oracle(kind, grid, path):
+def heatmap_oracle(centered, grid, path):
     n = grid.shape[0]
     db = cli._grid_db(grid)
-    axis = np.arange(n) if kind == "transfer-heatmap" else centered_index(np.arange(n), n)
+    axis = centered_index(np.arange(n), n) if centered else np.arange(n)
     write_rows_oracle(path, ["x", "y", "value_db"],
                       [[int(axis[i]), int(axis[j]), db[i, j]] for i in range(n) for j in range(n)])
 
@@ -1278,9 +1272,6 @@ def test_pulse_writer_matches_row_oracle(tmp_path_factory, samples):
     assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
 
-HEATMAP_KINDS = ["spreading-heatmap", "ambiguity-heatmap", "transfer-heatmap"]
-
-
 def heatmap_grid(pattern, n, seed):
     """An n x n complex grid: all zero, one nonzero cell, sparse with whole rows and
     cells at zero over a random scale, or dense within 40 dB of its peak (no floor cell)."""
@@ -1299,33 +1290,34 @@ def heatmap_grid(pattern, n, seed):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(HEATMAP_KINDS), st.sampled_from([1, 2, 3]), st.integers(1, 40),
+@given(st.booleans(), st.sampled_from([1, 2, 3]), st.integers(1, 40),
        st.sampled_from(["zero", "single", "sparse", "dense"]), st.integers(0, 2**32 - 1))
-@example("spreading-heatmap", 3, 40, "zero", 0)
-@example("transfer-heatmap", 2, 39, "single", 1)
-@example("ambiguity-heatmap", 1, 7, "sparse", 2)
-@example("spreading-heatmap", 3, 37, "dense", 3)
-def test_heatmap_row_blocks_match_row_oracle(tmp_path_factory, kind, block, n, pattern, seed):
-    """Written by blocks of 1-3 grid rows, across block edges, every heatmap kind
-    is byte-identical to the whole-grid dB scale written one cell per row."""
+@example(True, 3, 40, "zero", 0)
+@example(False, 2, 39, "single", 1)
+@example(True, 1, 7, "sparse", 2)
+@example(True, 3, 37, "dense", 3)
+def test_heatmap_row_blocks_match_row_oracle(tmp_path_factory, centered, block, n, pattern,
+                                             seed):
+    """Written by blocks of 1-3 grid rows, across block edges, on centered and raw axes,
+    a heatmap is byte-identical to the whole-grid dB scale written one cell per row."""
     tmp = tmp_path_factory.mktemp("heat")
     grid = heatmap_grid(pattern, n, seed)
     with mock.patch.object(cli, "_HEATMAP_BLOCK_ROWS", block):
-        cli.emit_plotdata(kind, grid, tmp / "new.csv")
-    heatmap_oracle(kind, grid, tmp / "old.csv")
+        cli.emit_plotdata(tmp / "new.csv", n, lambda start, stop: grid[start:stop], centered)
+    heatmap_oracle(centered, grid, tmp / "old.csv")
     assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
 
-@pytest.mark.parametrize("kind", HEATMAP_KINDS)
+@pytest.mark.parametrize("centered", [True, False], ids=["centered", "raw"])
 # |1e308 + 1e308j| is 1.41e308, still finite; |1.5e308 + 1.5e308j| overflows
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5e308 + 1.5e308j],
                          ids=["nan", "inf", "abs-overflow"])
-def test_heatmap_non_finite_writes_nothing(tmp_path, kind, bad):
+def test_heatmap_non_finite_writes_nothing(tmp_path, centered, bad):
     grid = np.ones((5, 5), dtype=complex)
     grid[4, 2] = bad  # in the last block of two rows
     path = tmp_path / "heat.csv"
     with mock.patch.object(cli, "_HEATMAP_BLOCK_ROWS", 2), pytest.raises(ArithmeticError):
-        cli.emit_plotdata(kind, grid, path)
+        cli.emit_plotdata(path, 5, lambda start, stop: grid[start:stop], centered)
     assert not path.exists()
 
 
@@ -1335,7 +1327,7 @@ def test_heatmap_memory_is_bounded_by_a_row_block(tmp_path):
     grid[0, 0], grid[3, 1000], grid[700, 5] = 1.0, 0.5j, 1e-3
     tracemalloc.start()
     try:
-        cli.emit_plotdata("spreading-heatmap", grid, tmp_path / "heat.csv")
+        cli.emit_plotdata(tmp_path / "heat.csv", 1024, lambda start, stop: grid[start:stop], True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -710,7 +710,7 @@ def test_simulate_frames_rejects_constellation_before_building(monkeypatch):
         raise AssertionError("an unknown constellation must be refused first")
 
     monkeypatch.setattr(ofdm, "_gain_table", refuse)
-    monkeypatch.setattr(ofdm, "_walnut_orbits", refuse)
+    monkeypatch.setattr(ofdm, "_walnut_gather", refuse)
     monkeypatch.setattr(ofdm, "lattice_matrix", refuse)
     with pytest.raises(ValueError, match="unknown constellation 'qam1024'"):
         ofdm.simulate_frames(cfg, cm.flat_rect_profile(48, 1, 1), 2, 0, constellation="qam1024")

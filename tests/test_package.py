@@ -1,6 +1,9 @@
 """The package: every module's public names re-exported once, its source size, how its
-array-holding records compare, and how its scalar checks treat nan."""
+array-holding records compare, and how its public functions treat nan and inf."""
 
+import inspect
+import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,25 +24,155 @@ def test_module_exports_resolve_at_top_level():
     assert sorted(tfcomm.__all__) == sorted(["__version__", *names])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("call, message", [
-    # nan used to pass each of these checks: nan spreads with underspread True, a nan box
-    # spread at inf, numpy's "cannot convert float NaN to integer", a nan sounding
-    (lambda: tf_core.spread_metrics(channel_models.from_specular([(1, 1, 1.0)], 8), np.nan),
+N, GRID = 8, wh_frames.WHGrid(8, 2, 2)
+ONES = np.ones(N, dtype=complex)
+
+
+def _spoilt(bad, shape=(N,)):
+    """Ones of ``shape``, complex, with ``bad`` at the last entry."""
+    x = np.ones(shape, dtype=complex)
+    x.flat[-1] = bad
+    return x
+
+
+def _profile():
+    return channel_models.flat_rect_profile(N, 1, 1)
+
+
+# (function, argument, call with a bad value in that argument, what the ValueError says): every
+# public function that takes a vector or a float, the integer and index arguments left out,
+# as are tf_shift, dd_to_tf_grid and tf_to_dd_grid, which map non-finite input to non-finite
+# output as numpy's FFT does
+CONTRACT = [
+    ("as_matrix", "channel", lambda v: tf_core.as_matrix(_spoilt(v, (N, N))),
+     "channel matrix contains non-finite entries"),
+    ("as_samples", "pulse", lambda v: tf_core.as_samples(_spoilt(v), "x"),
+     "non-finite entries in x"),
+    ("cross_ambiguity", "tx_pulse", lambda v: tf_core.cross_ambiguity(_spoilt(v), ONES),
+     "non-finite entries in tx_pulse"),
+    ("cross_ambiguity", "rx_pulse", lambda v: tf_core.cross_ambiguity(ONES, _spoilt(v)),
+     "non-finite entries in rx_pulse"),
+    ("spreading_function", "channel", lambda v: tf_core.spreading_function(_spoilt(v, (N, N))),
+     "channel matrix contains non-finite entries"),
+    ("spreading_of_product", "channel_a", lambda v: tf_core.spreading_of_product(
+        _spoilt(v, (N, N)), np.eye(N)), "channel matrix contains non-finite entries"),
+    ("spreading_of_product", "channel_b", lambda v: tf_core.spreading_of_product(
+        np.eye(N), _spoilt(v, (N, N))), "channel matrix contains non-finite entries"),
+    ("approx_eigen_defect", "channel", lambda v: tf_core.approx_eigen_defect(
+        _spoilt(v, (N, N)), ONES, 0, 0), "channel matrix contains non-finite entries"),
+    ("approx_eigen_defect", "pulse", lambda v: tf_core.approx_eigen_defect(
+        np.eye(N), _spoilt(v), 0, 0), "non-finite entries in pulse"),
+    # nan spreads with underspread True
+    ("spread_metrics", "sample_rate", lambda v: tf_core.spread_metrics(
+        channel_models.from_specular([(1, 1, 1.0)], N), v),
      "sample_rate must be positive and finite"),
-    (lambda: tf_core.spread_metrics(channel_models.from_specular([(1, 1, 1.0)], 8), np.inf),
-     "sample_rate must be positive and finite"),
-    (lambda: wh_frames.gaussian_pulse(8, sigma=np.nan), "sigma must be positive"),
-    (lambda: identification.dirac_train(8, 2, [1, np.nan, 1, 1]), "non-finite entries in weights"),
+    # nan returned a nan product
+    ("box_spread", "tau_max", lambda v: tf_core.box_spread(v, 1.0),
+     "tau_max and nu_max must be nonnegative"),
+    ("box_spread", "nu_max", lambda v: tf_core.box_spread(1.0, v),
+     "tau_max and nu_max must be nonnegative"),
+    ("lattice_matrix", "pulse", lambda v: wh_frames.lattice_matrix(_spoilt(v), GRID),
+     "non-finite entries in pulse"),
+    ("frame_operator", "pulse", lambda v: wh_frames.frame_operator(_spoilt(v), GRID),
+     "non-finite entries in pulse"),
+    ("frame_power", "pulse", lambda v: wh_frames.frame_power(_spoilt(v), GRID, -1.0),
+     "non-finite entries in pulse"),
+    ("frame_power", "power", lambda v: wh_frames.frame_power(ONES, GRID, v, 1e-10),
+     "need a finite power"),
+    ("frame_power", "rank_rtol", lambda v: wh_frames.frame_power(ONES, GRID, -1.0, v),
+     "0 <= rank_rtol < inf"),
+    ("frame_bounds", "pulse", lambda v: wh_frames.frame_bounds(_spoilt(v), GRID),
+     "non-finite entries in pulse"),
+    ("dual_window", "pulse", lambda v: wh_frames.dual_window(_spoilt(v), GRID),
+     "non-finite entries in pulse"),
+    ("tight_window", "pulse", lambda v: wh_frames.tight_window(_spoilt(v), GRID),
+     "non-finite entries in pulse"),
+    ("check_wexler_raz", "pulse", lambda v: wh_frames.check_wexler_raz(_spoilt(v), ONES, GRID),
+     "non-finite entries in pulse"),
+    ("check_wexler_raz", "dual", lambda v: wh_frames.check_wexler_raz(ONES, _spoilt(v), GRID),
+     "non-finite entries in dual"),
+    ("localization_metrics", "pulse", lambda v: wh_frames.localization_metrics(_spoilt(v)),
+     "non-finite entries in pulse"),
+    # nan failed as numpy's "cannot convert float NaN to integer"; inf is the flat window
+    ("gaussian_pulse", "sigma", lambda v: wh_frames.gaussian_pulse(N, sigma=v),
+     "sigma must be positive"),
+    ("write_pulse_csv", "pulse", lambda v: wh_frames.write_pulse_csv(os.devnull, _spoilt(v)),
+     "non-finite entries in pulse"),
+    ("from_specular", "paths", lambda v: channel_models.from_specular([(0, 0, v)], N),
+     "non-finite path gains"),
+    ("time_invariant", "gains", lambda v: channel_models.time_invariant(_spoilt(v), N),
+     "non-finite entries in gains"),
+    ("frequency_dispersive", "mod_signal", lambda v: channel_models.frequency_dispersive(
+        _spoilt(v)), "non-finite entries in mod_signal"),
+    ("oscillator_impairment", "phase_noise_spectrum", lambda v: channel_models.
+     oscillator_impairment(0, 0, _spoilt(v), N), "non-finite entries in phase_noise_spectrum"),
+    ("preset_profile", "params", lambda v: channel_models.preset_profile(
+        "flat_rect", N, max_delay=1, max_doppler=1, total_gain=v),
+     "total_gain must be nonnegative and finite"),
+    ("flat_rect_profile", "total_gain", lambda v: channel_models.flat_rect_profile(
+        N, 1, 1, total_gain=v), "total_gain must be nonnegative and finite"),
+    ("exponential_jakes_profile", "delay_decay", lambda v: channel_models.
+     exponential_jakes_profile(N, v, 1), "delay_decay must be positive and finite"),
+    ("exponential_jakes_profile", "total_gain", lambda v: channel_models.
+     exponential_jakes_profile(N, 1.0, 1, total_gain=v), "total_gain must be nonnegative"),
+    ("drm_like_profile", "tap_gains", lambda v: channel_models.drm_like_profile(
+        N, tap_gains=(1.0, v, 0.5, 0.25)), "tap gains must be nonnegative and finite"),
+    ("drm_like_profile", "total_gain", lambda v: channel_models.drm_like_profile(
+        N, total_gain=v), "total_gain must be nonnegative and finite"),
     # a nan signal sample used to fail later, in the symbol grid; an inf one warned in matmul
-    (lambda: ofdm.demodulate(np.r_[np.nan, np.ones(47)], ofdm.cp_ofdm_config(48, 12, 4)),
-     "non-finite entries in signal"),
-    (lambda: ofdm.demodulate(np.r_[np.ones(47), np.inf], ofdm.cp_ofdm_config(48, 12, 4)),
-     "non-finite entries in signal"),
-], ids=["sample_rate-nan", "sample_rate-inf", "sigma-nan", "weight-nan", "signal-nan",
-        "signal-inf"])
-def test_scalar_checks_refuse_nan(call, message):
-    with pytest.raises(ValueError, match=message):
+    ("demodulate", "signal", lambda v: ofdm.demodulate(
+        _spoilt(v, (48,)), ofdm.cp_ofdm_config(48, 12, 4)), "non-finite entries in signal"),
+    ("transmit_through", "channel", lambda v: ofdm.transmit_through(ofdm.random_symbols(
+        ofdm.cp_ofdm_config(N, 4, 0), 0), ofdm.cp_ofdm_config(N, 4, 0), _spoilt(v, (N, N))),
+     "channel matrix contains non-finite entries"),
+    ("transmit_through", "noise_psd", lambda v: ofdm.transmit_through(ofdm.random_symbols(
+        ofdm.cp_ofdm_config(N, 4, 0), 0), ofdm.cp_ofdm_config(N, 4, 0), np.eye(N), v),
+     "noise_psd must be nonnegative and finite"),
+    ("simulate_frames", "noise_psd", lambda v: ofdm.simulate_frames(
+        ofdm.cp_ofdm_config(N, 4, 0), _profile(), 1, 0, v),
+     "noise_psd must be nonnegative and finite"),
+    ("gain_transfer_agreement", "channel", lambda v: ofdm.gain_transfer_agreement(
+        _spoilt(v, (N, N)), ofdm.cp_ofdm_config(N, 4, 0)),
+     "channel matrix contains non-finite entries"),
+    ("interference_descent", "step", lambda v: ofdm.interference_descent(
+        _profile(), wh_frames.WHGrid(N, 4, 4), 1, v), "a finite step > 0"),
+    # a nan weight passed the unit-modulus check
+    ("dirac_train", "weights", lambda v: identification.dirac_train(N, 2, _spoilt(v, (4,))),
+     "non-finite entries in weights"),
+    ("build_sounding_matrix", "sounding", lambda v: identification.build_sounding_matrix(
+        _spoilt(v), [(0, 0)], N), "non-finite entries in sounding"),
+    ("identify", "observation", lambda v: identification.identify(_spoilt(v), ONES, [(0, 0)]),
+     "non-finite entries in observation"),
+    ("identify", "sounding", lambda v: identification.identify(ONES, _spoilt(v), [(0, 0)]),
+     "non-finite entries in sounding"),
+    ("offgrid_ambiguity", "sounding", lambda v: identification.offgrid_ambiguity(
+        _spoilt(v), [(0, 0)]), "non-finite entries in sounding"),
+    ("bandwidth_sweep", "power_budget", lambda v: capacity.bandwidth_sweep(
+        _profile(), v, [1.0, 2.0]), "power_budget must be positive and finite"),
+    ("bandwidth_sweep", "bandwidths", lambda v: capacity.bandwidth_sweep(
+        _profile(), 1.0, [1.0, v]), "bandwidth grid must be nonempty, positive and finite"),
+    ("bandwidth_sweep", "delay_cell", lambda v: capacity.bandwidth_sweep(
+        _profile(), 1.0, [1.0, 2.0], v), "delay_cell and doppler_cell must be positive"),
+    ("bandwidth_sweep", "doppler_cell", lambda v: capacity.bandwidth_sweep(
+        _profile(), 1.0, [1.0, 2.0], 1.0, v), "delay_cell and doppler_cell must be positive"),
+]
+# inf arguments a docstring gives a meaning: gaussian_pulse's sigma >= 4N is the flat window,
+# box_spread's inf extent an unbounded rectangle (spread_metrics' extents past float range)
+INF_MEANS_SOMETHING = {("gaussian_pulse", "sigma"), ("box_spread", "tau_max"),
+                       ("box_spread", "nu_max")}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, argument, call, message", [
+    pytest.param(name, argument, lambda call=call, bad=bad: call(bad), message,
+                 id=f"{name}-{argument}-{bad}")
+    for name, argument, call, message in CONTRACT for bad in (np.nan, np.inf)
+    if np.isnan(bad) or (name, argument) not in INF_MEANS_SOMETHING])
+def test_public_inputs_refuse_non_finite(name, argument, call, message):
+    """A nan or inf in a public function's vector or float argument raises a ValueError
+    that names the argument, before any warning."""
+    assert argument in inspect.signature(getattr(tfcomm, name)).parameters
+    with pytest.raises(ValueError, match=re.escape(message)):
         call()
 
 

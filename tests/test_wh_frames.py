@@ -336,22 +336,59 @@ def lattices(draw):
 @example((96, 8, 8), 0)  # the adjoint of pulse-design-n96: 4 classes of 3 blocks
 @example((64, 64, 1), 1)
 def test_walnut_index_property(lattice, seed):
-    """The gather index, whole or for one residue class r mod gcd(N/b, a) of the
-    blocks, picks g[r + p*N/b - n*a] as the per-call gather expression did, and
-    holds each block's samples in slot 0."""
+    """The shared gather, of all blocks or of one residue class r mod gcd(N/b, a) of them,
+    picks g[r + p*N/b - n*a] as the per-call gather expression did and holds each block's
+    samples in slot 0; ``_walnut_orbits`` gives that slot and the gather of its orbits' r."""
     n, a, b = lattice
     grid = wh.WHGrid(n, a, b)
     g = random_window(n, seed)
     m = n // b
     period = math.gcd(m, a)
     for blocks in [np.arange(m)] + [np.arange(r, m, period) for r in range(period)]:
-        index = wh._walnut_orbits(grid, blocks).index
+        index = wh._walnut_gather(grid, blocks)
         stack = g[(blocks[:, None, None] + m * np.arange(b)[None, :, None]
                    - a * np.arange(n // a)[None, None, :]) % n]
         assert np.array_equal(g[index], stack)
         assert np.array_equal(index[:, :, 0], blocks[:, None] + m * np.arange(b))
-    assert np.array_equal(wh._walnut_orbits(grid).index,
-                          wh._walnut_orbits(grid, np.arange(m)).index)
+        orbits = wh._walnut_orbits(grid, blocks)
+        assert np.array_equal(orbits.samples, index[:, :, 0])
+        assert np.array_equal(orbits.solved, wh._walnut_gather(grid, np.unique(blocks % period)))
+    whole = wh._walnut_orbits(grid)
+    assert np.array_equal(whole.samples, wh._walnut_orbits(grid, np.arange(m)).samples)
+    assert np.array_equal(whole.solved, wh._walnut_gather(grid, np.arange(period)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lattices(), st.integers(min_value=0, max_value=2 ** 31),
+       st.sampled_from(["dual", "perturbed", "other"]))
+@example((96, 8, 8), 0, "dual")  # 4 orbits of 3 blocks
+@example((96, 8, 8), 1, "perturbed")  # one orbit off the identity
+@example((24, 4, 6), 2, "dual")  # a*b = N
+@example((64, 4, 1), 3, "other")  # one block
+def test_mixed_blocks_are_rolled_representatives_property(lattice, seed, partner):
+    """Every Walnut block of sum g_{n,k} gamma_{n,k}^H, from the full gather, is its orbit
+    representative's with rows and columns rolled alike, to rounding, so the Wexler-Raz
+    test on the representatives decides as the test on every block.  A dual perturbed in
+    one sample i moves only the orbit of i mod gcd(N/b, a)."""
+    n, a, b = lattice
+    grid = wh.WHGrid(n, a, b)
+    g = random_window(n, seed)
+    gam = random_window(n, seed + 1)
+    if partner != "other":
+        gam = wh.frame_power(g, grid, -1.0, rank_rtol=1e-10).samples.copy()
+    if partner == "perturbed":
+        gam[seed % n] += 1e-3
+    index = wh._walnut_gather(grid, np.arange(n // b))
+    full = (n // b) * (g[index] @ gam[index].conj().swapaxes(1, 2))
+    orbits = wh._walnut_orbits(grid)
+    reps = (n // b) * (g[orbits.solved] @ gam[orbits.solved].conj().swapaxes(1, 2))
+    roll = orbits.rows - b * orbits.rep[:, None]  # block k's row p is its rep's row roll[k, p]
+    rolled = reps[orbits.rep[:, None, None], roll[:, :, None], roll[:, None, :]]
+    assert np.abs(full - rolled).max() <= 1e-12 * max(1.0, np.abs(full).max())
+    worst = np.abs(full - np.eye(b)).max()
+    is_dual, _ = wh.check_wexler_raz(g, gam, grid)
+    assume(abs(worst - 1e-10) > 1e-12 * max(1.0, np.abs(full).max()))  # off the threshold
+    assert is_dual == (worst <= 1e-10)
 
 
 @settings(max_examples=60, deadline=None)
