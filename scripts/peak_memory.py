@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Peak resident memory of each experiment kind at a given N, one fresh process per run.
+"""Peak memory, time and bytes written of each experiment kind at a given N, a process each.
 
     python3 scripts/peak_memory.py N [--set [KIND:]KEY=VALUE ...] [--kind KIND ...] \\
         [--checkout DIR]
@@ -14,9 +14,10 @@ process reads the child's peak resident set size as
 ``resource.getrusage(RUSAGE_CHILDREN).ru_maxrss``, which then covers that one
 child alone.  A ``--set`` assignment prefixed ``KIND:`` applies to that kind
 only, one without a prefix to every kind.  The artifacts go to a temporary
-directory that is removed after each run (spread-analyze at N = 4096 writes
-about 785 MB).  Prints one line per kind: its exit status, wall time and peak
-RSS in MiB.  Exits 1 if any run exits non-zero.  Uses the standard library only.
+directory whose file sizes are summed and which is then removed (spread-analyze
+at N = 4096 writes about 646 MB).  Prints one line per kind: its exit status,
+wall time, peak RSS in MiB and the bytes its artifacts hold.  Exits 1 if any
+run exits non-zero.  Uses the standard library only.
 
 The N = 4096 measurements quoted in CHANGES.md ran the shipped configs with
 
@@ -62,16 +63,18 @@ def assignments(kind: str, sets: list[str]) -> list[str]:
 
 
 def measure(checkout: Path, kind: str, config: Path, n_dim: int, sets: list[str]
-            ) -> tuple[int, float, int]:
-    """(exit status, seconds, peak RSS in KiB) of one CLI run in a fresh process."""
+            ) -> tuple[int, float, int, int]:
+    """(exit status, seconds, peak RSS in KiB, bytes written) of one CLI run in a fresh
+    process."""
     with tempfile.TemporaryDirectory(prefix="peak-memory-") as out:
         command = [sys.executable, "-m", "tfcomm", kind, "--config", str(config),
                    "--set", f"n_dim={n_dim}", *assignments(kind, sets), "--out", out]
         proc = subprocess.run([sys.executable, "-c", MEASURE, *command], stdout=subprocess.PIPE,
                               text=True, check=True,
                               env=dict(os.environ, PYTHONPATH=str(checkout / "src")))
+        written = sum(path.stat().st_size for path in Path(out).rglob("*") if path.is_file())
     status, seconds, maxrss_kb = proc.stdout.split()
-    return int(status), float(seconds), int(maxrss_kb)
+    return int(status), float(seconds), int(maxrss_kb), written
 
 
 def main() -> int:
@@ -90,11 +93,11 @@ def main() -> int:
         kind = json.loads(config.read_text(encoding="utf-8"))["kind"]
         if args.kinds and kind not in args.kinds:
             continue
-        status, seconds, maxrss_kb = measure(args.checkout.resolve(), kind, config.resolve(),
-                                             args.n_dim, args.sets)
+        status, seconds, maxrss_kb, written = measure(
+            args.checkout.resolve(), kind, config.resolve(), args.n_dim, args.sets)
         failed += status != 0
-        print(f"{kind:15s} exit {status}  {seconds:8.2f} s  {maxrss_kb / 1024:8.1f} MiB",
-              flush=True)
+        print(f"{kind:15s} exit {status}  {seconds:8.2f} s  {maxrss_kb / 1024:8.1f} MiB"
+              f"  {written:12d} bytes written", flush=True)
     return 1 if failed else 0
 
 

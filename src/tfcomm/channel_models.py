@@ -113,6 +113,8 @@ class TFCorrelation:
         n = int(self.n_dim)
         if v.shape != (n, n):
             raise ValueError(f"correlation grid must be {n}x{n}, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("non-finite entries in values")
         object.__setattr__(self, "n_dim", n)
         object.__setattr__(self, "values", v)
 

@@ -5,9 +5,9 @@ identify, capacity) each read a strict JSON config, run a thin composition
 of library calls, and write CSV/JSON artifacts plus a manifest with sha256
 digests into the output directory.  Identical config and seed give
 byte-identical artifacts; the manifest's wall-time field is the one value
-outside that guarantee.  Tables go column-wise through ``wh_frames._write_csv``
-and heatmaps by grid row through ``emit_plotdata``, numbers as their ``repr``
-and rows ending in \\r\\n; ``emit_plotdata`` asks its row function for one
+outside that guarantee.  Tables go column-wise through ``wh_frames._write_csv``,
+numbers as their ``repr``, and heatmaps by grid row through ``emit_plotdata``, dB
+as ``%.4f``; rows end in \\r\\n.  ``emit_plotdata`` asks its row function for one
 block of rows at a time, so no run holds an N x N grid it writes.  Exit codes: 0
 success, 2 config/validation or ``--out`` problems, 3 numerical failures from
 the library (not a frame, not identifiable, a failed eigensolver or demodulator
@@ -321,9 +321,10 @@ def emit_plotdata(path, n_dim: int, rows, centered: bool) -> None:
     (transfer grids); x labels a grid row, y a column.  Two passes over blocks
     of ``_HEATMAP_BLOCK_ROWS`` rows: one finds the peak, one scales each block
     as ``_grid_db`` scales the whole grid and writes each row through one line
-    template (a row wholly at the floor is one formatted floor row).  Floats
-    are written as their ``repr``, rows end in \\r\\n; a non-finite value raises
-    ArithmeticError and writes nothing.
+    template (a row wholly at the floor is one formatted floor row).  Every dB
+    value, the floor included, is written as ``%.4f`` (1e-4 dB, so the floor reads
+    -40.0000 and a value in (-5e-5, 0) reads -0.0000); rows end in \\r\\n.  A
+    non-finite value raises ArithmeticError and writes nothing.
     """
     path = Path(path)
     blocks = [(start, min(start + _HEATMAP_BLOCK_ROWS, n_dim))
@@ -334,8 +335,8 @@ def emit_plotdata(path, n_dim: int, rows, centered: bool) -> None:
         raise ArithmeticError(f"non-finite value in the CSV artifact {path.name}")
     axis = centered_index(np.arange(n_dim), n_dim) if centered else np.arange(n_dim)
     labels = list(map(str, axis.tolist()))
-    line = ["", *(f",{y},%r\r\n" for y in labels)]  # x.join(line): x,y0,v0 x,y1,v1 ...
-    floor_line = ["", *(f",{y},{DB_FLOOR!r}\r\n" for y in labels)]
+    line = ["", *(f",{y},%.4f\r\n" for y in labels)]  # x.join(line): x,y0,v0 x,y1,v1 ...
+    floor_line = ["", *(f",{y},{DB_FLOOR:.4f}\r\n" for y in labels)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("x,y,value_db\r\n")
         for start, stop in blocks:

@@ -87,10 +87,6 @@ class DiscreteChannel:
     def __post_init__(self):
         object.__setattr__(self, "matrix", _square_grid(self.matrix, "channel matrix"))
 
-    @property
-    def n_dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def as_matrix(channel) -> np.ndarray:
     """Coerce a DiscreteChannel or array-like to a validated square matrix."""
@@ -190,10 +186,6 @@ class TransferFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _square_grid(self.values, "transfer grid", False))
-
-    @property
-    def n_dim(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)

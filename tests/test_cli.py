@@ -1222,11 +1222,13 @@ def write_rows_oracle(path, header, rows):
 
 
 def heatmap_oracle(centered, grid, path):
+    """The whole-grid dB scale through csv.writer, one cell per row, each value as %.4f."""
     n = grid.shape[0]
     db = cli._grid_db(grid)
     axis = centered_index(np.arange(n), n) if centered else np.arange(n)
     write_rows_oracle(path, ["x", "y", "value_db"],
-                      [[int(axis[i]), int(axis[j]), db[i, j]] for i in range(n) for j in range(n)])
+                      [[int(axis[i]), int(axis[j]), format(db[i, j], ".4f")]
+                       for i in range(n) for j in range(n)])
 
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e16, -1e16, 1e-05, 1e22,
@@ -1306,6 +1308,44 @@ def test_heatmap_row_blocks_match_row_oracle(tmp_path_factory, centered, block, 
         cli.emit_plotdata(tmp / "new.csv", n, lambda start, stop: grid[start:stop], centered)
     heatmap_oracle(centered, grid, tmp / "old.csv")
     assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+def read_heatmap_cells(path):
+    with open(path, newline="") as fh:
+        return np.array([row["value_db"] for row in csv.DictReader(fh)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), st.integers(1, 24), st.sampled_from(["zero", "single", "sparse", "dense"]),
+       st.integers(0, 2**32 - 1))
+@example(True, 24, "sparse", 2)
+def test_heatmap_values_within_half_a_unit_of_the_db_scale(tmp_path_factory, centered, n,
+                                                           pattern, seed):
+    """Every cell read back lies within 5e-5 dB (half the last of four decimals) of
+    ``_grid_db``'s exact value; every floor cell reads -40.0000, and a cell off the floor
+    reads so only when it lies within that half unit of the floor."""
+    grid = heatmap_grid(pattern, n, seed)
+    path = tmp_path_factory.mktemp("heat") / "heat.csv"
+    cli.emit_plotdata(path, n, lambda start, stop: grid[start:stop], centered)
+    cells, exact = read_heatmap_cells(path), cli._grid_db(grid).ravel()
+    assert cells.shape == exact.shape
+    assert np.all(np.abs(cells.astype(float) - exact) <= 5e-5)
+    on_floor, reads_floor = exact == cli.DB_FLOOR, cells == "-40.0000"
+    assert np.all(reads_floor[on_floor])
+    assert np.all(exact[reads_floor & ~on_floor] <= cli.DB_FLOOR + 5e-5)
+
+
+def test_heatmap_format_rounds_to_four_decimals_and_keeps_the_sign(tmp_path):
+    # dB of the cells in row 0: 0, -1e-6, -39.99997, -12.3456789, then the floor (a zero)
+    db = np.array([0.0, -1e-6, -39.99997, -12.3456789, -np.inf])
+    grid = np.zeros((5, 5), dtype=complex)
+    grid[0] = 10.0 ** (db / 20.0)
+    path = tmp_path / "heat.csv"
+    cli.emit_plotdata(path, 5, lambda start, stop: grid[start:stop], False)
+    cells = read_heatmap_cells(path).reshape(5, 5)
+    assert cells[0].tolist() == ["0.0000", "-0.0000", "-40.0000", "-12.3457", "-40.0000"]
+    assert (cells[1:] == "-40.0000").all()  # whole floor rows, one formatted floor line each
+    assert path.read_bytes().splitlines(keepends=True)[-1] == b"4,4,-40.0000\r\n"
 
 
 @pytest.mark.parametrize("centered", [True, False], ids=["centered", "raw"])

@@ -1,6 +1,8 @@
 """The package: every module's public names re-exported once, its source size, how its
-array-holding records compare, and how its public functions treat nan and inf."""
+array-holding records compare, how its public functions and records treat nan and inf, and
+the message of each refusal no other test reaches."""
 
+import functools
 import inspect
 import os
 import re
@@ -40,10 +42,16 @@ def _profile():
 
 
 # (function, argument, call with a bad value in that argument, what the ValueError says): every
-# public function that takes a vector or a float, the integer and index arguments left out,
-# as are tf_shift, dd_to_tf_grid and tf_to_dd_grid, which map non-finite input to non-finite
-# output as numpy's FFT does
+# public function and record constructor that takes a vector or a float, the integer and index
+# arguments left out, as are tf_shift, dd_to_tf_grid and tf_to_dd_grid, which map non-finite
+# input to non-finite output as numpy's FFT does
 CONTRACT = [
+    # a nan grid was accepted, then refused by scattering_from_correlation as "intensities"
+    ("TFCorrelation", "values", lambda v: channel_models.TFCorrelation(N, _spoilt(v, (N, N))),
+     "non-finite entries in values"),
+    ("Pulse", "samples", lambda v: wh_frames.Pulse(_spoilt(v)), "non-finite entries in samples"),
+    ("SpreadingFunction.from_cells", "values", lambda v: tf_core.SpreadingFunction.from_cells(
+        N, [0, 1], [0, 1], _spoilt(v, (2,))), "non-finite entries in values"),
     ("as_matrix", "channel", lambda v: tf_core.as_matrix(_spoilt(v, (N, N))),
      "channel matrix contains non-finite entries"),
     ("as_samples", "pulse", lambda v: tf_core.as_samples(_spoilt(v), "x"),
@@ -169,11 +177,62 @@ INF_MEANS_SOMETHING = {("gaussian_pulse", "sigma"), ("box_spread", "tau_max"),
     for name, argument, call, message in CONTRACT for bad in (np.nan, np.inf)
     if np.isnan(bad) or (name, argument) not in INF_MEANS_SOMETHING])
 def test_public_inputs_refuse_non_finite(name, argument, call, message):
-    """A nan or inf in a public function's vector or float argument raises a ValueError
-    that names the argument, before any warning."""
-    assert argument in inspect.signature(getattr(tfcomm, name)).parameters
+    """A nan or inf in a public function's or record's vector or float argument raises a
+    ValueError that names the argument, before any warning."""
+    assert argument in inspect.signature(functools.reduce(getattr, name.split("."), tfcomm)
+                                         ).parameters
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+# (refusal, call that reaches it, exception, its whole message): every raise branch in src/
+# that no other test reaches, each called through the public function that owns it
+REFUSALS = [
+    ("TFCorrelation-shape", lambda: channel_models.TFCorrelation(N, np.ones((N, N - 1))),
+     ValueError, "correlation grid must be 8x8, got shape (8, 7)"),
+    ("time_invariant-delays", lambda: channel_models.time_invariant([1.0, 0.5], N, delays=[0]),
+     ValueError, "delays and gains must have matching lengths"),
+    ("jakes_doppler_masses-max_doppler", lambda: channel_models.jakes_doppler_masses(1.5),
+     ValueError, "max_doppler must be a nonnegative integer, got 1.5"),
+    ("drm_like_profile-taps", lambda: channel_models.drm_like_profile(N, tap_delays=(0, 1)),
+     ValueError, "tap parameter tuples must have equal lengths"),
+    ("build_sounding_matrix-length", lambda: identification.build_sounding_matrix(
+        np.ones(N - 1), [(0, 0)], N), ValueError, "sounding length 7 does not match N = 8"),
+    ("OFDMConfig-grid", lambda: ofdm.OFDMConfig((N, 4, 4), ONES, ONES),
+     TypeError, "grid must be a WHGrid"),
+    ("OFDMConfig-pulses", lambda: ofdm.OFDMConfig(wh_frames.WHGrid(N, 4, 4), ONES, ONES[:4]),
+     ValueError, "pulse lengths must match the grid dimension"),
+    ("SymbolFrame-shape", lambda: ofdm.SymbolFrame(ONES), ValueError,
+     "symbol grid must be 2-D and nonempty, got shape (8,)"),
+    ("SymbolFrame-non-finite", lambda: ofdm.SymbolFrame(_spoilt(np.nan, (2, 2))), ValueError,
+     "symbol grid contains non-finite entries"),
+    ("cp_ofdm_config-subcarriers", lambda: ofdm.cp_ofdm_config(N, 0, 0), ValueError,
+     "need n_subcarriers >= 1 and cp_len >= 0"),
+    ("demodulate-length", lambda: ofdm.demodulate(ONES[:7], ofdm.cp_ofdm_config(N, 4, 0)),
+     ValueError, "signal length 7 does not match N = 8"),
+    ("centered_index-dimension", lambda: tf_core.centered_index(0, 0), ValueError,
+     "dimension must be a positive integer, got 0"),
+    ("cross_ambiguity-lengths", lambda: tf_core.cross_ambiguity(ONES, ONES[:4]), ValueError,
+     "pulse lengths differ"),
+    ("spreading_of_product-dimensions", lambda: tf_core.spreading_of_product(
+        np.eye(N), np.eye(4)), ValueError, "channel dimensions do not match"),
+    ("approx_eigen_defect-pulse", lambda: tf_core.approx_eigen_defect(np.eye(N), ONES[:4], 0, 0),
+     ValueError, "pulse must have shape (8,), got (4,)"),
+    ("lattice_matrix-pulse", lambda: wh_frames.lattice_matrix(ONES[:4], GRID), ValueError,
+     "pulse length 4 does not match grid N = 8"),
+    ("frame_bounds-pulse", lambda: wh_frames.frame_bounds(ONES[:4], GRID), ValueError,
+     "pulse length 4 does not match grid N = 8"),
+    ("check_wexler_raz-dual", lambda: wh_frames.check_wexler_raz(ONES, ONES[:4], GRID),
+     ValueError, "pulse lengths 8, 4 do not match grid N = 8"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [refusal[1:] for refusal in REFUSALS],
+                         ids=[refusal[0] for refusal in REFUSALS])
+def test_each_refusal_raises_its_message(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 SRC_LINE_BUDGET = 2850

@@ -1,6 +1,7 @@
 """The example scripts run against the package sources and exit cleanly."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +30,9 @@ def test_script_exits_0(tmp_path, script, args):
     proc = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+    if script == "peak_memory.py":  # one line per shipped config; every run wrote artifacts
+        lines = proc.stdout.splitlines()
+        assert len(lines) == len(list((REPO / "scripts" / "configs").glob("*.json")))
+        for line in lines:
+            match = re.fullmatch(r"\S+ +exit 0 +[\d.]+ s +[\d.]+ MiB +(\d+) bytes written", line)
+            assert match and int(match[1]) > 0, line
