@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Peak memory, time and bytes written of each experiment kind at a given N, a process each.
+"""Peak memory, time and bytes written of each experiment kind at a given N, in fresh processes.
 
     python3 scripts/peak_memory.py N [--set [KIND:]KEY=VALUE ...] [--kind KIND ...] \\
         [--checkout DIR]
@@ -12,12 +12,17 @@ or only those of the ``--kind`` kinds, runs
 with ``DIR/src`` on PYTHONPATH, in a child of its own measuring process: that
 process reads the child's peak resident set size as
 ``resource.getrusage(RUSAGE_CHILDREN).ru_maxrss``, which then covers that one
-child alone.  A ``--set`` assignment prefixed ``KIND:`` applies to that kind
-only, one without a prefix to every kind.  The artifacts go to a temporary
-directory whose file sizes are summed and which is then removed (spread-analyze
-at N = 4096 writes about 646 MB).  Prints one line per kind: its exit status,
-wall time, peak RSS in MiB and the bytes its artifacts hold.  Exits 1 if any
-run exits non-zero.  Uses the standard library only.
+child alone.  A second child runs the same command in process under
+``tracemalloc``, started after the imports, and reports the run's heap peak:
+the Python and numpy allocations live at once, which peak RSS overstates
+where the allocator keeps freed pages or maps them at its own threshold.  It is
+a separate run so that the first one's time stays untraced.  A ``--set``
+assignment prefixed ``KIND:`` applies to that kind only, one without a prefix
+to every kind.  Each run's artifacts go to a temporary directory that is then
+removed; the first run's file sizes are summed (spread-analyze at N = 4096
+writes about 646 MB).  Prints one line per kind: its exit status, wall time,
+peak RSS and heap peak in MiB and the bytes its artifacts hold.  Exits 1 if
+either run of a kind exits non-zero.  Uses the standard library only.
 
 The N = 4096 measurements quoted in CHANGES.md ran the shipped configs with
 
@@ -49,6 +54,14 @@ status = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode
 print(status, time.perf_counter() - started,
       resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
+# argv: tfcomm's arguments; runs them traced and prints the exit status and the heap peak in bytes
+TRACE = """
+import sys, tracemalloc
+from tfcomm.cli import run
+tracemalloc.start()
+status = run(sys.argv[1:])
+print(status, tracemalloc.get_traced_memory()[1])
+"""
 
 
 def assignments(kind: str, sets: list[str]) -> list[str]:
@@ -63,18 +76,23 @@ def assignments(kind: str, sets: list[str]) -> list[str]:
 
 
 def measure(checkout: Path, kind: str, config: Path, n_dim: int, sets: list[str]
-            ) -> tuple[int, float, int, int]:
-    """(exit status, seconds, peak RSS in KiB, bytes written) of one CLI run in a fresh
-    process."""
+            ) -> tuple[int, float, int, int, int]:
+    """(exit status, seconds, peak RSS in KiB, heap peak in bytes, bytes written) of one
+    CLI run, from two fresh processes: the exit status is the worse of the two."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    args = [kind, "--config", str(config), "--set", f"n_dim={n_dim}", *assignments(kind, sets)]
     with tempfile.TemporaryDirectory(prefix="peak-memory-") as out:
-        command = [sys.executable, "-m", "tfcomm", kind, "--config", str(config),
-                   "--set", f"n_dim={n_dim}", *assignments(kind, sets), "--out", out]
-        proc = subprocess.run([sys.executable, "-c", MEASURE, *command], stdout=subprocess.PIPE,
-                              text=True, check=True,
-                              env=dict(os.environ, PYTHONPATH=str(checkout / "src")))
+        proc = subprocess.run([sys.executable, "-c", MEASURE, sys.executable, "-m", "tfcomm",
+                               *args, "--out", out],
+                              stdout=subprocess.PIPE, text=True, check=True, env=env)
         written = sum(path.stat().st_size for path in Path(out).rglob("*") if path.is_file())
     status, seconds, maxrss_kb = proc.stdout.split()
-    return int(status), float(seconds), int(maxrss_kb), written
+    with tempfile.TemporaryDirectory(prefix="peak-memory-") as out:
+        traced = subprocess.run([sys.executable, "-c", TRACE, *args, "--out", out],
+                                stdout=subprocess.PIPE, text=True, check=True, env=env)
+    traced_status, heap_peak = traced.stdout.split()
+    return (max(int(status), int(traced_status)), float(seconds), int(maxrss_kb),
+            int(heap_peak), written)
 
 
 def main() -> int:
@@ -93,11 +111,11 @@ def main() -> int:
         kind = json.loads(config.read_text(encoding="utf-8"))["kind"]
         if args.kinds and kind not in args.kinds:
             continue
-        status, seconds, maxrss_kb, written = measure(
+        status, seconds, maxrss_kb, heap_peak, written = measure(
             args.checkout.resolve(), kind, config.resolve(), args.n_dim, args.sets)
         failed += status != 0
-        print(f"{kind:15s} exit {status}  {seconds:8.2f} s  {maxrss_kb / 1024:8.1f} MiB"
-              f"  {written:12d} bytes written", flush=True)
+        print(f"{kind:15s} exit {status}  {seconds:8.2f} s  {maxrss_kb / 1024:8.1f} MiB RSS"
+              f"  {heap_peak / 2**20:8.1f} MiB heap  {written:12d} bytes written", flush=True)
     return 1 if failed else 0
 
 

@@ -17,12 +17,5 @@ from .wh_frames import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    *tf_core.__all__,
-    *wh_frames.__all__,
-    *channel_models.__all__,
-    *ofdm.__all__,
-    *identification.__all__,
-    *capacity.__all__,
-]
+__all__ = ["__version__", *tf_core.__all__, *wh_frames.__all__, *channel_models.__all__,
+           *ofdm.__all__, *identification.__all__, *capacity.__all__]

@@ -1,17 +1,18 @@
 """Command-line experiment runner.
 
 Six subcommands (spread-analyze, frame-analyze, pulse-design, ofdm-sim,
-identify, capacity) each read a strict JSON config, run a thin composition
-of library calls, and write CSV/JSON artifacts plus a manifest with sha256
-digests into the output directory.  Identical config and seed give
-byte-identical artifacts; the manifest's wall-time field is the one value
-outside that guarantee.  Tables go column-wise through ``wh_frames._write_csv``,
-numbers as their ``repr``, and heatmaps by grid row through ``emit_plotdata``, dB
-as ``%.4f``; rows end in \\r\\n.  ``emit_plotdata`` asks its row function for one
-block of rows at a time, so no run holds an N x N grid it writes.  Exit codes: 0
-success, 2 config/validation or ``--out`` problems, 3 numerical failures from
-the library (not a frame, not identifiable, a failed eigensolver or demodulator
-split, a non-finite result) and refused allocations (out of memory).
+identify, capacity) each read a strict JSON config, run a thin composition of
+library calls, and write CSV/JSON artifacts plus a manifest with sha256 digests
+into the output directory.  Identical config and seed give byte-identical
+artifacts; the manifest's wall-time field is the one value outside that
+guarantee.  Rows end in \\r\\n.  Tables go column-wise through
+``wh_frames._write_csv``, numbers as their ``repr``; heatmaps through
+``emit_plotdata`` a block of grid rows at a time, so no run holds an N x N grid
+it writes, dB as ``%.4f`` assembled in numpy words (a rounding tie takes
+``%.4f`` itself).  Exit codes: 0 success, 2 config/validation or ``--out``
+problems, 3 numerical failures from the library (not a frame, not identifiable,
+a failed eigensolver or demodulator split, a non-finite result) and refused
+allocations (out of memory).
 
 One table, ``_RUNNERS``, maps each kind to its runner, its report file and
 its own config keys; a key that holds an object declares its key list, or a
@@ -288,8 +289,9 @@ def _build_system(spec: dict, n_dim: int, where: str, base_dir: Path) -> OFDMCon
 # artifact writers
 
 
-# grid rows per block of a heatmap's two passes
+# grid rows per block of a heatmap's two passes, and cells per packed write
 _HEATMAP_BLOCK_ROWS = 64
+_HEATMAP_CHUNK_CELLS = 4096
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -312,6 +314,41 @@ def _grid_db(values: np.ndarray, peak=None) -> np.ndarray:
     return np.maximum(db, DB_FLOOR)
 
 
+@functools.cache  # built on first use, not by every process that imports the CLI
+def _db_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The words "0." ... "40.", "-0." ... "-40." and, shifted by 32 bits, "0000" ... "9999"."""
+    heads, digits = (np.array(t, "S4").view("<u4").astype("<u8") for t in (
+        [b"%s%d." % (sign, i) for sign in (b"", b"-") for i in range(41)],
+        [b"%04d" % i for i in range(10000)]))
+    return heads, digits << np.uint64(32)
+
+
+def _db_words(db: np.ndarray) -> np.ndarray:
+    """Each dB value in [-40, 0] as ``%.4f``, NUL-padded in a little-endian 8-byte word.
+
+    rint(-db * 1e4) rounds as printf does: the product (< 2^19) is within 2^-34 of
+    exact, and a cell within 1e-6 of a half-integer (an exact tie such as -0.03125)
+    takes ``%.4f`` itself.  The sign bit keeps "-0." for a value in (-5e-5, 0].
+    """
+    heads, digits = _db_tables()
+    scaled = -db * 1e4
+    rounded = np.rint(scaled)
+    units = rounded.astype(np.int64)
+    whole = units // 10000  # a quarter of np.divmod's time
+    words = heads[whole + 41 * np.signbit(db)] | digits[units - 10000 * whole]
+    tie = np.abs(scaled - rounded) > 0.5 - 1e-6
+    words[tie] = np.array([b"%.4f" % v for v in db[tie].tolist()], "S8").view("<u8")
+    return words
+
+
+def _axis_words(n_dim: int, centered: bool) -> tuple[list, np.ndarray, np.ndarray]:
+    """A heatmap's line starts "\\r\\nx" and, NUL-padded in little-endian words, its x
+    words "\\r\\nx," and y words "y,"."""
+    axis = centered_index(np.arange(n_dim), n_dim) if centered else np.arange(n_dim)
+    starts = [b"\r\n%d" % v for v in axis.tolist()]
+    return starts, *(np.array([s[k:] + b"," for s in starts], "S8").view("<u8") for k in (0, 2))
+
+
 def emit_plotdata(path, n_dim: int, rows, centered: bool) -> None:
     """Write an N x N heatmap as long-format (x, y, value_db) CSV.
 
@@ -320,10 +357,11 @@ def emit_plotdata(path, n_dim: int, rows, centered: bool) -> None:
     range).  Axes are ``centered`` (spreading and ambiguity grids) or raw (n, k)
     (transfer grids); x labels a grid row, y a column.  Two passes over blocks
     of ``_HEATMAP_BLOCK_ROWS`` rows: one finds the peak, one scales each block
-    as ``_grid_db`` scales the whole grid and writes each row through one line
-    template (a row wholly at the floor is one formatted floor row).  Every dB
-    value, the floor included, is written as ``%.4f`` (1e-4 dB, so the floor reads
-    -40.0000 and a value in (-5e-5, 0) reads -0.0000); rows end in \\r\\n.  A
+    as ``_grid_db`` scales the whole grid.  A row wholly at the floor is written
+    as one pre-joined floor row; the others, ``_HEATMAP_CHUNK_CELLS`` cells at a
+    time, as three 8-byte words a line ("\\r\\nx,", "y,", the value) with their
+    NUL padding dropped.  Every value reads as ``%.4f`` (``_db_words``: the floor
+    reads -40.0000, a value in (-5e-5, 0) -0.0000); rows end in \\r\\n.  A
     non-finite value raises ArithmeticError and writes nothing.
     """
     path = Path(path)
@@ -333,17 +371,25 @@ def emit_plotdata(path, n_dim: int, rows, centered: bool) -> None:
                   initial=0.0)  # a nan block peak makes it nan
     if not np.isfinite(peak):
         raise ArithmeticError(f"non-finite value in the CSV artifact {path.name}")
-    axis = centered_index(np.arange(n_dim), n_dim) if centered else np.arange(n_dim)
-    labels = list(map(str, axis.tolist()))
-    line = ["", *(f",{y},%.4f\r\n" for y in labels)]  # x.join(line): x,y0,v0 x,y1,v1 ...
-    floor_line = ["", *(f",{y},{DB_FLOOR:.4f}\r\n" for y in labels)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("x,y,value_db\r\n")
+    starts, x_words, y_words = _axis_words(n_dim, centered)
+    floor_line = [b"", *(b",%s,%.4f" % (s[2:], DB_FLOOR) for s in starts)]  # start.join: a row
+    step = max(1, _HEATMAP_CHUNK_CELLS // n_dim)
+    words = np.empty((step, n_dim, 3), "<u8")
+    words[..., 1] = y_words
+    with open(path, "wb") as fh:
+        fh.write(b"x,y,value_db")  # each line starts with the previous one's \r\n
         for start, stop in blocks:
             db = _grid_db(rows(start, stop), peak)
-            on_floor = (db == DB_FLOOR).all(axis=1).tolist()
-            for x, row, floor in zip(labels[start:stop], db, on_floor):
-                fh.write(x.join(floor_line) if floor else x.join(line) % tuple(row.tolist()))
+            floor = (db == DB_FLOOR).all(axis=1)  # runs of rows at and off the floor, cut by step
+            cuts = sorted({*(np.flatnonzero(np.diff(floor)) + 1), *range(step, len(db), step)})
+            for i, j in zip([0, *cuts], [*cuts, len(db)]):
+                if floor[i]:
+                    fh.write(b"".join(x.join(floor_line) for x in starts[start + i:start + j]))
+                else:
+                    words[:j - i, :, 0] = x_words[start + i:start + j, None]
+                    words[:j - i, :, 2] = _db_words(db[i:j])
+                    fh.write(words[:j - i].tobytes().translate(None, b"\0"))
+        fh.write(b"\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -375,16 +421,9 @@ def _run_frame_analyze(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
     t_spread, f_spread = localization_metrics(pulse)
     write_pulse_csv(out / "dual_window.csv", dual)
     write_pulse_csv(out / "tight_window.csv", tight)
-    return {
-        **asdict(grid),
-        "redundancy": grid.redundancy,
-        "tf_product": grid.tf_product,
-        **asdict(bounds),
-        "wexler_raz_dual": is_dual,
-        "biorthogonality_defect": biorth_defect,
-        "time_spread": t_spread,
-        "freq_spread": f_spread,
-    }
+    return {**asdict(grid), "redundancy": grid.redundancy, "tf_product": grid.tf_product,
+            **asdict(bounds), "wexler_raz_dual": is_dual, "biorthogonality_defect": biorth_defect,
+            "time_spread": t_spread, "freq_spread": f_spread}
 
 
 def _run_pulse_design(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
@@ -392,15 +431,11 @@ def _run_pulse_design(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
         with _located("config.baseline"):
             baseline = cp_ofdm_config(n, **spec["baseline"])
     profile, system, power, descent = _design(spec, n, "config")
-    report = {
-        "method": spec["method"],
-        **asdict(system.grid),
-        "tf_product": system.grid.tf_product,
-        "spectral_efficiency": system.spectral_efficiency,
-        "biorthogonality_defect": system.biorthogonality_defect,
-        "interference_power": power,
-        **descent,
-    }
+    report = {"method": spec["method"], **asdict(system.grid),
+              "tf_product": system.grid.tf_product,
+              "spectral_efficiency": system.spectral_efficiency,
+              "biorthogonality_defect": system.biorthogonality_defect,
+              "interference_power": power, **descent}
     if spec["baseline"] is not None:
         report["baseline"] = {
             **spec["baseline"],
@@ -423,14 +458,11 @@ def _run_ofdm_sim(spec: dict, n: int, out: Path, base_dir: Path) -> dict:
     _write_csv(out / "frames.csv", ["frame", "gain_energy", "interference_energy",
                                     "noise_energy", "error_vector_energy"],
                [np.arange(spec["n_frames"]), *energies.T])
-    report = {
-        "n_frames": spec["n_frames"],
-        "noise_psd": spec["noise_psd"],
-        "spectral_efficiency": system.spectral_efficiency,
-        "biorthogonality_defect": system.biorthogonality_defect,
-        "mean_interference_energy": float(np.mean(energies[:, 1])),
-        "max_interference_energy": float(np.max(energies[:, 1])),
-    }
+    report = {"n_frames": spec["n_frames"], "noise_psd": spec["noise_psd"],
+              "spectral_efficiency": system.spectral_efficiency,
+              "biorthogonality_defect": system.biorthogonality_defect,
+              "mean_interference_energy": float(np.mean(energies[:, 1])),
+              "max_interference_energy": float(np.max(energies[:, 1]))}
     if isinstance(channel, ScatteringProfile):
         report["predicted_interference_power"] = interference_power(channel, system)
     return report

@@ -134,13 +134,6 @@ def build_sounding_matrix(sounding, support, n_dim: int) -> np.ndarray:
     return tf_shift(x, delays, dopplers).T
 
 
-def _comb(x: np.ndarray) -> tuple[int, int]:
-    """(P, i0): the nonzero samples of ``x`` lie on i0 + P Z_N, P as large as possible."""
-    nonzero = np.flatnonzero(x)
-    i0 = int(nonzero[0]) if nonzero.size else 0
-    return int(np.gcd.reduce(np.append(nonzero - i0, x.size))), i0
-
-
 def _block_svd(x: np.ndarray, cells) -> tuple[list, np.ndarray]:
     """SVD of the sounding matrix by probe residue classes, without forming it.
 
@@ -152,7 +145,9 @@ def _block_svd(x: np.ndarray, cells) -> tuple[list, np.ndarray]:
     block spectra; singular values of X missing from it are exact zeros.
     """
     n = x.size
-    p, i0 = _comb(x)
+    nonzero = np.flatnonzero(x)  # the probe's comb: its nonzero samples lie on i0 + p Z_N
+    i0 = int(nonzero[0]) if nonzero.size else 0
+    p = int(np.gcd.reduce(np.append(nonzero - i0, n)))  # the largest such p
     delays, dopplers = np.array(cells).T
     classes = delays % p
     counts = np.bincount(classes, minlength=p)

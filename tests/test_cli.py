@@ -1348,6 +1348,57 @@ def test_heatmap_format_rounds_to_four_decimals_and_keeps_the_sign(tmp_path):
     assert path.read_bytes().splitlines(keepends=True)[-1] == b"4,4,-40.0000\r\n"
 
 
+def word_texts(words):
+    """Each packed heatmap word as text, its NUL padding dropped."""
+    return [bytes(word[word != 0]).decode() for word in words.view(np.uint8).reshape(-1, 8)]
+
+
+def with_neighbours(values):
+    """Each of ``values`` between its two float neighbours."""
+    values = np.asarray(values, dtype=float)
+    return np.stack([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)],
+                    axis=-1).ravel()
+
+
+# rounding ties: an exact one, both zeros, the least subnormal, the half unit next to the floor
+DB_TIES = [-0.03125, -0.0, 0.0, -5e-324, -39.99995, -40.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-40.0, 0.0), max_size=40), st.lists(st.integers(0, 399_999), max_size=20))
+@example(DB_TIES, [0, 312, 399_999])
+def test_db_words_match_format_oracle(values, halves):
+    """Every dB value in [-40, 0], the half units (k + 1/2) 1e-4 and their neighbours
+    among them, is packed as ``format(v, ".4f")`` writes it."""
+    db = np.concatenate([values, with_neighbours([-(k + 0.5) / 1e4 for k in halves]),
+                         with_neighbours(DB_TIES)]).clip(-40.0, 0.0)
+    assert word_texts(cli._db_words(db)) == [format(v, ".4f") for v in db.tolist()]
+
+
+def test_db_words_match_format_oracle_across_the_range():
+    """Every 11th half unit of the 40 dB range with its neighbours, where rint of the scaled
+    product alone is wrong about one time in six, and 100,000 uniform values, as a grid."""
+    rng = np.random.default_rng(37)
+    db = np.concatenate([with_neighbours(-(np.arange(0, 400_000, 11) + 0.5) / 1e4),
+                         rng.uniform(-40.0, 0.0, 100_000)]).reshape(2, -1)
+    words = cli._db_words(db)
+    assert words.shape == db.shape
+    oracle = [format(v, ".4f") for v in db.ravel().tolist()]
+    assert words.tobytes().translate(None, b"\0") == "".join(oracle).encode()
+    assert (words.view(np.uint8).reshape(-1, 8) != 0).sum(axis=1).tolist() == list(map(len, oracle))
+
+
+@pytest.mark.parametrize("centered", [True, False], ids=["centered", "raw"])
+def test_heatmap_labels_at_the_largest_n_dim_fit_their_words(centered):
+    """Raising ``_MAX_N_DIM`` past 8-byte label words (\\r\\n-2048, is 8 bytes) fails here."""
+    n = cli._MAX_N_DIM
+    starts, x_words, y_words = cli._axis_words(n, centered)
+    labels = (centered_index(np.arange(n), n) if centered else np.arange(n)).tolist()
+    assert [start.decode() for start in starts] == [f"\r\n{x}" for x in labels]
+    assert word_texts(x_words) == [f"\r\n{x}," for x in labels]
+    assert word_texts(y_words) == [f"{y}," for y in labels]
+
+
 @pytest.mark.parametrize("centered", [True, False], ids=["centered", "raw"])
 # |1e308 + 1e308j| is 1.41e308, still finite; |1.5e308 + 1.5e308j| overflows
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5e308 + 1.5e308j],

@@ -428,6 +428,22 @@ def test_circulant_channel_exact_dft_gains():
         assert np.abs(res.gains - dft_gain[None, :]).max() <= 1e-10
 
 
+def test_split_lost_to_rounding_raises(monkeypatch):
+    """A gain term 1e20 times the output leaves the split to rounding far above 1e-12 of
+    the estimates, so the decomposition check refuses it."""
+    cfg = ofdm.cp_ofdm_config(16, 4, 0)
+    dense_gains = ofdm._dense_gains
+
+    def inflated(h, config):
+        gains, tx, rx = dense_gains(h, config)
+        return gains * 1e20, tx, rx
+
+    monkeypatch.setattr(ofdm, "_dense_gains", inflated)
+    with pytest.raises(ArithmeticError) as caught:
+        ofdm.transmit_through(ofdm.random_symbols(cfg, 0), cfg, np.eye(16, dtype=complex))
+    assert str(caught.value) == "demodulator decomposition failed to reproduce the output"
+
+
 def test_echo_beyond_prefix_leaks():
     n = 64
     cfg = ofdm.cp_ofdm_config(n, 16, 16)
@@ -843,6 +859,15 @@ def test_agreement_exact_for_circulant_cp():
     taps = rng.standard_normal(10) + 1j * rng.standard_normal(10)
     ch = synthesize_channel(cm.time_invariant(taps, n))
     assert ofdm.gain_transfer_agreement(ch, cfg) <= 1e-10
+
+
+def test_agreement_unnormalized_where_the_sampled_transfer_vanishes():
+    """A gain of 0 at every slot start and 2 halfway: the transfer grid is exactly zero at
+    the lattice points, so the largest symbol gain, (0 + 2) / 2, comes back unnormalized."""
+    cfg = ofdm.cp_ofdm_config(4, 2, 0)
+    channel = np.diag([0.0, 2.0, 0.0, 2.0]).astype(complex)
+    assert np.abs(tf_core.tf_transfer(tf_core.spreading_function(channel)).values[::2]).max() == 0
+    assert ofdm.gain_transfer_agreement(channel, cfg) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_agreement_decreases_with_spread():

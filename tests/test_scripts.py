@@ -31,8 +31,9 @@ def test_script_exits_0(tmp_path, script, args):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     if script == "peak_memory.py":  # one line per shipped config; every run wrote artifacts
-        lines = proc.stdout.splitlines()
+        lines = proc.stdout.splitlines()  # and its traced heap peak lies below its peak RSS
         assert len(lines) == len(list((REPO / "scripts" / "configs").glob("*.json")))
         for line in lines:
-            match = re.fullmatch(r"\S+ +exit 0 +[\d.]+ s +[\d.]+ MiB +(\d+) bytes written", line)
-            assert match and int(match[1]) > 0, line
+            match = re.fullmatch(r"\S+ +exit 0 +[\d.]+ s +([\d.]+) MiB RSS +([\d.]+) MiB heap"
+                                 r" +(\d+) bytes written", line)
+            assert match and 0 < float(match[2]) < float(match[1]) and int(match[3]) > 0, line
